@@ -1,8 +1,10 @@
 """Exact arithmetic substrate: rationals, sparse bivariate polynomials in
 {x, y}, and truncated power series in a formal variable t.
 
-Everything here is immutable after construction and safe to share across
-threads.  The coefficient field is ``fractions.Fraction`` throughout.
+No value here is changed after construction, so values are safe to share
+across threads; ``Poly.terms`` and ``TSeries.coeffs`` are plain containers
+that callers must not write to.  The coefficient field is
+``fractions.Fraction`` throughout.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 Rational = Fraction
@@ -378,7 +381,9 @@ class ParamSet:
     """One verification trial's rational parameter assignment.
 
     Holds the base q and the five family parameters a, b, c, d, e, plus
-    identity-specific extras by name.  Requires 0 < q < 1.
+    identity-specific extras by name in a read-only mapping.  Requires
+    0 < q < 1.  Hashable; the hash leaves the extras out, which equal
+    ParamSets still share.
     """
 
     q: Fraction
@@ -387,17 +392,23 @@ class ParamSet:
     c: Fraction = ZERO
     d: Fraction = ZERO
     e: Fraction = ZERO
-    extras: dict[str, Fraction] = field(default_factory=dict)
+    extras: Mapping[str, Fraction] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "q", as_fraction(self.q))
         for name in ("a", "b", "c", "d", "e"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
         object.__setattr__(
-            self, "extras", {k: as_fraction(v) for k, v in self.extras.items()}
+            self,
+            "extras",
+            MappingProxyType({k: as_fraction(v) for k, v in self.extras.items()}),
         )
         if not (0 < self.q < 1):
             raise ValueError(f"q must satisfy 0 < q < 1, got {self.q}")
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle; rebuild from a plain dict
+        return (ParamSet, (self.q, self.a, self.b, self.c, self.d, self.e, dict(self.extras)))
 
     def get(self, name: str) -> Fraction:
         if name in ("q", "a", "b", "c", "d", "e"):

@@ -22,13 +22,10 @@ from .core import ONE, ParamSet, Poly, TSeries, X, Y, random_paramset
 from .qkernel import (
     PhiSpec,
     PoleError,
-    binom2,
+    _poch_row,
     euler_inverse_series,
     euler_product_series,
     hyper_series,
-    qbinom,
-    qpoch,
-    qpoch_multi,
     qpoch_t_poly,
 )
 from .polys import asc3_phi, asc3_psi, asc5_phi, asc5_psi, cauchy_pn, rogers_szego_hn
@@ -41,23 +38,17 @@ Side = tuple[str, TSeries, TSeries]
 # ---------------------------------------------------------------------------
 
 def _gf(N: int, q: Fraction, term: Callable[[int], Poly],
-        weight: Callable[[int], Fraction] | None = None) -> TSeries:
-    """sum_n term(n) * weight(n) * t^n / (q;q)_n, truncated at N."""
-    coeffs = []
-    qq = ONE
-    for n in range(N + 1):
-        if n:
-            qq *= 1 - q**n
-        w = ONE / qq
-        if weight is not None:
-            w *= weight(n)
-        coeffs.append(term(n) * w)
-    return TSeries(N, coeffs)
+        weights: Sequence[Fraction] | None = None) -> TSeries:
+    """sum_n term(n) * weights[n] * t^n / (q;q)_n, truncated at N."""
+    w = _poch_row((), {"q": q}, q, N)
+    if weights is not None:
+        w = [a * b for a, b in zip(w, weights)]
+    return TSeries(N, [term(n) * w[n] for n in range(N + 1)])
 
 
-def _alt_weight(q: Fraction) -> Callable[[int], Fraction]:
-    """n -> (-1)^n q^C(n,2)."""
-    return lambda n: (-1) ** n * q ** binom2(n)
+def _alt_weights(q: Fraction, N: int, t_scale: Fraction = ONE) -> list[Fraction]:
+    """[(-1)^n q^C(n,2) t_scale^n for n = 0..N]."""
+    return _poch_row((), {}, q, N, z=-t_scale, r=q)
 
 
 def build_id3_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
@@ -70,7 +61,7 @@ def build_id3_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
 
 
 def build_id3_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
-    return _gf(N, ps.q, lambda n: asc5_phi(n, ps), lambda n: t_scale**n)
+    return _gf(N, ps.q, lambda n: asc5_phi(n, ps), [t_scale**n for n in range(N + 1)])
 
 
 def build_id4_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
@@ -85,8 +76,7 @@ def build_id4_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
 
 
 def build_id4_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
-    alt = _alt_weight(ps.q)
-    return _gf(N, ps.q, lambda n: asc5_psi(n, ps), lambda n: alt(n) * t_scale**n)
+    return _gf(N, ps.q, lambda n: asc5_psi(n, ps), _alt_weights(ps.q, N, t_scale))
 
 
 def build_id6_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
@@ -94,25 +84,18 @@ def build_id6_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
     x-dependent denominator parameter folded into per-term Euler products:
     term k carries (x*s*q^k*t;q)_inf."""
     q = ps.q
+    w = _poch_row(
+        (ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N, z=-t_scale, r=q
+    )
     out = TSeries.zeros(N)
-    w = ONE
     for k in range(N + 1):
-        if k:
-            w *= (
-                (1 - ps.a * q ** (k - 1))
-                * (1 - ps.b * q ** (k - 1))
-                * (1 - ps.c * q ** (k - 1))
-                / ((1 - ps.d * q ** (k - 1)) * (1 - ps.e * q ** (k - 1)) * (1 - q**k))
-            )
-        scalar = (-1) ** k * q ** binom2(k) * w * t_scale**k
         term = euler_product_series(X * (t_scale * q**k), q, N).shift_t(k)
-        out = out + term.scale(Poly.monomial(0, k, scalar))
+        out = out + term.scale(Poly.monomial(0, k, w[k]))
     return out
 
 
 def build_id6_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
-    alt = _alt_weight(ps.q)
-    return _gf(N, ps.q, lambda n: asc5_phi(n, ps), lambda n: alt(n) * t_scale**n)
+    return _gf(N, ps.q, lambda n: asc5_phi(n, ps), _alt_weights(ps.q, N, t_scale))
 
 
 def build_id5_pair(ps: ParamSet, N: int, sig: Fraction, tau: Fraction) -> Side:
@@ -124,15 +107,14 @@ def build_id5_pair(ps: ParamSet, N: int, sig: Fraction, tau: Fraction) -> Side:
          with W_k = (a,b,c;q)_k p_k(tau,sig) / ((d,e;q)_k (q;q)_k).
     """
     q = ps.q
-    lhs = _gf(N, q, lambda n: asc5_phi(n, ps),
-              lambda n: cauchy_pn(n, tau, sig, q).constant())
+    p = [ONE]  # p_n(tau, sig)
+    for n in range(N):
+        p.append(p[-1] * (tau - sig * q**n))
+    lhs = _gf(N, q, lambda n: asc5_phi(n, ps), p)
+    w = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N)
     acc = TSeries.zeros(N)
     for k in range(N + 1):
-        wk = (
-            qpoch_multi((ps.a, ps.b, ps.c), q, k)
-            * cauchy_pn(k, tau, sig, q).constant()
-            / (qpoch_multi((ps.d, ps.e), q, k) * qpoch(q, q, k))
-        )
+        wk = w[k] * p[k]
         if wk == 0:
             continue
         term = euler_product_series(X * (sig * q**k), q, N).shift_t(k)
@@ -156,29 +138,26 @@ def build_id7_pair(ps: ParamSet, N: int, K: int) -> Side:
     q = ps.q
     lhs = _gf(N, q, lambda n: asc5_phi(n + K, ps))
 
-    acc = TSeries.zeros(N)
-    qmK = q ** (-K)
-    for n in range(N + K + 1):
-        a_n = qpoch_multi((ps.a, ps.b, ps.c), q, n) / (
-            qpoch(q, q, n) * qpoch_multi((ps.d, ps.e), q, n)
-        )
+    M = N + K
+    qp = [q**m for m in range(M + 1)]
+    A = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, M)
+    # (-1)^j q^(Kj - C(j,2)) (q^-K;q)_j, j <= K
+    J = _poch_row((q**-K,), {}, q, K, z=-(q**K), r=1 / q)
+    # (xt;q)_j/(xt)^j = sum_i E[j][i] (xt)^-i, E[j][i] = [j;i] (-1)^(j-i) q^C(j-i,2):
+    # the q-binomial theorem for (u;q)_j read from the top power down
+    E = [_poch_row((q**-j,), {"q": q}, q, j, z=q**j)[::-1] for j in range(K + 1)]
+    acc = [Poly.zero()] * (N + 1)
+    for n in range(M + 1):
+        g = ONE  # [n;j]
         for j in range(min(n, K) + 1):
-            # (xt;q)_j/(xt)^j expands to sum_i [j;i] (-1)^(j-i) q^C(j-i,2) (xt)^-i,
-            # so the printed (-1)^j combines with it to (-1)^i per i-term
-            base = (
-                a_n
-                * qbinom(n, j, q)
-                * q ** (K * j - binom2(j))
-                * qpoch(qmK, q, j)
-            )
+            if j:
+                g = g * (1 - qp[n - j + 1]) / (1 - qp[j])
+            base = A[n] * g * J[j]
             if base == 0:
                 continue
-            for i in range(j + 1):
-                if n - i > N:
-                    continue
-                coef = base * qbinom(j, i, q) * (-1) ** i * q ** binom2(j - i)
-                acc.coeffs[n - i] = acc.coeffs[n - i] + Poly.monomial(K - i, n, coef)
-    rhs = euler_inverse_series(X, q, N) * acc
+            for i in range(max(0, n - N), j + 1):
+                acc[n - i] = acc[n - i] + Poly.monomial(K - i, n, base * E[j][i])
+    rhs = euler_inverse_series(X, q, N) * TSeries(N, acc)
     return (f"k={K}", lhs, rhs)
 
 
@@ -216,7 +195,7 @@ def _build_id2(ps: ParamSet, N: int) -> list[Side]:
         N,
         ps.q,
         lambda n: asc3_psi(n, ps.a, ps.b, ps.c, X, Y, ps.q),
-        _alt_weight(ps.q),
+        _alt_weights(ps.q, N),
     )
     rhs = euler_product_series(Y, ps.q, N) * hyper_series(
         PhiSpec([ps.a, ps.b], [ps.c], ps.q), N, arg_mono=X
@@ -263,36 +242,34 @@ def _build_id8(ps: ParamSet, N: int) -> list[Side]:
         lambda n: asc5_phi(n, ps, x1, y1) * asc5_phi(n, ps2, x2, y2),
     )
 
-    phi32 = {}
-    poch_t = {}
+    # inner[j] = (x1 x2 t;q)_j * 3phi2(a q^j, b q^j, c q^j; d q^j, e q^j; q, x2 y1 t)
+    inner = []
     for j in range(N + 1):
         qj = q**j
-        phi32[j] = hyper_series(
+        phi32 = hyper_series(
             PhiSpec([ps.a * qj, ps.b * qj, ps.c * qj], [ps.d * qj, ps.e * qj], q),
             N,
             arg_mono=x2 * y1,
         )
-        poch_t[j] = qpoch_t_poly(x1 * x2, q, j, N)
+        inner.append(qpoch_t_poly(x1 * x2, q, j, N) * phi32)
 
+    qp = [q**m for m in range(N + 1)]
+    s = _poch_row(
+        (ps2.a, ps2.b, ps2.c), {"q": q, "d": ps2.d, "e": ps2.e}, q, N, z=x1 * y2
+    )
+    v = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e}, q, N, z=y1 / x1)
     acc = TSeries.zeros(N)
     for n in range(N + 1):
-        s_n = (
-            qpoch_multi((ps2.a, ps2.b, ps2.c), q, n)
-            * (x1 * y2) ** n
-            / (qpoch(q, q, n) * qpoch_multi((ps2.d, ps2.e), q, n))
-        )
-        inner = TSeries.zeros(N)
+        # sum_j [n;j] v_j inner[j], where [n;j] = (q^(n-j+1);q)_j / (q;q)_j
+        total = TSeries.zeros(N)
+        g = ONE
         for j in range(n + 1):
-            w = (
-                qpoch(q ** (n - j + 1), q, j)
-                * qpoch_multi((ps.a, ps.b, ps.c), q, j)
-                * (y1 / x1) ** j
-                / (qpoch(q, q, j) * qpoch_multi((ps.d, ps.e), q, j))
-            )
-            if w == 0:
+            if j:
+                g = g * (1 - qp[n - j + 1]) / (1 - qp[j])
+            if v[j] == 0:
                 continue
-            inner = inner + (poch_t[j] * phi32[j]).scale(w)
-        acc = acc + inner.scale(s_n).shift_t(n)
+            total = total + inner[j].scale(g * v[j])
+        acc = acc + total.scale(s[n]).shift_t(n)
     rhs = euler_inverse_series(Poly.const(x1 * x2), q, N) * acc
     return [("", lhs, rhs)]
 
@@ -307,12 +284,7 @@ def _build_id9(ps: ParamSet, N: int) -> list[Side]:
 def _build_id10(ps: ParamSet, N: int) -> list[Side]:
     q = ps.q
     lam, x0, y0 = ps.get("lam"), ps.get("x0"), ps.get("y0")
-    lhs = _gf(
-        N,
-        q,
-        lambda n: cauchy_pn(n, x0, y0, q),
-        lambda n: qpoch(lam, q, n),
-    )
+    lhs = _gf(N, q, lambda n: cauchy_pn(n, x0, y0, q), _poch_row((lam,), {}, q, N))
     rhs = hyper_series(
         PhiSpec([lam, y0 / x0], [Fraction(0)], q), N, arg_mono=Poly.const(x0)
     )
@@ -348,8 +320,7 @@ def _build_id12(ps: ParamSet, N: int) -> list[Side]:
 
     # LHS: sum_n (t;q)_n (sig*u;q)_n (xi*u)^n / ((r_scale*u;q)_n (q;q)_n)
     lhs = TSeries.zeros(N)
-    for n in range(N + 1):
-        w = qpoch(t0, q, n) * xi**n / qpoch(q, q, n)
+    for n, w in enumerate(_poch_row((t0,), {"q": q}, q, N, z=xi)):
         if w == 0:
             continue
         num = qpoch_t_poly(sig, q, n, N)
@@ -365,8 +336,7 @@ def _build_id12(ps: ParamSet, N: int) -> list[Side]:
     )
     # 2phi1(q^-M, x; x t; q, s): terminating in k <= M
     tail = TSeries.zeros(N)
-    for k in range(M + 1):
-        w = qpoch(q**-M, q, k) * sig**k / qpoch(q, q, k)
+    for k, w in enumerate(_poch_row((q**-M,), {"q": q}, q, M, z=sig)):
         num = qpoch_t_poly(xi, q, k, N)
         den = qpoch_t_poly(xi * t0, q, k, N).inverse()
         tail = tail + (num * den).shift_t(k).scale(w)

@@ -5,144 +5,110 @@ the five-parameter pair tied to the T/E operator series).
 All functions accept exact rationals or Poly values for the variable slots
 and return whichever the inputs produce; with the default symbolic x, y the
 result is a Poly.
+
+Every family is one sum  sum_k [n;k] w_k x^(n-k) y^k  whose weight w_k is
+q-hypergeometric in k: (nums;q)_k / (dens;q)_k times a twist z^k r^C(k,2).
+So each weight, each [n;k] (by the ratio (1-q^(n-k))/(1-q^(k+1))) and each
+power of x and y is built from the one before it, in O(n) exact operations
+per polynomial rather than O(n^2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .core import ONE, ParamSet, Poly, X, Y, as_fraction
-from .qkernel import PoleError, qbinom, qpoch, qpoch_multi
+from .qkernel import _poch_row
 
 
 def _val(v):
     return v if isinstance(v, Poly) else Poly.const(as_fraction(v))
 
 
-def cauchy_pn(n: int, x=X, y=Y, q=Fraction(1, 2)):
-    """Cauchy polynomial p_n(x,y) = (x - y)(x - qy) ... (x - q^(n-1) y)."""
-    q = as_fraction(q)
-    out = Poly.one()
-    xv = _val(x)
-    yv = _val(y)
-    qi = ONE
+def _asc_sum(n: int, q: Fraction, w: Sequence[Fraction], x, y) -> Poly:
+    """sum_k [n;k] w[k] x^(n-k) y^k."""
+    if n < 0:
+        raise ValueError("polynomial degree n must be >= 0")
+    xv, yv = _val(x), _val(y)
+    qp = [ONE]  # q^0 .. q^n
+    xp = [Poly.one()]  # x^0 .. x^n
     for _ in range(n):
-        out = out * (xv - yv * qi)
-        qi *= q
+        qp.append(qp[-1] * q)
+        xp.append(xp[-1] * xv)
+    out = Poly.zero()
+    g = ONE  # [n;k]
+    yk = Poly.one()
+    for k in range(n + 1):
+        out = out + xp[n - k] * yk * (g * w[k])
+        if k < n:
+            g = g * (1 - qp[n - k]) / (1 - qp[k + 1])
+            yk = yk * yv
     return out
+
+
+def cauchy_pn(n: int, x=X, y=Y, q=Fraction(1, 2)):
+    """Cauchy polynomial p_n(x,y) = (x - y)(x - qy) ... (x - q^(n-1) y),
+    summed by the q-binomial theorem as sum_k [n;k] (-1)^k q^C(k,2) x^(n-k) y^k."""
+    q = as_fraction(q)
+    return _asc_sum(n, q, _poch_row((), {}, q, n, z=-ONE, r=q), x, y)
 
 
 def rogers_szego_hn(n: int, a, b, q):
     """Homogeneous Rogers-Szego polynomial h_n(a,b|q) = sum_k [n;k] a^k b^(n-k)."""
-    q = as_fraction(q)
-    av = _val(a)
-    bv = _val(b)
-    out = Poly.zero()
-    for k in range(n + 1):
-        out = out + av**k * bv ** (n - k) * qbinom(n, k, q)
-    return out
+    return _asc_sum(n, as_fraction(q), [ONE] * (n + 1), b, a)
 
 
 def asc_phi(n: int, a, x, q):
     """Classical family phi_n^(a)(x|q) = sum_k [n;k] (a;q)_k x^k."""
     q = as_fraction(q)
-    a = as_fraction(a)
-    xv = _val(x)
-    out = Poly.zero()
-    for k in range(n + 1):
-        out = out + xv**k * (qbinom(n, k, q) * qpoch(a, q, k))
-    return out
+    return _asc_sum(n, q, _poch_row((a,), {}, q, n), ONE, x)
 
 
 def asc_psi(n: int, a, x, q):
     """Classical companion psi_n^(a)(x|q)
-    = sum_k [n;k] q^(k(k-n)) (a q^(1-k);q)_k x^k."""
+    = sum_k [n;k] q^(k(k-n)) (a q^(1-k);q)_k x^k.
+
+    (a q^(1-k);q)_k = (a;1/q)_k and q^(k(k-n)) = q^((1-n)k) (q^2)^C(k,2)."""
     q = as_fraction(q)
-    a = as_fraction(a)
-    xv = _val(x)
-    out = Poly.zero()
-    for k in range(n + 1):
-        w = qbinom(n, k, q) * q ** (k * (k - n)) * qpoch(a * q ** (1 - k), q, k)
-        out = out + xv**k * w
-    return out
-
-
-def _gen3_weight(k: int, a, b, c, q) -> Fraction:
-    den = qpoch(c, q, k)
-    if den == 0:
-        raise PoleError(f"(c;q)_k vanished at k={k} for c={c}", index=k)
-    return qpoch_multi((a, b), q, k) / den
+    return _asc_sum(n, q, _poch_row((a,), {}, 1 / q, n, z=q ** (1 - n), r=q * q), ONE, x)
 
 
 def asc3_phi(n: int, a, b, c, x=X, y=Y, q=Fraction(1, 2)):
     """Three-parameter family
     phi_n^(a,b,c)(x,y|q) = sum_k [n;k] (a,b;q)_k/(c;q)_k x^k y^(n-k)."""
     q = as_fraction(q)
-    xv = _val(x)
-    yv = _val(y)
-    out = Poly.zero()
-    for k in range(n + 1):
-        w = qbinom(n, k, q) * _gen3_weight(k, a, b, c, q)
-        out = out + xv**k * yv ** (n - k) * w
-    return out
+    return _asc_sum(n, q, _poch_row((a, b), {"c": c}, q, n), y, x)
 
 
 def asc3_psi(n: int, a, b, c, x=X, y=Y, q=Fraction(1, 2)):
-    """Three-parameter companion with weight (-1)^k q^(C(k+1,2) - nk)."""
+    """Three-parameter companion with weight (-1)^k q^(C(k+1,2) - nk)
+    = (-q^(1-n))^k q^C(k,2)."""
     q = as_fraction(q)
-    xv = _val(x)
-    yv = _val(y)
-    out = Poly.zero()
-    for k in range(n + 1):
-        w = (
-            qbinom(n, k, q)
-            * (-1) ** k
-            * q ** (k * (k + 1) // 2 - n * k)
-            * _gen3_weight(k, a, b, c, q)
-        )
-        out = out + xv**k * yv ** (n - k) * w
-    return out
-
-
-def _asc5_weight(k: int, ps: ParamSet) -> Fraction:
-    den = qpoch_multi((ps.d, ps.e), ps.q, k)
-    if den == 0:
-        raise PoleError(f"(d,e;q)_k vanished at k={k} for d={ps.d}, e={ps.e}", index=k)
-    return qpoch_multi((ps.a, ps.b, ps.c), ps.q, k) / den
+    w = _poch_row((a, b), {"c": c}, q, n, z=-(q ** (1 - n)), r=q)
+    return _asc_sum(n, q, w, y, x)
 
 
 def asc5_phi(n: int, ps: ParamSet, x=X, y=Y):
     """Five-parameter family
     phi_n(x,y) = sum_k [n;k] (a,b,c;q)_k/(d,e;q)_k x^(n-k) y^k,
     equivalently T(a,b,c,d,e, y D){x^n}."""
-    q = ps.q
-    xv = _val(x)
-    yv = _val(y)
-    out = Poly.zero()
-    for k in range(n + 1):
-        w = qbinom(n, k, q) * _asc5_weight(k, ps)
-        out = out + xv ** (n - k) * yv**k * w
-    return out
+    w = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e}, ps.q, n)
+    return _asc_sum(n, ps.q, w, x, y)
 
 
 def asc5_psi(n: int, ps: ParamSet, x=X, y=Y):
     """Five-parameter companion
     psi_n(x,y) = sum_k [n;k] (-1)^k q^(k(k-n)) (a,b,c;q)_k/(d,e;q)_k x^(n-k) y^k,
-    equivalently E(a,b,c,d,e, y theta){x^n}."""
+    equivalently E(a,b,c,d,e, y theta){x^n}.
+
+    (-1)^k q^(k(k-n)) = (-q^(1-n))^k (q^2)^C(k,2)."""
     q = ps.q
-    xv = _val(x)
-    yv = _val(y)
-    out = Poly.zero()
-    for k in range(n + 1):
-        w = (
-            qbinom(n, k, q)
-            * (-1) ** k
-            * q ** (k * (k - n))
-            * _asc5_weight(k, ps)
-        )
-        out = out + xv ** (n - k) * yv**k * w
-    return out
+    w = _poch_row(
+        (ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e}, q, n, z=-(q ** (1 - n)), r=q * q
+    )
+    return _asc_sum(n, q, w, x, y)
 
 
 # which of a..e each family consumes; anything else must be zero

@@ -19,7 +19,7 @@ PoleError naming the offending term.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .core import ONE, Poly, TSeries, as_fraction
 
@@ -70,6 +70,39 @@ def qbinom(n: int, k: int, q) -> Fraction:
         num *= 1 - p
         den *= 1 - r
     return num / den
+
+
+def _poch_row(
+    nums: Sequence, dens: Mapping[str, Fraction], q, n: int, z=ONE, r=ONE
+) -> list[Fraction]:
+    """[(nums;q)_k / (dens;q)_k * z^k * r^C(k,2) for k = 0..n].
+
+    Each entry is the one before times the term ratio
+    prod(1 - a q^k) / prod(1 - b q^k) * z r^k.  dens maps each denominator
+    parameter's name to its value; the first k at which (dens;q)_k vanishes
+    raises PoleError(index=k) naming them, even past a vanished numerator.
+    """
+    nums = [as_fraction(a) for a in nums]
+    den_values = [as_fraction(b) for b in dens.values()]
+    q, step, r = as_fraction(q), as_fraction(z), as_fraction(r)
+    row = [ONE]
+    qk = ONE
+    for k in range(1, n + 1):
+        num = step
+        for a in nums:
+            num *= 1 - a * qk
+        den = ONE
+        for b in den_values:
+            den *= 1 - b * qk
+        if den == 0:
+            given = ", ".join(f"{name}={b}" for name, b in zip(dens, den_values))
+            raise PoleError(
+                f"({','.join(dens)};q)_k vanished at k={k} for {given}", index=k
+            )
+        row.append(row[-1] * num / den)
+        qk *= q
+        step *= r
+    return row
 
 
 def binom2(n: int) -> int:
@@ -183,16 +216,18 @@ def euler_product_series(mono: Poly | Fraction | int, q, order: int, t_power: in
 
 
 def qpoch_t_poly(mono: Poly | Fraction | int, q, j: int, order: int) -> TSeries:
-    """The finite product (mono*t; q)_j = prod_{i<j} (1 - mono q^i t) as a TSeries."""
+    """The finite product (mono*t; q)_j = prod_{i<j} (1 - mono q^i t) as a TSeries.
+
+    Expanded by the q-binomial theorem: the t^k coefficient is
+    [j;k] (-1)^k q^C(k,2) mono^k = (q^-j;q)_k / (q;q)_k * q^(jk) * mono^k.
+    """
     if isinstance(mono, (int, Fraction)):
         mono = Poly.const(mono)
     q = as_fraction(q)
-    out = TSeries.one(order)
-    qi = ONE
-    for _ in range(j):
-        factor = TSeries.one(order)
-        if order >= 1:
-            factor.coeffs[1] = mono * (-qi)
-        out = out * factor
-        qi *= q
-    return out
+    top = min(j, order)
+    coeffs = []
+    mono_pow = Poly.one()
+    for w in _poch_row((q**-j,), {"q": q}, q, top, z=q**j):
+        coeffs.append(mono_pow * w)
+        mono_pow = mono_pow * mono
+    return TSeries(order, coeffs + [Poly.zero()] * (order - top))

@@ -183,3 +183,37 @@ class TestParamSet:
         a = random_paramset(random.Random("seed:ID-3:0"))
         b = random_paramset(random.Random("seed:ID-3:0"))
         assert a == b
+
+    def test_hashable(self):
+        a = random_paramset(random.Random("seed:ID-8:0"), extras=("x1", "y1"))
+        b = random_paramset(random.Random("seed:ID-8:0"), extras=("x1", "y1"))
+        assert hash(a) == hash(b)
+        assert len({a, b, a.with_values(x1=F(1, 3))}) == 2
+
+    def test_extras_read_only(self):
+        extras = {"z": F(3, 11)}
+        ps = ParamSet(q=F(1, 2), extras=extras)
+        with pytest.raises(TypeError):
+            ps.extras["z"] = F(1, 5)
+        with pytest.raises(TypeError):
+            ps.extras["w"] = F(1, 5)
+        extras["z"] = F(1, 5)  # the caller's dict is copied, not shared
+        assert ps.get("z") == F(3, 11)
+
+    def test_with_values_and_render_unchanged(self):
+        ps = ParamSet(q=F(1, 2), a=F(-2, 7), extras={"z": F(3, 11)})
+        moved = ps.with_values(a=F(1, 3), z=F(1, 5), w=2)
+        assert ps.render() == {
+            "q": "1/2", "a": "-2/7", "b": "0", "c": "0", "d": "0", "e": "0", "z": "3/11"
+        }
+        assert moved.render() == {
+            "q": "1/2", "a": "1/3", "b": "0", "c": "0", "d": "0", "e": "0",
+            "w": "2", "z": "1/5",
+        }
+        assert moved == ParamSet(q=F(1, 2), a=F(1, 3), extras={"z": F(1, 5), "w": F(2)})
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        ps = ParamSet(q=F(1, 2), a=F(-2, 7), extras={"z": F(3, 11)})
+        assert pickle.loads(pickle.dumps(ps)) == ps

@@ -29,7 +29,7 @@ from qasc.identities import (
     verify,
 )
 from qasc.polys import asc5_phi, asc5_psi, cauchy_pn
-from qasc.qkernel import euler_inverse_series, qpoch
+from qasc.qkernel import euler_inverse_series, qpoch, qpoch_t_poly
 
 ORDER = 8  # catalog unit tests run fast; the acceptance suite uses 12
 
@@ -71,6 +71,32 @@ class TestCatalog:
         assert rep.status == "pole"
         assert rep.first_mismatch is not None
 
+    @pytest.mark.parametrize(
+        "cid, kv, message",
+        [
+            ("ID-5", dict(d=F(4)), "(d,e;q)_k vanished at k=3 for d=4, e=-2/9"),
+            ("ID-7", dict(d=F(4)), "(d,e;q)_k vanished at k=3 for d=4, e=5/13"),
+            ("ID-8", dict(d=F(4)), "(d,e;q)_k vanished at k=3 for d=4, e=5/29"),
+            ("ID-8", dict(d2=F(4)), "(d,e;q)_k vanished at k=3 for d=4, e=1/3"),
+            ("ID-8", dict(e=F(4)), "(d,e;q)_k vanished at k=3 for d=-4/15, e=4"),
+        ],
+    )
+    def test_pole_report_pinned(self, cid, kv, message):
+        # 4 = q^-2 at q = 1/2, so (4;q)_k first vanishes at k = 3; the left
+        # side is built first and reports it
+        check = CATALOG[cid]
+        ps = trial_paramset(check, 1, 0).with_values(q=F(1, 2), **kv)
+        rep = verify(check, ps, 6, 0)
+        assert rep.status == "pole"
+        assert rep.first_mismatch == {"power": 3, "sub": "", "lhs": message, "rhs": ""}
+
+    @pytest.mark.parametrize("cid", ["ID-7", "ID-8"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_table_builders_pass(self, cid, seed):
+        check = CATALOG[cid]
+        rep = verify(check, trial_paramset(check, seed, 0), ORDER, 0)
+        assert rep.status == "pass", rep.first_mismatch
+
     def test_id9_pinned_parameters(self):
         # q = 1/2 at order 8, the symbolic check subsuming any rational x, y
         ps = ParamSet(q=F(1, 2))
@@ -90,6 +116,21 @@ class TestCatalog:
             ],
         )
         assert lhs == euler_inverse_series(Poly.x(), ps.q, N)
+
+
+def test_builders_do_not_write_into_series(monkeypatch):
+    # every TSeries gets tuple coefficients, so an in-place write raises
+    init = TSeries.__init__
+
+    def frozen_init(self, order, coeffs=None):
+        init(self, order, coeffs)
+        self.coeffs = tuple(self.coeffs)
+
+    monkeypatch.setattr(TSeries, "__init__", frozen_init)
+    ps = random_paramset(random.Random(41))
+    for K in range(4):
+        build_id7_pair(ps, 6, K)
+    assert qpoch_t_poly(Poly.x(), ps.q, 3, 6).coeff(3) == Poly.monomial(3, 0, -ps.q**3)
 
 
 class TestParallelVerification:

@@ -186,3 +186,95 @@ class TestPolyFamily:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             PolyFamily("hermite", ParamSet(q=Q))
+
+
+def _textbook(family: str, n: int, ps: ParamSet, x, y) -> Poly:
+    """Each family summed term by term from qbinom/qpoch, as in its docstring."""
+    q, a, b, c = ps.q, ps.a, ps.b, ps.c
+    xv = x if isinstance(x, Poly) else Poly.const(x)
+    yv = y if isinstance(y, Poly) else Poly.const(y)
+    if family == "cauchy":
+        out = Poly.one()
+        for i in range(n):
+            out = out * (xv - yv * q**i)
+        return out
+    out = Poly.zero()
+    for k in range(n + 1):
+        g = qbinom(n, k, q)
+        if family == "rogers_szego":
+            out = out + yv**k * xv ** (n - k) * g
+        elif family == "asc_phi":
+            out = out + xv**k * (g * qpoch(a, q, k))
+        elif family == "asc_psi":
+            out = out + xv**k * (g * q ** (k * (k - n)) * qpoch(a * q ** (1 - k), q, k))
+        elif family in ("asc3_phi", "asc3_psi"):
+            w = g * qpoch(a, q, k) * qpoch(b, q, k) / qpoch(c, q, k)
+            if family == "asc3_psi":
+                w *= (-1) ** k * q ** (k * (k + 1) // 2 - n * k)
+            out = out + xv**k * yv ** (n - k) * w
+        else:
+            w = g * qpoch(a, q, k) * qpoch(b, q, k) * qpoch(c, q, k)
+            w /= qpoch(ps.d, q, k) * qpoch(ps.e, q, k)
+            if family == "asc5_psi":
+                w *= (-1) ** k * q ** (k * (k - n))
+            out = out + xv ** (n - k) * yv**k * w
+    return out
+
+
+_FAMILIES = {
+    "cauchy": lambda n, ps, x, y: cauchy_pn(n, x, y, ps.q),
+    "rogers_szego": lambda n, ps, x, y: rogers_szego_hn(n, y, x, ps.q),
+    "asc_phi": lambda n, ps, x, y: asc_phi(n, ps.a, x, ps.q),
+    "asc_psi": lambda n, ps, x, y: asc_psi(n, ps.a, x, ps.q),
+    "asc3_phi": lambda n, ps, x, y: asc3_phi(n, ps.a, ps.b, ps.c, x, y, ps.q),
+    "asc3_psi": lambda n, ps, x, y: asc3_psi(n, ps.a, ps.b, ps.c, x, y, ps.q),
+    "asc5_phi": lambda n, ps, x, y: asc5_phi(n, ps, x, y),
+    "asc5_psi": lambda n, ps, x, y: asc5_psi(n, ps, x, y),
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_families_match_textbook_sums(family):
+    # the families build each weight from the one before; the reference
+    # recomputes every [n;k] and (a;q)_k from scratch
+    rng = random.Random(f"textbook:{family}")
+    for _ in range(20):
+        ps = random_paramset(rng)
+        x, y = F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9), rng.randint(1, 9))
+        for n in range(13):
+            for xv, yv in ((X, Y), (x, y)):
+                got = _FAMILIES[family](n, ps, xv, yv)
+                assert got == _textbook(family, n, ps, xv, yv), (family, n, ps, xv, yv)
+
+
+class TestPoleIndex:
+    """PoleError.index is the first k at which the denominator factorial
+    vanishes, also when a numerator factorial vanished earlier."""
+
+    @pytest.mark.parametrize("fam", [asc5_phi, asc5_psi])
+    @pytest.mark.parametrize(
+        "kv, index, message",
+        [
+            (dict(e=Q**-3), 4, "(d,e;q)_k vanished at k=4 for d=1/4, e=8"),
+            (dict(d=Q**-5, e=Q**-2), 3, "(d,e;q)_k vanished at k=3 for d=32, e=4"),
+            (dict(a=Q**-1, d=Q**-3), 4, "(d,e;q)_k vanished at k=4 for d=8, e=1/6"),
+        ],
+    )
+    def test_five_parameter(self, fam, kv, index, message):
+        ps = ParamSet(q=Q, a=F(1, 3), b=F(1, 5), c=F(1, 7), d=F(1, 4), e=F(1, 6)).with_values(**kv)
+        with pytest.raises(PoleError) as err:
+            fam(8, ps)
+        assert err.value.index == index and str(err.value) == message
+        fam(index - 1, ps)  # one degree lower never reaches the pole
+
+    @pytest.mark.parametrize("fam", [asc3_phi, asc3_psi])
+    @pytest.mark.parametrize(
+        "a, c, index",
+        [(F(1, 3), Q**-1, 2), (Q**-1, Q**-3, 4)],
+    )
+    def test_three_parameter(self, fam, a, c, index):
+        with pytest.raises(PoleError) as err:
+            fam(6, a, F(1, 5), c, X, Y, Q)
+        assert err.value.index == index
+        assert str(err.value) == f"(c;q)_k vanished at k={index} for c={c}"
+        fam(index - 1, a, F(1, 5), c, X, Y, Q)

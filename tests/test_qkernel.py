@@ -189,3 +189,15 @@ class TestEulerSeries:
         assert s.coeff(1) == Poly.monomial(1, 0, -(1 + Q))
         assert s.coeff(2) == Poly.monomial(2, 0, Q)
         assert s.coeff(3).is_zero()
+
+    def test_qpoch_t_poly_matches_factor_product(self):
+        # the q-binomial expansion against the product of its linear factors,
+        # including truncation orders below j
+        for mono in (Poly.x(), Poly.const(F(-2, 5))):
+            for order in range(6):
+                ref = TSeries.one(order)
+                for j in range(8):
+                    assert qpoch_t_poly(mono, Q, j, order) == ref, (mono, j, order)
+                    linear = [Poly.one(), mono * (-(Q**j))][: order + 1]
+                    ref = ref * TSeries(order, linear + [Poly.zero()] * (order + 1 - len(linear)))
+
