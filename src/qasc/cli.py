@@ -8,7 +8,8 @@ polynomial families exactly.
     qasc eval qbinom --n 3 --k 1 --q 1/2
 
 Exit codes: 0 all pass, 1 verification failure, 2 usage or configuration
-error, 3 numeric non-convergence.
+error, 3 numeric non-convergence, 4 an exact builder raised an unexpected
+error.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NOCONV = 3
+EXIT_ERROR = 4
 
 _DEFAULTS = {
     "suite": "all",
@@ -139,6 +141,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     entries = []
     any_fail = False
     any_noconv = False
+    any_error = False
 
     for cid in exact_ids:
         check = CATALOG[cid]
@@ -146,8 +149,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ps = trial_paramset(check, cfg["seed"], trial)
             rep = verify(check, ps, cfg["order"], trial)
             entries.append(rep.to_dict())
-            ok = rep.status == "pass"
-            any_fail |= not ok
+            any_fail |= rep.status != "pass"
+            any_error |= rep.status == "error"
             print(f"{cid:7s} trial {trial}: {rep.status}")
 
     if numeric_ids:
@@ -186,6 +189,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     total = len(entries)
     passed = sum(1 for e in entries if e["status"] == "pass")
     print(f"{passed}/{total} checks passed; report written to {out}")
+    if any_error:
+        return EXIT_ERROR
     if any_noconv:
         return EXIT_NOCONV
     return EXIT_FAIL if any_fail else EXIT_PASS

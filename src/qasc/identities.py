@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import ONE, ParamSet, Poly, TSeries, X, Y, random_paramset
+from .core import ONE, ZERO, ParamSet, Poly, TSeries, X, Y, random_paramset
 from .qkernel import (
     PhiSpec,
     PoleError,
@@ -28,7 +28,7 @@ from .qkernel import (
     hyper_series,
     qpoch_t_poly,
 )
-from .polys import asc3_phi, asc3_psi, asc5_phi, asc5_psi, cauchy_pn, rogers_szego_hn
+from .polys import PolyFamily, asc5_phi, asc5_psi
 
 Side = tuple[str, TSeries, TSeries]
 
@@ -37,13 +37,18 @@ Side = tuple[str, TSeries, TSeries]
 # generating-function builders
 # ---------------------------------------------------------------------------
 
-def _gf(N: int, q: Fraction, term: Callable[[int], Poly],
+def _gf(N: int, q: Fraction, seq: Sequence[Poly],
         weights: Sequence[Fraction] | None = None) -> TSeries:
-    """sum_n term(n) * weights[n] * t^n / (q;q)_n, truncated at N."""
+    """sum_n seq[n] * weights[n] * t^n / (q;q)_n, truncated at N."""
     w = _poch_row((), {"q": q}, q, N)
     if weights is not None:
         w = [a * b for a, b in zip(w, weights)]
-    return TSeries(N, [term(n) * w[n] for n in range(N + 1)])
+    return TSeries(N, [p * c for p, c in zip(seq, w)])
+
+
+def _phi_seq(ps: ParamSet, N: int, x=X, y=Y) -> list[Poly]:
+    """The five-parameter phi_0(x,y) .. phi_N(x,y)."""
+    return PolyFamily("asc_new_phi", ps).sequence(N, x, y)
 
 
 def _alt_weights(q: Fraction, N: int, t_scale: Fraction = ONE) -> list[Fraction]:
@@ -61,7 +66,7 @@ def build_id3_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
 
 
 def build_id3_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
-    return _gf(N, ps.q, lambda n: asc5_phi(n, ps), [t_scale**n for n in range(N + 1)])
+    return _gf(N, ps.q, _phi_seq(ps, N), [t_scale**n for n in range(N + 1)])
 
 
 def build_id4_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
@@ -76,7 +81,8 @@ def build_id4_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
 
 
 def build_id4_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
-    return _gf(N, ps.q, lambda n: asc5_psi(n, ps), _alt_weights(ps.q, N, t_scale))
+    psi = PolyFamily("asc_new_psi", ps).sequence(N)
+    return _gf(N, ps.q, psi, _alt_weights(ps.q, N, t_scale))
 
 
 def build_id6_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
@@ -95,7 +101,7 @@ def build_id6_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
 
 
 def build_id6_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
-    return _gf(N, ps.q, lambda n: asc5_phi(n, ps), _alt_weights(ps.q, N, t_scale))
+    return _gf(N, ps.q, _phi_seq(ps, N), _alt_weights(ps.q, N, t_scale))
 
 
 def build_id5_pair(ps: ParamSet, N: int, sig: Fraction, tau: Fraction) -> Side:
@@ -110,7 +116,7 @@ def build_id5_pair(ps: ParamSet, N: int, sig: Fraction, tau: Fraction) -> Side:
     p = [ONE]  # p_n(tau, sig)
     for n in range(N):
         p.append(p[-1] * (tau - sig * q**n))
-    lhs = _gf(N, q, lambda n: asc5_phi(n, ps), p)
+    lhs = _gf(N, q, _phi_seq(ps, N), p)
     w = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N)
     acc = TSeries.zeros(N)
     for k in range(N + 1):
@@ -123,8 +129,10 @@ def build_id5_pair(ps: ParamSet, N: int, sig: Fraction, tau: Fraction) -> Side:
     return ("u-scaled", lhs, rhs)
 
 
-def build_id7_pair(ps: ParamSet, N: int, K: int) -> Side:
-    """Index-shifted generating function for shift K.
+def build_id7_pair(ps: ParamSet, N: int, K: int,
+                   phi: Sequence[Poly] | None = None) -> Side:
+    """Index-shifted generating function for shift K; phi holds
+    phi_0 .. phi_(N+K) (at least), built here when not given.
 
     LHS: sum_n phi_(n+K)(x,y) t^n/(q;q)_n
     RHS: x^K/(xt;q)_inf * sum_n A_n (yt)^n
@@ -136,7 +144,9 @@ def build_id7_pair(ps: ParamSet, N: int, K: int) -> Side:
     x^K/(xt;q)_inf produces.
     """
     q = ps.q
-    lhs = _gf(N, q, lambda n: asc5_phi(n + K, ps))
+    if phi is None:
+        phi = _phi_seq(ps, N + K)
+    lhs = _gf(N, q, phi[K:])
 
     M = N + K
     qp = [q**m for m in range(M + 1)]
@@ -183,7 +193,7 @@ class IdentityCheck:
 
 
 def _build_id1(ps: ParamSet, N: int) -> list[Side]:
-    lhs = _gf(N, ps.q, lambda n: asc3_phi(n, ps.a, ps.b, ps.c, X, Y, ps.q))
+    lhs = _gf(N, ps.q, PolyFamily("asc_gen3_phi", ps.with_values(d=0, e=0)).sequence(N))
     rhs = euler_inverse_series(Y, ps.q, N) * hyper_series(
         PhiSpec([ps.a, ps.b], [ps.c], ps.q), N, arg_mono=X
     )
@@ -191,12 +201,8 @@ def _build_id1(ps: ParamSet, N: int) -> list[Side]:
 
 
 def _build_id2(ps: ParamSet, N: int) -> list[Side]:
-    lhs = _gf(
-        N,
-        ps.q,
-        lambda n: asc3_psi(n, ps.a, ps.b, ps.c, X, Y, ps.q),
-        _alt_weights(ps.q, N),
-    )
+    psi = PolyFamily("asc_gen3_psi", ps.with_values(d=0, e=0)).sequence(N)
+    lhs = _gf(N, ps.q, psi, _alt_weights(ps.q, N))
     rhs = euler_product_series(Y, ps.q, N) * hyper_series(
         PhiSpec([ps.a, ps.b], [ps.c], ps.q), N, arg_mono=X
     )
@@ -220,7 +226,8 @@ def _build_id6(ps: ParamSet, N: int) -> list[Side]:
 
 
 def _build_id7(ps: ParamSet, N: int) -> list[Side]:
-    return [build_id7_pair(ps, N, K) for K in range(4)]
+    phi = _phi_seq(ps, N + 3)
+    return [build_id7_pair(ps, N, K, phi) for K in range(4)]
 
 
 def _build_id8(ps: ParamSet, N: int) -> list[Side]:
@@ -236,13 +243,10 @@ def _build_id8(ps: ParamSet, N: int) -> list[Side]:
     x1, y1 = ps.get("x1"), ps.get("y1")
     x2, y2 = ps.get("x2"), ps.get("y2")
 
-    lhs = _gf(
-        N,
-        q,
-        lambda n: asc5_phi(n, ps, x1, y1) * asc5_phi(n, ps2, x2, y2),
-    )
+    lhs = _gf(N, q, [u * v for u, v in zip(_phi_seq(ps, N, x1, y1), _phi_seq(ps2, N, x2, y2))])
 
-    # inner[j] = (x1 x2 t;q)_j * 3phi2(a q^j, b q^j, c q^j; d q^j, e q^j; q, x2 y1 t)
+    # inner[j][m]: t^m of (x1 x2 t;q)_j * 3phi2(a q^j, b q^j, c q^j; d q^j, e q^j; q, x2 y1 t),
+    # all scalars since x1, y1, x2, y2 are
     inner = []
     for j in range(N + 1):
         qj = q**j
@@ -251,32 +255,32 @@ def _build_id8(ps: ParamSet, N: int) -> list[Side]:
             N,
             arg_mono=x2 * y1,
         )
-        inner.append(qpoch_t_poly(x1 * x2, q, j, N) * phi32)
+        inner.append([p.constant() for p in (qpoch_t_poly(x1 * x2, q, j, N) * phi32).coeffs])
 
     qp = [q**m for m in range(N + 1)]
     s = _poch_row(
         (ps2.a, ps2.b, ps2.c), {"q": q, "d": ps2.d, "e": ps2.e}, q, N, z=x1 * y2
     )
     v = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e}, q, N, z=y1 / x1)
-    acc = TSeries.zeros(N)
+    # sum_n s_n t^n sum_j [n;j] v_j inner[j], [n;j] = (q^(n-j+1);q)_j / (q;q)_j;
+    # term n reaches only the t-powers m >= n
+    acc = [ZERO] * (N + 1)
     for n in range(N + 1):
-        # sum_j [n;j] v_j inner[j], where [n;j] = (q^(n-j+1);q)_j / (q;q)_j
-        total = TSeries.zeros(N)
         g = ONE
         for j in range(n + 1):
             if j:
                 g = g * (1 - qp[n - j + 1]) / (1 - qp[j])
-            if v[j] == 0:
-                continue
-            total = total + inner[j].scale(g * v[j])
-        acc = acc + total.scale(s[n]).shift_t(n)
-    rhs = euler_inverse_series(Poly.const(x1 * x2), q, N) * acc
+            c = s[n] * g * v[j]
+            if c:
+                for m in range(N + 1 - n):
+                    acc[n + m] += c * inner[j][m]
+    rhs = euler_inverse_series(Poly.const(x1 * x2), q, N) * TSeries(N, acc)
     return [("", lhs, rhs)]
 
 
 def _build_id9(ps: ParamSet, N: int) -> list[Side]:
     q = ps.q
-    lhs = _gf(N, q, lambda n: cauchy_pn(n, X, Y, q))
+    lhs = _gf(N, q, PolyFamily("cauchy", ParamSet(q)).sequence(N))
     rhs = euler_product_series(Y, q, N) * euler_inverse_series(X, q, N)
     return [("", lhs, rhs)]
 
@@ -284,7 +288,8 @@ def _build_id9(ps: ParamSet, N: int) -> list[Side]:
 def _build_id10(ps: ParamSet, N: int) -> list[Side]:
     q = ps.q
     lam, x0, y0 = ps.get("lam"), ps.get("x0"), ps.get("y0")
-    lhs = _gf(N, q, lambda n: cauchy_pn(n, x0, y0, q), _poch_row((lam,), {}, q, N))
+    lhs = _gf(N, q, PolyFamily("cauchy", ParamSet(q)).sequence(N, x0, y0),
+              _poch_row((lam,), {}, q, N))
     rhs = hyper_series(
         PhiSpec([lam, y0 / x0], [Fraction(0)], q), N, arg_mono=Poly.const(x0)
     )
@@ -294,15 +299,37 @@ def _build_id10(ps: ParamSet, N: int) -> list[Side]:
 def _build_id11(ps: ParamSet, N: int) -> list[Side]:
     q = ps.q
     ra, rb, rc, rd = (ps.get(k) for k in ("ra", "rb", "rc", "rd"))
-    lhs = _gf(
-        N,
-        q,
-        lambda n: rogers_szego_hn(n, ra, rb, q) * rogers_szego_hn(n, rc, rd, q),
-    )
+    h = PolyFamily("rogers_szego", ParamSet(q))
+    lhs = _gf(N, q, [u * v for u, v in zip(h.sequence(N, ra, rb), h.sequence(N, rc, rd))])
     rhs = euler_product_series(Poly.const(ra * rb * rc * rd), q, N, t_power=2)
     for pair in (ra * rc, ra * rd, rb * rc, rb * rd):
         rhs = rhs * euler_inverse_series(Poly.const(pair), q, N)
     return [("", lhs, rhs)]
+
+
+def _quotient_sum(w: Sequence[Fraction], a: Fraction, b: Fraction, q: Fraction,
+                  N: int) -> TSeries:
+    """sum_n w[n] u^n (a u;q)_n / (b u;q)_n for scalar a, b, truncated at u^N.
+
+    Each quotient f is the one before times one linear factor
+    (1 - a q^(n-1) u) and divided by one (1 - b q^(n-1) u), whose
+    geometric series makes the division f_m += b q^(n-1) f_(m-1):
+    O(N) per n.
+    """
+    f = [ONE] + [ZERO] * N
+    acc = [ZERO] * (N + 1)
+    qn = ONE  # q^(n-1)
+    for n, wn in enumerate(w):
+        if n:
+            aq, bq = a * qn, b * qn
+            for m in range(N, 0, -1):
+                f[m] -= aq * f[m - 1]
+            for m in range(1, N + 1):
+                f[m] += bq * f[m - 1]
+            qn *= q
+        for m in range(N + 1 - n):
+            acc[n + m] += wn * f[m]
+    return TSeries(N, acc)
 
 
 def _build_id12(ps: ParamSet, N: int) -> list[Side]:
@@ -319,13 +346,7 @@ def _build_id12(ps: ParamSet, N: int) -> list[Side]:
     r_scale = sig * q**-M  # r = r_scale * u
 
     # LHS: sum_n (t;q)_n (sig*u;q)_n (xi*u)^n / ((r_scale*u;q)_n (q;q)_n)
-    lhs = TSeries.zeros(N)
-    for n, w in enumerate(_poch_row((t0,), {"q": q}, q, N, z=xi)):
-        if w == 0:
-            continue
-        num = qpoch_t_poly(sig, q, n, N)
-        den = qpoch_t_poly(r_scale, q, n, N).inverse()
-        lhs = lhs + (num * den).shift_t(n).scale(w)
+    lhs = _quotient_sum(_poch_row((t0,), {"q": q}, q, N, z=xi), sig, r_scale, q, N)
 
     # RHS prefactor (s, x t;q)_inf / ((r, x;q)_inf), all u-scaled products
     pre = (
@@ -335,11 +356,7 @@ def _build_id12(ps: ParamSet, N: int) -> list[Side]:
         * euler_inverse_series(Poly.const(xi), q, N)
     )
     # 2phi1(q^-M, x; x t; q, s): terminating in k <= M
-    tail = TSeries.zeros(N)
-    for k, w in enumerate(_poch_row((q**-M,), {"q": q}, q, M, z=sig)):
-        num = qpoch_t_poly(xi, q, k, N)
-        den = qpoch_t_poly(xi * t0, q, k, N).inverse()
-        tail = tail + (num * den).shift_t(k).scale(w)
+    tail = _quotient_sum(_poch_row((q**-M,), {"q": q}, q, M, z=sig), xi, xi * t0, q, N)
     rhs = pre * tail
     return [("u-scaled", lhs, rhs)]
 
@@ -357,7 +374,7 @@ def _build_id13(ps: ParamSet, N: int) -> list[Side]:
     ps0 = ps.with_values(c=0, e=0)
 
     s1 = build_id3_lhs(ps0, N)
-    s2 = _gf(N, q, lambda n: asc3_phi(n, ps.a, ps.b, ps.d, Y, X, q))
+    s2 = _gf(N, q, PolyFamily("asc_gen3_phi", ParamSet(q, ps.a, ps.b, ps.d)).sequence(N, Y, X))
     r1 = build_id3_rhs(ps0, N)
     r2 = euler_inverse_series(X, q, N) * hyper_series(
         PhiSpec([ps.a, ps.b], [ps.d], q), N, arg_mono=Y
@@ -473,7 +490,7 @@ class Report:
     id: str
     params: dict[str, str]
     order: int
-    status: str  # pass | fail | pole
+    status: str  # pass | fail | pole | error
     first_mismatch: dict | None = None
     runtime_ms: int = 0
     trial: int = 0
@@ -511,11 +528,11 @@ def verify(check: IdentityCheck, params: ParamSet, order: int, trial: int = 0) -
     except PoleError as exc:
         status = "pole"
         mismatch = {"power": exc.index, "sub": "", "lhs": str(exc), "rhs": ""}
-    except ZeroDivisionError:
-        # a q-shifted factorial denominator vanished inside a builder that
-        # has no dedicated pre-check
-        status = "pole"
-        mismatch = {"power": None, "sub": "", "lhs": "denominator vanished", "rhs": ""}
+    except Exception as exc:
+        # anything but a named pole is a defect in the builder, not a
+        # property of the draw
+        status = "error"
+        mismatch = {"power": None, "sub": "", "lhs": f"{type(exc).__name__}: {exc}", "rhs": ""}
     ms = int((time.perf_counter() - t0) * 1000)
     return Report(
         id=check.id,

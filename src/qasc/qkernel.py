@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import ONE, Poly, TSeries, as_fraction
+from .core import ONE, ZERO, Poly, TSeries, as_fraction
 
 
 class PoleError(ArithmeticError):
@@ -166,53 +166,29 @@ def hyper_series(spec: PhiSpec, order: int, arg_mono: Poly | Fraction | int = 1)
     return TSeries(order, coeffs)
 
 
-def euler_inverse_series(mono: Poly | Fraction | int, q, order: int, t_power: int = 1) -> TSeries:
-    """Series for 1/(mono*t^t_power; q)_inf = sum_n mono^n t^(n*t_power) / (q;q)_n."""
+def _euler(mono: Poly | Fraction | int, order: int, t_power: int, row) -> TSeries:
+    """sum_n row[n] mono^n t^(n*t_power) for n <= order // t_power."""
     if isinstance(mono, (int, Fraction)):
         mono = Poly.const(mono)
     if not mono.is_monomial():
         raise ValueError("euler expansions take a monomial argument")
-    q = as_fraction(q)
+    ((i, j), c), = mono.terms.items() or [((0, 0), ZERO)]
     coeffs = [Poly.zero()] * (order + 1)
-    coeffs[0] = Poly.one()
-    scalar = ONE
-    qn = ONE
-    mono_pow = Poly.one()
-    n = 1
-    while n * t_power <= order:
-        qn *= q
-        scalar /= 1 - qn
-        mono_pow = mono_pow * mono
-        coeffs[n * t_power] = mono_pow * scalar
-        n += 1
+    for n, w in enumerate(row):
+        coeffs[n * t_power] = Poly.monomial(i * n, j * n, c**n * w)
     return TSeries(order, coeffs)
+
+
+def euler_inverse_series(mono: Poly | Fraction | int, q, order: int, t_power: int = 1) -> TSeries:
+    """Series for 1/(mono*t^t_power; q)_inf = sum_n mono^n t^(n*t_power) / (q;q)_n."""
+    return _euler(mono, order, t_power, _poch_row((), {"q": q}, q, order // t_power))
 
 
 def euler_product_series(mono: Poly | Fraction | int, q, order: int, t_power: int = 1) -> TSeries:
     """Series for (mono*t^t_power; q)_inf
     = sum_n (-1)^n q^C(n,2) mono^n t^(n*t_power) / (q;q)_n."""
-    if isinstance(mono, (int, Fraction)):
-        mono = Poly.const(mono)
-    if not mono.is_monomial():
-        raise ValueError("euler expansions take a monomial argument")
-    q = as_fraction(q)
-    coeffs = [Poly.zero()] * (order + 1)
-    coeffs[0] = Poly.one()
-    scalar = ONE
-    qn = ONE
-    qbin = ONE  # q^C(n,2)
-    mono_pow = Poly.one()
-    n = 1
-    while n * t_power <= order:
-        qn *= q
-        scalar /= 1 - qn
-        if n > 1:
-            qbin *= qn / q  # q^C(n,2) = q^C(n-1,2) * q^(n-1)
-        sign = -ONE if n % 2 else ONE
-        mono_pow = mono_pow * mono
-        coeffs[n * t_power] = mono_pow * (sign * qbin * scalar)
-        n += 1
-    return TSeries(order, coeffs)
+    row = _poch_row((), {"q": q}, q, order // t_power, z=-ONE, r=q)
+    return _euler(mono, order, t_power, row)
 
 
 def qpoch_t_poly(mono: Poly | Fraction | int, q, j: int, order: int) -> TSeries:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 from qasc import cli
 from qasc.core import TSeries
@@ -59,6 +61,30 @@ class TestVerifyCommand:
         assert code == 1
         assert rep["entries"][0]["status"] == "fail"
         assert rep["entries"][0]["first_mismatch"]["power"] == 0
+
+    def test_builder_error_exit_code(self, tmp_path, monkeypatch):
+        # an exception other than PoleError is a defect, reported as such
+        def divides_by_zero(ps, order):
+            return [("", TSeries.one(order), TSeries.one(order).scale(1 / Fraction(0)))]
+
+        monkeypatch.setitem(CATALOG, "ID-9", IdentityCheck("ID-9", "broken", (), divides_by_zero))
+        code, rep = run_verify(tmp_path, "e.json", ["--ids", "ID-9,ID-10", "--order", "5", "--trials", "1"])
+        assert code == cli.EXIT_ERROR == 4
+        assert [e["status"] for e in rep["entries"]] == ["error", "pass"]
+        assert rep["entries"][0]["first_mismatch"] == {
+            "power": None, "sub": "", "lhs": "ZeroDivisionError: Fraction(1, 0)", "rhs": ""
+        }
+
+    def test_golden_exact_report(self, tmp_path):
+        # every exact identity at order 8, two trials, seed 42: the
+        # runtime-stripped report is pinned byte for byte, so a change to any
+        # builder must reproduce its draws, statuses and rendering exactly
+        code, rep = run_verify(
+            tmp_path, "golden.json", ["--suite", "exact", "--order", "8", "--trials", "2", "--seed", "42"]
+        )
+        assert code == 0
+        digest = hashlib.sha256(normalize(rep).encode()).hexdigest()
+        assert digest == "c86cbbbc2acb06e93b7d349ecd32c3fdc1ffed994f160ef76f9c0ba33ca0ff86"
 
     def test_usage_errors(self, tmp_path, capsys):
         assert cli.main(["verify", "--ids", "ID-99", "--out", str(tmp_path / "x.json")]) == 2

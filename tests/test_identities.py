@@ -13,6 +13,7 @@ from qasc.identities import (
     CATALOG,
     CATALOG_ORDER,
     BasisExpansionError,
+    _quotient_sum,
     build_id3_lhs,
     build_id3_rhs,
     build_id4_lhs,
@@ -29,7 +30,14 @@ from qasc.identities import (
     verify,
 )
 from qasc.polys import asc5_phi, asc5_psi, cauchy_pn
-from qasc.qkernel import euler_inverse_series, qpoch, qpoch_t_poly
+from qasc.qkernel import (
+    PhiSpec,
+    _poch_row,
+    euler_inverse_series,
+    hyper_series,
+    qpoch,
+    qpoch_t_poly,
+)
 
 ORDER = 8  # catalog unit tests run fast; the acceptance suite uses 12
 
@@ -89,6 +97,23 @@ class TestCatalog:
         rep = verify(check, ps, 6, 0)
         assert rep.status == "pole"
         assert rep.first_mismatch == {"power": 3, "sub": "", "lhs": message, "rhs": ""}
+
+    @pytest.mark.parametrize(
+        "kv, index, message",
+        [
+            (dict(d=F(64)), 7, "(d,e;q)_k vanished at k=7 for d=64, e=5/13"),
+            (dict(d=F(128)), 8, "(d,e;q)_k vanished at k=8 for d=128, e=5/13"),
+            (dict(e=F(256)), 9, "(d,e;q)_k vanished at k=9 for d=-5/24, e=256"),
+        ],
+    )
+    def test_id7_pole_past_order_pinned(self, kv, index, message):
+        # phi_0..phi_(N+3) come from one weight row, so a pole of index
+        # N < k <= N+3 (only the shifted left sides reach it) still reports k
+        check = CATALOG["ID-7"]
+        ps = trial_paramset(check, 1, 0).with_values(q=F(1, 2), **kv)
+        rep = verify(check, ps, 6, 0)
+        assert rep.status == "pole"
+        assert rep.first_mismatch == {"power": index, "sub": "", "lhs": message, "rhs": ""}
 
     @pytest.mark.parametrize("cid", ["ID-7", "ID-8"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -305,3 +330,51 @@ class TestBasisExpansion:
         with pytest.raises(BasisExpansionError) as err:
             expand_poly_in_basis(Poly.x() ** 5 + Poly.y(), "phi", expansion_ps, nmax=3)
         assert not err.value.remainder.is_zero()
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_id12_quotients_match_series_inverse(M):
+    # (a u;q)_n / (b u;q)_n by one linear factor and one geometric division
+    # per n, against the product times a full series inverse per n
+    ps = trial_paramset(CATALOG["ID-12"], 5, M - 1)
+    assert ps.get("em") == M
+    q, t0, xi, sig = ps.q, ps.get("tt"), ps.get("xi"), ps.get("sig")
+    for w, a, b in (
+        (_poch_row((t0,), {"q": q}, q, ORDER, z=xi), sig, sig * q**-M),
+        (_poch_row((q**-M,), {"q": q}, q, M, z=sig), xi, xi * t0),
+    ):
+        old = TSeries.zeros(ORDER)
+        for n, wn in enumerate(w):
+            quot = qpoch_t_poly(a, q, n, ORDER) * qpoch_t_poly(b, q, n, ORDER).inverse()
+            old = old + quot.shift_t(n).scale(wn)
+        assert _quotient_sum(w, a, b, q, ORDER) == old
+
+
+def _id8_rhs_by_series(ps: ParamSet, N: int) -> TSeries:
+    """ID-8's right side with the double sum over TSeries, term by term."""
+    q = ps.q
+    a2, b2, c2, d2, e2 = (ps.get(k) for k in ("a2", "b2", "c2", "d2", "e2"))
+    x1, y1, x2, y2 = (ps.get(k) for k in ("x1", "y1", "x2", "y2"))
+    acc = TSeries.zeros(N)
+    for n in range(N + 1):
+        s_n = qpoch(a2, q, n) * qpoch(b2, q, n) * qpoch(c2, q, n) * (x1 * y2) ** n
+        s_n /= qpoch(q, q, n) * qpoch(d2, q, n) * qpoch(e2, q, n)
+        total = TSeries.zeros(N)
+        for j in range(n + 1):
+            v_j = qpoch(ps.a, q, j) * qpoch(ps.b, q, j) * qpoch(ps.c, q, j) * (y1 / x1) ** j
+            v_j /= qpoch(ps.d, q, j) * qpoch(ps.e, q, j)
+            qj = q**j
+            spec = PhiSpec([ps.a * qj, ps.b * qj, ps.c * qj], [ps.d * qj, ps.e * qj], q)
+            inner = qpoch_t_poly(x1 * x2, q, j, N) * hyper_series(spec, N, arg_mono=x2 * y1)
+            g = qpoch(q, q, n) / (qpoch(q, q, j) * qpoch(q, q, n - j))
+            total = total + inner.scale(g * v_j)
+        acc = acc + total.scale(s_n).shift_t(n)
+    return euler_inverse_series(Poly.const(x1 * x2), q, N) * acc
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_id8_scalar_double_sum_matches_series_form(seed):
+    check = CATALOG["ID-8"]
+    ps = trial_paramset(check, seed, 0)
+    (_, _, rhs), = check.build(ps, ORDER)
+    assert rhs == _id8_rhs_by_series(ps, ORDER)

@@ -278,3 +278,39 @@ class TestPoleIndex:
         assert err.value.index == index
         assert str(err.value) == f"(c;q)_k vanished at k={index} for c={c}"
         fam(index - 1, a, F(1, 5), c, X, Y, Q)
+
+
+
+# _FAMILIES key -> (PolyFamily name, how many of a..e it takes)
+_AS_FAMILY = {
+    "cauchy": ("cauchy", 0),
+    "rogers_szego": ("rogers_szego", 0),
+    "asc_phi": ("asc_classical_phi", 1),
+    "asc_psi": ("asc_classical_psi", 1),
+    "asc3_phi": ("asc_gen3_phi", 3),
+    "asc3_psi": ("asc_gen3_psi", 3),
+    "asc5_phi": ("asc_new_phi", 5),
+    "asc5_psi": ("asc_new_psi", 5),
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_sequence_matches_per_n(family):
+    # one weight row for p_0..p_N (the psi twist q^(-nk) folded into y)
+    # against one call per n; y = 0 and x = y scalar make terms vanish or
+    # collide on (0, 0), and a binomial x takes the substitution path
+    name, arity = _AS_FAMILY[family]
+    rng = random.Random(f"sequence:{family}")
+    for _ in range(3):
+        ps = random_paramset(rng)
+        ps = ps.with_values(**{k: 0 for k in "abcde"[arity:]})
+        s = F(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+        for xv, yv in ((X, Y), (Y, X), (X, 0), (s, s), (X + Y * s, Y)):
+            # PolyFamily passes (x, y) to rogers_szego_hn as (a, b)
+            slots = (yv, xv) if family == "rogers_szego" else (xv, yv)
+            seq = PolyFamily(name, ps).sequence(14, *slots)
+            assert len(seq) == 15
+            for n, p in enumerate(seq):
+                assert p == _FAMILIES[family](n, ps, xv, yv), (family, n, ps, xv, yv)
+        for n in range(7):
+            assert seq[n] == _textbook(family, n, ps, xv, yv), (family, n, ps)
