@@ -31,6 +31,7 @@ EXIT_USAGE = 2
 EXIT_NOCONV = 3
 EXIT_ERROR = 4
 
+_SUITES = ("exact", "numeric", "all")
 _DEFAULTS = {
     "suite": "all",
     "order": 12,
@@ -49,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run the identity verification suites")
-    v.add_argument("--suite", choices=("exact", "numeric", "all"))
+    v.add_argument("--suite", choices=_SUITES)
     v.add_argument("--order", type=int, help="series truncation order (>= 4)")
     v.add_argument("--trials", type=int, help="random parameter draws per exact identity")
     v.add_argument("--seed", type=int, help="seed determining every parameter draw")
@@ -103,15 +104,29 @@ def _merge_config(args: argparse.Namespace) -> dict:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
+        if not isinstance(file_cfg, dict):
+            print(f"error: config {args.config} must hold a JSON object", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             print(f"error: unknown config keys {sorted(unknown)}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
+        for key, v in file_cfg.items():
+            # the type its flag parses to: int for the numbers, else a string
+            want = int if isinstance(_DEFAULTS[key], int) else str
+            if type(v) is not want and not (v is None and _DEFAULTS[key] is None):
+                print(f"error: config key {key!r} must be {want.__name__}, got {v!r}",
+                      file=sys.stderr)
+                raise SystemExit(EXIT_USAGE)
         cfg.update(file_cfg)
     for key in cfg:
         v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v
+    if cfg["suite"] not in _SUITES:
+        print(f"error: suite must be one of {', '.join(_SUITES)}, got {cfg['suite']!r}",
+              file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     if cfg["order"] < 4:
         print("error: --order must be >= 4", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -165,9 +180,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise SystemExit(EXIT_USAGE)
         for cid in numeric_ids:
             rep = NUMERIC_CATALOG[cid].execute(ncfg)
-            d = rep.to_dict()
-            d["trial"] = 0
-            entries.append(d)
+            entries.append(rep.to_dict())
             if rep.status == "no-convergence":
                 any_noconv = True
             elif rep.status != "pass":

@@ -332,7 +332,7 @@ class TSeries:
         """Multiply by t^k, dropping coefficients past the order."""
         if k < 0:
             raise ValueError("negative t-shift")
-        cs = [Poly.zero()] * min(k, self.order + 1) + self.coeffs[: self.order + 1 - k]
+        cs = [Poly.zero()] * min(k, self.order + 1) + self.coeffs[: max(self.order + 1 - k, 0)]
         return TSeries(self.order, cs)
 
     def inverse(self) -> "TSeries":

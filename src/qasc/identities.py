@@ -26,7 +26,6 @@ from .qkernel import (
     euler_inverse_series,
     euler_product_series,
     hyper_series,
-    qpoch_t_poly,
 )
 from .polys import PolyFamily, asc5_phi, asc5_psi
 
@@ -246,16 +245,19 @@ def _build_id8(ps: ParamSet, N: int) -> list[Side]:
     lhs = _gf(N, q, [u * v for u, v in zip(_phi_seq(ps, N, x1, y1), _phi_seq(ps2, N, x2, y2))])
 
     # inner[j][m]: t^m of (x1 x2 t;q)_j * 3phi2(a q^j, b q^j, c q^j; d q^j, e q^j; q, x2 y1 t),
-    # all scalars since x1, y1, x2, y2 are
+    # all scalars since x1, y1, x2, y2 are: the convolution of the q-binomial
+    # row of (x1 x2 t;q)_j, [j;k] (-1)^k q^C(k,2) (x1 x2)^k, with the 3phi2 row
     inner = []
     for j in range(N + 1):
         qj = q**j
-        phi32 = hyper_series(
-            PhiSpec([ps.a * qj, ps.b * qj, ps.c * qj], [ps.d * qj, ps.e * qj], q),
-            N,
-            arg_mono=x2 * y1,
+        f = _poch_row((q**-j,), {"q": q}, q, j, z=qj * x1 * x2)
+        g = _poch_row(
+            (ps.a * qj, ps.b * qj, ps.c * qj),
+            {f"dq^{j}": ps.d * qj, f"eq^{j}": ps.e * qj, "q": q},
+            q, N, z=x2 * y1,
         )
-        inner.append([p.constant() for p in (qpoch_t_poly(x1 * x2, q, j, N) * phi32).coeffs])
+        inner.append([sum((f[i] * g[m - i] for i in range(min(j, m) + 1)), ZERO)
+                      for m in range(N + 1)])
 
     qp = [q**m for m in range(N + 1)]
     s = _poch_row(
@@ -489,7 +491,6 @@ class Report:
 
     id: str
     params: dict[str, str]
-    order: int
     status: str  # pass | fail | pole | error
     first_mismatch: dict | None = None
     runtime_ms: int = 0
@@ -537,7 +538,6 @@ def verify(check: IdentityCheck, params: ParamSet, order: int, trial: int = 0) -
     return Report(
         id=check.id,
         params=params.render(),
-        order=order,
         status=status,
         first_mismatch=mismatch,
         runtime_ms=ms,

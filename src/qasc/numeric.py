@@ -16,11 +16,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 from mpmath import mp, mpc, mpf
 
 from .core import ParamSet, as_fraction
+from .qkernel import term_stream
 
 F = Fraction
 
@@ -145,45 +147,27 @@ def poch_inf(a, q, cfg: NumericConfig, budget: list | None = None):
 def hyper_num(nums: Sequence, dens: Sequence, q, z, cfg: NumericConfig,
               budget: list | None = None):
     """Numeric rPhis(nums; dens; q, z) with the usual sign/q-power factor
-    raised to 1+s-r, summed by term recurrence until the tail rule."""
+    raised to 1+s-r, summed by term recurrence until the tail rule.  The
+    denominator parameters are named b1..bs in a PoleError."""
     e = 1 + len(dens) - len(nums)
     if e < 0:
         raise ValueError("series with r > s+1 are not supported")
-
-    def terms():
-        term = mpc(1)
-        n = 0
-        qn = mpf(1)
-        while True:
-            yield term
-            ratio = mpc(1)
-            for a in nums:
-                ratio = ratio * (1 - a * qn)
-            for b in dens:
-                ratio = ratio / (1 - b * qn)
-            ratio = ratio / (1 - q * qn)
-            if e:
-                ratio = ratio * (-qn) ** e
-            term = term * ratio * z
-            qn = qn * q
-            n += 1
-
-    return sum_until_tail(terms(), cfg, budget)
+    named = {f"b{i + 1}": b for i, b in enumerate(dens)}
+    named["q"] = q
+    terms = term_stream(nums, named, q, z * (-1) ** e, q**e, mpc(1))
+    return sum_until_tail(terms, cfg, budget)
 
 
 def asc5_phi_num(n: int, a, b, c, d, e, q, x, y):
     """phi_n(x,y) = sum_k [n;k] (a,b,c;q)_k/(d,e;q)_k x^(n-k) y^k on floats."""
     total = mpc(0)
     binom = mpf(1)
-    w = mpf(1)
-    qk = mpf(1)
     xp = x**n if n else mpf(1)
-    for k in range(n + 1):
+    weights = term_stream((a, b, c), {"d": d, "e": e}, q, 1, 1, mpf(1))
+    for k, w in enumerate(islice(weights, n + 1)):
         total = total + binom * w * xp * y**k
         if k < n:
             binom = binom * (1 - q ** (n - k)) / (1 - q ** (k + 1))
-            w = w * (1 - a * qk) * (1 - b * qk) * (1 - c * qk) / ((1 - d * qk) * (1 - e * qk))
-            qk = qk * q
             xp = xp / x
     return total
 
@@ -198,17 +182,9 @@ def transformation_lhs(ps: ParamSet, x, y, t, s, r, cfg: NumericConfig):
     a, b, c, d, e = (to_mp(v) for v in (ps.a, ps.b, ps.c, ps.d, ps.e))
     x, y, t, s, r = (to_mp(v) for v in (x, y, t, s, r))
 
-    def terms():
-        w = mpf(1)
-        qk = mpf(1)
-        k = 0
-        while True:
-            yield w * asc5_phi_num(k, a, b, c, d, e, q, x, y)
-            w = w * (1 - t * qk) * (1 - s * qk) / ((1 - q * qk) * (1 - r * qk))
-            qk = qk * q
-            k += 1
-
-    return sum_until_tail(terms(), cfg)
+    weights = term_stream((t, s), {"q": q, "r": r}, q, 1, 1, mpf(1))
+    terms = (w * asc5_phi_num(k, a, b, c, d, e, q, x, y) for k, w in enumerate(weights))
+    return sum_until_tail(terms, cfg)
 
 
 def transformation_rhs(ps: ParamSet, x, y, t, s, r, cfg: NumericConfig,
@@ -230,20 +206,12 @@ def transformation_rhs(ps: ParamSet, x, y, t, s, r, cfg: NumericConfig,
         / (poch_inf(x, q, cfg, budget) * poch_inf(r, q, cfg, budget))
     )
 
-    def terms():
-        w = mpf(1)
-        qk = mpf(1)
-        k = 0
-        while True:
-            inner = hyper_num(
-                [a, b, c, t], [d, e, x * t * qk], q, y * qk, cfg, budget
-            )
-            yield w * inner
-            w = w * (1 - (r / s) * qk) * (1 - x * qk) * s / ((1 - q * qk) * (1 - x * t * qk))
-            qk = qk * q
-            k += 1
-
-    return pre * sum_until_tail(terms(), cfg)
+    weights = term_stream((r / s, x), {"q": q, "xt": x * t}, q, s, 1, mpf(1))
+    terms = (
+        w * hyper_num([a, b, c, t], [d, e, x * t * q**k], q, y * q**k, cfg, budget)
+        for k, w in enumerate(weights)
+    )
+    return pre * sum_until_tail(terms, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +492,7 @@ class NumericReport:
     error_budget: str | None = None
     precision_bits: int = 256
     runtime_ms: int = 0
+    trial: int = 0
 
     def to_dict(self) -> dict:
         out = {
@@ -538,6 +507,7 @@ class NumericReport:
             out["error_budget"] = self.error_budget
         out["precision_bits"] = self.precision_bits
         out["runtime_ms"] = self.runtime_ms
+        out["trial"] = self.trial
         return out
 
 

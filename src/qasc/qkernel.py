@@ -11,6 +11,12 @@ Conventions:
         = sum_n [(-1)^n q^C(n,2)]^(1+s-r)
                 * (a_1..a_r;q)_n / ((b_1..b_s;q)_n (q;q)_n) * z^n
 
+Every series and weight row here is a q-hypergeometric term sequence,
+and ``term_stream`` is the one place its ratio
+prod(1 - a q^k) / prod(1 - b q^k) * z r^k is written, for exact and for
+mpmath values alike; ``qpoch``, ``qpoch_multi`` and ``qbinom`` stay as
+direct products, the reference the tests compare against.
+
 A denominator parameter equal to 0 is allowed, with (0;q)_n = 1; a
 denominator parameter of the form q^(-j) makes a term blow up and raises
 PoleError naming the offending term.
@@ -19,7 +25,8 @@ PoleError naming the offending term.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import islice
+from typing import Iterator, Mapping, Sequence
 
 from .core import ONE, ZERO, Poly, TSeries, as_fraction
 
@@ -72,37 +79,52 @@ def qbinom(n: int, k: int, q) -> Fraction:
     return num / den
 
 
-def _poch_row(
-    nums: Sequence, dens: Mapping[str, Fraction], q, n: int, z=ONE, r=ONE
-) -> list[Fraction]:
-    """[(nums;q)_k / (dens;q)_k * z^k * r^C(k,2) for k = 0..n].
+def term_stream(nums: Sequence, dens: Mapping, q, z, r, one) -> Iterator:
+    """Yield (nums;q)_k / (dens;q)_k * z^k * r^C(k,2) for k = 0, 1, ...
 
-    Each entry is the one before times the term ratio
-    prod(1 - a q^k) / prod(1 - b q^k) * z r^k.  dens maps each denominator
-    parameter's name to its value; the first k at which (dens;q)_k vanishes
-    raises PoleError(index=k) naming them, even past a vanished numerator.
+    The one place the q-hypergeometric term ratio
+    prod(1 - a q^k) / prod(1 - b q^k) * z r^k is written; it runs on any
+    field (Fraction, mpf, mpc).  one is the k = 0 term.  The powers of q
+    and each denominator product start from q**0 instead, so a complex
+    one or z leaves real denominators real.  dens maps each denominator
+    parameter's name to its value; the first k at which (dens;q)_k
+    vanishes raises PoleError(index=k) naming them, even past a vanished
+    numerator.
     """
-    nums = [as_fraction(a) for a in nums]
-    den_values = [as_fraction(b) for b in dens.values()]
-    q, step, r = as_fraction(q), as_fraction(z), as_fraction(r)
-    row = [ONE]
-    qk = ONE
-    for k in range(1, n + 1):
+    den_values = list(dens.values())
+    unit = q**0
+    term, qk, step = one, unit, z  # term k, q^k, z r^k
+    k = 0
+    while True:
+        yield term
+        k += 1
         num = step
         for a in nums:
             num *= 1 - a * qk
-        den = ONE
+        den = unit
         for b in den_values:
             den *= 1 - b * qk
         if den == 0:
-            given = ", ".join(f"{name}={b}" for name, b in zip(dens, den_values))
+            given = ", ".join(f"{name}={b}" for name, b in dens.items())
             raise PoleError(
                 f"({','.join(dens)};q)_k vanished at k={k} for {given}", index=k
             )
-        row.append(row[-1] * num / den)
+        term = term * num / den
         qk *= q
         step *= r
-    return row
+
+
+def _poch_row(
+    nums: Sequence, dens: Mapping[str, Fraction], q, n: int, z=ONE, r=ONE
+) -> list[Fraction]:
+    """[(nums;q)_k / (dens;q)_k * z^k * r^C(k,2) for k = 0..n], exact:
+    the first n + 1 terms of term_stream on Fractions."""
+    stream = term_stream(
+        [as_fraction(a) for a in nums],
+        {name: as_fraction(b) for name, b in dens.items()},
+        as_fraction(q), as_fraction(z), as_fraction(r), ONE,
+    )
+    return list(islice(stream, n + 1))
 
 
 def binom2(n: int) -> int:
@@ -131,39 +153,14 @@ def hyper_series(spec: PhiSpec, order: int, arg_mono: Poly | Fraction | int = 1)
 
     arg_mono must be a monomial (a scalar, or scalar * x^i y^j); term n then
     lands exactly in t^n with Poly coefficient arg_mono^n times the scalar
-    term of the series.  Terms are built by the n -> n+1 ratio recurrence.
+    term of the series.  The denominator parameters are named b1..bs in a
+    PoleError.
     """
-    if isinstance(arg_mono, (int, Fraction)):
-        arg_mono = Poly.const(arg_mono)
-    if not arg_mono.is_monomial():
-        raise ValueError("hyper_series argument must be a monomial times t")
-    q = spec.q
-    coeffs = [Poly.zero()] * (order + 1)
-    coeffs[0] = Poly.one()
-    term = ONE  # scalar part of term n
-    qn = ONE    # q^n
-    mono_pow = Poly.one()
-    for n in range(order):
-        ratio = ONE
-        for a in spec.numerators:
-            ratio *= 1 - a * qn
-        for b in spec.denominators:
-            f = 1 - b * qn
-            if f == 0:
-                raise PoleError(
-                    f"denominator parameter {b} hits a pole at term {n + 1}",
-                    index=n + 1,
-                )
-            ratio /= f
-        ratio /= 1 - q * qn
-        if spec.sign_exponent:
-            ratio *= (-qn) ** spec.sign_exponent
-        term *= ratio
-        qn *= q
-        mono_pow = mono_pow * arg_mono
-        if term:
-            coeffs[n + 1] = mono_pow * term
-    return TSeries(order, coeffs)
+    e, q = spec.sign_exponent, spec.q
+    dens = {f"b{i + 1}": b for i, b in enumerate(spec.denominators)}
+    dens["q"] = q
+    row = _poch_row(spec.numerators, dens, q, order, z=(-1) ** e, r=q**e)
+    return _euler(arg_mono, order, 1, row)
 
 
 def _euler(mono: Poly | Fraction | int, order: int, t_power: int, row) -> TSeries:
@@ -171,7 +168,7 @@ def _euler(mono: Poly | Fraction | int, order: int, t_power: int, row) -> TSerie
     if isinstance(mono, (int, Fraction)):
         mono = Poly.const(mono)
     if not mono.is_monomial():
-        raise ValueError("euler expansions take a monomial argument")
+        raise ValueError("series argument must be a monomial times t")
     ((i, j), c), = mono.terms.items() or [((0, 0), ZERO)]
     coeffs = [Poly.zero()] * (order + 1)
     for n, w in enumerate(row):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import ONE, ParamSet, Poly, as_fraction
-from .qkernel import PoleError, binom2, qbinom
+from .qkernel import _poch_row, qbinom
 
 
 def dq_apply(p: Poly, q) -> Poly:
@@ -112,35 +112,21 @@ class OperatorSpec:
 def apply_operator(spec: OperatorSpec, p: Poly) -> Poly:
     """Apply T(a,b,c,d,e, y D) or E(a,b,c,d,e, y theta) to a polynomial.
 
-    The sum runs until the operator power annihilates the input, so the
-    result is exact.  Each term multiplies in y^n and the scalar weight
-    (a,b,c;q)_n / ((q,d,e;q)_n), with the E-series carrying the extra
-    (-1)^n q^C(n,2).
+    The sum runs until the operator power annihilates the input, which
+    happens after its x-degree, so the result is exact.  Each term
+    multiplies in y^n and the scalar weight (a,b,c;q)_n / ((q,d,e;q)_n),
+    with the E-series carrying the extra (-1)^n q^C(n,2).
     """
     ps = spec.params
     q = ps.q
-    op = "dq" if spec.kind == "T" else "theta"
+    op = _OPS["dq" if spec.kind == "T" else "theta"]
+    z, r = (ONE, ONE) if spec.kind == "T" else (-ONE, q)
+    weights = _poch_row(
+        (ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, p.x_degree(), z=z, r=r
+    )
     out = Poly.zero()
-    weight = ONE
-    qn = ONE  # q^n
-    cur = p
-    n = 0
-    while not cur.is_zero():
-        w = weight
-        if spec.kind == "E":
-            w *= (-1) ** n * q ** binom2(n)
-        out = out + cur * Poly.monomial(0, n, w)
-        cur = _OPS[op](cur, q)
-        if cur.is_zero():
-            break
-        # weight ratio for n -> n+1, only needed while terms survive
-        num = (1 - ps.a * qn) * (1 - ps.b * qn) * (1 - ps.c * qn)
-        den = (1 - q * qn) * (1 - ps.d * qn) * (1 - ps.e * qn)
-        if den == 0:
-            raise PoleError(
-                f"(q,d,e;q)_n vanished at n={n + 1} for d={ps.d}, e={ps.e}", index=n + 1
-            )
-        weight *= num / den
-        qn *= q
-        n += 1
+    for n, w in enumerate(weights):
+        if n:
+            p = op(p, q)
+        out = out + p * Poly.monomial(0, n, w)
     return out

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from qasc import cli
 from qasc.core import TSeries
@@ -106,6 +110,18 @@ class TestVerifyCommand:
         cfg.write_text(json.dumps({"unknown_key": 1}))
         assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "y.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "body",
+        [{"order": "12"}, {"trials": 2.5}, {"seed": True}, {"suite": "fast"}, 5],
+    )
+    def test_mistyped_config_is_usage_error(self, tmp_path, capsys, body):
+        # each file value must have its flag's type; a wrong one is a usage
+        # error (exit 2), not a traceback read as a verification failure
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "y.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_nonconvergence_exit_code(self, tmp_path, monkeypatch):
         import dataclasses
 
@@ -132,6 +148,9 @@ class TestVerifyCommand:
         entry = rep["entries"][0]
         assert entry["id"] == "NUM-3" and entry["status"] == "pass"
         assert "rel_diff" in entry and entry["precision_bits"] == 128
+        assert list(entry) == ["id", "description", "params", "status", "rel_diff",
+                               "error_budget", "precision_bits", "runtime_ms", "trial"]
+        assert entry["trial"] == 0
 
 
 class TestEvalCommand:
@@ -172,3 +191,37 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# perfbench/tracer.py looks up qasc's entry points by name and perfbench/child.py
+# patches three of them; run both against the package as it stands
+_BENCH_CONTRACT = """
+import json
+
+import tracer
+import qasc.cli
+from qasc import identities, numeric
+
+t = tracer.Tracer()
+tracer.instrument(t)
+for owner, name in ((qasc.cli, "verify"), (numeric.NumericCheck, "execute"),
+                    (numeric, "integrate_panels")):
+    assert callable(getattr(owner, name)), name
+check = identities.CATALOG["ID-8"]
+rep = qasc.cli.verify(check, identities.trial_paramset(check, 42, 0), 6, 0)
+num = numeric.NUMERIC_CATALOG["NUM-3"].execute(numeric.NumericConfig())
+print(json.dumps([rep.status, num.status, t.calls["identities.verify"],
+                  t.calls["numeric.NumericCheck.execute"]]))
+"""
+
+
+class TestBenchmarkContract:
+    def test_tracer_instruments_and_runs(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), str(ROOT / "perfbench")]))
+        proc = subprocess.run([sys.executable, "-c", _BENCH_CONTRACT], capture_output=True,
+                              text=True, env=env, cwd=ROOT)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == ["pass", "pass", 1, 1]

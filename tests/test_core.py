@@ -143,6 +143,9 @@ class TestTSeries:
         f = TSeries(3, [Poly.const(c) for c in (1, 2, 3, 4)])
         g = f.shift_t(2)
         assert [c.constant() for c in g.coeffs] == [0, 0, 1, 2]
+        # a shift past the order leaves nothing
+        for k in (f.order + 1, f.order + 2, 2 * f.order + 3):
+            assert f.shift_t(k) == TSeries.zeros(f.order), k
 
     def test_inverse(self):
         f = TSeries(5, [Poly.const(v) for v in (1, F(1, 2), F(1, 3), 0, F(2, 7), 1)])

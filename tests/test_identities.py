@@ -115,6 +115,16 @@ class TestCatalog:
         assert rep.status == "pole"
         assert rep.first_mismatch == {"power": index, "sub": "", "lhs": message, "rhs": ""}
 
+    def test_id8_inner_row_pole_pinned(self):
+        # d = 128 = q^-7 at q = 1/2 keeps the left side finite through N = 6,
+        # but the 3phi2 row of j = 2 carries (d q^2;q)_m, which vanishes at m = 6
+        check = CATALOG["ID-8"]
+        ps = trial_paramset(check, 1, 0).with_values(q=F(1, 2), d=F(128))
+        rep = verify(check, ps, 6, 0)
+        assert rep.status == "pole"
+        message = "(dq^2,eq^2,q;q)_k vanished at k=6 for dq^2=32, eq^2=5/116, q=1/2"
+        assert rep.first_mismatch == {"power": 6, "sub": "", "lhs": message, "rhs": ""}
+
     @pytest.mark.parametrize("cid", ["ID-7", "ID-8"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_table_builders_pass(self, cid, seed):

@@ -35,7 +35,7 @@ from qasc.numeric import (
     u_series_rhs,
 )
 from qasc.polys import asc5_phi
-from qasc.qkernel import qpoch
+from qasc.qkernel import PoleError, qpoch
 
 FAST = NumericConfig(precision_bits=128, tail_tol="1e-25", compare_tol="1e-12",
                      quad=QuadConfig(half_width=9.0, nodes=32, panels=12))
@@ -110,6 +110,16 @@ class TestPrimitives:
                             to_mp(F(1, 2)), to_mp(F(1, 5)), FAST)
             ref = mpmath.qhyper([mpf(1) / 3, mpf(1) / 5], [mpf(1) / 7], mpf("0.5"), mpf("0.2"))
             assert rel_diff(got, ref) < mpf("1e-22")
+
+    def test_pole_is_pole_error(self):
+        # a vanishing (b;q)_k on mpf values names the term, as on the exact side
+        with mp.workprec(128):
+            with pytest.raises(PoleError) as err:
+                hyper_num([mpf(1) / 3], [mpf(4)], mpf("0.5"), mpf(1) / 5, FAST)
+            assert err.value.index == 3
+            with pytest.raises(PoleError) as err:
+                asc5_phi_num(4, *(mpf(0),) * 3, mpf(2), mpf(0), mpf("0.5"), mpf(1), mpf(1))
+            assert err.value.index == 2
 
     def test_asc5_phi_num_matches_exact(self):
         ps = ParamSet(q=F(1, 2), a=F(1, 5), b=F(1, 7), c=F(1, 9), d=F(1, 4), e=F(1, 6))

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import mpmath
 import pytest
+from mpmath import mp, mpf
 
 from qasc.core import Poly, TSeries
 from qasc.qkernel import (
     PhiSpec,
     PoleError,
+    _poch_row,
     euler_inverse_series,
     euler_product_series,
     hyper_series,
@@ -19,6 +22,7 @@ from qasc.qkernel import (
     qpoch,
     qpoch_multi,
     qpoch_t_poly,
+    term_stream,
 )
 
 Q = F(1, 2)
@@ -107,6 +111,7 @@ class TestHyperSeries:
         with pytest.raises(PoleError) as err:
             hyper_series(PhiSpec([F(1, 3)], [Q**-2], Q), 6)
         assert err.value.index == 3
+        assert str(err.value) == "(b1,q;q)_k vanished at k=3 for b1=4, q=1/2"
 
     def test_unsupported_shape(self):
         with pytest.raises(ValueError):
@@ -201,3 +206,45 @@ class TestEulerSeries:
                     linear = [Poly.one(), mono * (-(Q**j))][: order + 1]
                     ref = ref * TSeries(order, linear + [Poly.zero()] * (order + 1 - len(linear)))
 
+
+class TestTermStream:
+    def test_mpf_matches_exact_row(self):
+        # the same generator on mpf values reproduces the exact Fraction row,
+        # including a numerator q^-m that ends it and a 0 among the dens
+        rng = random.Random(23)
+
+        def draw():
+            return F(rng.randint(-8, 8) or 1, rng.randint(9, 32))
+
+        def to_mp(v):
+            return mpf(v.numerator) / v.denominator
+
+        with mp.workprec(160):
+            for trial in range(12):
+                q = F(rng.randint(1, 8), rng.randint(9, 32))
+                nums = [draw() for _ in range(rng.randint(0, 3))]
+                m = rng.randint(0, 6) if trial % 3 == 0 else None
+                if m is not None:
+                    nums.append(q**-m)
+                dens = {"d": draw(), "e": F(0) if trial % 4 == 0 else draw(), "q": q}
+                z, r = draw(), rng.choice([F(1), q, q * q, 1 / q])
+                row = _poch_row(nums, dens, q, 14, z=z, r=r)
+                if m is not None:
+                    assert row[m] != 0 and not any(row[m + 1:])
+                stream = term_stream(
+                    [to_mp(a) for a in nums], {k: to_mp(b) for k, b in dens.items()},
+                    to_mp(q), to_mp(z), to_mp(r), mpf(1),
+                )
+                got = list(islice(stream, 15))
+                # mpf q^-m is rounded, so a terminated term is only tiny
+                tol = mpf(2) ** -140 * max(abs(to_mp(v)) for v in row)
+                assert all(abs(g - to_mp(v)) <= tol for g, v in zip(got, row)), trial
+
+    def test_pole_past_vanished_numerator(self):
+        # (q^-1;q)_k is 0 from k = 2 on; (4;q)_k at q = 1/2 still vanishes at k = 3
+        stream = term_stream([Q**-1], {"d": F(4)}, Q, F(1), F(1), F(1))
+        assert list(islice(stream, 3)) == [1, F(1, 3), 0]
+        with pytest.raises(PoleError) as err:
+            next(stream)
+        assert err.value.index == 3
+        assert str(err.value) == "(d;q)_k vanished at k=3 for d=4"

@@ -140,8 +140,21 @@ class TestOperatorSeries:
 
     def test_pole_detection(self):
         ps = ParamSet(q=Q, d=Q**-1)  # (d;q)_2 contains 1 - d q = 0
-        with pytest.raises(PoleError):
-            apply_operator(OperatorSpec("T", ps), Poly.x() ** 3)
+        for kind in ("T", "E"):
+            with pytest.raises(PoleError) as err:
+                apply_operator(OperatorSpec(kind, ps), Poly.x() ** 3)
+            assert err.value.index == 2
+            assert str(err.value) == "(q,d,e;q)_k vanished at k=2 for q=1/2, d=2, e=0"
+        # x^1 needs only the n = 1 weight, which is finite
+        assert apply_operator(OperatorSpec("T", ps), Poly.x()).x_degree() == 1
+
+    def test_polynomials_without_x(self):
+        # the zero polynomial and a y-only one: only the n = 0 term, weight 1
+        ps = random_paramset(random.Random(5))
+        p = Poly.y() ** 2 * F(3, 7) - Poly.one()
+        for kind in ("T", "E"):
+            assert apply_operator(OperatorSpec(kind, ps), Poly.zero()).is_zero()
+            assert apply_operator(OperatorSpec(kind, ps), p) == p
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
