@@ -83,10 +83,12 @@ class Poly:
         other = _coerce_poly(other)
         t = dict(self.terms)
         for e, c in other.terms.items():
-            s = t.get(e, ZERO) + c
-            if s:
+            s = t.get(e)
+            if s is None:
+                t[e] = c
+            elif s := s + c:
                 t[e] = s
-            elif e in t:
+            else:
                 del t[e]
         return _raw(t)
 
@@ -107,17 +109,9 @@ class Poly:
             if not c:
                 return Poly()
             return _raw({e: k * c for e, k in self.terms.items()})
-        other = _coerce_poly(other)
         t: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                e = (i1 + i2, j1 + j2)
-                s = t.get(e, ZERO) + c1 * c2
-                if s:
-                    t[e] = s
-                elif e in t:
-                    del t[e]
-        return _raw(t)
+        _mul_into(t, self.terms, _coerce_poly(other).terms)
+        return _nonzero(t)
 
     __rmul__ = __mul__
 
@@ -235,6 +229,21 @@ def _raw(terms: dict[tuple[int, int], Fraction]) -> Poly:
     return p
 
 
+def _mul_into(acc: dict, a: Mapping, b: Mapping) -> None:
+    """Add the product of the term maps a and b into acc; a cancelled key
+    stays in acc with value 0 (see _nonzero)."""
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            e = (i1 + i2, j1 + j2)
+            s = acc.get(e)
+            acc[e] = c1 * c2 if s is None else s + c1 * c2
+
+
+def _nonzero(terms: dict) -> Poly:
+    """The Poly of an accumulator's nonzero terms."""
+    return _raw({e: c for e, c in terms.items() if c})
+
+
 def _coerce_poly(v) -> Poly:
     if isinstance(v, Poly):
         return v
@@ -311,16 +320,15 @@ class TSeries:
             return self.scale(other)
         self._check(other)
         n = self.order
-        out = [Poly.zero()] * (n + 1)
+        acc = [{} for _ in range(n + 1)]  # one term map per power of t
+        right = [(j, b.terms) for j, b in enumerate(other.coeffs) if b.terms]
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(0, n - i + 1):
-                b = other.coeffs[j]
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return TSeries(n, out)
+            if a.terms:
+                for j, b in right:
+                    if i + j > n:
+                        break
+                    _mul_into(acc[i + j], a.terms, b)
+        return TSeries(n, [_nonzero(t) for t in acc])
 
     __rmul__ = __mul__
 
@@ -344,12 +352,10 @@ class TSeries:
         out = [Poly.zero()] * (self.order + 1)
         out[0] = Poly.const(inv0)
         for n in range(1, self.order + 1):
-            acc = Poly.zero()
+            acc: dict[tuple[int, int], Fraction] = {}
             for k in range(1, n + 1):
-                ak = self.coeffs[k]
-                if not ak.is_zero():
-                    acc = acc + ak * out[n - k]
-            out[n] = acc * (-inv0)
+                _mul_into(acc, self.coeffs[k].terms, out[n - k].terms)
+            out[n] = _nonzero(acc) * (-inv0)
         return TSeries(self.order, out)
 
     def __eq__(self, other) -> bool:

@@ -23,6 +23,7 @@ from .qkernel import (
     PhiSpec,
     PoleError,
     _poch_row,
+    _qbinom_rows,
     euler_inverse_series,
     euler_product_series,
     hyper_series,
@@ -148,7 +149,7 @@ def build_id7_pair(ps: ParamSet, N: int, K: int,
     lhs = _gf(N, q, phi[K:])
 
     M = N + K
-    qp = [q**m for m in range(M + 1)]
+    binom, qd = _qbinom_rows(q, M), q.denominator
     A = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, M)
     # (-1)^j q^(Kj - C(j,2)) (q^-K;q)_j, j <= K
     J = _poch_row((q**-K,), {}, q, K, z=-(q**K), r=1 / q)
@@ -157,11 +158,8 @@ def build_id7_pair(ps: ParamSet, N: int, K: int,
     E = [_poch_row((q**-j,), {"q": q}, q, j, z=q**j)[::-1] for j in range(K + 1)]
     acc = [Poly.zero()] * (N + 1)
     for n in range(M + 1):
-        g = ONE  # [n;j]
         for j in range(min(n, K) + 1):
-            if j:
-                g = g * (1 - qp[n - j + 1]) / (1 - qp[j])
-            base = A[n] * g * J[j]
+            base = A[n] * Fraction(binom[n][j], qd ** (j * (n - j))) * J[j]  # [n;j]
             if base == 0:
                 continue
             for i in range(max(0, n - N), j + 1):
@@ -259,20 +257,17 @@ def _build_id8(ps: ParamSet, N: int) -> list[Side]:
         inner.append([sum((f[i] * g[m - i] for i in range(min(j, m) + 1)), ZERO)
                       for m in range(N + 1)])
 
-    qp = [q**m for m in range(N + 1)]
     s = _poch_row(
         (ps2.a, ps2.b, ps2.c), {"q": q, "d": ps2.d, "e": ps2.e}, q, N, z=x1 * y2
     )
     v = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e}, q, N, z=y1 / x1)
-    # sum_n s_n t^n sum_j [n;j] v_j inner[j], [n;j] = (q^(n-j+1);q)_j / (q;q)_j;
-    # term n reaches only the t-powers m >= n
+    # sum_n s_n t^n sum_j [n;j] v_j inner[j]; term n reaches only the
+    # t-powers m >= n
+    binom, qd = _qbinom_rows(q, N), q.denominator
     acc = [ZERO] * (N + 1)
     for n in range(N + 1):
-        g = ONE
         for j in range(n + 1):
-            if j:
-                g = g * (1 - qp[n - j + 1]) / (1 - qp[j])
-            c = s[n] * g * v[j]
+            c = s[n] * Fraction(binom[n][j], qd ** (j * (n - j))) * v[j]
             if c:
                 for m in range(N + 1 - n):
                     acc[n + m] += c * inner[j][m]

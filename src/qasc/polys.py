@@ -10,10 +10,12 @@ Every family is one sum  sum_k [n;k] w_k x^(n-k) y^k  whose weight w_k is
 q-hypergeometric in k: (nums;q)_k / (dens;q)_k times a twist z^k r^C(k,2);
 the psi families' n-dependent factor q^(-nk) is folded into y as q^-n y.
 So one weight row serves the whole sequence p_0..p_N
-(``PolyFamily.sequence``), and each [n;k] (by the ratio
-(1-q^(n-k))/(1-q^(k+1))) and each power of x and y is built from the one
-before it: one pass per sequence, O(n) exact operations per polynomial.
-The per-n functions run the same pass for their one n.
+(``PolyFamily.sequence``), the [n;k] come from one integer q-binomial
+triangle, and each term is reduced once from integer numerators and
+denominators: one pass per sequence, O(n) Fractions per polynomial.
+The per-n functions run the same pass for their one n.  The triangle has
+no division, so q = 1 gives the classical limits, e.g. cauchy_pn at q = 1
+is (x - y)^n.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import ONE, ZERO, ParamSet, Poly, X, Y, as_fraction
-from .qkernel import _poch_row
+from .qkernel import _poch_row, _qbinom_rows
 
 
 def _val(v):
@@ -36,7 +38,9 @@ def _asc_sum(lo: int, N: int, q: Fraction, w: Sequence[Fraction], x, y,
 
     With monomial (or scalar) x and y every term goes straight into the
     term dict; otherwise the sums are formed over the symbols x, y and then
-    substituted.
+    substituted.  Each term is one Fraction: the integer numerators and
+    denominators of [n;k] (from _qbinom_rows), w[k] and the powers of the
+    x and y coefficients are multiplied out and reduced once.
     """
     if lo < 0:
         raise ValueError("polynomial degree n must be >= 0")
@@ -45,21 +49,25 @@ def _asc_sum(lo: int, N: int, q: Fraction, w: Sequence[Fraction], x, y,
     # a monomial's one term; the zero polynomial reads as 0 * x^0 y^0
     ((ix, jx), cx), = (X if subst else xv).terms.items() or [((0, 0), ZERO)]
     ((iy, jy), cy), = (Y if subst else yv).terms.items() or [((0, 0), ZERO)]
-    qp, xp = [ONE], [ONE]  # q^m, cx^m for m = 0..N
-    for _ in range(N):
-        qp.append(qp[-1] * q)
-        xp.append(xp[-1] * cx)
+    binom = _qbinom_rows(q, N)
+    qdp = [q.denominator**m for m in range(N * N // 4 + 1)]  # [n;k]'s denominators
+    xn = [cx.numerator**m for m in range(N + 1)]
+    xd = [cx.denominator**m for m in range(N + 1)]
+    wn = [v.numerator for v in w]
+    wd = [v.denominator for v in w]
     cy *= twist**lo
     out = []
     for n in range(lo, N + 1):
         terms: dict[tuple[int, int], Fraction] = {}
-        g = yk = ONE  # [n;k], (twist^n cy)^k
-        for k in range(n + 1):
-            e = (ix * (n - k) + iy * k, jx * (n - k) + jy * k)
-            terms[e] = terms.get(e, ZERO) + g * w[k] * xp[n - k] * yk
-            if k < n:
-                g = g * (1 - qp[n - k]) / (1 - qp[k + 1])
-                yk *= cy
+        yn = yd = 1  # (twist^n cy)^k
+        for k, b in enumerate(binom[n]):
+            if wn[k]:
+                c = Fraction(b * wn[k] * xn[n - k] * yn, qdp[k * (n - k)] * wd[k] * xd[n - k] * yd)
+                e = (ix * (n - k) + iy * k, jx * (n - k) + jy * k)
+                s = terms.get(e)
+                terms[e] = c if s is None else s + c
+            yn *= cy.numerator
+            yd *= cy.denominator
         out.append(Poly(terms))
         cy *= twist
     if subst:

@@ -11,11 +11,15 @@ Conventions:
         = sum_n [(-1)^n q^C(n,2)]^(1+s-r)
                 * (a_1..a_r;q)_n / ((b_1..b_s;q)_n (q;q)_n) * z^n
 
-Every series and weight row here is a q-hypergeometric term sequence,
-and ``term_stream`` is the one place its ratio
-prod(1 - a q^k) / prod(1 - b q^k) * z r^k is written, for exact and for
-mpmath values alike; ``qpoch``, ``qpoch_multi`` and ``qbinom`` stay as
-direct products, the reference the tests compare against.
+Every series and weight row here is a q-hypergeometric term sequence
+with the ratio prod(1 - a q^k) / prod(1 - b q^k) * z r^k.  It is written
+twice: ``term_stream`` runs it on any field and is the loop of the
+mpmath side; ``_poch_row`` runs it for exact rows on integer
+numerator/denominator pairs, with one gcd per emitted term, and is
+tested against ``term_stream`` on Fractions.  ``_qbinom_rows`` builds the
+q-binomial triangle on integers.  ``qpoch``, ``qpoch_multi`` and
+``qbinom`` stay as direct products, the reference the tests compare
+against.
 
 A denominator parameter equal to 0 is allowed, with (0;q)_n = 1; a
 denominator parameter of the form q^(-j) makes a term blow up and raises
@@ -25,7 +29,6 @@ PoleError naming the offending term.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator, Mapping, Sequence
 
 from .core import ONE, ZERO, Poly, TSeries, as_fraction
@@ -82,14 +85,14 @@ def qbinom(n: int, k: int, q) -> Fraction:
 def term_stream(nums: Sequence, dens: Mapping, q, z, r, one) -> Iterator:
     """Yield (nums;q)_k / (dens;q)_k * z^k * r^C(k,2) for k = 0, 1, ...
 
-    The one place the q-hypergeometric term ratio
-    prod(1 - a q^k) / prod(1 - b q^k) * z r^k is written; it runs on any
-    field (Fraction, mpf, mpc).  one is the k = 0 term.  The powers of q
-    and each denominator product start from q**0 instead, so a complex
-    one or z leaves real denominators real.  dens maps each denominator
-    parameter's name to its value; the first k at which (dens;q)_k
-    vanishes raises PoleError(index=k) naming them, even past a vanished
-    numerator.
+    The q-hypergeometric term ratio prod(1 - a q^k) / prod(1 - b q^k) * z r^k
+    on any field (Fraction, mpf, mpc): the loop of the numeric series, and
+    on Fractions the reference that ``_poch_row`` is tested against.  one
+    is the k = 0 term.  The powers of q and each denominator product start
+    from q**0 instead, so a complex one or z leaves real denominators
+    real.  dens maps each denominator parameter's name to its value; the
+    first k at which (dens;q)_k vanishes raises PoleError(index=k) naming
+    them, even past a vanished numerator.
     """
     den_values = list(dens.values())
     unit = q**0
@@ -105,26 +108,87 @@ def term_stream(nums: Sequence, dens: Mapping, q, z, r, one) -> Iterator:
         for b in den_values:
             den *= 1 - b * qk
         if den == 0:
-            given = ", ".join(f"{name}={b}" for name, b in dens.items())
-            raise PoleError(
-                f"({','.join(dens)};q)_k vanished at k={k} for {given}", index=k
-            )
+            raise _pole(dens, k)
         term = term * num / den
         qk *= q
         step *= r
+
+
+def _pole(dens: Mapping, k: int) -> PoleError:
+    given = ", ".join(f"{name}={b}" for name, b in dens.items())
+    return PoleError(f"({','.join(dens)};q)_k vanished at k={k} for {given}", index=k)
 
 
 def _poch_row(
     nums: Sequence, dens: Mapping[str, Fraction], q, n: int, z=ONE, r=ONE
 ) -> list[Fraction]:
     """[(nums;q)_k / (dens;q)_k * z^k * r^C(k,2) for k = 0..n], exact:
-    the first n + 1 terms of term_stream on Fractions."""
-    stream = term_stream(
-        [as_fraction(a) for a in nums],
-        {name: as_fraction(b) for name, b in dens.items()},
-        as_fraction(q), as_fraction(z), as_fraction(r), ONE,
-    )
-    return list(islice(stream, n + 1))
+    the first n + 1 terms of term_stream on Fractions.
+
+    Computed on integers.  With q = qn/qd and a = an/ad the factor
+    1 - a q^k is (ad qd^k - an qn^k) / (ad qd^k); the ad and bd constants
+    go into the step z r^k and the qd^k powers cancel down to
+    qd^(k(#dens - #nums)).  Each step multiplies the running term, kept as
+    a reduced pair, by integers, and only the emitted Fraction(num, den)
+    takes a gcd.
+    """
+    dens = {name: as_fraction(b) for name, b in dens.items()}
+    nums = [as_fraction(a) for a in nums]
+    q, z, r = as_fraction(q), as_fraction(z), as_fraction(r)
+    qn, qd = q.numerator, q.denominator
+    top = [(a.denominator, a.numerator) for a in nums]
+    bottom = [(b.denominator, b.numerator) for b in dens.values()]
+    sn, sd = z.numerator, z.denominator  # z r^k times the ad, bd constants
+    for ad, _ in top:
+        sd *= ad
+    for bd, _ in bottom:
+        sn *= bd
+    excess = len(bottom) - len(top)
+    qd_step = qd ** abs(excess)
+    row = [ONE][: n + 1]
+    tn = td = 1  # term k, reduced
+    qnk = qdk = ek = 1  # qn^k, qd^k, qd^(k |excess|)
+    for k in range(1, n + 1):
+        fn, fd = sn, sd
+        for ad, an in top:
+            fn *= ad * qdk - an * qnk
+        for bd, bn in bottom:
+            f = bd * qdk - bn * qnk
+            if not f:
+                raise _pole(dens, k)
+            fd *= f
+        if excess > 0:
+            fn *= ek
+        else:
+            fd *= ek
+        term = Fraction(tn * fn, td * fd)
+        row.append(term)
+        tn, td = term.numerator, term.denominator
+        sn *= r.numerator
+        sd *= r.denominator
+        qnk *= qn
+        qdk *= qd
+        ek *= qd_step
+    return row
+
+
+def _qbinom_rows(q, N: int) -> list[list[int]]:
+    """The q-binomial triangle on integers: with q = qn/qd in lowest terms,
+    [n;k]_q = rows[n][k] / qd^(k(n-k)) for 0 <= k <= n <= N.
+
+    Pascal's rule [n;k] = q^k [n-1;k] + [n-1;k-1], scaled by qd^(k(n-k)):
+    b(n,k) = qn^k b(n-1,k) + qd^(n-k) b(n-1,k-1), with no division and no
+    gcd.  It holds for every rational q, q = 1 and q = -1 included.
+    """
+    q = as_fraction(q)
+    qnp = [q.numerator**k for k in range(N + 1)]
+    qdp = [q.denominator**k for k in range(N + 1)]
+    rows = [[1]]
+    for n in range(1, N + 1):
+        prev = rows[-1]
+        rows.append([1] + [qnp[k] * prev[k] + qdp[n - k] * prev[k - 1] for k in range(1, n)]
+                    + [1])
+    return rows[: N + 1]
 
 
 def binom2(n: int) -> int:

@@ -80,15 +80,21 @@ class TestVerifyCommand:
         }
 
     def test_golden_exact_report(self, tmp_path):
-        # every exact identity at order 8, two trials, seed 42: the
+        # every exact identity at order 8, two trials, seeds 42 and 101: the
         # runtime-stripped report is pinned byte for byte, so a change to any
-        # builder must reproduce its draws, statuses and rendering exactly
-        code, rep = run_verify(
-            tmp_path, "golden.json", ["--suite", "exact", "--order", "8", "--trials", "2", "--seed", "42"]
-        )
-        assert code == 0
-        digest = hashlib.sha256(normalize(rep).encode()).hexdigest()
-        assert digest == "c86cbbbc2acb06e93b7d349ecd32c3fdc1ffed994f160ef76f9c0ba33ca0ff86"
+        # builder or kernel must reproduce its draws, statuses and rendering
+        # exactly on two sets of draws
+        golden = {
+            42: "c86cbbbc2acb06e93b7d349ecd32c3fdc1ffed994f160ef76f9c0ba33ca0ff86",
+            101: "46de8a5728eff2d6bc4bbeb9247dc11936b8e2428743e93e344a65fe6b2cba59",
+        }
+        for seed, pinned in golden.items():
+            code, rep = run_verify(
+                tmp_path, f"golden{seed}.json",
+                ["--suite", "exact", "--order", "8", "--trials", "2", "--seed", str(seed)],
+            )
+            assert code == 0
+            assert hashlib.sha256(normalize(rep).encode()).hexdigest() == pinned, seed
 
     def test_usage_errors(self, tmp_path, capsys):
         assert cli.main(["verify", "--ids", "ID-99", "--out", str(tmp_path / "x.json")]) == 2
@@ -166,6 +172,13 @@ class TestEvalCommand:
     def test_qbinom(self, capsys):
         assert cli.main(["eval", "qbinom", "--n", "3", "--k", "1", "--q", "1/2"]) == 0
         assert capsys.readouterr().out.strip() == "7/4"
+
+    @pytest.mark.parametrize("k, q", [(1, "1"), (2, "-1")])
+    def test_qbinom_vanishing_denominator_is_usage_error(self, capsys, k, q):
+        # (q;q)_k = 0 at these q: an error line and exit 2, not a traceback
+        assert cli.main(["eval", "qbinom", "--n", "3", "--k", str(k), "--q", q]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(q;q)_" in err
 
     def test_qpoch(self, capsys):
         assert cli.main(["eval", "qpoch", "--a", "1/2", "--q", "1/2", "--n", "2"]) == 0

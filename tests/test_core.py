@@ -41,10 +41,26 @@ class TestPoly:
         assert (Poly.zero() * p).is_zero()
 
     def test_no_zero_terms_stored(self):
-        p = Poly.x() - Poly.x()
+        x, y = Poly.x(), Poly.y()
+        p = x - x
         assert p.terms == {}
-        p = (Poly.x() + Poly.y()) * (Poly.x() - Poly.y())
+        p = (x + y) * (x - y)
         assert all(c != 0 for c in p.terms.values())
+        # terms that cancel in a sum or inside one product leave no key behind
+        assert ((x + y) + (-x)).terms == {(0, 1): 1}
+        assert (x - y + (y - x + 1)).terms == {(0, 0): 1}
+        assert ((x - y) * (x * x + x * y + y * y)).terms == {(3, 0): 1, (0, 3): -1}
+        # and so do the fused products of TSeries: t^1 is x(-y) + yx = 0
+        f = TSeries(3, [x, y, x * y, 0])
+        fg = f * TSeries(3, [x, -y, 0, 0])
+        assert fg.coeffs[1].terms == {}
+        assert fg.coeffs[2].terms == {(0, 2): -1, (2, 1): 1}
+        # t^1 and t^2 of (1 + xt + yt^2)(1 - xt + (x^2 - y)t^2) cancel across
+        # two and three pairs of coefficients
+        u = TSeries(4, [1, x, y, 0, 0]) * TSeries(4, [1, -x, x * x - y, 0, 0])
+        assert u.coeffs[1].terms == {} and u.coeffs[2].terms == {}
+        for series in (fg, u):
+            assert all(c for co in series.coeffs for c in co.terms.values())
 
     def test_shift_exponent_law(self):
         # x^2 y under x -> qx, y -> q^2 y picks up q^2 * q^2 = 1/16 at q = 1/2
@@ -150,6 +166,17 @@ class TestTSeries:
     def test_inverse(self):
         f = TSeries(5, [Poly.const(v) for v in (1, F(1, 2), F(1, 3), 0, F(2, 7), 1)])
         assert f * f.inverse() == TSeries.one(5)
+        # polynomial coefficients: every t^n, n >= 1, of the product cancels
+        # to the empty term map, and so do the terms inside the inverse
+        x, y = Poly.x(), Poly.y()
+        for cs in ([3, x, y, x * y - 1, 0, x * x, 1], [1, x - y, 0, y * y, x, 0, F(-2, 3)]):
+            f = TSeries(6, cs)
+            inv = f.inverse()
+            assert f * inv == TSeries.one(6) == inv * f
+            assert all(c for co in inv.coeffs for c in co.terms.values())
+        # 1/(1 - (x + y)t) = sum (x + y)^n t^n
+        g = TSeries(4, [1, -(x + y), 0, 0, 0]).inverse()
+        assert g == TSeries(4, [(x + y) ** n for n in range(5)])
 
     def test_inverse_needs_scalar_unit(self):
         f = TSeries(2, [Poly.x(), Poly.one(), Poly.one()])

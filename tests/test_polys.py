@@ -57,6 +57,12 @@ class TestCauchy:
         rhs = euler_product_series(Y, Q, N) * euler_inverse_series(X, Q, N)
         assert lhs == rhs
 
+    def test_q_one_limit(self):
+        # the q-binomials come from a division-free triangle, so q = 1 gives
+        # the classical limit (x - y)^n
+        assert cauchy_pn(3, q=1) == (X - Y) ** 3
+        assert cauchy_pn(5, F(2, 3), F(1, 7), 1) == Poly.const((F(2, 3) - F(1, 7)) ** 5)
+
 
 class TestRogersSzego:
     def test_low_orders(self):
@@ -70,6 +76,10 @@ class TestRogersSzego:
     def test_symmetric_coefficients(self):
         h = rogers_szego_hn(3, X, Y, Q)
         assert h.coeff(1, 2) == h.coeff(2, 1)  # [3;1] = [3;2]
+
+    def test_q_one_limit(self):
+        assert rogers_szego_hn(4, X, Y, 1) == (X + Y) ** 4
+        assert rogers_szego_hn(4, F(1, 3), F(-2, 5), 1) == Poly.const((F(1, 3) - F(2, 5)) ** 4)
 
 
 class TestClassicalFamilies:

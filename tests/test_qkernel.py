@@ -15,6 +15,7 @@ from qasc.qkernel import (
     PhiSpec,
     PoleError,
     _poch_row,
+    _qbinom_rows,
     euler_inverse_series,
     euler_product_series,
     hyper_series,
@@ -248,3 +249,94 @@ class TestTermStream:
             next(stream)
         assert err.value.index == 3
         assert str(err.value) == "(d;q)_k vanished at k=3 for d=4"
+
+
+def _stream_row(nums, dens, q, n, z=F(1), r=F(1)):
+    """The first n + 1 terms of term_stream on Fractions, the reference
+    for _poch_row's integer loop."""
+    return list(islice(term_stream(nums, dens, q, z, r, F(1)), n + 1))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except PoleError as err:
+        return ("pole", err.index, str(err))
+
+
+class TestPochRow:
+    def test_matches_term_stream(self):
+        # seeded parameter sets with a negative q, q > 1 and r = 1/q, q^2 among them
+        rng = random.Random(31)
+
+        def draw():
+            return F(rng.randint(-8, 8) or 1, rng.randint(1, 32))
+
+        poles = 0
+        for _ in range(150):
+            q = draw()
+            nums = [draw() for _ in range(rng.randint(0, 4))]
+            dens = {f"b{i}": draw() for i in range(rng.randint(0, 4))}
+            z, r = draw(), rng.choice([F(1), q, q * q, 1 / q, draw()])
+            n = rng.randint(0, 14)
+            # a draw of b = 1 or b = q^-j is a pole, with the same index and text
+            got = _outcome(lambda: _poch_row(nums, dens, q, n, z, r))
+            assert got == _outcome(lambda: _stream_row(nums, dens, q, n, z, r))
+            poles += isinstance(got, tuple)
+        assert 0 < poles < 50
+
+    @pytest.mark.parametrize(
+        "nums, dens, z, r",
+        [
+            ((F(1, 3), F(-2, 5)), {"d": F(0), "e": F(1, 7), "q": Q}, F(1), F(1)),  # zero den
+            ((Q**-4, F(1, 5)), {"d": F(1, 4), "q": Q}, F(-3, 7), Q),  # terminating q^-4
+            ((F(1, 3),), {"d": F(1, 4), "q": Q}, F(0), F(1)),  # z = 0
+            ((F(1, 3), F(2, 9)), {"d": F(-1, 6)}, F(2, 3), 1 / Q),  # r = 1/q
+            ((F(1, 3),), {"d": F(1, 6), "e": F(3, 8)}, F(-1), Q * Q),  # r = q^2
+        ],
+    )
+    def test_edge_cases_match_term_stream(self, nums, dens, z, r):
+        for n in (-1, 0, 1, 9):
+            row = _poch_row(nums, dens, Q, n, z, r)
+            assert row == _stream_row(nums, dens, Q, n, z, r)
+            assert len(row) == n + 1
+        if nums[0] == Q**-4:
+            assert row[4] != 0 and not any(row[5:])
+        if z == 0:
+            assert row == [1] + [0] * 9
+
+    @pytest.mark.parametrize("z", [F(1), F(0)])
+    def test_pole_past_vanished_numerator(self, z):
+        # (q^-1;q)_k is 0 from k = 2 on and z = 0 empties every term past
+        # k = 0; (4;q)_k at q = 1/2 still vanishes at k = 3
+        nums, dens = [Q**-1], {"d": F(4), "q": Q}
+        assert _poch_row(nums, dens, Q, 2, z) == _stream_row(nums, dens, Q, 2, z)
+        got = _outcome(lambda: _poch_row(nums, dens, Q, 5, z))
+        assert got == _outcome(lambda: _stream_row(nums, dens, Q, 5, z))
+        assert got == ("pole", 3, "(d,q;q)_k vanished at k=3 for d=4, q=1/2")
+
+
+class TestQBinomRows:
+    @pytest.mark.parametrize("q", [F(7, 23), F(0), F(-3, 5), F(9, 4)])
+    def test_matches_qbinom(self, q):
+        rows = _qbinom_rows(q, 20)
+        assert [len(row) for row in rows] == list(range(1, 22))
+        for n, row in enumerate(rows):
+            for k, b in enumerate(row):
+                assert F(b, q.denominator ** (k * (n - k))) == qbinom(n, k, q), (n, k)
+
+    def test_root_of_unity_limits(self):
+        # the product form is 0/0 at q = 1 and -1; the triangle gives the
+        # limits: binomials at q = 1, and [n;k] at q = -1 is 0 for odd k
+        # with even n, else C(n//2, k//2)
+        from math import comb
+
+        for n, row in enumerate(_qbinom_rows(F(1), 12)):
+            assert row == [comb(n, k) for k in range(n + 1)]
+        for n, row in enumerate(_qbinom_rows(F(-1), 12)):
+            assert row == [0 if n % 2 == 0 and k % 2 else comb(n // 2, k // 2)
+                           for k in range(n + 1)]
+
+    def test_short_triangles(self):
+        assert _qbinom_rows(Q, -1) == []
+        assert _qbinom_rows(Q, 0) == [[1]]
