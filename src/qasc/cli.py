@@ -229,10 +229,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if fam == "qbinom":
             if args.k is None:
                 raise SystemExit("error: --k is required for qbinom")
-            # the ratio form divides by (q;q)_k, which vanishes when q^j = 1
-            # for some j <= k; the only rational roots of unity are 1 and -1
-            if 0 <= args.k <= n and (q == 1 or q == -1 and args.k >= 2):
-                raise ValueError(f"qbinom needs (q;q)_{args.k} != 0, which fails at q = {q}")
             print(qbinom(n, args.k, q))
             return EXIT_PASS
         if fam == "qpoch":

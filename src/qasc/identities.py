@@ -28,7 +28,7 @@ from .qkernel import (
     euler_product_series,
     hyper_series,
 )
-from .polys import PolyFamily, asc5_phi, asc5_psi
+from .polys import PolyFamily, _family_seq
 
 Side = tuple[str, TSeries, TSeries]
 
@@ -551,46 +551,34 @@ def trial_paramset(check: IdentityCheck, seed: int, trial: int) -> ParamSet:
 # ---------------------------------------------------------------------------
 
 def _residual_poly(which: str, p: Poly, ps: ParamSet) -> Poly:
-    q = ps.q
-    a, b, c, d, e = ps.a, ps.b, ps.c, ps.d, ps.e
-
-    def s(al: int, be: int) -> Poly:
-        return p.shift(q**al, q**be)
-
-    if which == "phi_eq":
-        left = X * (
-            s(0, 0)
-            - s(0, 1)
-            - (d + e) / q * (s(0, 1) - s(0, 2))
-            + d * e / q**2 * (s(0, 2) - s(0, 3))
-        )
-        right = Y * (
-            (s(0, 0) - s(1, 0))
-            - (a + b + c) * (s(0, 1) - s(1, 1))
-            + (a * b + a * c + b * c) * (s(0, 2) - s(1, 2))
-            - a * b * c * (s(0, 3) - s(1, 3))
-        )
-    elif which == "psi_eq":
-        left = X * (
-            s(1, 0)
-            - s(1, 1)
-            - (d + e) / q * (s(1, 1) - s(1, 2))
-            + d * e / q**2 * (s(1, 2) - s(1, 3))
-        )
-        right = Y * (
-            (s(1, 1) - s(0, 1))
-            - (a + b + c) * (s(1, 2) - s(0, 2))
-            + (a * b + a * c + b * c) * (s(1, 3) - s(0, 3))
-            - a * b * c * (s(1, 4) - s(0, 4))
-        )
-    else:
+    if which not in ("phi_eq", "psi_eq"):
         raise ValueError("which must be 'phi_eq' or 'psi_eq'")
-    return left - right
+    q, a, b, c = ps.q, ps.a, ps.b, ps.c
+    dq, eq = ps.d / q, ps.e / q
+    t: dict[tuple[int, int], Fraction] = {}
+    for (i, j), k in p.terms.items():
+        u, v = q**i, q**j
+        left = k * (1 - v) * (1 - dq * v) * (1 - eq * v)
+        right = k * (1 - u) * (1 - a * v) * (1 - b * v) * (1 - c * v)
+        if which == "psi_eq":
+            left, right = u * left, -v * right
+        t[(i + 1, j)] = t.get((i + 1, j), ZERO) + left
+        t[(i, j + 1)] = t.get((i, j + 1), ZERO) - right
+    return Poly(t)
 
 
 def qdiff_residual(which: str, f: TSeries, ps: ParamSet) -> TSeries:
     """Left minus right side of the seven-variable difference equation,
-    applied to every t-coefficient of f.  Zero means f satisfies it."""
+    applied to every t-coefficient of f.  Zero means f satisfies it.
+
+    Every operator in either equation rescales monomials, so each is
+    applied by its symbol: with u = q^i, v = q^j,
+    L = (1-v)(1-dv/q)(1-ev/q) and R = (1-u)(1-av)(1-bv)(1-cv), the term
+    k x^i y^j goes to
+
+        phi_eq:  k (L x^(i+1) y^j - R x^i y^(j+1))
+        psi_eq:  k (u L x^(i+1) y^j + v R x^i y^(j+1))
+    """
     return TSeries(f.order, [_residual_poly(which, p, ps) for p in f.coeffs])
 
 
@@ -606,12 +594,12 @@ class BasisExpansionError(ValueError):
         self.remainder = remainder
 
 
-def _basis_poly(basis: str, n: int, ps: ParamSet) -> Poly:
-    if basis == "phi":
-        return asc5_phi(n, ps)
-    if basis == "psi":
-        return asc5_psi(n, ps)
-    raise ValueError("basis must be 'phi' or 'psi'")
+def _basis_row(basis: str, ps: ParamSet, lo: int, hi: int) -> dict[int, Poly]:
+    """{n: basis_n for n = lo..hi}, all from one weight row."""
+    if basis not in ("phi", "psi"):
+        raise ValueError("basis must be 'phi' or 'psi'")
+    seq = _family_seq(f"asc_new_{basis}", lo, hi, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e)
+    return dict(zip(range(lo, hi + 1), seq))
 
 
 def expand_poly_in_basis(
@@ -630,12 +618,17 @@ def expand_poly_in_basis(
         nmax = deg
     mu = [Poly.zero()] * (nmax + 1)
     rem = p
-    for n in range(min(nmax, max(rem.x_degree(), 0)), -1, -1):
+    row: dict[int, Poly] = {}
+    for n in range(min(nmax, deg), -1, -1):
         cn = rem.xcoeff_as_y_poly(n)
         if cn.is_zero():
             continue
+        if n not in row:
+            # the top index alone first: a multiple of one basis element,
+            # as each generating-function coefficient is, needs no other
+            row = _basis_row(basis, ps, 0 if row else n, n)
         mu[n] = cn
-        rem = rem - cn * _basis_poly(basis, n, ps)
+        rem = rem - cn * row[n]
     if not rem.is_zero():
         raise BasisExpansionError(
             f"remainder of x-degree {rem.x_degree()} exceeds basis range {nmax}",
@@ -654,8 +647,6 @@ def expand_series_in_basis(
 
 def synthesize_from_basis(mu: Sequence[Poly], basis: str, ps: ParamSet) -> Poly:
     """Inverse of expand_poly_in_basis: sum_n mu_n * basis_n."""
-    out = Poly.zero()
-    for n, m in enumerate(mu):
-        if not m.is_zero():
-            out = out + m * _basis_poly(basis, n, ps)
-    return out
+    used = [n for n, m in enumerate(mu) if not m.is_zero()]
+    row = _basis_row(basis, ps, used[0], used[-1]) if used else {}
+    return sum((mu[n] * row[n] for n in used), Poly.zero())

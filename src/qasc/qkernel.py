@@ -65,7 +65,10 @@ def qpoch_multi(params: Sequence, q, n: int) -> Fraction:
 
 
 def qbinom(n: int, k: int, q) -> Fraction:
-    """Gaussian binomial coefficient [n;k]_q; 0 when k is out of range."""
+    """Gaussian binomial coefficient [n;k]_q; 0 when k is out of range.
+
+    At q = 1 and q = -1, where (q;q)_k can vanish, the value is the limit,
+    read from the integer triangle (binomials at q = 1)."""
     if k < 0 or k > n:
         return Fraction(0)
     q = as_fraction(q)
@@ -79,6 +82,8 @@ def qbinom(n: int, k: int, q) -> Fraction:
         r *= q
         num *= 1 - p
         den *= 1 - r
+    if not den:
+        return Fraction(_qbinom_rows(q, n)[n][k], q.denominator ** (k * (n - k)))
     return num / den
 
 

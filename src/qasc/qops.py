@@ -4,10 +4,14 @@ operator series built from them.
     D f(x)     = (f(x) - f(qx)) / x
     theta f(x) = (f(x/q) - f(x)) / (x/q)
 
-Both act on x only; y is an inert symbol.  On monomials:
+Both act on x only; y is an inert symbol.  Each sends a monomial to a
+scalar, its symbol, times one monomial:
 
     D x^n     = (1 - q^n) x^(n-1)
     theta x^n = (q^(1-n) - q) x^(n-1)
+
+so D^k and theta^k are one pass over the terms: x^n goes to the product
+of the symbols for m = n-k+1..n times x^(n-k), and to 0 when n < k.
 
 The operator series
 
@@ -22,50 +26,45 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from .core import ONE, ParamSet, Poly, as_fraction
+from .core import ONE, ZERO, ParamSet, Poly, as_fraction
 from .qkernel import _poch_row, qbinom
+
+
+_SYMBOLS = {"dq": lambda q, m: 1 - q**m, "theta": lambda q, m: q ** (1 - m) - q}
+
+
+def _symbol_row(op: str, q, deg: int) -> list[Fraction]:
+    """[sym(m) for m = 0..deg], where op x^m = sym(m) x^(m-1)."""
+    sym = _SYMBOLS[op]
+    return [sym(q, m) for m in range(deg + 1)]
+
+
+def _lower(op: str, p: Poly, k: int, q) -> Poly:
+    """op^k on p: x^i y^j with i >= k goes to prod_(m=i-k+1..i) sym(m)
+    x^(i-k) y^j, lower x-degrees vanish.  The map is one-to-one on
+    monomials, so no two terms meet."""
+    s = _symbol_row(op, as_fraction(q), p.x_degree())
+    return Poly({(i - k, j): prod(s[i - k + 1 : i + 1], start=c)
+                 for (i, j), c in p.terms.items() if i >= k})
 
 
 def dq_apply(p: Poly, q) -> Poly:
     """Forward q-derivative in x; constants vanish, x-degree drops by 1."""
-    q = as_fraction(q)
-    t = {}
-    for (i, j), c in p.terms.items():
-        if i == 0:
-            continue
-        k = c * (1 - q**i)
-        if k:
-            t[(i - 1, j)] = t.get((i - 1, j), Fraction(0)) + k
-    return Poly(t)
+    return _lower("dq", p, 1, q)
 
 
 def theta_apply(p: Poly, q) -> Poly:
     """Backward q-derivative in x: theta x^n = (q^(1-n) - q) x^(n-1)."""
-    q = as_fraction(q)
-    t = {}
-    for (i, j), c in p.terms.items():
-        if i == 0:
-            continue
-        k = c * (q ** (1 - i) - q)
-        if k:
-            t[(i - 1, j)] = t.get((i - 1, j), Fraction(0)) + k
-    return Poly(t)
-
-
-_OPS = {"dq": dq_apply, "theta": theta_apply}
+    return _lower("theta", p, 1, q)
 
 
 def op_power(op: str, p: Poly, k: int, q) -> Poly:
-    """k-fold application of D or theta."""
+    """k-fold application of D or theta, in one pass over the terms."""
     if k < 0:
         raise ValueError("op_power needs k >= 0")
-    f = _OPS[op]
-    for _ in range(k):
-        if p.is_zero():
-            break
-        p = f(p, q)
-    return p
+    return _lower(op, p, k, q)
 
 
 def leibniz(op: str, f: Poly, g: Poly, n: int, q) -> Poly:
@@ -113,20 +112,21 @@ def apply_operator(spec: OperatorSpec, p: Poly) -> Poly:
     """Apply T(a,b,c,d,e, y D) or E(a,b,c,d,e, y theta) to a polynomial.
 
     The sum runs until the operator power annihilates the input, which
-    happens after its x-degree, so the result is exact.  Each term
+    happens after its x-degree, so the result is exact.  The n-th term
     multiplies in y^n and the scalar weight (a,b,c;q)_n / ((q,d,e;q)_n),
-    with the E-series carrying the extra (-1)^n q^C(n,2).
+    with the E-series carrying the extra (-1)^n q^C(n,2).  Each monomial
+    x^i feeds the n = 0..i terms through the running product of symbols.
     """
     ps = spec.params
     q = ps.q
-    op = _OPS["dq" if spec.kind == "T" else "theta"]
     z, r = (ONE, ONE) if spec.kind == "T" else (-ONE, q)
-    weights = _poch_row(
-        (ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, p.x_degree(), z=z, r=r
-    )
-    out = Poly.zero()
-    for n, w in enumerate(weights):
-        if n:
-            p = op(p, q)
-        out = out + p * Poly.monomial(0, n, w)
-    return out
+    deg = p.x_degree()
+    weights = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, deg, z=z, r=r)
+    s = _symbol_row("dq" if spec.kind == "T" else "theta", q, deg)
+    t: dict[tuple[int, int], Fraction] = {}
+    for (i, j), c in p.terms.items():
+        # w_n y^n op^n x^i = w_n prod_(m=i-n+1..i) sym(m) x^(i-n) y^n
+        for n in range(i + 1):
+            t[(i - n, j + n)] = t.get((i - n, j + n), ZERO) + c * weights[n]
+            c *= s[i - n]
+    return Poly(t)

@@ -122,8 +122,9 @@ def test_qdiff_residuals():
     # negative control: perturbing by y leaves the basis span, so the
     # residual must flag it (a constant perturbation is basis element 0
     # and stays inside the solution space by design)
-    g = TSeries(ORDER, list(f3.coeffs))
-    g.coeffs[3] = g.coeffs[3] + Poly.y()
+    coeffs = list(f3.coeffs)
+    coeffs[3] = coeffs[3] + Poly.y()
+    g = TSeries(ORDER, coeffs)
     ok_control = not qdiff_residual("phi_eq", g, ps).is_zero()
     report(
         "q-difference-residuals",

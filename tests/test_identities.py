@@ -32,6 +32,7 @@ from qasc.identities import (
 from qasc.polys import asc5_phi, asc5_psi, cauchy_pn
 from qasc.qkernel import (
     PhiSpec,
+    PoleError,
     _poch_row,
     euler_inverse_series,
     hyper_series,
@@ -253,15 +254,13 @@ class TestResiduals:
     def test_negative_controls(self, residual_ps):
         f = build_id3_rhs(residual_ps, 8)
         for bad in (Poly.y(), Poly.x(), Poly.x() * Poly.y()):
-            g = TSeries(8, list(f.coeffs))
-            g.coeffs[3] = g.coeffs[3] + bad
+            g = _perturbed_t3(f, bad)
             assert not qdiff_residual("phi_eq", g, residual_ps).is_zero(), bad
 
     def test_constant_perturbation_stays_in_solution_space(self, residual_ps):
         # constants are basis element 0, so adding one cannot be detected
         f = build_id3_rhs(residual_ps, 8)
-        g = TSeries(8, list(f.coeffs))
-        g.coeffs[3] = g.coeffs[3] + Poly.one()
+        g = _perturbed_t3(f, Poly.one())
         assert qdiff_residual("phi_eq", g, residual_ps).is_zero()
 
     def test_cross_equation_fails(self, residual_ps):
@@ -278,6 +277,112 @@ class TestResiduals:
     def test_which_validation(self, residual_ps):
         with pytest.raises(ValueError):
             qdiff_residual("nope", TSeries.one(2), residual_ps)
+
+    @pytest.mark.parametrize("which", ["phi_eq", "psi_eq"])
+    def test_matches_shift_expansion(self, which):
+        # the symbol form against the equation written out with Poly.shift
+        rng = random.Random(f"shifted-{which}")
+        for _ in range(40):
+            ps = random_paramset(rng)
+            coeffs = [_random_poly(rng) for _ in range(3)]
+            f = TSeries(2, coeffs)
+            got = qdiff_residual(which, f, ps)
+            assert got.coeffs == [_shifted_residual(which, p, ps) for p in coeffs]
+
+    @pytest.mark.parametrize("seed", [3, 17, 58])
+    def test_homogeneous_solutions_are_the_basis(self, seed):
+        # the uniqueness statement, truncated: the degree-n homogeneous
+        # solutions of each equation form the line spanned by phi_n resp. psi_n
+        ps = random_paramset(random.Random(seed))
+        for which, family in (("phi_eq", asc5_phi), ("psi_eq", asc5_psi)):
+            for n in range(9):
+                monos = [Poly.monomial(n - j, j) for j in range(n + 1)]
+                columns = [qdiff_residual(which, TSeries.from_poly(m, 0), ps).coeffs[0]
+                           for m in monos]
+                kernel = _nullspace(columns)
+                assert len(kernel) == 1, (which, n)
+                (vec,) = kernel
+                pivot = next(c for c in vec if c)
+                solution = sum((m * (c / pivot) for m, c in zip(monos, vec)), Poly.zero())
+                assert solution == family(n, ps), (which, n)
+
+
+def _perturbed_t3(f: TSeries, bad: Poly) -> TSeries:
+    """f with bad added to its t^3 coefficient."""
+    coeffs = list(f.coeffs)
+    coeffs[3] = coeffs[3] + bad
+    return TSeries(f.order, coeffs)
+
+
+def _random_poly(rng) -> Poly:
+    return Poly({(rng.randint(0, 5), rng.randint(0, 4)): F(rng.randint(-9, 9), rng.randint(1, 9))
+                 for _ in range(rng.randint(0, 6))})
+
+
+def _shifted_residual(which: str, p: Poly, ps: ParamSet) -> Poly:
+    """Both equations written out term by term with x -> q^al x, y -> q^be y."""
+    q = ps.q
+    a, b, c, d, e = ps.a, ps.b, ps.c, ps.d, ps.e
+
+    def s(al: int, be: int) -> Poly:
+        return p.shift(q**al, q**be)
+
+    X, Y = Poly.x(), Poly.y()
+    if which == "phi_eq":
+        left = X * (
+            s(0, 0)
+            - s(0, 1)
+            - (d + e) / q * (s(0, 1) - s(0, 2))
+            + d * e / q**2 * (s(0, 2) - s(0, 3))
+        )
+        right = Y * (
+            (s(0, 0) - s(1, 0))
+            - (a + b + c) * (s(0, 1) - s(1, 1))
+            + (a * b + a * c + b * c) * (s(0, 2) - s(1, 2))
+            - a * b * c * (s(0, 3) - s(1, 3))
+        )
+    else:
+        left = X * (
+            s(1, 0)
+            - s(1, 1)
+            - (d + e) / q * (s(1, 1) - s(1, 2))
+            + d * e / q**2 * (s(1, 2) - s(1, 3))
+        )
+        right = Y * (
+            (s(1, 1) - s(0, 1))
+            - (a + b + c) * (s(1, 2) - s(0, 2))
+            + (a * b + a * c + b * c) * (s(1, 3) - s(0, 3))
+            - a * b * c * (s(1, 4) - s(0, 4))
+        )
+    return left - right
+
+
+def _nullspace(columns: list[Poly]) -> list[list[F]]:
+    """A basis of {v : sum_j v_j columns[j] = 0}, by Gauss-Jordan over F."""
+    keys = sorted({e for col in columns for e in col.terms})
+    rows = [[col.coeff(*e) for col in columns] for e in keys]
+    width = len(columns)
+    pivots = []
+    r = 0
+    for j in range(width):
+        lead = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if lead is None:
+            continue
+        rows[r], rows[lead] = rows[lead], rows[r]
+        rows[r] = [v / rows[r][j] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][j]:
+                rows[i] = [v - rows[i][j] * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(j)
+        r += 1
+    basis = []
+    for free in (j for j in range(width) if j not in pivots):
+        vec = [F(0)] * width
+        vec[free] = F(1)
+        for i, j in enumerate(pivots):
+            vec[j] = -rows[i][free]
+        basis.append(vec)
+    return basis
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +445,25 @@ class TestBasisExpansion:
         with pytest.raises(BasisExpansionError) as err:
             expand_poly_in_basis(Poly.x() ** 5 + Poly.y(), "phi", expansion_ps, nmax=3)
         assert not err.value.remainder.is_zero()
+
+    def test_basis_validation(self, expansion_ps):
+        with pytest.raises(ValueError, match="basis must be"):
+            expand_poly_in_basis(Poly.x(), "chi", expansion_ps)
+        with pytest.raises(ValueError, match="basis must be"):
+            synthesize_from_basis([Poly.one()], "chi", expansion_ps)
+
+    def test_pole_only_past_the_degree_used(self, expansion_ps):
+        # with d = q^-2 the basis weights have a pole at k = 3: degrees <= 2
+        # expand and synthesize, degree 3 reaches the pole
+        ps = expansion_ps.with_values(d=expansion_ps.q**-2)
+        p = Poly.x() ** 2 * F(3, 5) + Poly.x() * Poly.y() - Poly.y() ** 4
+        for basis in ("phi", "psi"):
+            mu = expand_poly_in_basis(p, basis, ps, nmax=6)
+            assert len(mu) == 7 and all(m.is_zero() for m in mu[3:])
+            assert synthesize_from_basis(mu, basis, ps) == p
+            with pytest.raises(PoleError) as err:
+                expand_poly_in_basis(p + Poly.x() ** 3, basis, ps)
+            assert err.value.index == 3
 
 
 @pytest.mark.parametrize("M", [1, 2, 3])

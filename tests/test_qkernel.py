@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 from itertools import islice
+from math import comb
 
 import mpmath
 import pytest
@@ -81,6 +82,16 @@ class TestQBinom:
         for n in range(9):
             for k in range(n + 1):
                 assert qbinom(n, k, Q) == qpoch(Q, Q, n) / (qpoch(Q, Q, k) * qpoch(Q, Q, n - k))
+
+    def test_root_of_unity_limits(self):
+        # (q;q)_k vanishes at q = 1 (k >= 1) and q = -1 (k >= 2); [n;k] is a
+        # polynomial in q, so it has the limit there: C(n, k) at q = 1, and
+        # 0 for odd k with even n, else C(n//2, k//2), at q = -1
+        for n in range(13):
+            for k in range(n + 1):
+                assert qbinom(n, k, 1) == comb(n, k), (n, k)
+                assert qbinom(n, k, -1) == (
+                    0 if n % 2 == 0 and k % 2 else comb(n // 2, k // 2)), (n, k)
 
 
 class TestHyperSeries:
@@ -329,8 +340,6 @@ class TestQBinomRows:
         # the product form is 0/0 at q = 1 and -1; the triangle gives the
         # limits: binomials at q = 1, and [n;k] at q = -1 is 0 for odd k
         # with even n, else C(n//2, k//2)
-        from math import comb
-
         for n, row in enumerate(_qbinom_rows(F(1), 12)):
             assert row == [comb(n, k) for k in range(n + 1)]
         for n, row in enumerate(_qbinom_rows(F(-1), 12)):

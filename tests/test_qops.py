@@ -81,6 +81,26 @@ class TestOpPower:
     def test_frozen_example(self):
         assert op_power("dq", Poly.x() ** 3, 2, Q) == Poly.x() * F(21, 32)
 
+    def test_matches_repeated_divided_differences(self):
+        # the one-pass power against k steps of (p - p(qx))/x resp.
+        # (p(x/q) - p)/(x/q), each written with Poly.shift
+        def step(op, p, q):
+            if op == "dq":
+                diff, scale = p - p.shift(q, F(1)), F(1)
+            else:
+                diff, scale = p.shift(1 / q, F(1)) - p, q
+            return Poly({(i - 1, j): c * scale for (i, j), c in diff.terms.items()})
+
+        rng = random.Random(7)
+        for _ in range(8):
+            q = random_paramset(rng).q
+            p = random_poly(rng, max_deg=9) + Poly.x() ** 9 * F(2, 3)
+            for op in ("dq", "theta"):
+                ref = p
+                for k in range(11):
+                    assert op_power(op, p, k, q) == ref, (op, k)
+                    ref = step(op, ref, q)
+
     def test_degree_drop(self):
         rng = random.Random(3)
         for _ in range(10):
