@@ -16,14 +16,18 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .core import ONE, ZERO, ParamSet, Poly, TSeries, X, Y, random_paramset
 from .qkernel import (
     PhiSpec,
     PoleError,
+    _int_conv,
+    _int_row,
     _poch_row,
     _qbinom_rows,
+    _row_series,
     euler_inverse_series,
     euler_product_series,
     hyper_series,
@@ -242,36 +246,49 @@ def _build_id8(ps: ParamSet, N: int) -> list[Side]:
 
     lhs = _gf(N, q, [u * v for u, v in zip(_phi_seq(ps, N, x1, y1), _phi_seq(ps2, N, x2, y2))])
 
-    # inner[j][m]: t^m of (x1 x2 t;q)_j * 3phi2(a q^j, b q^j, c q^j; d q^j, e q^j; q, x2 y1 t),
+    # inner[j]: t^m of (x1 x2 t;q)_j * 3phi2(a q^j, b q^j, c q^j; d q^j, e q^j; q, x2 y1 t),
     # all scalars since x1, y1, x2, y2 are: the convolution of the q-binomial
-    # row of (x1 x2 t;q)_j, [j;k] (-1)^k q^C(k,2) (x1 x2)^k, with the 3phi2 row
-    inner = []
+    # row of (x1 x2 t;q)_j, [j;k] (-1)^k q^C(k,2) (x1 x2)^k, with the 3phi2
+    # row, on integers over the denominator dens[j]
+    inner, dens = [], []
     for j in range(N + 1):
         qj = q**j
-        f = _poch_row((q**-j,), {"q": q}, q, j, z=qj * x1 * x2)
-        g = _poch_row(
+        f, fd = _int_row(_poch_row((q**-j,), {"q": q}, q, j, z=qj * x1 * x2))
+        g, gd = _int_row(_poch_row(
             (ps.a * qj, ps.b * qj, ps.c * qj),
             {f"dq^{j}": ps.d * qj, f"eq^{j}": ps.e * qj, "q": q},
             q, N, z=x2 * y1,
-        )
-        inner.append([sum((f[i] * g[m - i] for i in range(min(j, m) + 1)), ZERO)
-                      for m in range(N + 1)])
+        ))
+        inner.append(_int_conv(f, g, N))
+        dens.append(fd * gd)
 
-    s = _poch_row(
+    s, sd = _int_row(_poch_row(
         (ps2.a, ps2.b, ps2.c), {"q": q, "d": ps2.d, "e": ps2.e}, q, N, z=x1 * y2
-    )
-    v = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e}, q, N, z=y1 / x1)
-    # sum_n s_n t^n sum_j [n;j] v_j inner[j]; term n reaches only the
-    # t-powers m >= n
+    ))
+    v, vd = _int_row(_poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e}, q, N, z=y1 / x1))
+    # sum_n s_n t^n sum_j [n;j] v_j inner[j] on integers over one
+    # denominator: v_j inner[j] over vd L with L = lcm(dens), and
+    # [n;j] = binom[n][j] / qd^(j(n-j)) over qd^E with E the largest
+    # j(n-j); term n reaches only the t-powers m >= n
+    L = lcm(*dens)
+    for j in range(N + 1):
+        c = v[j] * (L // dens[j])
+        inner[j] = [c * x for x in inner[j]]
     binom, qd = _qbinom_rows(q, N), q.denominator
-    acc = [ZERO] * (N + 1)
+    E = (N // 2) * (N - N // 2)
+    acc = [0] * (N + 1)
     for n in range(N + 1):
-        for j in range(n + 1):
-            c = s[n] * Fraction(binom[n][j], qd ** (j * (n - j))) * v[j]
-            if c:
-                for m in range(N + 1 - n):
-                    acc[n + m] += c * inner[j][m]
-    rhs = euler_inverse_series(Poly.const(x1 * x2), q, N) * TSeries(N, acc)
+        if s[n]:
+            row = [0] * (N + 1 - n)
+            for j in range(n + 1):
+                c = binom[n][j] * qd ** (E - j * (n - j))
+                for m, x in enumerate(inner[j][: N + 1 - n]):
+                    row[m] += c * x
+            for m, x in enumerate(row, n):
+                acc[m] += s[n] * x
+    # times 1/(x1 x2 t;q)_inf
+    e, ed = _int_row(_poch_row((), {"q": q}, q, N, z=x1 * x2))
+    rhs = _row_series(_int_conv(e, acc, N), ed * sd * vd * L * qd**E, N)
     return [("", lhs, rhs)]
 
 
@@ -293,14 +310,29 @@ def _build_id10(ps: ParamSet, N: int) -> list[Side]:
     return [("", lhs, rhs)]
 
 
+def _const_product(rows: Sequence[Sequence[Fraction]], N: int) -> TSeries:
+    """The product of scalar series, each given by its row of t-coefficients,
+    as a TSeries of constants: convolved on integer rows over one
+    denominator, reduced by one gcd per factor."""
+    nums, den = [1], 1
+    for row in rows:
+        r, d = _int_row(row)
+        nums, den = _int_conv(nums, r, N), den * d
+        g = gcd(den, *nums)
+        nums, den = [c // g for c in nums], den // g
+    return _row_series(nums, den, N)
+
+
 def _build_id11(ps: ParamSet, N: int) -> list[Side]:
     q = ps.q
     ra, rb, rc, rd = (ps.get(k) for k in ("ra", "rb", "rc", "rd"))
     h = PolyFamily("rogers_szego", ParamSet(q))
     lhs = _gf(N, q, [u * v for u, v in zip(h.sequence(N, ra, rb), h.sequence(N, rc, rd))])
-    rhs = euler_product_series(Poly.const(ra * rb * rc * rd), q, N, t_power=2)
-    for pair in (ra * rc, ra * rd, rb * rc, rb * rd):
-        rhs = rhs * euler_inverse_series(Poly.const(pair), q, N)
+    # (ra rb rc rd t^2;q)_inf / (ra rc t, ra rd t, rb rc t, rb rd t;q)_inf
+    top = [ZERO] * (N + 1)
+    top[::2] = _poch_row((), {"q": q}, q, N // 2, z=-(ra * rb * rc * rd), r=q)
+    rhs = _const_product([top] + [_poch_row((), {"q": q}, q, N, z=pair)
+                                  for pair in (ra * rc, ra * rd, rb * rc, rb * rd)], N)
     return [("", lhs, rhs)]
 
 
@@ -308,25 +340,31 @@ def _quotient_sum(w: Sequence[Fraction], a: Fraction, b: Fraction, q: Fraction,
                   N: int) -> TSeries:
     """sum_n w[n] u^n (a u;q)_n / (b u;q)_n for scalar a, b, truncated at u^N.
 
-    Each quotient f is the one before times one linear factor
-    (1 - a q^(n-1) u) and divided by one (1 - b q^(n-1) u), whose
-    geometric series makes the division f_m += b q^(n-1) f_(m-1):
-    O(N) per n.
+    Summed by Horner's rule from the top term down, on one integer row
+    over one denominator: h_(n-1) = w[n-1] + u h_n (1 - a q^(n-1) u) /
+    (1 - b q^(n-1) u), each step one linear factor and one geometric
+    division, whose series makes k_m = g_m + b q^(n-1) k_(m-1).  h_n is
+    needed only through u^(N-n), and one gcd per step keeps the row
+    reduced.
     """
-    f = [ONE] + [ZERO] * N
-    acc = [ZERO] * (N + 1)
-    qn = ONE  # q^(n-1)
-    for n, wn in enumerate(w):
-        if n:
-            aq, bq = a * qn, b * qn
-            for m in range(N, 0, -1):
-                f[m] -= aq * f[m - 1]
-            for m in range(1, N + 1):
-                f[m] += bq * f[m - 1]
-            qn *= q
-        for m in range(N + 1 - n):
-            acc[n + m] += wn * f[m]
-    return TSeries(N, acc)
+    nums, den = _int_row(w[: N + 1])
+    top = len(nums) - 1
+    h, hd = nums[top:] + [0] * (N - top), 1  # h_top = w[top]; h_0 is the sum
+    for n in range(top, 0, -1):
+        qn = q ** (n - 1)
+        al, be = a * qn, b * qn
+        an, ad, bn, bd = al.numerator, al.denominator, be.numerator, be.denominator
+        # g = (1 - al u) h_n over hd ad; k_m = K_m / bd^m, brought to bd^(N-n)
+        bdp = [bd**m for m in range(len(h))]
+        K, prev = [], 0
+        for p, hm, hp in zip(bdp, h, [0] + h):
+            prev = p * (ad * hm - an * hp) + bn * prev
+            K.append(prev)
+        hd *= ad * bdp[-1]
+        row = [nums[n - 1] * hd] + [k * p for k, p in zip(K, reversed(bdp))]
+        g = gcd(hd, *row)
+        h, hd = [x // g for x in row], hd // g
+    return _row_series(h, den * hd, N)
 
 
 def _build_id12(ps: ParamSet, N: int) -> list[Side]:
@@ -345,16 +383,16 @@ def _build_id12(ps: ParamSet, N: int) -> list[Side]:
     # LHS: sum_n (t;q)_n (sig*u;q)_n (xi*u)^n / ((r_scale*u;q)_n (q;q)_n)
     lhs = _quotient_sum(_poch_row((t0,), {"q": q}, q, N, z=xi), sig, r_scale, q, N)
 
-    # RHS prefactor (s, x t;q)_inf / ((r, x;q)_inf), all u-scaled products
-    pre = (
-        euler_product_series(Poly.const(sig), q, N)
-        * euler_product_series(Poly.const(xi * t0), q, N)
-        * euler_inverse_series(Poly.const(r_scale), q, N)
-        * euler_inverse_series(Poly.const(xi), q, N)
-    )
     # 2phi1(q^-M, x; x t; q, s): terminating in k <= M
     tail = _quotient_sum(_poch_row((q**-M,), {"q": q}, q, M, z=sig), xi, xi * t0, q, N)
-    rhs = pre * tail
+    # times the prefactor (s, x t;q)_inf / ((r, x;q)_inf), all u-scaled products
+    rhs = _const_product([
+        _poch_row((), {"q": q}, q, N, z=-sig, r=q),
+        _poch_row((), {"q": q}, q, N, z=-xi * t0, r=q),
+        _poch_row((), {"q": q}, q, N, z=r_scale),
+        _poch_row((), {"q": q}, q, N, z=xi),
+        [c.constant() for c in tail.coeffs],
+    ], N)
     return [("u-scaled", lhs, rhs)]
 
 

@@ -21,6 +21,13 @@ q-binomial triangle on integers.  ``qpoch``, ``qpoch_multi`` and
 ``qbinom`` stay as direct products, the reference the tests compare
 against.
 
+A scalar series (every coefficient a constant) can also be carried as an
+integer row over one denominator, ``(nums, den)``, the layout of FLINT's
+``fmpq_poly``: ``_int_row`` puts Fractions over the lcm of their
+denominators, ``_int_conv`` multiplies two rows with integer
+multiply-adds and no gcd, and ``_row_series`` turns a row back into a
+TSeries of constants with one reduced Fraction per entry.
+
 A denominator parameter equal to 0 is allowed, with (0;q)_n = 1; a
 denominator parameter of the form q^(-j) makes a term blow up and raises
 PoleError naming the offending term.
@@ -29,6 +36,7 @@ PoleError naming the offending term.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 from .core import ONE, ZERO, Poly, TSeries, as_fraction
@@ -194,6 +202,34 @@ def _qbinom_rows(q, N: int) -> list[list[int]]:
         rows.append([1] + [qnp[k] * prev[k] + qdp[n - k] * prev[k - 1] for k in range(1, n)]
                     + [1])
     return rows[: N + 1]
+
+
+def _int_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(nums, den): the rationals as integer numerators over the lcm of
+    their denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _int_conv(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """The first n + 1 coefficients of the product of the integer rows a
+    and b, which may be shorter."""
+    out = [0] * (n + 1)
+    for i, ai in enumerate(a[: n + 1]):
+        if ai:
+            for j, bj in enumerate(b[: n + 1 - i], i):
+                out[j] += ai * bj
+    return out
+
+
+def _row_series(nums: Sequence[int], den: int, order: int) -> TSeries:
+    """sum_n nums[n]/den t^n as a TSeries of constants, truncated at order;
+    each nonzero entry becomes one reduced Fraction."""
+    coeffs = [Poly.zero()] * (order + 1)
+    for n, c in enumerate(nums[: order + 1]):
+        if c:
+            coeffs[n] = Poly.const(Fraction(c, den))
+    return TSeries(order, coeffs)
 
 
 def binom2(n: int) -> int:

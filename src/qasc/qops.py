@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import prod
 
 from .core import ONE, ZERO, ParamSet, Poly, as_fraction
-from .qkernel import _poch_row, qbinom
+from .qkernel import _poch_row, _qbinom_rows
 
 
 _SYMBOLS = {"dq": lambda q, m: 1 - q**m, "theta": lambda q, m: q ** (1 - m) - q}
@@ -80,15 +80,16 @@ def leibniz(op: str, f: Poly, g: Poly, n: int, q) -> Poly:
     if n < 0:
         raise ValueError("leibniz needs n >= 0")
     q = as_fraction(q)
+    binom, qd = _qbinom_rows(q, n)[n], q.denominator  # [n;k] = binom[k] / qd^(k(n-k))
     out = Poly.zero()
     fk = f
     for k in range(n + 1):
         gk = op_power(op, g, n - k, q)
+        weight = Fraction(binom[k], qd ** (k * (n - k)))
         if op == "dq":
-            weight = qbinom(n, k, q)
             shifted = gk.shift(q**k, ONE)
         else:
-            weight = qbinom(n, k, q) * q ** (k * (k - n))
+            weight *= q ** (k * (k - n))
             shifted = gk.shift(q**-k, ONE)
         out = out + fk * shifted * weight
         if k < n:

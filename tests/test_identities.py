@@ -3,6 +3,7 @@ expansion, and the documented parameter collapses."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -132,6 +133,32 @@ class TestCatalog:
         check = CATALOG[cid]
         rep = verify(check, trial_paramset(check, seed, 0), ORDER, 0)
         assert rep.status == "pass", rep.first_mismatch
+
+    @pytest.mark.parametrize(
+        "cid, extra, power, lhs, rhs, rhs_digest",
+        [
+            ("ID-8", "y2", 1, "-16594255831/25599845700",
+             "-33188520555718867/51199691400000000",
+             "f45b07bd2682dbef2bbeab05cf98315bb2586d3a5e294f241d18ff542af7705c"),
+            ("ID-11", "rd", 1, "-41/30225", "-2645197/1950000000",
+             "065b58a24baee295f77f9960cc27a272a68c28f36e0d689e06eee8a0c49a6d7f"),
+            ("ID-12", "sig", 2, "4331998/9323181", "54150000839/116539762500",
+             "bd04f8152882ae98eac939a14905596ef1b7facb8771f81c89532674f07e6e00"),
+        ],
+    )
+    def test_cross_parameter_negative_control(self, cid, extra, power, lhs, rhs, rhs_digest):
+        # the left side at a trial's draw against the right side with one
+        # extra moved by one part in 10^6: the scalar sides must differ, at
+        # a pinned power with pinned values, and the whole moved right side
+        # is pinned by digest, so a rewrite of these builders keeps their values
+        check = CATALOG[cid]
+        ps = trial_paramset(check, 42, 0)
+        moved = ps.with_values(**{extra: ps.get(extra) * (1 + F(1, 10**6))})
+        (_, left, _), = check.build(ps, 12)
+        (_, _, right), = check.build(moved, 12)
+        n = left.first_mismatch(right)
+        assert (n, str(left.coeff(n)), str(right.coeff(n))) == (power, lhs, rhs)
+        assert hashlib.sha256(str(right).encode()).hexdigest() == rhs_digest
 
     def test_id9_pinned_parameters(self):
         # q = 1/2 at order 8, the symbolic check subsuming any rational x, y
@@ -482,6 +509,50 @@ def test_id12_quotients_match_series_inverse(M):
             quot = qpoch_t_poly(a, q, n, ORDER) * qpoch_t_poly(b, q, n, ORDER).inverse()
             old = old + quot.shift_t(n).scale(wn)
         assert _quotient_sum(w, a, b, q, ORDER) == old
+
+
+def _quotient_sum_by_fractions(w, a, b, q, N) -> TSeries:
+    """sum_n w[n] u^n (a u;q)_n / (b u;q)_n on Fractions, one linear factor
+    and one geometric division per n: the reference for _quotient_sum."""
+    f = [F(1)] + [F(0)] * N
+    acc = [F(0)] * (N + 1)
+    qn = F(1)  # q^(n-1)
+    for n, wn in enumerate(w):
+        if n:
+            aq, bq = a * qn, b * qn
+            for m in range(N, 0, -1):
+                f[m] -= aq * f[m - 1]
+            for m in range(1, N + 1):
+                f[m] += bq * f[m - 1]
+            qn *= q
+        for m in range(N + 1 - n):
+            acc[n + m] += wn * f[m]
+    return TSeries(N, acc)
+
+
+def test_quotient_sum_matches_fraction_loop():
+    rng = random.Random(12)
+
+    def draw():
+        return F(rng.randint(-9, 9), rng.randint(1, 30))
+
+    for N in range(13):
+        for case in range(8):
+            q = F(rng.randint(1, 9), rng.randint(10, 31))
+            w = [draw() for _ in range(rng.randint(1, N + 3))]
+            a, b = draw(), draw()
+            if case == 1:
+                a = b
+            elif case == 2:
+                a = F(0)
+            elif case == 3:
+                b = F(0)
+            elif case == 4:
+                w = [c if i % 2 else F(0) for i, c in enumerate(w)]  # zero entries
+            elif case == 5:
+                w = [F(0)] * len(w)
+            assert _quotient_sum(w, a, b, q, N) == _quotient_sum_by_fractions(w, a, b, q, N), (N, case)
+    assert _quotient_sum([], F(1, 3), F(1, 5), F(1, 2), 4) == TSeries.zeros(4)
 
 
 def _id8_rhs_by_series(ps: ParamSet, N: int) -> TSeries:

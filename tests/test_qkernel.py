@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 from itertools import islice
-from math import comb
+from math import comb, gcd, lcm
 
 import mpmath
 import pytest
@@ -15,8 +15,11 @@ from qasc.core import Poly, TSeries
 from qasc.qkernel import (
     PhiSpec,
     PoleError,
+    _int_conv,
+    _int_row,
     _poch_row,
     _qbinom_rows,
+    _row_series,
     euler_inverse_series,
     euler_product_series,
     hyper_series,
@@ -349,3 +352,85 @@ class TestQBinomRows:
     def test_short_triangles(self):
         assert _qbinom_rows(Q, -1) == []
         assert _qbinom_rows(Q, 0) == [[1]]
+
+
+def _fraction_conv(a, b, n):
+    """The first n + 1 coefficients of the product of two rows, on
+    Fractions: the reference for _int_conv."""
+    out = [F(0)] * (n + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j <= n:
+                out[i + j] += x * y
+    return out
+
+
+def _const_series(values, order):
+    return TSeries(order, [Poly.const(c) for c in values])
+
+
+class TestIntRows:
+    EDGE_ROWS = [
+        [F(3, 4), F(-5, 6), F(1, 12), F(-7, 6)],  # entries whose sum cancels
+        [F(0), F(0), F(0)],  # all zero
+        [F(-2, 9)],  # length 1
+        [F(5)],  # length 1, an integer
+        [F(0), F(-1, 2**40), F(3, 7**5), F(0)],  # zeros among large denominators
+        [],
+    ]
+
+    def _random_row(self, rng, length):
+        return [F(rng.randint(-30, 30), rng.randint(1, 40)) * rng.choice([0, 1, 1, 1])
+                for _ in range(length)]
+
+    @pytest.mark.parametrize("row", EDGE_ROWS)
+    def test_int_row_edge_cases(self, row):
+        nums, den = _int_row(row)
+        assert den == lcm(*(c.denominator for c in row)) > 0
+        assert [F(c, den) for c in nums] == row
+        assert all(isinstance(c, int) for c in nums)
+
+    def test_int_row_random(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            row = self._random_row(rng, rng.randint(1, 12))
+            nums, den = _int_row(row)
+            assert [F(c, den) for c in nums] == row
+            assert all(den % c.denominator == 0 for c in row)
+
+    def test_conv_matches_fractions(self):
+        rng = random.Random(9)
+        rows = self.EDGE_ROWS[:-1] + [self._random_row(rng, rng.randint(1, 14)) for _ in range(40)]
+        for a in rows:
+            for b in rng.sample(rows, 6):
+                # N = 0, N shorter than either row, and N past both
+                for n in (0, 1, 3, len(a) + len(b) - 2, 15):
+                    (an, ad), (bn, bd) = _int_row(a), _int_row(b)
+                    got = _int_conv(an, bn, n)
+                    assert len(got) == n + 1
+                    assert [F(c, ad * bd) for c in got] == _fraction_conv(a, b, n)
+
+    def test_row_series_reduced_without_zero_terms(self):
+        got = _row_series([6, 0, -4, 9, 3], 12, 6)
+        assert got == _const_series([F(1, 2), 0, F(-1, 3), F(3, 4), F(1, 4), 0, 0], 6)
+        for p in got.coeffs:
+            for e, c in p.terms.items():
+                assert e == (0, 0) and c != 0 and gcd(c.numerator, c.denominator) == 1
+        assert [bool(p.terms) for p in got.coeffs] == [1, 0, 1, 1, 1, 0, 0]
+
+    def test_row_series_truncates_and_pads(self):
+        assert _row_series([2, 4, 6], 4, 1) == _const_series([F(1, 2), 1], 1)
+        assert _row_series([], 7, 2) == TSeries.zeros(2)
+        assert _row_series([0, 0], 3, 0) == TSeries.zeros(0)
+        assert _row_series([-9], 6, 0).coeffs[0].terms == {(0, 0): F(-3, 2)}
+
+    def test_product_of_rows_matches_series_product(self):
+        # integer rows multiplied and converted back equal the TSeries
+        # product of the same constants
+        rng = random.Random(17)
+        for n in range(0, 9):
+            a, b = self._random_row(rng, n + 1), self._random_row(rng, rng.randint(1, n + 1))
+            (an, ad), (bn, bd) = _int_row(a), _int_row(b)
+            got = _row_series(_int_conv(an, bn, n), ad * bd, n)
+            b_full = b + [F(0)] * (n + 1 - len(b))
+            assert got == _const_series(a, n) * _const_series(b_full, n)
