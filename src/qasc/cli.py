@@ -8,8 +8,8 @@ polynomial families exactly.
     qasc eval qbinom --n 3 --k 1 --q 1/2
 
 Exit codes: 0 all pass, 1 verification failure, 2 usage or configuration
-error, 3 numeric non-convergence, 4 an exact builder raised an unexpected
-error.
+error (an unwritable report path included), 3 numeric non-convergence, 4
+an exact builder raised an unexpected error.
 """
 
 from __future__ import annotations
@@ -195,9 +195,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "entries": entries,
     }
     out = cfg["out"]
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        print(f"error: cannot write report {out}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
 
     total = len(entries)
     passed = sum(1 for e in entries if e["status"] == "pass")

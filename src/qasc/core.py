@@ -13,10 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
-
-Rational = Fraction
-Scalar = Union[Fraction, int]
+from typing import Iterable, Mapping
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -160,9 +157,6 @@ class Poly:
     def x_degree(self) -> int:
         """Largest x-exponent present; -1 for the zero polynomial."""
         return max((i for (i, _) in self.terms), default=-1)
-
-    def y_degree(self) -> int:
-        return max((j for (_, j) in self.terms), default=-1)
 
     def shift(self, sx: Fraction, sy: Fraction) -> "Poly":
         """Substitute x -> sx*x and y -> sy*y.

@@ -89,19 +89,34 @@ def build_id4_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
     return _gf(N, ps.q, psi, _alt_weights(ps.q, N, t_scale))
 
 
+def _euler_sum(terms: Sequence[tuple[Fraction, int, int, int, Fraction]], q: Fraction,
+               N: int, inverse: bool = False) -> TSeries:
+    """sum of c x^i y^j t^d (x s t;q)_inf over terms (c, i, j, d, s), or of
+    c x^i y^j t^d / (x s t;q)_inf when inverse, truncated at t^N.
+
+    One Euler row e_m serves every term: term m of a summand is
+    c e_m s^m x^(i+m) y^j t^(d+m), so a right side whose summand k differs
+    from summand 0 only by s -> s q^k builds no row of its own per k.
+    """
+    row = _poch_row((), {"q": q}, q, N) if inverse else _poch_row((), {"q": q}, q, N, z=-ONE, r=q)
+    acc: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(N + 1)]
+    for c, i, j, d, s in terms:
+        for m, e in enumerate(row[: max(N + 1 - d, 0)]):
+            t, key = acc[d + m], (i + m, j)
+            t[key] = t.get(key, ZERO) + c * e
+            c *= s
+    return TSeries(N, [Poly(t) for t in acc])
+
+
 def build_id6_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
-    """(x*s*t;q)_inf * 3phi3(a,b,c; d,e,x*s*t; q, y*s*t), assembled with the
-    x-dependent denominator parameter folded into per-term Euler products:
-    term k carries (x*s*q^k*t;q)_inf."""
+    """(x*s*t;q)_inf * 3phi3(a,b,c; d,e,x*s*t; q, y*s*t), summed as
+    sum_k w_k y^k t^k (x*s*q^k*t;q)_inf: the x-dependent denominator
+    parameter folded into the Euler product of term k."""
     q = ps.q
     w = _poch_row(
         (ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N, z=-t_scale, r=q
     )
-    out = TSeries.zeros(N)
-    for k in range(N + 1):
-        term = euler_product_series(X * (t_scale * q**k), q, N).shift_t(k)
-        out = out + term.scale(Poly.monomial(0, k, w[k]))
-    return out
+    return _euler_sum([(wk, 0, k, k, t_scale * q**k) for k, wk in enumerate(w)], q, N)
 
 
 def build_id6_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
@@ -122,13 +137,7 @@ def build_id5_pair(ps: ParamSet, N: int, sig: Fraction, tau: Fraction) -> Side:
         p.append(p[-1] * (tau - sig * q**n))
     lhs = _gf(N, q, _phi_seq(ps, N), p)
     w = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N)
-    acc = TSeries.zeros(N)
-    for k in range(N + 1):
-        wk = w[k] * p[k]
-        if wk == 0:
-            continue
-        term = euler_product_series(X * (sig * q**k), q, N).shift_t(k)
-        acc = acc + term.scale(Poly.monomial(0, k, wk))
+    acc = _euler_sum([(w[k] * p[k], 0, k, k, sig * q**k) for k in range(N + 1)], q, N)
     rhs = euler_inverse_series(X * tau, q, N) * acc
     return ("u-scaled", lhs, rhs)
 
@@ -141,11 +150,12 @@ def build_id7_pair(ps: ParamSet, N: int, K: int,
     LHS: sum_n phi_(n+K)(x,y) t^n/(q;q)_n
     RHS: x^K/(xt;q)_inf * sum_n A_n (yt)^n
          * sum_j [n;j] (-1)^j q^(Kj-C(j,2)) (q^-K, xt;q)_j / (xt)^j
-    with A_n = (a,b,c;q)_n/((q,d,e;q)_n); the (xt;q)_j/(xt)^j factor is
-    expanded exactly, every x and t exponent staying nonnegative because
-    (q^-K;q)_j kills j > K.  The q^(Kj) power makes the j-weight equal to
-    [n;j] (q;q)_K/(q;q)_(K-j), which is what the K-fold derivative of
-    x^K/(xt;q)_inf produces.
+    with A_n = (a,b,c;q)_n/((q,d,e;q)_n).  Since (xt;q)_j/(xt;q)_inf =
+    1/(x q^j t;q)_inf, the right side is the Euler sum of the terms
+    A_n [n;j] J_j x^(K-j) y^n t^(n-j) / (x q^j t;q)_inf, every x and t
+    exponent nonnegative because (q^-K;q)_j kills j > K.  The q^(Kj) power
+    makes the j-weight J_j equal to [n;j] (q;q)_K/(q;q)_(K-j), which is what
+    the K-fold derivative of x^K/(xt;q)_inf produces.
     """
     q = ps.q
     if phi is None:
@@ -157,19 +167,10 @@ def build_id7_pair(ps: ParamSet, N: int, K: int,
     A = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, M)
     # (-1)^j q^(Kj - C(j,2)) (q^-K;q)_j, j <= K
     J = _poch_row((q**-K,), {}, q, K, z=-(q**K), r=1 / q)
-    # (xt;q)_j/(xt)^j = sum_i E[j][i] (xt)^-i, E[j][i] = [j;i] (-1)^(j-i) q^C(j-i,2):
-    # the q-binomial theorem for (u;q)_j read from the top power down
-    E = [_poch_row((q**-j,), {"q": q}, q, j, z=q**j)[::-1] for j in range(K + 1)]
-    acc = [Poly.zero()] * (N + 1)
-    for n in range(M + 1):
-        for j in range(min(n, K) + 1):
-            base = A[n] * Fraction(binom[n][j], qd ** (j * (n - j))) * J[j]  # [n;j]
-            if base == 0:
-                continue
-            for i in range(max(0, n - N), j + 1):
-                acc[n - i] = acc[n - i] + Poly.monomial(K - i, n, base * E[j][i])
-    rhs = euler_inverse_series(X, q, N) * TSeries(N, acc)
-    return (f"k={K}", lhs, rhs)
+    # [n;j] = binom[n][j] / qd^(j(n-j)); t^(n-j) > t^N contributes nothing
+    terms = [(A[n] * Fraction(binom[n][j], qd ** (j * (n - j))) * J[j], K - j, n, n - j, q**j)
+             for n in range(M + 1) for j in range(max(0, n - N), min(n, K) + 1)]
+    return (f"k={K}", lhs, _euler_sum(terms, q, N, inverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -246,34 +247,29 @@ def _build_id8(ps: ParamSet, N: int) -> list[Side]:
 
     lhs = _gf(N, q, [u * v for u, v in zip(_phi_seq(ps, N, x1, y1), _phi_seq(ps2, N, x2, y2))])
 
-    # inner[j]: t^m of (x1 x2 t;q)_j * 3phi2(a q^j, b q^j, c q^j; d q^j, e q^j; q, x2 y1 t),
-    # all scalars since x1, y1, x2, y2 are: the convolution of the q-binomial
-    # row of (x1 x2 t;q)_j, [j;k] (-1)^k q^C(k,2) (x1 x2)^k, with the 3phi2
-    # row, on integers over the denominator dens[j]
-    inner, dens = [], []
-    for j in range(N + 1):
-        qj = q**j
-        f, fd = _int_row(_poch_row((q**-j,), {"q": q}, q, j, z=qj * x1 * x2))
-        g, gd = _int_row(_poch_row(
-            (ps.a * qj, ps.b * qj, ps.c * qj),
-            {f"dq^{j}": ps.d * qj, f"eq^{j}": ps.e * qj, "q": q},
-            q, N, z=x2 * y1,
-        ))
-        inner.append(_int_conv(f, g, N))
-        dens.append(fd * gd)
-
+    # v_j times t^m of the j-th 3phi2(a q^j, b q^j, c q^j; d q^j, e q^j; q, x2 y1 t)
+    # is A_(j+m) (y1/x1)^j (x2 y1)^m/(q;q)_m with A_k = (a,b,c;q)_k/(d,e;q)_k:
+    # one A row and one (x2 y1)^m/(q;q)_m row, on integers over Ad and wd
+    A, Ad = _int_row(_poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e}, q, N))
+    w, wd = _int_row(_poch_row((), {"q": q}, q, N, z=x2 * y1))
     s, sd = _int_row(_poch_row(
         (ps2.a, ps2.b, ps2.c), {"q": q, "d": ps2.d, "e": ps2.e}, q, N, z=x1 * y2
     ))
-    v, vd = _int_row(_poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e}, q, N, z=y1 / x1))
-    # sum_n s_n t^n sum_j [n;j] v_j inner[j] on integers over one
-    # denominator: v_j inner[j] over vd L with L = lcm(dens), and
+    # inner[j]: t^m of v_j (x1 x2 t;q)_j * 3phi2 for m <= N - j, all that the
+    # terms n >= j reach: the q-binomial row of (x1 x2 t;q)_j, [j;k] (-1)^k
+    # q^C(k,2) (x1 x2)^k over its own denominator, convolved with v_j times
+    # the 3phi2 row over Ad wd rd^N L, with L their lcm and y1/x1 = rn/rd
+    f = [_int_row(_poch_row((q**-j,), {"q": q}, q, j, z=q**j * x1 * x2)) for j in range(N + 1)]
+    L = lcm(*(fd for _, fd in f))
+    r = y1 / x1
+    rn, rd = r.numerator, r.denominator
+    inner = []
+    for j, (fj, fd) in enumerate(f):
+        c = rn**j * rd ** (N - j) * (L // fd)
+        inner.append(_int_conv(fj, [c * a * b for a, b in zip(A[j:], w)], N - j))
+    # sum_n s_n t^n sum_j [n;j] inner[j] on integers over one denominator,
     # [n;j] = binom[n][j] / qd^(j(n-j)) over qd^E with E the largest
     # j(n-j); term n reaches only the t-powers m >= n
-    L = lcm(*dens)
-    for j in range(N + 1):
-        c = v[j] * (L // dens[j])
-        inner[j] = [c * x for x in inner[j]]
     binom, qd = _qbinom_rows(q, N), q.denominator
     E = (N // 2) * (N - N // 2)
     acc = [0] * (N + 1)
@@ -288,7 +284,7 @@ def _build_id8(ps: ParamSet, N: int) -> list[Side]:
                 acc[m] += s[n] * x
     # times 1/(x1 x2 t;q)_inf
     e, ed = _int_row(_poch_row((), {"q": q}, q, N, z=x1 * x2))
-    rhs = _row_series(_int_conv(e, acc, N), ed * sd * vd * L * qd**E, N)
+    rhs = _row_series(_int_conv(e, acc, N), ed * sd * Ad * wd * rd**N * L * qd**E, N)
     return [("", lhs, rhs)]
 
 

@@ -101,6 +101,14 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--order", "2", "--out", str(tmp_path / "x.json")]) == 2
         assert cli.main(["verify", "--trials", "0", "--out", str(tmp_path / "x.json")]) == 2
 
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_report_is_usage_error(self, tmp_path, capsys, where):
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "r.json"
+        args = ["verify", "--ids", "ID-9", "--order", "4", "--trials", "1", "--out", str(out)]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write report {out}: ")
+
     def test_config_file_flags_win(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"suite": "exact", "ids": "ID-9", "order": 6, "trials": 1, "seed": 5}))

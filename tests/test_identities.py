@@ -36,7 +36,9 @@ from qasc.qkernel import (
     PoleError,
     _poch_row,
     euler_inverse_series,
+    euler_product_series,
     hyper_series,
+    qbinom,
     qpoch,
     qpoch_t_poly,
 )
@@ -117,15 +119,20 @@ class TestCatalog:
         assert rep.status == "pole"
         assert rep.first_mismatch == {"power": index, "sub": "", "lhs": message, "rhs": ""}
 
-    def test_id8_inner_row_pole_pinned(self):
-        # d = 128 = q^-7 at q = 1/2 keeps the left side finite through N = 6,
-        # but the 3phi2 row of j = 2 carries (d q^2;q)_m, which vanishes at m = 6
+    @pytest.mark.parametrize("order", [6, 7, 8])
+    def test_id8_no_pole_past_the_order(self, order):
+        # d = 128 = q^-7 at q = 1/2: (d;q)_k first vanishes at k = 8, so both
+        # sides are finite through t^7; only order 8 reaches the pole, which
+        # the left side reports
         check = CATALOG["ID-8"]
         ps = trial_paramset(check, 1, 0).with_values(q=F(1, 2), d=F(128))
-        rep = verify(check, ps, 6, 0)
-        assert rep.status == "pole"
-        message = "(dq^2,eq^2,q;q)_k vanished at k=6 for dq^2=32, eq^2=5/116, q=1/2"
-        assert rep.first_mismatch == {"power": 6, "sub": "", "lhs": message, "rhs": ""}
+        rep = verify(check, ps, order, 0)
+        if order < 8:
+            assert rep.status == "pass", rep.first_mismatch
+        else:
+            message = "(d,e;q)_k vanished at k=8 for d=128, e=5/29"
+            assert rep.status == "pole"
+            assert rep.first_mismatch == {"power": 8, "sub": "", "lhs": message, "rhs": ""}
 
     @pytest.mark.parametrize("cid", ["ID-7", "ID-8"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -583,3 +590,66 @@ def test_id8_scalar_double_sum_matches_series_form(seed):
     ps = trial_paramset(check, seed, 0)
     (_, _, rhs), = check.build(ps, ORDER)
     assert rhs == _id8_rhs_by_series(ps, ORDER)
+
+
+def _id5_rhs_by_shifts(ps: ParamSet, N: int, sig: F, tau: F) -> TSeries:
+    """ID-5's right side with one Euler product per k, shifted by t^k and
+    scaled by W_k y^k, then times 1/(x tau u;q)_inf."""
+    q = ps.q
+    p = [F(1)]
+    for n in range(N):
+        p.append(p[-1] * (tau - sig * q**n))
+    w = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N)
+    acc = TSeries.zeros(N)
+    for k in range(N + 1):
+        term = euler_product_series(Poly.x() * (sig * q**k), q, N).shift_t(k)
+        acc = acc + term.scale(Poly.monomial(0, k, w[k] * p[k]))
+    return euler_inverse_series(Poly.x() * tau, q, N) * acc
+
+
+def _id6_rhs_by_shifts(ps: ParamSet, N: int, t_scale: F) -> TSeries:
+    """ID-6's right side with one Euler product per k, shifted and scaled."""
+    q = ps.q
+    w = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N, z=-t_scale, r=q)
+    acc = TSeries.zeros(N)
+    for k in range(N + 1):
+        term = euler_product_series(Poly.x() * (t_scale * q**k), q, N).shift_t(k)
+        acc = acc + term.scale(Poly.monomial(0, k, w[k]))
+    return acc
+
+
+def _id7_rhs_by_rows(ps: ParamSet, N: int, K: int) -> TSeries:
+    """ID-7's right side with (xt;q)_j/(xt)^j expanded by its own q-binomial
+    row E[j] for each j, summed in x^(K-i) y^n t^(n-i), then times
+    1/(xt;q)_inf as a TSeries product."""
+    q = ps.q
+    M = N + K
+    A = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, M)
+    J = _poch_row((q**-K,), {}, q, K, z=-(q**K), r=1 / q)
+    E = [_poch_row((q**-j,), {"q": q}, q, j, z=q**j)[::-1] for j in range(K + 1)]
+    acc = [Poly.zero()] * (N + 1)
+    for n in range(M + 1):
+        for j in range(min(n, K) + 1):
+            base = A[n] * qbinom(n, j, q) * J[j]
+            for i in range(max(0, n - N), j + 1):
+                acc[n - i] = acc[n - i] + Poly.monomial(K - i, n, base * E[j][i])
+    return euler_inverse_series(Poly.x(), q, N) * TSeries(N, acc)
+
+
+@pytest.mark.parametrize("N", range(13))
+def test_euler_sums_match_per_term_rows(N):
+    # the closed-form Euler sums of ID-5/6/7 against one shifted Euler
+    # series (ID-5/6) or one expansion row (ID-7) per summand; sig, tau or
+    # t_scale 0 leave one Euler row, a = q^-2 makes the 3phi2 terminate
+    rng = random.Random(f"euler-sums-{N}")
+    ps = random_paramset(rng, extras=("sig", "tau"))
+    draw = ps.get("sig"), ps.get("tau")
+    for case in (ps, ps.with_values(a=ps.q**-2)):
+        for sig, tau in (draw, (F(0), draw[1]), (draw[0], F(0))):
+            _, _, rhs = build_id5_pair(case, N, sig, tau)
+            assert rhs == _id5_rhs_by_shifts(case, N, sig, tau), (N, sig, tau)
+        for t_scale in (draw[0], F(0), F(1)):
+            assert build_id6_rhs(case, N, t_scale) == _id6_rhs_by_shifts(case, N, t_scale)
+        for K in range(4):
+            _, _, rhs = build_id7_pair(case, N, K)
+            assert rhs == _id7_rhs_by_rows(case, N, K), (N, K)
