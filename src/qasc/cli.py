@@ -15,14 +15,16 @@ an exact builder raised an unexpected error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from fractions import Fraction
 
 from .core import ParamSet, Poly
 from .identities import CATALOG, CATALOG_ORDER, trial_paramset, verify
 from .numeric import NUMERIC_CATALOG, NUMERIC_ORDER, NumericConfig
-from .polys import PolyFamily
+from .polys import _FAMILY_ARITY, PolyFamily
 from .qkernel import PoleError, qbinom, qpoch
 
 EXIT_PASS = 0
@@ -62,21 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--config", help="JSON config file mirroring the flags; flags win")
 
     e = sub.add_parser("eval", help="evaluate one polynomial family exactly")
-    e.add_argument(
-        "family",
-        choices=(
-            "asc-new-phi",
-            "asc-new-psi",
-            "asc-gen3-phi",
-            "asc-gen3-psi",
-            "asc-classical-phi",
-            "asc-classical-psi",
-            "cauchy",
-            "rogers-szego",
-            "qbinom",
-            "qpoch",
-        ),
-    )
+    families = [f.replace("_", "-") for f in _FAMILY_ARITY]
+    e.add_argument("family", choices=families + ["qbinom", "qpoch"])
     e.add_argument("--n", type=int, default=0)
     e.add_argument("--k", type=int)
     for name in ("q", "a", "b", "c", "d", "e", "x", "y"):
@@ -150,9 +139,20 @@ def _select_ids(cfg: dict) -> tuple[list[str], list[str]]:
     return exact, numeric
 
 
+def _unwritable(out: str, reason: str):
+    print(f"error: cannot write report {out}: {reason}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     exact_ids, numeric_ids = _select_ids(cfg)
+    out = cfg["out"]
+    # before any check runs, refuse a directory or a path in a missing one
+    if os.path.isdir(out):
+        _unwritable(out, os.strerror(errno.EISDIR))
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        _unwritable(out, os.strerror(errno.ENOENT))
     entries = []
     any_fail = False
     any_noconv = False
@@ -194,14 +194,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "trials": cfg["trials"],
         "entries": entries,
     }
-    out = cfg["out"]
     try:
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
     except OSError as exc:
-        print(f"error: cannot write report {out}: {exc.strerror or exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _unwritable(out, exc.strerror or str(exc))
 
     total = len(entries)
     passed = sum(1 for e in entries if e["status"] == "pass")
@@ -211,18 +209,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if any_noconv:
         return EXIT_NOCONV
     return EXIT_FAIL if any_fail else EXIT_PASS
-
-
-_FAMILY_NAMES = {
-    "asc-new-phi": "asc_new_phi",
-    "asc-new-psi": "asc_new_psi",
-    "asc-gen3-phi": "asc_gen3_phi",
-    "asc-gen3-psi": "asc_gen3_psi",
-    "asc-classical-phi": "asc_classical_phi",
-    "asc-classical-psi": "asc_classical_psi",
-    "cauchy": "cauchy",
-    "rogers-szego": "rogers_szego",
-}
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -242,7 +228,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             q=q,
             **{k: _frac(getattr(args, k), k, Fraction(0)) for k in ("a", "b", "c", "d", "e")},
         )
-        family = PolyFamily(_FAMILY_NAMES[fam], ps)
+        family = PolyFamily(fam.replace("-", "_"), ps)
         # the two variable slots default to the symbols x, y
         x = _frac(args.x, "x") if args.x else Poly.x()
         y = _frac(args.y, "y") if args.y else Poly.y()

@@ -7,6 +7,8 @@ All arithmetic runs on mpmath mpf/mpc at a configurable binary precision.
 Infinite products and sums are truncated at a tail tolerance well below
 the comparison tolerance, with heuristic tail estimates accumulated into
 an error budget (labeled as such; these are not rigorous enclosures).
+Every q-hypergeometric term sequence, the (q x_r/x_s;q)_j and (b;q)_m
+tables of the U(n+1) shells included, comes from ``qkernel.term_stream``.
 Quadrature is composite Gauss-Legendre over a truncated domain, with
 nodes computed at working precision.
 """
@@ -14,7 +16,7 @@ nodes computed at working precision.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator, Sequence
@@ -25,6 +27,9 @@ from .core import ParamSet, as_fraction
 from .qkernel import term_stream
 
 F = Fraction
+
+_MAX_TERMS = 100_000  # terms of one series or factors of one q-product
+_MAX_SHELLS = 600     # total-degree shells of one U(n+1) sum
 
 
 @dataclass(frozen=True)
@@ -42,8 +47,6 @@ class NumericConfig:
     precision_bits: int = 256
     tail_tol: str = "1e-40"
     compare_tol: str = "1e-12"
-    max_terms: int = 100_000
-    max_shells: int = 600
     quad: QuadConfig = field(default_factory=QuadConfig)
 
     def __post_init__(self):
@@ -105,8 +108,8 @@ def sum_until_tail(terms: Iterator, cfg: NumericConfig, budget: list | None = No
                 return total
         else:
             small = 0
-        if count >= cfg.max_terms:
-            raise NonConvergence(f"series did not pass the tail test in {cfg.max_terms} terms")
+        if count >= _MAX_TERMS:
+            raise NonConvergence(f"series did not pass the tail test in {_MAX_TERMS} terms")
     return total
 
 
@@ -137,7 +140,7 @@ def poch_inf(a, q, cfg: NumericConfig, budget: list | None = None):
         out = out * (1 - a * p)
         p = p * q
         i += 1
-        if i > cfg.max_terms:
+        if i > _MAX_TERMS:
             raise NonConvergence("infinite q-product did not reach the tail tolerance")
     if budget is not None:
         budget.append(absa * p / (1 - q) * abs(out))
@@ -162,13 +165,14 @@ def asc5_phi_num(n: int, a, b, c, d, e, q, x, y):
     """phi_n(x,y) = sum_k [n;k] (a,b,c;q)_k/(d,e;q)_k x^(n-k) y^k on floats."""
     total = mpc(0)
     binom = mpf(1)
-    xp = x**n if n else mpf(1)
+    xp = [mpf(1)]  # x^0..x^n by multiplication, so x = 0 is allowed
+    for _ in range(n):
+        xp.append(xp[-1] * x)
     weights = term_stream((a, b, c), {"d": d, "e": e}, q, 1, 1, mpf(1))
     for k, w in enumerate(islice(weights, n + 1)):
-        total = total + binom * w * xp * y**k
+        total = total + binom * w * xp[n - k] * y**k
         if k < n:
             binom = binom * (1 - q ** (n - k)) / (1 - q ** (k + 1))
-            xp = xp / x
     return total
 
 
@@ -237,22 +241,6 @@ def u_region_bound(xs: Sequence[Fraction], q: Fraction, n: int) -> Fraction | fl
     return float(best) * float(as_fraction(q)) ** ((n - 1) / 2)
 
 
-class _PochTable:
-    """Lazily extended table of (q x_r/x_s; q)_j values."""
-
-    def __init__(self, ratio, q):
-        self.ratio = ratio
-        self.q = q
-        self.vals = [mpf(1)]
-        self.qpow = q  # q^(j+1) for the next factor
-
-    def get(self, j: int):
-        while len(self.vals) <= j:
-            self.vals.append(self.vals[-1] * (1 - self.ratio * self.qpow))
-            self.qpow = self.qpow * self.q
-        return self.vals[j]
-
-
 def u_series(
     n: int,
     xs: Sequence,
@@ -281,39 +269,38 @@ def u_series(
     if weight is not None:
         wa, wb, wc, wd, we = (to_mp(v) for v in (weight.a, weight.b, weight.c, weight.d, weight.e))
 
-    tables = {}
-    for r_i in range(n):
-        for s_i in range(n):
-            tables[(r_i, s_i)] = _PochTable(xs_mp[r_i] / xs_mp[s_i], q)
-
+    ratio = [[xr / xc for xc in xs_mp] for xr in xs_mp]
+    pairs = [(r_i, s_i, ratio[r_i][s_i]) for r_i in range(n) for s_i in range(r_i + 1, n)]
     pair_norm = mpf(1)
-    for r_i in range(n):
-        for s_i in range(r_i + 1, n):
-            pair_norm = pair_norm * (1 - xs_mp[r_i] / xs_mp[s_i])
+    for _, _, x_rs in pairs:
+        pair_norm = pair_norm * (1 - x_rs)
+    # tables[r][j] = prod_s (q x_r/x_s;q)_j and tables[n][m] = (b;q)_m, one
+    # entry appended per shell
+    streams = [term_stream([q * v for v in row], {}, q, 1, 1, mpf(1)) for row in ratio]
+    streams.append(term_stream((b,), {}, q, 1, 1, mpf(1)))
+    tables = [[] for _ in streams]
 
     tail = cfg.tail()
     total = mpc(0)
     small = 0
     grow = 0
     prev_abs = None
-    bpoch = mpf(1)  # (b;q)_m
-    qm = mpf(1)     # q^m
-    for m in range(cfg.max_shells + 1):
+    for m in range(_MAX_SHELLS + 1):
+        for table, stream in zip(tables, streams):
+            table.append(next(stream))
         if weight is None:
-            shell_w = bpoch * z**m
+            shell_w = tables[n][m] * z**m
         else:
-            shell_w = bpoch * asc5_phi_num(m, wa, wb, wc, wd, we, q, z, y_mp)
+            shell_w = tables[n][m] * asc5_phi_num(m, wa, wb, wc, wd, we, q, z, y_mp)
         shell = mpc(0)
         shell_abs = mpf(0)
         for ys in _compositions(m, n):
             val = mpf(1)
-            for r_i in range(n):
-                for s_i in range(r_i + 1, n):
-                    val = val * (1 - (xs_mp[r_i] / xs_mp[s_i]) * q ** (ys[r_i] - ys[s_i]))
+            for r_i, s_i, x_rs in pairs:
+                val = val * (1 - x_rs * q ** (ys[r_i] - ys[s_i]))
             val = val / pair_norm
             for r_i in range(n):
-                for s_i in range(n):
-                    val = val / tables[(r_i, s_i)].get(ys[r_i])
+                val = val / tables[r_i][ys[r_i]]
             for i in range(n):
                 val = val * xs_mp[i] ** (n * ys[i] - m)
             if (n - 1) * m % 2:
@@ -343,9 +330,7 @@ def u_series(
         else:
             grow = 0
         prev_abs = shell_abs
-        bpoch = bpoch * (1 - b * qm)
-        qm = qm * q
-    raise NonConvergence(f"shell sum did not converge within {cfg.max_shells} shells")
+    raise NonConvergence(f"shell sum did not converge within {_MAX_SHELLS} shells")
 
 
 def u_series_rhs(b, z, q, cfg: NumericConfig, weight: ParamSet | None = None,
@@ -375,24 +360,26 @@ def gauss_legendre_nodes(n: int, prec: int) -> tuple[list, list]:
     key = (n, prec)
     if key in _GL_CACHE:
         return _GL_CACHE[key]
+
+    def legendre(x):
+        """P_n(x) and P_n'(x) by the three-term recurrence."""
+        p0, p1 = mpf(1), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (x * p1 - p0) / (x * x - 1)
+
     with mp.workprec(prec + 32):
         nodes = []
         weights = []
         for i in range(n):
             x = mp.cos(mp.pi * (i + mpf(3) / 4) / (n + mpf(1) / 2))
             for _ in range(100):
-                p0, p1 = mpf(1), x
-                for k in range(2, n + 1):
-                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-                dp = n * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
+                p, dp = legendre(x)
+                dx = p / dp
                 x = x - dx
                 if abs(dx) < mpf(2) ** (-prec - 16):
                     break
-            p0, p1 = mpf(1), x
-            for k in range(2, n + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = n * (x * p1 - p0) / (x * x - 1)
+            _, dp = legendre(x)
             nodes.append(x)
             weights.append(2 / ((1 - x * x) * dp * dp))
     _GL_CACHE[key] = (nodes, weights)
@@ -404,11 +391,10 @@ def integrate_panels(f: Callable, lo, hi, cfg: NumericConfig):
     nodes, weights = gauss_legendre_nodes(cfg.quad.nodes, cfg.precision_bits)
     panels = cfg.quad.panels
     width = (hi - lo) / panels
+    half = width / 2
     total = mpc(0)
     for p in range(panels):
-        a = lo + p * width
-        mid = a + width / 2
-        half = width / 2
+        mid = lo + p * width + half
         acc = mpc(0)
         for xi, wi in zip(nodes, weights):
             acc = acc + wi * f(mid + half * xi)
@@ -495,20 +481,9 @@ class NumericReport:
     trial: int = 0
 
     def to_dict(self) -> dict:
-        out = {
-            "id": self.id,
-            "description": self.description,
-            "params": self.params,
-            "status": self.status,
-        }
-        if self.rel_diff is not None:
-            out["rel_diff"] = self.rel_diff
-        if self.error_budget is not None:
-            out["error_budget"] = self.error_budget
-        out["precision_bits"] = self.precision_bits
-        out["runtime_ms"] = self.runtime_ms
-        out["trial"] = self.trial
-        return out
+        """The fields in declaration order; rel_diff and error_budget only
+        when set."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def rel_diff(lhs, rhs) -> mpf:
@@ -527,30 +502,24 @@ class NumericCheck:
 
     def execute(self, cfg: NumericConfig) -> NumericReport:
         t0 = time.perf_counter()
+        report = NumericReport(
+            id=self.id,
+            description=self.description,
+            params={k: str(v) for k, v in self.params.items()},
+            status="no-convergence",
+            precision_bits=cfg.precision_bits,
+        )
         with mp.workprec(cfg.precision_bits):
             try:
                 lhs, rhs, budget = self.run(self, cfg)
-                d = rel_diff(lhs, rhs)
-                status = "pass" if d < cfg.ctol() else "fail"
-                report = NumericReport(
-                    id=self.id,
-                    description=self.description,
-                    params={k: str(v) for k, v in self.params.items()},
-                    status=status,
-                    rel_diff=mp.nstr(d, 8),
-                    error_budget=mp.nstr(sum(budget, mpf(0)), 5) if budget else None,
-                    precision_bits=cfg.precision_bits,
-                )
             except NonConvergence as exc:
-                report = NumericReport(
-                    id=self.id,
-                    description=self.description,
-                    params={k: str(v) for k, v in self.params.items()},
-                    status="no-convergence",
-                    rel_diff=None,
-                    error_budget=str(exc),
-                    precision_bits=cfg.precision_bits,
-                )
+                report.error_budget = str(exc)
+            else:
+                d = rel_diff(lhs, rhs)
+                report.status = "pass" if d < cfg.ctol() else "fail"
+                report.rel_diff = mp.nstr(d, 8)
+                if budget:
+                    report.error_budget = mp.nstr(sum(budget, mpf(0)), 5)
         report.runtime_ms = int((time.perf_counter() - t0) * 1000)
         return report
 
@@ -560,12 +529,12 @@ class NumericCheck:
             return rel_diff(lhs, rhs)
 
 
-_BASE = dict(q=F(1, 2), a=F(1, 5), b=F(1, 7), c=F(1, 9), d=F(1, 4), e=F(1, 6))
-_WEIGHT = ParamSet(q=F(1, 2), a=F(1, 5), b=F(1, 7), c=F(1, 9), d=F(1, 4), e=F(1, 6))
-
-
 def _ps_of(p: dict) -> ParamSet:
     return ParamSet(q=p["q"], a=p["a"], b=p["b"], c=p["c"], d=p["d"], e=p["e"])
+
+
+_BASE = dict(q=F(1, 2), a=F(1, 5), b=F(1, 7), c=F(1, 9), d=F(1, 4), e=F(1, 6))
+_WEIGHT = _ps_of(_BASE)
 
 
 def _run_transformation(chk: NumericCheck, cfg: NumericConfig):

@@ -265,11 +265,11 @@ def hyper_series(spec: PhiSpec, order: int, arg_mono: Poly | Fraction | int = 1)
     dens = {f"b{i + 1}": b for i, b in enumerate(spec.denominators)}
     dens["q"] = q
     row = _poch_row(spec.numerators, dens, q, order, z=(-1) ** e, r=q**e)
-    return _euler(arg_mono, order, 1, row)
+    return _euler(arg_mono, order, row)
 
 
-def _euler(mono: Poly | Fraction | int, order: int, t_power: int, row) -> TSeries:
-    """sum_n row[n] mono^n t^(n*t_power) for n <= order // t_power."""
+def _euler(mono: Poly | Fraction | int, order: int, row) -> TSeries:
+    """sum_n row[n] mono^n t^n for n <= order."""
     if isinstance(mono, (int, Fraction)):
         mono = Poly.const(mono)
     if not mono.is_monomial():
@@ -277,20 +277,18 @@ def _euler(mono: Poly | Fraction | int, order: int, t_power: int, row) -> TSerie
     ((i, j), c), = mono.terms.items() or [((0, 0), ZERO)]
     coeffs = [Poly.zero()] * (order + 1)
     for n, w in enumerate(row):
-        coeffs[n * t_power] = Poly.monomial(i * n, j * n, c**n * w)
+        coeffs[n] = Poly.monomial(i * n, j * n, c**n * w)
     return TSeries(order, coeffs)
 
 
-def euler_inverse_series(mono: Poly | Fraction | int, q, order: int, t_power: int = 1) -> TSeries:
-    """Series for 1/(mono*t^t_power; q)_inf = sum_n mono^n t^(n*t_power) / (q;q)_n."""
-    return _euler(mono, order, t_power, _poch_row((), {"q": q}, q, order // t_power))
+def euler_inverse_series(mono: Poly | Fraction | int, q, order: int) -> TSeries:
+    """Series for 1/(mono*t; q)_inf = sum_n mono^n t^n / (q;q)_n."""
+    return _euler(mono, order, _poch_row((), {"q": q}, q, order))
 
 
-def euler_product_series(mono: Poly | Fraction | int, q, order: int, t_power: int = 1) -> TSeries:
-    """Series for (mono*t^t_power; q)_inf
-    = sum_n (-1)^n q^C(n,2) mono^n t^(n*t_power) / (q;q)_n."""
-    row = _poch_row((), {"q": q}, q, order // t_power, z=-ONE, r=q)
-    return _euler(mono, order, t_power, row)
+def euler_product_series(mono: Poly | Fraction | int, q, order: int) -> TSeries:
+    """Series for (mono*t; q)_inf = sum_n (-1)^n q^C(n,2) mono^n t^n / (q;q)_n."""
+    return _euler(mono, order, _poch_row((), {"q": q}, q, order, z=-ONE, r=q))
 
 
 def qpoch_t_poly(mono: Poly | Fraction | int, q, j: int, order: int) -> TSeries:

@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 from qasc import cli
-from qasc.core import TSeries
+from qasc.core import ParamSet, TSeries
 from qasc.identities import CATALOG, IdentityCheck
+from qasc.polys import _FAMILY_ARITY, PolyFamily
 
 
 def run_verify(tmp_path, name, args):
@@ -106,8 +107,11 @@ class TestVerifyCommand:
         out = tmp_path if where == "directory" else tmp_path / "missing" / "r.json"
         args = ["verify", "--ids", "ID-9", "--order", "4", "--trials", "1", "--out", str(out)]
         assert cli.main(args) == 2
-        err = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: cannot write report {out}: ")
+        # refused before the first check ran
+        assert "trial" not in captured.out
 
     def test_config_file_flags_win(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -198,6 +202,17 @@ class TestEvalCommand:
 
     def test_bad_fraction(self, capsys):
         assert cli.main(["eval", "qbinom", "--n", "3", "--k", "1", "--q", "zap"]) == 2
+
+    @pytest.mark.parametrize("family", list(_FAMILY_ARITY))
+    def test_every_family_evaluates(self, capsys, family):
+        values = dict(a=Fraction(1, 3), b=Fraction(1, 5), c=Fraction(1, 7),
+                      d=Fraction(1, 4), e=Fraction(1, 6))
+        used = {k: values[k] for k in _FAMILY_ARITY[family]}
+        flags = [arg for k, v in used.items() for arg in (f"--{k}", str(v))]
+        name = family.replace("_", "-")
+        assert cli.main(["eval", name, "--n", "2", "--q", "1/2"] + flags) == 0
+        want = PolyFamily(family, ParamSet(q=Fraction(1, 2), **used)).evaluate(2)
+        assert capsys.readouterr().out.strip() == str(want)
 
 
 class TestModuleEntryPoint:

@@ -130,6 +130,16 @@ class TestPrimitives:
                 exact = asc5_phi(n, ps).eval(F(1, 3), F(1, 8))
                 assert abs(got - to_mp(exact)) < mpf("1e-30")
 
+    def test_asc5_phi_num_at_x_zero(self):
+        # phi_n(0, y) = (a,b,c;q)_n/(d,e;q)_n y^n: only the k = n term is left
+        ps = ParamSet(q=F(1, 2), a=F(1, 5), b=F(1, 7), c=F(1, 9), d=F(1, 4), e=F(1, 6))
+        with mp.workprec(128):
+            args = [to_mp(v) for v in (ps.a, ps.b, ps.c, ps.d, ps.e)]
+            for n in range(9):
+                got = asc5_phi_num(n, *args, to_mp(ps.q), mpf(0), to_mp(F(1, 8)))
+                exact = asc5_phi(n, ps, 0, F(1, 8)).constant()
+                assert abs(got - to_mp(exact)) < mpf("1e-30") * abs(to_mp(exact))
+
     def test_qpoch_num(self):
         with mp.workprec(64):
             assert abs(qpoch_num(mpf("0.5"), mpf("0.5"), 2) - mpf("0.375")) < mpf("1e-15")
@@ -216,6 +226,14 @@ class TestUSeries:
             )
             assert rel_diff(plain, weighted) < mpf("1e-20")
 
+    def test_weighted_at_z_zero(self):
+        # z = 0 leaves phi_m(0, y) = (a,b,c;q)_m/(d,e;q)_m y^m in each shell
+        w = ParamSet(q=F(1, 2), a=F(1, 5), b=F(1, 7), c=F(1, 9), d=F(1, 4), e=F(1, 6))
+        with mp.workprec(128):
+            lhs = u_series(2, [F(1), F(1, 3)], F(1, 4), F(0), F(1, 2), FAST, weight=w, y=F(1, 8))
+            rhs = u_series_rhs(F(1, 4), F(0), F(1, 2), FAST, weight=w, y=F(1, 8))
+            assert rel_diff(lhs, rhs) < FAST.ctol()
+
     def test_region_bound(self):
         assert u_region_bound([F(1), F(1, 3)], F(1, 2), 2) == pytest.approx(
             (1 / 3) * (1 / 2) ** 0.5
@@ -223,7 +241,7 @@ class TestUSeries:
 
     def test_divergence_flagged(self):
         with mp.workprec(64):
-            cfg = NumericConfig(precision_bits=64, tail_tol="1e-15", max_shells=200)
+            cfg = NumericConfig(precision_bits=64, tail_tol="1e-15")
             with pytest.raises(NonConvergence):
                 u_series(2, [F(1), F(1, 3)], F(1, 4), F(3), F(1, 2), cfg)
 

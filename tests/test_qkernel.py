@@ -195,13 +195,6 @@ class TestEulerSeries:
         with pytest.raises(ValueError):
             euler_inverse_series(Poly.x() + Poly.y(), Q, 4)
 
-    def test_t_power_two(self):
-        s = euler_product_series(Poly.const(F(1, 3)), Q, 8, t_power=2)
-        assert all(s.coeff(n).is_zero() for n in (1, 3, 5, 7))
-        plain = euler_product_series(Poly.const(F(1, 3)), Q, 4)
-        for n in range(5):
-            assert s.coeff(2 * n) == plain.coeff(n)
-
     def test_qpoch_t_poly(self):
         # (xt;q)_2 = 1 - (1+q) x t + q x^2 t^2
         s = qpoch_t_poly(Poly.x(), Q, 2, 4)
