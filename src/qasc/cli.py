@@ -4,8 +4,13 @@ polynomial families exactly.
     qasc verify --suite exact --order 12 --trials 5 --seed 42 --out report.json
     qasc verify --suite numeric --precision 256
     qasc verify --ids ID-9,ID-12 --order 8 --trials 1 --seed 7
+    qasc verify --suite numeric --ids NUM-2 --precision 512
     qasc eval asc-new-phi --n 1 --q 1/2 --a 1/3 --b 0 --c 0 --d 0 --e 0
     qasc eval qbinom --n 3 --k 1 --q 1/2
+
+`--ids` picks checks within the selected suite (default `all`). The
+numeric module, and with it mpmath, is imported only when a numeric check
+runs.
 
 Exit codes: 0 all pass, 1 verification failure, 2 usage or configuration
 error (an unwritable report path included), 3 numeric non-convergence, 4
@@ -23,7 +28,6 @@ from fractions import Fraction
 
 from .core import ParamSet, Poly
 from .identities import CATALOG, CATALOG_ORDER, trial_paramset, verify
-from .numeric import NUMERIC_CATALOG, NUMERIC_ORDER, NumericConfig
 from .polys import _FAMILY_ARITY, PolyFamily
 from .qkernel import PoleError, qbinom, qpoch
 
@@ -56,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--order", type=int, help="series truncation order (>= 4)")
     v.add_argument("--trials", type=int, help="random parameter draws per exact identity")
     v.add_argument("--seed", type=int, help="seed determining every parameter draw")
-    v.add_argument("--ids", help="comma-separated identity filter, e.g. ID-9,NUM-2")
+    v.add_argument("--ids", help="comma-separated filter within --suite, e.g. ID-9,NUM-2")
     v.add_argument("--precision", type=int, help="numeric working precision in bits")
     v.add_argument("--tail-tol", dest="tail_tol", help="numeric tail tolerance, e.g. 1e-40")
     v.add_argument("--compare-tol", dest="compare_tol", help="numeric pass tolerance")
@@ -126,16 +130,24 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _select_ids(cfg: dict) -> tuple[list[str], list[str]]:
-    exact = list(CATALOG_ORDER) if cfg["suite"] in ("exact", "all") else []
-    numeric = list(NUMERIC_ORDER) if cfg["suite"] in ("numeric", "all") else []
+    """The exact and the numeric ids to run: the suite's, or those of them
+    that --ids names.  The numeric catalog is read only when the suite has
+    numeric checks and no --ids, or --ids names an id the exact suite lacks."""
+    suite = cfg["suite"]
+    wanted = None
     if cfg["ids"]:
         wanted = [t.strip() for t in str(cfg["ids"]).split(",") if t.strip()]
-        bad = [w for w in wanted if w not in CATALOG and w not in NUMERIC_CATALOG]
-        if bad:
-            print(f"error: unknown identity ids {bad}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-        exact = [i for i in CATALOG_ORDER if i in wanted]
-        numeric = [i for i in NUMERIC_ORDER if i in wanted]
+    exact = [i for i in CATALOG_ORDER if suite != "numeric" and (wanted is None or i in wanted)]
+    rest = [w for w in wanted or () if w not in exact]
+    numeric = []
+    if suite != "exact" and (wanted is None or rest):
+        from .numeric import NUMERIC_ORDER
+
+        numeric = [i for i in NUMERIC_ORDER if wanted is None or i in rest]
+    bad = [w for w in rest if w not in numeric]
+    if bad:
+        print(f"error: identity ids {bad} are not in suite {suite!r}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     return exact, numeric
 
 
@@ -169,6 +181,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"{cid:7s} trial {trial}: {rep.status}")
 
     if numeric_ids:
+        from .numeric import NUMERIC_CATALOG, NumericConfig
+
         try:
             ncfg = NumericConfig(
                 precision_bits=cfg["precision"],

@@ -161,19 +161,29 @@ def hyper_num(nums: Sequence, dens: Sequence, q, z, cfg: NumericConfig,
     return sum_until_tail(terms, cfg, budget)
 
 
+def _asc5_phi_seq(a, b, c, d, e, q, x, y) -> Iterator:
+    """phi_0(x,y), phi_1(x,y), ... on floats, from one weight row
+    (a,b,c;q)_j/(d,e;q)_j and one table each of x^j, y^j and 1 - q^j,
+    every one grown by one entry per n."""
+    weights = term_stream((a, b, c), {"d": d, "e": e}, q, 1, 1, mpf(1))
+    row, xp, yp, om = [], [], [], []
+    for n, w in enumerate(weights):
+        row.append(w)
+        xp.append(xp[-1] * x if n else mpf(1))  # by multiplication, so x = 0 is allowed
+        yp.append(y**n)
+        om.append(1 - q**n)
+        total = mpc(0)
+        binom = mpf(1)
+        for k in range(n + 1):
+            total = total + binom * row[k] * xp[n - k] * yp[k]
+            if k < n:
+                binom = binom * om[n - k] / om[k + 1]
+        yield total
+
+
 def asc5_phi_num(n: int, a, b, c, d, e, q, x, y):
     """phi_n(x,y) = sum_k [n;k] (a,b,c;q)_k/(d,e;q)_k x^(n-k) y^k on floats."""
-    total = mpc(0)
-    binom = mpf(1)
-    xp = [mpf(1)]  # x^0..x^n by multiplication, so x = 0 is allowed
-    for _ in range(n):
-        xp.append(xp[-1] * x)
-    weights = term_stream((a, b, c), {"d": d, "e": e}, q, 1, 1, mpf(1))
-    for k, w in enumerate(islice(weights, n + 1)):
-        total = total + binom * w * xp[n - k] * y**k
-        if k < n:
-            binom = binom * (1 - q ** (n - k)) / (1 - q ** (k + 1))
-    return total
+    return next(islice(_asc5_phi_seq(a, b, c, d, e, q, x, y), n, None))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +197,8 @@ def transformation_lhs(ps: ParamSet, x, y, t, s, r, cfg: NumericConfig):
     x, y, t, s, r = (to_mp(v) for v in (x, y, t, s, r))
 
     weights = term_stream((t, s), {"q": q, "r": r}, q, 1, 1, mpf(1))
-    terms = (w * asc5_phi_num(k, a, b, c, d, e, q, x, y) for k, w in enumerate(weights))
-    return sum_until_tail(terms, cfg)
+    phis = _asc5_phi_seq(a, b, c, d, e, q, x, y)
+    return sum_until_tail((w * phi for w, phi in zip(weights, phis)), cfg)
 
 
 def transformation_rhs(ps: ParamSet, x, y, t, s, r, cfg: NumericConfig,
@@ -265,9 +275,9 @@ def u_series(
     xs_mp = [to_mp(v) for v in xs]
     b = to_mp(b)
     z = to_mp(z)
-    y_mp = to_mp(y) if y is not None else None
     if weight is not None:
-        wa, wb, wc, wd, we = (to_mp(v) for v in (weight.a, weight.b, weight.c, weight.d, weight.e))
+        w5 = (to_mp(v) for v in (weight.a, weight.b, weight.c, weight.d, weight.e))
+        phis = _asc5_phi_seq(*w5, q, z, to_mp(y))
 
     ratio = [[xr / xc for xc in xs_mp] for xr in xs_mp]
     pairs = [(r_i, s_i, ratio[r_i][s_i]) for r_i in range(n) for s_i in range(r_i + 1, n)]
@@ -291,7 +301,7 @@ def u_series(
         if weight is None:
             shell_w = tables[n][m] * z**m
         else:
-            shell_w = tables[n][m] * asc5_phi_num(m, wa, wb, wc, wd, we, q, z, y_mp)
+            shell_w = tables[n][m] * next(phis)
         shell = mpc(0)
         shell_abs = mpf(0)
         for ys in _compositions(m, n):

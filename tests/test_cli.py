@@ -102,6 +102,25 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--order", "2", "--out", str(tmp_path / "x.json")]) == 2
         assert cli.main(["verify", "--trials", "0", "--out", str(tmp_path / "x.json")]) == 2
 
+    @pytest.mark.parametrize("suite, ids, outside", [("exact", "ID-9,NUM-3", "NUM-3"),
+                                                     ("numeric", "NUM-3,ID-9", "ID-9")])
+    def test_ids_outside_suite_is_usage_error(self, tmp_path, capsys, suite, ids, outside):
+        # --ids filters within --suite: an id of the other suite is refused,
+        # and the message names the suite, before any check runs
+        out = tmp_path / "s.json"
+        args = ["verify", "--suite", suite, "--ids", ids, "--order", "4", "--trials", "1",
+                "--precision", "128", "--out", str(out)]
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: identity ids [{outside!r}] are not in suite {suite!r}\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_ids_span_suite_all(self, tmp_path):
+        code, rep = run_verify(tmp_path, "all.json", ["--ids", "NUM-3,ID-9", "--order", "4",
+                                                      "--trials", "1", "--precision", "128"])
+        assert code == 0 and rep["suite"] == "all"
+        assert [e["id"] for e in rep["entries"]] == ["ID-9", "NUM-3"]
+
     @pytest.mark.parametrize("where", ["directory", "missing parent"])
     def test_unwritable_report_is_usage_error(self, tmp_path, capsys, where):
         out = tmp_path if where == "directory" else tmp_path / "missing" / "r.json"
@@ -229,6 +248,39 @@ class TestModuleEntryPoint:
 
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# the exact suite and eval run without the numeric module or mpmath; the
+# numeric names of the package resolve on first use
+_COLD_START = """
+import json
+import sys
+
+import qasc
+import qasc.cli
+
+codes = [
+    qasc.cli.main(["verify", "--suite", "exact", "--order", "4", "--trials", "1",
+                   "--out", sys.argv[1]]),
+    qasc.cli.main(["eval", "qbinom", "--n", "3", "--k", "1", "--q", "1/2"]),
+]
+loaded = [m for m in ("mpmath", "qasc.numeric") if m in sys.modules]
+config = qasc.NumericConfig
+from qasc import numeric
+
+star = {}
+exec("from qasc import *", star)
+print(json.dumps([codes, loaded, config is numeric.NumericConfig,
+                  [name for name in qasc.__all__ if name not in star]]))
+"""
+
+
+class TestColdStart:
+    def test_exact_and_eval_leave_numeric_unloaded(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path / "r.json")],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], [], True, []]
 
 # perfbench/tracer.py looks up qasc's entry points by name and perfbench/child.py
 # patches three of them; run both against the package as it stands
