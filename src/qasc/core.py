@@ -2,9 +2,10 @@
 {x, y}, and truncated power series in a formal variable t.
 
 No value here is changed after construction, so values are safe to share
-across threads; ``Poly.terms`` and ``TSeries.coeffs`` are plain containers
-that callers must not write to.  The coefficient field is
-``fractions.Fraction`` throughout.
+across threads; ``Poly.terms`` is a plain dict that callers must not write
+to, and ``TSeries.coeffs`` is a tuple.  The coefficient field is the
+rationals: ``fractions.Fraction`` in a Poly, and in a TSeries one
+integer row per power of t, the layout of FLINT's ``fmpq_poly``.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm, prod
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -108,7 +110,7 @@ class Poly:
             return _raw({e: k * c for e, k in self.terms.items()})
         t: dict[tuple[int, int], Fraction] = {}
         _mul_into(t, self.terms, _coerce_poly(other).terms)
-        return _nonzero(t)
+        return _raw({e: c for e, c in t.items() if c})
 
     __rmul__ = __mul__
 
@@ -223,19 +225,16 @@ def _raw(terms: dict[tuple[int, int], Fraction]) -> Poly:
     return p
 
 
-def _mul_into(acc: dict, a: Mapping, b: Mapping) -> None:
-    """Add the product of the term maps a and b into acc; a cancelled key
-    stays in acc with value 0 (see _nonzero)."""
+def _mul_into(acc: dict, a: Mapping, b: Mapping, f: int = 1) -> None:
+    """Add f times the product of the term maps a and b into acc; a
+    cancelled key stays in acc with value 0."""
     for (i1, j1), c1 in a.items():
+        if f != 1:
+            c1 *= f
         for (i2, j2), c2 in b.items():
             e = (i1 + i2, j1 + j2)
             s = acc.get(e)
             acc[e] = c1 * c2 if s is None else s + c1 * c2
-
-
-def _nonzero(terms: dict) -> Poly:
-    """The Poly of an accumulator's nonzero terms."""
-    return _raw({e: c for e, c in terms.items() if c})
 
 
 def _coerce_poly(v) -> Poly:
@@ -249,28 +248,113 @@ def _coerce_poly(v) -> Poly:
 X = Poly.x()
 Y = Poly.y()
 
+# A row is one polynomial as (nums, den): integer numerators keyed by (i, j)
+# over one positive denominator.  Canonical rows have no zero numerator and
+# gcd(den, *nums) == 1, so equal polynomials have equal rows.
+Row = tuple[dict[tuple[int, int], int], int]
+_ZROW: Row = ({}, 1)
+_UNIT: Row = ({(0, 0): 1}, 1)
+
+
+def _row(p: Poly) -> Row:
+    """The canonical row of p: its numerators over the lcm of its denominators."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
+
+
+def _poly(row: Row) -> Poly:
+    nums, den = row
+    return _raw({e: Fraction(c, den) for e, c in nums.items() if c})
+
+
+def _lcm(dens: Iterable[int]) -> int:
+    """lcm of the denominators; along a Pochhammer row, where each divides
+    the next (or the last), a step costs a remainder, not a gcd."""
+    out = 1
+    for d in dens:
+        if out % d:
+            out = d if d % out == 0 else lcm(out, d)
+    return out
+
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _canon(nums: dict, den: int) -> Row:
+    """nums/den as a canonical row: zeros dropped, content divided out."""
+    g = gcd(den, min(nums.values(), key=abs, default=0))
+    if g != 1:
+        g = gcd(g, *nums.values())
+    if den < 0:
+        g = -g
+    if g == 1 and all(nums.values()):
+        return nums, den
+    nums = {e: c // g for e, c in nums.items() if c}
+    return (nums, den // g) if nums else _ZROW
+
+
+def _sum_terms(terms: Sequence[tuple[tuple[int, int], int, tuple[int, ...]]],
+               reduce: bool = True) -> Row:
+    """The row (canonical with reduce) of sum c/(d_1 d_2 ...) x^i y^j over
+    the terms ((i, j), c, (d_1, d_2, ...)), over the product of the lcms of
+    each slot's denominators."""
+    slots = [_lcm(ds) for ds in zip(*(ds for _, _, ds in terms))]
+    acc: dict[tuple[int, int], int] = {}
+    for e, c, ds in terms:
+        for m, d in zip(slots, ds):
+            c *= m // d
+        acc[e] = acc.get(e, 0) + c
+    return _canon(acc, prod(slots)) if reduce else (acc, prod(slots))
+
+
+def _dot(pairs: Iterable[tuple[Row, Row]], la: int = 0, lb: int = 0) -> Row:
+    """The canonical row of sum a*b over pairs of rows, over la lb: the lcms
+    of the a and of the b denominators unless given."""
+    pairs = [(a, b) for a, b in pairs if a[0] and b[0]]
+    la, lb = la or _lcm(a[1] for a, _ in pairs), lb or _lcm(b[1] for _, b in pairs)
+    acc: dict[tuple[int, int], int] = {}
+    for (an, ad), (bn, bd) in pairs:
+        _mul_into(acc, an, bn, (la // ad) * (lb // bd))
+    return _canon(acc, la * lb)
+
+
+def _series(order: int, rows: Iterable[Row]) -> "TSeries":
+    """A TSeries from order + 1 canonical rows."""
+    s = TSeries.__new__(TSeries)
+    s.order, s.rows, s._coeffs = order, tuple(rows), None
+    return s
+
 
 class TSeries:
     """Power series in t truncated at a fixed order N.
 
-    Coefficients are Poly values for t^0 .. t^N.  Arithmetic never reads or
-    writes beyond the truncation order, and mixing different orders is an
-    error rather than a silent re-truncation.
+    Each t^n coefficient is held as a canonical row (see ``Row``), and all
+    arithmetic and comparison runs on those integers.  ``coeffs`` gives
+    them as Poly values t^0 .. t^N, built on first read.  Arithmetic never
+    reads or writes beyond the truncation order, and mixing different
+    orders is an error rather than a silent re-truncation.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "rows", "_coeffs")
 
     def __init__(self, order: int, coeffs: Iterable[Poly] | None = None):
         if order < 0:
             raise ValueError("order must be >= 0")
-        self.order = order
-        if coeffs is None:
-            self.coeffs = [Poly.zero()] * (order + 1)
-        else:
-            cs = [_coerce_poly(c) for c in coeffs]
-            if len(cs) != order + 1:
-                raise ValueError(f"need {order + 1} coefficients, got {len(cs)}")
-            self.coeffs = cs
+        rows = [_ZROW] * (order + 1)
+        if coeffs is not None:
+            rows = [_row(_coerce_poly(c)) for c in coeffs]
+            if len(rows) != order + 1:
+                raise ValueError(f"need {order + 1} coefficients, got {len(rows)}")
+        self.order, self.rows, self._coeffs = order, tuple(rows), None
+
+    @property
+    def coeffs(self) -> tuple[Poly, ...]:
+        # two threads may both build the tuple; either result is the same
+        if self._coeffs is None:
+            self._coeffs = tuple(_poly(r) for r in self.rows)
+        return self._coeffs
 
     @staticmethod
     def zeros(order: int) -> "TSeries":
@@ -278,13 +362,11 @@ class TSeries:
 
     @staticmethod
     def one(order: int) -> "TSeries":
-        cs = [Poly.one()] + [Poly.zero()] * order
-        return TSeries(order, cs)
+        return _series(order, [_UNIT] + [_ZROW] * order)
 
     @staticmethod
     def from_poly(p: Poly, order: int) -> "TSeries":
-        cs = [_coerce_poly(p)] + [Poly.zero()] * order
-        return TSeries(order, cs)
+        return _series(order, [_row(_coerce_poly(p))] + [_ZROW] * order)
 
     def coeff(self, n: int) -> Poly:
         if not 0 <= n <= self.order:
@@ -300,71 +382,68 @@ class TSeries:
 
     def __add__(self, other: "TSeries") -> "TSeries":
         self._check(other)
-        return TSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return _series(self.order, [_dot(((a, _UNIT), (b, _UNIT)))
+                                    for a, b in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "TSeries") -> "TSeries":
-        self._check(other)
-        return TSeries(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + (-other)
 
     def __neg__(self) -> "TSeries":
-        return TSeries(self.order, [-a for a in self.coeffs])
+        return _series(self.order, [({e: -c for e, c in nums.items()}, den)
+                                    for nums, den in self.rows])
 
     def __mul__(self, other) -> "TSeries":
         if isinstance(other, (int, Fraction, Poly)):
             return self.scale(other)
         self._check(other)
-        n = self.order
-        acc = [{} for _ in range(n + 1)]  # one term map per power of t
-        right = [(j, b.terms) for j, b in enumerate(other.coeffs) if b.terms]
-        for i, a in enumerate(self.coeffs):
-            if a.terms:
-                for j, b in right:
-                    if i + j > n:
-                        break
-                    _mul_into(acc[i + j], a.terms, b)
-        return TSeries(n, [_nonzero(t) for t in acc])
+        a, b = self.rows, other.rows
+        # row n over the lcms of the denominators of a[:n + 1] and b[:n + 1]
+        la, lb = [1], [1]
+        for (_, ad), (_, bd) in zip(a, b):
+            la.append(_lcm((la[-1], ad)))
+            lb.append(_lcm((lb[-1], bd)))
+        return _series(self.order, [_dot(zip(a[: n + 1], b[n::-1]), la[n + 1], lb[n + 1])
+                                    for n in range(self.order + 1)])
 
     __rmul__ = __mul__
 
     def scale(self, p) -> "TSeries":
-        p = _coerce_poly(p)
-        return TSeries(self.order, [c * p for c in self.coeffs])
+        p = _row(_coerce_poly(p))
+        return _series(self.order, [_dot([(r, p)]) for r in self.rows])
 
     def shift_t(self, k: int) -> "TSeries":
         """Multiply by t^k, dropping coefficients past the order."""
         if k < 0:
             raise ValueError("negative t-shift")
-        cs = [Poly.zero()] * min(k, self.order + 1) + self.coeffs[: max(self.order + 1 - k, 0)]
-        return TSeries(self.order, cs)
+        n = self.order + 1
+        return _series(self.order, [_ZROW] * min(k, n) + list(self.rows[: max(n - k, 0)]))
 
     def inverse(self) -> "TSeries":
         """Multiplicative inverse; the constant term must be a nonzero rational."""
-        c0 = self.coeffs[0]
-        if not c0.is_constant() or c0.is_zero():
+        nums, den = self.rows[0]
+        if set(nums) != {(0, 0)}:
             raise ValueError("series inverse needs a nonzero constant t^0 coefficient")
-        inv0 = 1 / c0.constant()
-        out = [Poly.zero()] * (self.order + 1)
-        out[0] = Poly.const(inv0)
+        c = nums[(0, 0)]
+        out = [_canon({(0, 0): den}, c)]
+        minus_inv = _canon({(0, 0): -den}, c)
         for n in range(1, self.order + 1):
-            acc: dict[tuple[int, int], Fraction] = {}
-            for k in range(1, n + 1):
-                _mul_into(acc, self.coeffs[k].terms, out[n - k].terms)
-            out[n] = _nonzero(acc) * (-inv0)
-        return TSeries(self.order, out)
+            acc = _dot((self.rows[k], out[n - k]) for k in range(1, n + 1))
+            out.append(_dot([(acc, minus_inv)]))
+        return _series(self.order, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.rows == other.rows
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(nums for nums, _ in self.rows)
 
     def first_mismatch(self, other: "TSeries") -> int | None:
         """Lowest t-power where the two series differ, or None if equal."""
         self._check(other)
-        for n in range(self.order + 1):
-            if self.coeffs[n] != other.coeffs[n]:
+        for n, (a, b) in enumerate(zip(self.rows, other.rows)):
+            if a != b:
                 return n
         return None
 

@@ -3,8 +3,8 @@ the seven-variable q-difference-equation residuals, and triangular
 expansion in the five-parameter polynomial basis.
 
 Every catalog entry builds both sides of one generating-function or
-transformation identity as TSeries over Poly coefficients and compares
-them exactly.  Identities whose natural coefficients are infinite sums
+transformation identity as TSeries, writing their integer rows directly,
+and compares them exactly.  Identities whose natural coefficients are infinite sums
 are handled by the numeric module instead; two entries here (ID-5 and
 ID-12) regain finite coefficients by scaling a parameter pair with the
 formal variable.
@@ -16,23 +16,23 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Callable, Sequence
+from math import gcd
+from typing import Callable, Iterable, Sequence
 
-from .core import ONE, ZERO, ParamSet, Poly, TSeries, X, Y, random_paramset
+from .core import (ONE, ParamSet, Poly, Row, TSeries, X, Y, _canon, _dot, _poly,
+                   _reduced, _series, _sum_terms, random_paramset)
 from .qkernel import (
     PhiSpec,
     PoleError,
-    _int_conv,
-    _int_row,
+    _common_den,
+    _euler,
     _poch_row,
     _qbinom_rows,
-    _row_series,
     euler_inverse_series,
     euler_product_series,
     hyper_series,
 )
-from .polys import PolyFamily, _family_seq
+from .polys import _family_rows
 
 Side = tuple[str, TSeries, TSeries]
 
@@ -41,22 +41,27 @@ Side = tuple[str, TSeries, TSeries]
 # generating-function builders
 # ---------------------------------------------------------------------------
 
-def _gf(N: int, q: Fraction, seq: Sequence[Poly],
-        weights: Sequence[Fraction] | None = None) -> TSeries:
-    """sum_n seq[n] * weights[n] * t^n / (q;q)_n, truncated at N."""
-    w = _poch_row((), {"q": q}, q, N)
+def _gf(N: int, q: Fraction, seq: Sequence[Row],
+        weights: Sequence[tuple[int, int]] | None = None) -> TSeries:
+    """sum_n seq[n] * weights[n] * t^n / (q;q)_n for rows seq and a
+    ``_poch_row`` weight row, truncated at N."""
+    e = _poch_row((), {"q": q}, q, N)
     if weights is not None:
-        w = [a * b for a, b in zip(w, weights)]
-    return TSeries(N, [p * c for p, c in zip(seq, w)])
+        e = [(a * c, b * d) for (a, b), (c, d) in zip(e, weights)]
+    rows = []
+    for (nums, den), (en, ed) in zip(seq, e):
+        g = gcd(en, den)  # the powers of qd in en cancel against den
+        rows.append(_canon({k: c * (en // g) for k, c in nums.items()}, den // g * ed))
+    return _series(N, rows)
 
 
-def _phi_seq(ps: ParamSet, N: int, x=X, y=Y) -> list[Poly]:
-    """The five-parameter phi_0(x,y) .. phi_N(x,y)."""
-    return PolyFamily("asc_new_phi", ps).sequence(N, x, y)
+def _phi_seq(ps: ParamSet, N: int, x=X, y=Y) -> list[Row]:
+    """The five-parameter phi_0(x,y) .. phi_N(x,y) as rows."""
+    return _family_rows("asc_new_phi", 0, N, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)
 
 
-def _alt_weights(q: Fraction, N: int, t_scale: Fraction = ONE) -> list[Fraction]:
-    """[(-1)^n q^C(n,2) t_scale^n for n = 0..N]."""
+def _alt_weights(q: Fraction, N: int, t_scale: Fraction = ONE) -> list[tuple[int, int]]:
+    """(-1)^n q^C(n,2) t_scale^n for n = 0..N, as a ``_poch_row`` row."""
     return _poch_row((), {}, q, N, z=-t_scale, r=q)
 
 
@@ -70,7 +75,7 @@ def build_id3_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
 
 
 def build_id3_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
-    return _gf(N, ps.q, _phi_seq(ps, N), [t_scale**n for n in range(N + 1)])
+    return _gf(N, ps.q, _phi_seq(ps, N), _poch_row((), {}, ps.q, N, z=t_scale))
 
 
 def build_id4_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
@@ -85,27 +90,30 @@ def build_id4_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
 
 
 def build_id4_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
-    psi = PolyFamily("asc_new_psi", ps).sequence(N)
+    psi = _family_rows("asc_new_psi", 0, N, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e)
     return _gf(N, ps.q, psi, _alt_weights(ps.q, N, t_scale))
 
 
-def _euler_sum(terms: Sequence[tuple[Fraction, int, int, int, Fraction]], q: Fraction,
-               N: int, inverse: bool = False) -> TSeries:
-    """sum of c x^i y^j t^d (x s t;q)_inf over terms (c, i, j, d, s), or of
+def _euler_rows(terms: Iterable[tuple[int, int, int, int, int, Fraction]], q: Fraction,
+                N: int, inverse: bool = False, reduce: bool = True) -> list[Row]:
+    """The rows (canonical with reduce) of sum c x^i y^j t^d (x s t;q)_inf
+    over terms (cn, cd, i, j, d, s) with c = cn/cd, or of
     c x^i y^j t^d / (x s t;q)_inf when inverse, truncated at t^N.
 
     One Euler row e_m serves every term: term m of a summand is
-    c e_m s^m x^(i+m) y^j t^(d+m), so a right side whose summand k differs
-    from summand 0 only by s -> s q^k builds no row of its own per k.
+    c e_m s^m x^(i+m) y^j t^(d+m), each t-power summed on integers.
     """
-    row = _poch_row((), {"q": q}, q, N) if inverse else _poch_row((), {"q": q}, q, N, z=-ONE, r=q)
-    acc: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(N + 1)]
-    for c, i, j, d, s in terms:
-        for m, e in enumerate(row[: max(N + 1 - d, 0)]):
-            t, key = acc[d + m], (i + m, j)
-            t[key] = t.get(key, ZERO) + c * e
-            c *= s
-    return TSeries(N, [Poly(t) for t in acc])
+    e = _poch_row((), {"q": q}, q, N) if inverse else _poch_row((), {"q": q}, q, N, z=-ONE, r=q)
+    rows: dict[Fraction, list] = {}  # s -> e_m s^m, reduced
+    parts: list[list] = [[] for _ in range(N + 1)]
+    for cn, cd, i, j, d, s in terms:
+        if s not in rows:
+            rows[s] = [_reduced(n * s.numerator**m, dn * s.denominator**m)
+                       for m, (n, dn) in enumerate(e)]
+        cn, cd = _reduced(cn, cd)
+        for m, (en, ed) in enumerate(rows[s][: max(N + 1 - d, 0)]):
+            parts[d + m].append(((i + m, j), cn * en, (cd, ed)))
+    return [_sum_terms(p, reduce) for p in parts]
 
 
 def build_id6_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
@@ -113,10 +121,9 @@ def build_id6_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
     sum_k w_k y^k t^k (x*s*q^k*t;q)_inf: the x-dependent denominator
     parameter folded into the Euler product of term k."""
     q = ps.q
-    w = _poch_row(
-        (ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N, z=-t_scale, r=q
-    )
-    return _euler_sum([(wk, 0, k, k, t_scale * q**k) for k, wk in enumerate(w)], q, N)
+    w = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N, z=-t_scale, r=q)
+    return _series(N, _euler_rows([(wn, wd, 0, k, k, t_scale * q**k)
+                                   for k, (wn, wd) in enumerate(w)], q, N))
 
 
 def build_id6_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
@@ -132,45 +139,52 @@ def build_id5_pair(ps: ParamSet, N: int, sig: Fraction, tau: Fraction) -> Side:
          with W_k = (a,b,c;q)_k p_k(tau,sig) / ((d,e;q)_k (q;q)_k).
     """
     q = ps.q
-    p = [ONE]  # p_n(tau, sig)
-    for n in range(N):
-        p.append(p[-1] * (tau - sig * q**n))
+    # p_n(tau, sig) = prod_(m<n) (tau - sig q^m) = tau^n (sig/tau;q)_n
+    p = _poch_row((sig / tau,), {}, q, N, z=tau) if tau else _poch_row((), {}, q, N, z=-sig, r=q)
     lhs = _gf(N, q, _phi_seq(ps, N), p)
     w = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N)
-    acc = _euler_sum([(w[k] * p[k], 0, k, k, sig * q**k) for k in range(N + 1)], q, N)
+    acc = _series(N, _euler_rows([(wn * pn, wd * pd, 0, k, k, sig * q**k)
+                                  for k, ((wn, wd), (pn, pd)) in enumerate(zip(w, p))], q, N))
     rhs = euler_inverse_series(X * tau, q, N) * acc
     return ("u-scaled", lhs, rhs)
 
 
-def build_id7_pair(ps: ParamSet, N: int, K: int,
-                   phi: Sequence[Poly] | None = None) -> Side:
-    """Index-shifted generating function for shift K; phi holds
-    phi_0 .. phi_(N+K) (at least), built here when not given.
+def _id7_sums(ps: ParamSet, N: int, top: int) -> list[list[Row]]:
+    """The unreduced rows of H_j = sum_(n=j..N+j) A_n [n;j] y^n t^(n-j)
+    / (x q^j t;q)_inf for j = 0..top, A_n = (a,b,c;q)_n/((q,d,e;q)_n)."""
+    q = ps.q
+    binom, qd = _qbinom_rows(q, N + top), q.denominator
+    A = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, N + top)
+    return [_euler_rows([(A[n][0] * binom[n][j], A[n][1] * qd ** (j * (n - j)), 0, n, n - j, q**j)
+                         for n in range(j, N + j + 1)], q, N, inverse=True, reduce=False)
+            for j in range(top + 1)]
+
+
+def build_id7_pair(ps: ParamSet, N: int, K: int, phi: Sequence[Row] | None = None,
+                   H: Sequence[list[Row]] | None = None) -> Side:
+    """Index-shifted generating function for shift K; phi (the rows of
+    phi_0 .. phi_(N+K)) and H (``_id7_sums`` to K) are built when not given.
 
     LHS: sum_n phi_(n+K)(x,y) t^n/(q;q)_n
     RHS: x^K/(xt;q)_inf * sum_n A_n (yt)^n
          * sum_j [n;j] (-1)^j q^(Kj-C(j,2)) (q^-K, xt;q)_j / (xt)^j
     with A_n = (a,b,c;q)_n/((q,d,e;q)_n).  Since (xt;q)_j/(xt;q)_inf =
-    1/(x q^j t;q)_inf, the right side is the Euler sum of the terms
-    A_n [n;j] J_j x^(K-j) y^n t^(n-j) / (x q^j t;q)_inf, every x and t
-    exponent nonnegative because (q^-K;q)_j kills j > K.  The q^(Kj) power
-    makes the j-weight J_j equal to [n;j] (q;q)_K/(q;q)_(K-j), which is what
-    the K-fold derivative of x^K/(xt;q)_inf produces.
+    1/(x q^j t;q)_inf, the right side is sum_j J_j x^(K-j) H_j, every x
+    and t exponent nonnegative because (q^-K;q)_j kills j > K.  The q^(Kj)
+    power makes the j-weight J_j equal to (q;q)_K/(q;q)_(K-j), which is
+    what the K-fold derivative of x^K/(xt;q)_inf produces.
     """
     q = ps.q
     if phi is None:
         phi = _phi_seq(ps, N + K)
     lhs = _gf(N, q, phi[K:])
-
-    M = N + K
-    binom, qd = _qbinom_rows(q, M), q.denominator
-    A = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, M)
+    if H is None:
+        H = _id7_sums(ps, N, K)
     # (-1)^j q^(Kj - C(j,2)) (q^-K;q)_j, j <= K
     J = _poch_row((q**-K,), {}, q, K, z=-(q**K), r=1 / q)
-    # [n;j] = binom[n][j] / qd^(j(n-j)); t^(n-j) > t^N contributes nothing
-    terms = [(A[n] * Fraction(binom[n][j], qd ** (j * (n - j))) * J[j], K - j, n, n - j, q**j)
-             for n in range(M + 1) for j in range(max(0, n - N), min(n, K) + 1)]
-    return (f"k={K}", lhs, _euler_sum(terms, q, N, inverse=True))
+    rhs = _series(N, [_dot((h[n], ({(K - j, 0): J[j][0]}, J[j][1]))
+                           for j, h in enumerate(H[: K + 1])) for n in range(N + 1)])
+    return (f"k={K}", lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +209,7 @@ class IdentityCheck:
 
 
 def _build_id1(ps: ParamSet, N: int) -> list[Side]:
-    lhs = _gf(N, ps.q, PolyFamily("asc_gen3_phi", ps.with_values(d=0, e=0)).sequence(N))
+    lhs = _gf(N, ps.q, _family_rows("asc_gen3_phi", 0, N, ps.q, ps.a, ps.b, ps.c))
     rhs = euler_inverse_series(Y, ps.q, N) * hyper_series(
         PhiSpec([ps.a, ps.b], [ps.c], ps.q), N, arg_mono=X
     )
@@ -203,7 +217,7 @@ def _build_id1(ps: ParamSet, N: int) -> list[Side]:
 
 
 def _build_id2(ps: ParamSet, N: int) -> list[Side]:
-    psi = PolyFamily("asc_gen3_psi", ps.with_values(d=0, e=0)).sequence(N)
+    psi = _family_rows("asc_gen3_psi", 0, N, ps.q, ps.a, ps.b, ps.c)
     lhs = _gf(N, ps.q, psi, _alt_weights(ps.q, N))
     rhs = euler_product_series(Y, ps.q, N) * hyper_series(
         PhiSpec([ps.a, ps.b], [ps.c], ps.q), N, arg_mono=X
@@ -229,48 +243,47 @@ def _build_id6(ps: ParamSet, N: int) -> list[Side]:
 
 def _build_id7(ps: ParamSet, N: int) -> list[Side]:
     phi = _phi_seq(ps, N + 3)
-    return [build_id7_pair(ps, N, K, phi) for K in range(4)]
+    H = _id7_sums(ps, N, 3)
+    return [build_id7_pair(ps, N, K, phi, H) for K in range(4)]
 
 
 def _build_id8(ps: ParamSet, N: int) -> list[Side]:
     q = ps.q
-    ps2 = ParamSet(
-        q=q,
-        a=ps.get("a2"),
-        b=ps.get("b2"),
-        c=ps.get("c2"),
-        d=ps.get("d2"),
-        e=ps.get("e2"),
-    )
-    x1, y1 = ps.get("x1"), ps.get("y1")
-    x2, y2 = ps.get("x2"), ps.get("y2")
+    ps2 = ParamSet(q, *(ps.get(k) for k in ("a2", "b2", "c2", "d2", "e2")))
+    x1, y1, x2, y2 = (ps.get(k) for k in ("x1", "y1", "x2", "y2"))
 
-    lhs = _gf(N, q, [u * v for u, v in zip(_phi_seq(ps, N, x1, y1), _phi_seq(ps2, N, x2, y2))])
+    lhs = _gf(N, q, [_dot([(u, v)])
+                     for u, v in zip(_phi_seq(ps, N, x1, y1), _phi_seq(ps2, N, x2, y2))])
 
     # v_j times t^m of the j-th 3phi2(a q^j, b q^j, c q^j; d q^j, e q^j; q, x2 y1 t)
     # is A_(j+m) (y1/x1)^j (x2 y1)^m/(q;q)_m with A_k = (a,b,c;q)_k/(d,e;q)_k:
     # one A row and one (x2 y1)^m/(q;q)_m row, on integers over Ad and wd
-    A, Ad = _int_row(_poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e}, q, N))
-    w, wd = _int_row(_poch_row((), {"q": q}, q, N, z=x2 * y1))
-    s, sd = _int_row(_poch_row(
+    A, Ad = _common_den(_poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e}, q, N))
+    w, wd = _common_den(_poch_row((), {"q": q}, q, N, z=x2 * y1))
+    s, sd = _common_den(_poch_row(
         (ps2.a, ps2.b, ps2.c), {"q": q, "d": ps2.d, "e": ps2.e}, q, N, z=x1 * y2
     ))
     # inner[j]: t^m of v_j (x1 x2 t;q)_j * 3phi2 for m <= N - j, all that the
     # terms n >= j reach: the q-binomial row of (x1 x2 t;q)_j, [j;k] (-1)^k
-    # q^C(k,2) (x1 x2)^k over its own denominator, convolved with v_j times
-    # the 3phi2 row over Ad wd rd^N L, with L their lcm and y1/x1 = rn/rd
-    f = [_int_row(_poch_row((q**-j,), {"q": q}, q, j, z=q**j * x1 * x2)) for j in range(N + 1)]
-    L = lcm(*(fd for _, fd in f))
-    r = y1 / x1
-    rn, rd = r.numerator, r.denominator
+    # q^C(k,2) (x1 x2)^k over L = qd^C(N,2) pd^N with x1 x2 = pn/pd,
+    # convolved with v_j times the 3phi2 row over Ad wd rd^N, y1/x1 = rn/rd
+    binom, qn, qd = _qbinom_rows(q, N), q.numerator, q.denominator
+    P, r = x1 * x2, y1 / x1
+    pn, pd, rn, rd = P.numerator, P.denominator, r.numerator, r.denominator
+    top = N * (N - 1) // 2
     inner = []
-    for j, (fj, fd) in enumerate(f):
-        c = rn**j * rd ** (N - j) * (L // fd)
-        inner.append(_int_conv(fj, [c * a * b for a, b in zip(A[j:], w)], N - j))
+    for j in range(N + 1):
+        f = [(-1) ** k * b * qn ** (k * (k - 1) // 2) * pn**k * pd ** (N - k)
+             * qd ** (top - k * (j - k) - k * (k - 1) // 2) for k, b in enumerate(binom[j])]
+        g = [rn**j * rd ** (N - j) * a * b for a, b in zip(A[j:], w)]
+        row = [0] * (N + 1 - j)
+        for k, fk in enumerate(f[: N + 1 - j]):
+            for m, x in enumerate(g[: N + 1 - j - k], k):
+                row[m] += fk * x
+        inner.append(row)
     # sum_n s_n t^n sum_j [n;j] inner[j] on integers over one denominator,
     # [n;j] = binom[n][j] / qd^(j(n-j)) over qd^E with E the largest
     # j(n-j); term n reaches only the t-powers m >= n
-    binom, qd = _qbinom_rows(q, N), q.denominator
     E = (N // 2) * (N - N // 2)
     acc = [0] * (N + 1)
     for n in range(N + 1):
@@ -283,14 +296,14 @@ def _build_id8(ps: ParamSet, N: int) -> list[Side]:
             for m, x in enumerate(row, n):
                 acc[m] += s[n] * x
     # times 1/(x1 x2 t;q)_inf
-    e, ed = _int_row(_poch_row((), {"q": q}, q, N, z=x1 * x2))
-    rhs = _row_series(_int_conv(e, acc, N), ed * sd * Ad * wd * rd**N * L * qd**E, N)
+    den = sd * Ad * wd * rd**N * pd**N * qd ** (top + E)
+    rhs = euler_inverse_series(P, q, N) * _euler(ONE, N, [(c, den) for c in acc])
     return [("", lhs, rhs)]
 
 
 def _build_id9(ps: ParamSet, N: int) -> list[Side]:
     q = ps.q
-    lhs = _gf(N, q, PolyFamily("cauchy", ParamSet(q)).sequence(N))
+    lhs = _gf(N, q, _family_rows("cauchy", 0, N, q))
     rhs = euler_product_series(Y, q, N) * euler_inverse_series(X, q, N)
     return [("", lhs, rhs)]
 
@@ -298,43 +311,31 @@ def _build_id9(ps: ParamSet, N: int) -> list[Side]:
 def _build_id10(ps: ParamSet, N: int) -> list[Side]:
     q = ps.q
     lam, x0, y0 = ps.get("lam"), ps.get("x0"), ps.get("y0")
-    lhs = _gf(N, q, PolyFamily("cauchy", ParamSet(q)).sequence(N, x0, y0),
-              _poch_row((lam,), {}, q, N))
+    lhs = _gf(N, q, _family_rows("cauchy", 0, N, q, x=x0, y=y0), _poch_row((lam,), {}, q, N))
     rhs = hyper_series(
         PhiSpec([lam, y0 / x0], [Fraction(0)], q), N, arg_mono=Poly.const(x0)
     )
     return [("", lhs, rhs)]
 
 
-def _const_product(rows: Sequence[Sequence[Fraction]], N: int) -> TSeries:
-    """The product of scalar series, each given by its row of t-coefficients,
-    as a TSeries of constants: convolved on integer rows over one
-    denominator, reduced by one gcd per factor."""
-    nums, den = [1], 1
-    for row in rows:
-        r, d = _int_row(row)
-        nums, den = _int_conv(nums, r, N), den * d
-        g = gcd(den, *nums)
-        nums, den = [c // g for c in nums], den // g
-    return _row_series(nums, den, N)
-
-
 def _build_id11(ps: ParamSet, N: int) -> list[Side]:
     q = ps.q
     ra, rb, rc, rd = (ps.get(k) for k in ("ra", "rb", "rc", "rd"))
-    h = PolyFamily("rogers_szego", ParamSet(q))
-    lhs = _gf(N, q, [u * v for u, v in zip(h.sequence(N, ra, rb), h.sequence(N, rc, rd))])
+    h1 = _family_rows("rogers_szego", 0, N, q, x=ra, y=rb)
+    h2 = _family_rows("rogers_szego", 0, N, q, x=rc, y=rd)
+    lhs = _gf(N, q, [_dot([(u, v)]) for u, v in zip(h1, h2)])
     # (ra rb rc rd t^2;q)_inf / (ra rc t, ra rd t, rb rc t, rb rd t;q)_inf
-    top = [ZERO] * (N + 1)
-    top[::2] = _poch_row((), {"q": q}, q, N // 2, z=-(ra * rb * rc * rd), r=q)
-    rhs = _const_product([top] + [_poch_row((), {"q": q}, q, N, z=pair)
-                                  for pair in (ra * rc, ra * rd, rb * rc, rb * rd)], N)
+    top = _poch_row((), {"q": q}, q, N // 2, z=-(ra * rb * rc * rd), r=q)
+    rhs = _euler(ONE, N, [c for t in top for c in (t, (0, 1))])
+    for pair in (ra * rc, ra * rd, rb * rc, rb * rd):
+        rhs = rhs * euler_inverse_series(pair, q, N)
     return [("", lhs, rhs)]
 
 
-def _quotient_sum(w: Sequence[Fraction], a: Fraction, b: Fraction, q: Fraction,
+def _quotient_sum(w: Sequence[tuple[int, int]], a: Fraction, b: Fraction, q: Fraction,
                   N: int) -> TSeries:
-    """sum_n w[n] u^n (a u;q)_n / (b u;q)_n for scalar a, b, truncated at u^N.
+    """sum_n w[n] u^n (a u;q)_n / (b u;q)_n for scalar a, b and the
+    ``_poch_row`` row w, truncated at u^N.
 
     Summed by Horner's rule from the top term down, on one integer row
     over one denominator: h_(n-1) = w[n-1] + u h_n (1 - a q^(n-1) u) /
@@ -343,7 +344,7 @@ def _quotient_sum(w: Sequence[Fraction], a: Fraction, b: Fraction, q: Fraction,
     needed only through u^(N-n), and one gcd per step keeps the row
     reduced.
     """
-    nums, den = _int_row(w[: N + 1])
+    nums, den = _common_den(w[: N + 1])
     top = len(nums) - 1
     h, hd = nums[top:] + [0] * (N - top), 1  # h_top = w[top]; h_0 is the sum
     for n in range(top, 0, -1):
@@ -360,7 +361,7 @@ def _quotient_sum(w: Sequence[Fraction], a: Fraction, b: Fraction, q: Fraction,
         row = [nums[n - 1] * hd] + [k * p for k, p in zip(K, reversed(bdp))]
         g = gcd(hd, *row)
         h, hd = [x // g for x in row], hd // g
-    return _row_series(h, den * hd, N)
+    return _euler(ONE, N, [(c, den * hd) for c in h])
 
 
 def _build_id12(ps: ParamSet, N: int) -> list[Side]:
@@ -381,14 +382,11 @@ def _build_id12(ps: ParamSet, N: int) -> list[Side]:
 
     # 2phi1(q^-M, x; x t; q, s): terminating in k <= M
     tail = _quotient_sum(_poch_row((q**-M,), {"q": q}, q, M, z=sig), xi, xi * t0, q, N)
-    # times the prefactor (s, x t;q)_inf / ((r, x;q)_inf), all u-scaled products
-    rhs = _const_product([
-        _poch_row((), {"q": q}, q, N, z=-sig, r=q),
-        _poch_row((), {"q": q}, q, N, z=-xi * t0, r=q),
-        _poch_row((), {"q": q}, q, N, z=r_scale),
-        _poch_row((), {"q": q}, q, N, z=xi),
-        [c.constant() for c in tail.coeffs],
-    ], N)
+    # times the prefactor (s, x t;q)_inf / ((r, x;q)_inf), all u-scaled: with
+    # r = q^-M s it is (x t;q)_inf/(x;q)_inf = 1phi0(t; x) times
+    # (s;q)_inf/(r;q)_inf = 1/(r;q)_M = 1phi0(q^M; r)
+    rhs = (hyper_series(PhiSpec([t0], [], q), N, xi)
+           * hyper_series(PhiSpec([q**M], [], q), N, r_scale) * tail)
     return [("u-scaled", lhs, rhs)]
 
 
@@ -405,7 +403,7 @@ def _build_id13(ps: ParamSet, N: int) -> list[Side]:
     ps0 = ps.with_values(c=0, e=0)
 
     s1 = build_id3_lhs(ps0, N)
-    s2 = _gf(N, q, PolyFamily("asc_gen3_phi", ParamSet(q, ps.a, ps.b, ps.d)).sequence(N, Y, X))
+    s2 = _gf(N, q, _family_rows("asc_gen3_phi", 0, N, q, ps.a, ps.b, ps.d, x=Y, y=X))
     r1 = build_id3_rhs(ps0, N)
     r2 = euler_inverse_series(X, q, N) * hyper_series(
         PhiSpec([ps.a, ps.b], [ps.d], q), N, arg_mono=Y
@@ -584,21 +582,22 @@ def trial_paramset(check: IdentityCheck, seed: int, trial: int) -> ParamSet:
 # q-difference-equation residuals
 # ---------------------------------------------------------------------------
 
-def _residual_poly(which: str, p: Poly, ps: ParamSet) -> Poly:
+def _residual_row(which: str, row: Row, ps: ParamSet) -> Row:
     if which not in ("phi_eq", "psi_eq"):
         raise ValueError("which must be 'phi_eq' or 'psi_eq'")
     q, a, b, c = ps.q, ps.a, ps.b, ps.c
     dq, eq = ps.d / q, ps.e / q
-    t: dict[tuple[int, int], Fraction] = {}
-    for (i, j), k in p.terms.items():
+    nums, den = row
+    terms = []
+    for (i, j), k in nums.items():
         u, v = q**i, q**j
-        left = k * (1 - v) * (1 - dq * v) * (1 - eq * v)
-        right = k * (1 - u) * (1 - a * v) * (1 - b * v) * (1 - c * v)
+        left = (1 - v) * (1 - dq * v) * (1 - eq * v)
+        right = (1 - u) * (1 - a * v) * (1 - b * v) * (1 - c * v)
         if which == "psi_eq":
             left, right = u * left, -v * right
-        t[(i + 1, j)] = t.get((i + 1, j), ZERO) + left
-        t[(i, j + 1)] = t.get((i, j + 1), ZERO) - right
-    return Poly(t)
+        terms += [((i + 1, j), k * left.numerator, (den, left.denominator)),
+                  ((i, j + 1), -k * right.numerator, (den, right.denominator))]
+    return _sum_terms(terms)
 
 
 def qdiff_residual(which: str, f: TSeries, ps: ParamSet) -> TSeries:
@@ -613,7 +612,7 @@ def qdiff_residual(which: str, f: TSeries, ps: ParamSet) -> TSeries:
         phi_eq:  k (L x^(i+1) y^j - R x^i y^(j+1))
         psi_eq:  k (u L x^(i+1) y^j + v R x^i y^(j+1))
     """
-    return TSeries(f.order, [_residual_poly(which, p, ps) for p in f.coeffs])
+    return _series(f.order, [_residual_row(which, r, ps) for r in f.rows])
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +631,8 @@ def _basis_row(basis: str, ps: ParamSet, lo: int, hi: int) -> dict[int, Poly]:
     """{n: basis_n for n = lo..hi}, all from one weight row."""
     if basis not in ("phi", "psi"):
         raise ValueError("basis must be 'phi' or 'psi'")
-    seq = _family_seq(f"asc_new_{basis}", lo, hi, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e)
-    return dict(zip(range(lo, hi + 1), seq))
+    seq = _family_rows(f"asc_new_{basis}", lo, hi, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e)
+    return {n: _poly(r) for n, r in enumerate(seq, lo)}
 
 
 def expand_poly_in_basis(

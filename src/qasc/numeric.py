@@ -241,16 +241,6 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def u_region_bound(xs: Sequence[Fraction], q: Fraction, n: int) -> Fraction | float:
-    """Conservative reading of the convergence region:
-    |z| < min_m (prod_i |x_i|) |x_m|^-n q^((n-1)/2)."""
-    prod = F(1)
-    for v in xs:
-        prod *= abs(as_fraction(v))
-    best = min(prod * abs(as_fraction(xm)) ** (-n) for xm in xs)
-    return float(best) * float(as_fraction(q)) ** ((n - 1) / 2)
-
-
 def u_series(
     n: int,
     xs: Sequence,

@@ -8,11 +8,11 @@ result is a Poly.
 
 Every family is one sum  sum_k [n;k] w_k x^(n-k) y^k  whose weight w_k is
 q-hypergeometric in k: (nums;q)_k / (dens;q)_k times a twist z^k r^C(k,2);
-the psi families' n-dependent factor q^(-nk) is folded into y as q^-n y.
+the psi families' n-dependent factor q^(k(k-n)) is folded into [n;k].
 So one weight row serves the whole sequence p_0..p_N
 (``PolyFamily.sequence``), the [n;k] come from one integer q-binomial
-triangle, and each term is reduced once from integer numerators and
-denominators: one pass per sequence, O(n) Fractions per polynomial.
+triangle, and each polynomial is one integer row (``core.Row``), one
+integer product per term; the public functions read it out as a Poly.
 The per-n functions run the same pass for their one n.  The triangle has
 no division, so q = 1 gives the classical limits, e.g. cauchy_pn at q = 1
 is (x - y)^n.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import ONE, ZERO, ParamSet, Poly, X, Y, as_fraction
+from .core import ONE, ZERO, ParamSet, Poly, Row, X, Y, _poly, _row, as_fraction
 from .qkernel import _poch_row, _qbinom_rows
 
 
@@ -32,15 +32,17 @@ def _val(v):
     return v if isinstance(v, Poly) else Poly.const(as_fraction(v))
 
 
-def _asc_sum(lo: int, N: int, q: Fraction, w: Sequence[Fraction], x, y,
-             twist: Fraction = ONE) -> list[Poly]:
-    """[sum_k [n;k] w[k] x^(n-k) (twist^n y)^k for n = lo..N].
+def _asc_sum(lo: int, N: int, q: Fraction, w: Sequence[tuple[int, int]], x, y,
+             psi: bool = False) -> list[Row]:
+    """[sum_k [n;k] w_k x^(n-k) y^k for n = lo..N] as unreduced rows, for a
+    ``_poch_row`` weight row; under psi each term also carries q^(k(k-n)).
 
-    With monomial (or scalar) x and y every term goes straight into the
-    term dict; otherwise the sums are formed over the symbols x, y and then
-    substituted.  Each term is one Fraction: the integer numerators and
-    denominators of [n;k] (from _qbinom_rows), w[k] and the powers of the
-    x and y coefficients are multiplied out and reduced once.
+    With monomial (or scalar) x and y every term goes straight into its
+    row; otherwise the sums are formed over the symbols x, y and then
+    substituted.  [n;k] = b(n,k)/qd^(k(n-k)) (``_qbinom_rows``), which
+    q^(k(k-n)) turns into b(n,k)/qn^(k(n-k)), so row n lies over
+    wd_n qd^E xd^n yd^n (qn^E under psi), E the largest k(n-k), and each
+    term is one integer product.
     """
     if lo < 0:
         raise ValueError("polynomial degree n must be >= 0")
@@ -50,108 +52,105 @@ def _asc_sum(lo: int, N: int, q: Fraction, w: Sequence[Fraction], x, y,
     ((ix, jx), cx), = (X if subst else xv).terms.items() or [((0, 0), ZERO)]
     ((iy, jy), cy), = (Y if subst else yv).terms.items() or [((0, 0), ZERO)]
     binom = _qbinom_rows(q, N)
-    qdp = [q.denominator**m for m in range(N * N // 4 + 1)]  # [n;k]'s denominators
-    xn = [cx.numerator**m for m in range(N + 1)]
-    xd = [cx.denominator**m for m in range(N + 1)]
-    wn = [v.numerator for v in w]
-    wd = [v.denominator for v in w]
-    cy *= twist**lo
+    qp = [(q.numerator if psi else q.denominator) ** m for m in range(N * N // 4 + 1)]
+    # x^(n-k) y^k over xd^n yd^n: xn^(n-k) xd^k yn^k yd^(n-k)
+    xs = [(cx.numerator**m, cx.denominator**m) for m in range(N + 1)]
+    ys = [(cy.numerator**m, cy.denominator**m) for m in range(N + 1)]
     out = []
     for n in range(lo, N + 1):
-        terms: dict[tuple[int, int], Fraction] = {}
-        yn = yd = 1  # (twist^n cy)^k
+        top = (n // 2) * (n - n // 2)
+        wd = w[n][1]
+        nums: dict[tuple[int, int], int] = {}
         for k, b in enumerate(binom[n]):
-            if wn[k]:
-                c = Fraction(b * wn[k] * xn[n - k] * yn, qdp[k * (n - k)] * wd[k] * xd[n - k] * yd)
+            wn, d = w[k]
+            if wn:
+                c = (b * qp[top - k * (n - k)] * wn * (wd // d)
+                     * xs[n - k][0] * xs[k][1] * ys[k][0] * ys[n - k][1])
                 e = (ix * (n - k) + iy * k, jx * (n - k) + jy * k)
-                s = terms.get(e)
-                terms[e] = c if s is None else s + c
-            yn *= cy.numerator
-            yd *= cy.denominator
-        out.append(Poly(terms))
-        cy *= twist
+                s = nums.get(e)
+                nums[e] = c if s is None else s + c
+        out.append((nums, wd * qp[top] * xs[n][1] * ys[n][1]))
     if subst:
         xs, ys = [Poly.one()], [Poly.one()]
         for _ in range(N):
             xs.append(xs[-1] * xv)
             ys.append(ys[-1] * yv)
-        out = [sum((xs[i] * ys[j] * c for (i, j), c in p.terms.items()), Poly.zero())
-               for p in out]
+        out = [_row(sum((xs[i] * ys[j] * c for (i, j), c in _poly(r).terms.items()), Poly.zero()))
+               for r in out]
     return out
 
 
-def _family_seq(family: str, lo: int, N: int, q, a=ZERO, b=ZERO, c=ZERO, d=ZERO, e=ZERO,
-                x=X, y=Y) -> list[Poly]:
-    """[p_n(x, y) for n = lo..N] of one family, all from one weight row."""
+def _family_rows(family: str, lo: int, N: int, q, a=ZERO, b=ZERO, c=ZERO, d=ZERO, e=ZERO,
+                 x=X, y=Y) -> list[Row]:
+    """[p_n(x, y) for n = lo..N] of one family as rows, all from one weight row."""
     q = as_fraction(q)
-    twist = ONE
+    psi = family.endswith("_psi")
     if family == "cauchy":
         w = _poch_row((), {}, q, N, z=-ONE, r=q)
     elif family == "rogers_szego":
-        w, x, y = [ONE] * (N + 1), y, x
+        w, x, y = [(1, 1)] * (N + 1), y, x
     elif family == "asc_classical_phi":
         w, x, y = _poch_row((a,), {}, q, N), ONE, x
     elif family == "asc_classical_psi":
-        # (a q^(1-k);q)_k = (a;1/q)_k and q^(k(k-n)) = q^k (q^2)^C(k,2) q^(-nk)
-        w, x, y, twist = _poch_row((a,), {}, 1 / q, N, z=q, r=q * q), ONE, x, 1 / q
+        # (a q^(1-k);q)_k = (a;1/q)_k
+        w, x, y = _poch_row((a,), {}, 1 / q, N), ONE, x
     elif family == "asc_gen3_phi":
         w, x, y = _poch_row((a, b), {"c": c}, q, N), y, x
     elif family == "asc_gen3_psi":
-        # (-1)^k q^(C(k+1,2) - nk) = (-q)^k q^C(k,2) q^(-nk)
-        w, x, y, twist = _poch_row((a, b), {"c": c}, q, N, z=-q, r=q), y, x, 1 / q
+        # (-1)^k q^(C(k+1,2) - nk) = (-1)^k q^(-C(k,2)) q^(k(k-n))
+        w, x, y = _poch_row((a, b), {"c": c}, q, N, z=-ONE, r=1 / q), y, x
     elif family == "asc_new_phi":
         w = _poch_row((a, b, c), {"d": d, "e": e}, q, N)
     else:
-        # (-1)^k q^(k(k-n)) = (-q)^k (q^2)^C(k,2) q^(-nk)
-        w, twist = _poch_row((a, b, c), {"d": d, "e": e}, q, N, z=-q, r=q * q), 1 / q
-    return _asc_sum(lo, N, q, w, x, y, twist)
+        w = _poch_row((a, b, c), {"d": d, "e": e}, q, N, z=-ONE)
+    return _asc_sum(lo, N, q, w, x, y, psi)
 
 
 def cauchy_pn(n: int, x=X, y=Y, q=Fraction(1, 2)):
     """Cauchy polynomial p_n(x,y) = (x - y)(x - qy) ... (x - q^(n-1) y),
     summed by the q-binomial theorem as sum_k [n;k] (-1)^k q^C(k,2) x^(n-k) y^k."""
-    return _family_seq("cauchy", n, n, q, x=x, y=y)[0]
+    return _poly(_family_rows("cauchy", n, n, q, x=x, y=y)[0])
 
 
 def rogers_szego_hn(n: int, a, b, q):
     """Homogeneous Rogers-Szego polynomial h_n(a,b|q) = sum_k [n;k] a^k b^(n-k)."""
-    return _family_seq("rogers_szego", n, n, q, x=a, y=b)[0]
+    return _poly(_family_rows("rogers_szego", n, n, q, x=a, y=b)[0])
 
 
 def asc_phi(n: int, a, x, q):
     """Classical family phi_n^(a)(x|q) = sum_k [n;k] (a;q)_k x^k."""
-    return _family_seq("asc_classical_phi", n, n, q, a, x=x)[0]
+    return _poly(_family_rows("asc_classical_phi", n, n, q, a, x=x)[0])
 
 
 def asc_psi(n: int, a, x, q):
     """Classical companion psi_n^(a)(x|q)
     = sum_k [n;k] q^(k(k-n)) (a q^(1-k);q)_k x^k."""
-    return _family_seq("asc_classical_psi", n, n, q, a, x=x)[0]
+    return _poly(_family_rows("asc_classical_psi", n, n, q, a, x=x)[0])
 
 
 def asc3_phi(n: int, a, b, c, x=X, y=Y, q=Fraction(1, 2)):
     """Three-parameter family
     phi_n^(a,b,c)(x,y|q) = sum_k [n;k] (a,b;q)_k/(c;q)_k x^k y^(n-k)."""
-    return _family_seq("asc_gen3_phi", n, n, q, a, b, c, x=x, y=y)[0]
+    return _poly(_family_rows("asc_gen3_phi", n, n, q, a, b, c, x=x, y=y)[0])
 
 
 def asc3_psi(n: int, a, b, c, x=X, y=Y, q=Fraction(1, 2)):
     """Three-parameter companion with weight (-1)^k q^(C(k+1,2) - nk)."""
-    return _family_seq("asc_gen3_psi", n, n, q, a, b, c, x=x, y=y)[0]
+    return _poly(_family_rows("asc_gen3_psi", n, n, q, a, b, c, x=x, y=y)[0])
 
 
 def asc5_phi(n: int, ps: ParamSet, x=X, y=Y):
     """Five-parameter family
     phi_n(x,y) = sum_k [n;k] (a,b,c;q)_k/(d,e;q)_k x^(n-k) y^k,
     equivalently T(a,b,c,d,e, y D){x^n}."""
-    return _family_seq("asc_new_phi", n, n, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)[0]
+    return _poly(_family_rows("asc_new_phi", n, n, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)[0])
 
 
 def asc5_psi(n: int, ps: ParamSet, x=X, y=Y):
     """Five-parameter companion
     psi_n(x,y) = sum_k [n;k] (-1)^k q^(k(k-n)) (a,b,c;q)_k/(d,e;q)_k x^(n-k) y^k,
     equivalently E(a,b,c,d,e, y theta){x^n}."""
-    return _family_seq("asc_new_psi", n, n, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)[0]
+    return _poly(_family_rows("asc_new_psi", n, n, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)[0])
 
 
 # which of a..e each family consumes; anything else must be zero
@@ -191,8 +190,9 @@ class PolyFamily:
     def sequence(self, N: int, x=X, y=Y) -> list[Poly]:
         """[p_n(x, y) for n = 0..N], all from one weight row."""
         ps = self.params
-        return _family_seq(self.family, 0, N, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)
+        return [_poly(r) for r in
+                _family_rows(self.family, 0, N, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)]
 
     def evaluate(self, n: int, x=X, y=Y):
         ps = self.params
-        return _family_seq(self.family, n, n, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)[0]
+        return _poly(_family_rows(self.family, n, n, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)[0])

@@ -14,19 +14,13 @@ Conventions:
 Every series and weight row here is a q-hypergeometric term sequence
 with the ratio prod(1 - a q^k) / prod(1 - b q^k) * z r^k.  It is written
 twice: ``term_stream`` runs it on any field and is the loop of the
-mpmath side; ``_poch_row`` runs it for exact rows on integer
-numerator/denominator pairs, with one gcd per emitted term, and is
-tested against ``term_stream`` on Fractions.  ``_qbinom_rows`` builds the
-q-binomial triangle on integers.  ``qpoch``, ``qpoch_multi`` and
-``qbinom`` stay as direct products, the reference the tests compare
+mpmath side; ``_poch_row`` runs it for exact rows as integer (num, den)
+pairs with no gcd, and is tested against ``term_stream`` on Fractions.
+Its rows feed the integer rows of TSeries (see ``core.Row``) directly:
+``_euler`` places one reduced term per power of t.  ``_qbinom_rows``
+builds the q-binomial triangle on integers.  ``qpoch``, ``qpoch_multi``
+and ``qbinom`` stay as direct products, the reference the tests compare
 against.
-
-A scalar series (every coefficient a constant) can also be carried as an
-integer row over one denominator, ``(nums, den)``, the layout of FLINT's
-``fmpq_poly``: ``_int_row`` puts Fractions over the lcm of their
-denominators, ``_int_conv`` multiplies two rows with integer
-multiply-adds and no gcd, and ``_row_series`` turns a row back into a
-TSeries of constants with one reduced Fraction per entry.
 
 A denominator parameter equal to 0 is allowed, with (0;q)_n = 1; a
 denominator parameter of the form q^(-j) makes a term blow up and raises
@@ -36,10 +30,10 @@ PoleError naming the offending term.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, Mapping, Sequence
 
-from .core import ONE, ZERO, Poly, TSeries, as_fraction
+from .core import (ONE, ZERO, Poly, TSeries, _ZROW, _coerce_poly, _lcm, _reduced, _series,
+                   as_fraction)
 
 
 class PoleError(ArithmeticError):
@@ -134,16 +128,16 @@ def _pole(dens: Mapping, k: int) -> PoleError:
 
 def _poch_row(
     nums: Sequence, dens: Mapping[str, Fraction], q, n: int, z=ONE, r=ONE
-) -> list[Fraction]:
-    """[(nums;q)_k / (dens;q)_k * z^k * r^C(k,2) for k = 0..n], exact:
-    the first n + 1 terms of term_stream on Fractions.
+) -> list[tuple[int, int]]:
+    """[(num, den) for k = 0..n] with num/den = (nums;q)_k / (dens;q)_k *
+    z^k * r^C(k,2): the first n + 1 terms of term_stream on Fractions.
 
-    Computed on integers.  With q = qn/qd and a = an/ad the factor
-    1 - a q^k is (ad qd^k - an qn^k) / (ad qd^k); the ad and bd constants
-    go into the step z r^k and the qd^k powers cancel down to
-    qd^(k(#dens - #nums)).  Each step multiplies the running term, kept as
-    a reduced pair, by integers, and only the emitted Fraction(num, den)
-    takes a gcd.
+    Computed on integers, with no gcd.  With q = qn/qd and a = an/ad the
+    factor 1 - a q^k is (ad qd^k - an qn^k) / (ad qd^k); the ad and bd
+    constants go into the step z r^k and the qd^k powers cancel down to
+    qd^(k(#dens - #nums)).  Each step multiplies the running numerator and
+    denominator by the integers of its ratio, so den > 0 and each den
+    divides the next (see ``_common_den``).
     """
     dens = {name: as_fraction(b) for name, b in dens.items()}
     nums = [as_fraction(a) for a in nums]
@@ -158,8 +152,8 @@ def _poch_row(
         sn *= bd
     excess = len(bottom) - len(top)
     qd_step = qd ** abs(excess)
-    row = [ONE][: n + 1]
-    tn = td = 1  # term k, reduced
+    row = [(1, 1)][: n + 1]
+    tn = td = 1  # term k
     qnk = qdk = ek = 1  # qn^k, qd^k, qd^(k |excess|)
     for k in range(1, n + 1):
         fn, fd = sn, sd
@@ -174,15 +168,24 @@ def _poch_row(
             fn *= ek
         else:
             fd *= ek
-        term = Fraction(tn * fn, td * fd)
-        row.append(term)
-        tn, td = term.numerator, term.denominator
+        if fd < 0:
+            fn, fd = -fn, -fd
+        tn *= fn
+        td *= fd
+        row.append((tn, td))
         sn *= r.numerator
         sd *= r.denominator
         qnk *= qn
         qdk *= qd
         ek *= qd_step
     return row
+
+
+def _common_den(row: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """(nums, den): a row of (num, den) pairs over the lcm of its
+    denominators, which along a _poch_row row is the last one."""
+    den = _lcm(d for _, d in row)
+    return [c * (den // d) for c, d in row], den
 
 
 def _qbinom_rows(q, N: int) -> list[list[int]]:
@@ -202,34 +205,6 @@ def _qbinom_rows(q, N: int) -> list[list[int]]:
         rows.append([1] + [qnp[k] * prev[k] + qdp[n - k] * prev[k - 1] for k in range(1, n)]
                     + [1])
     return rows[: N + 1]
-
-
-def _int_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(nums, den): the rationals as integer numerators over the lcm of
-    their denominators."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _int_conv(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """The first n + 1 coefficients of the product of the integer rows a
-    and b, which may be shorter."""
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a[: n + 1]):
-        if ai:
-            for j, bj in enumerate(b[: n + 1 - i], i):
-                out[j] += ai * bj
-    return out
-
-
-def _row_series(nums: Sequence[int], den: int, order: int) -> TSeries:
-    """sum_n nums[n]/den t^n as a TSeries of constants, truncated at order;
-    each nonzero entry becomes one reduced Fraction."""
-    coeffs = [Poly.zero()] * (order + 1)
-    for n, c in enumerate(nums[: order + 1]):
-        if c:
-            coeffs[n] = Poly.const(Fraction(c, den))
-    return TSeries(order, coeffs)
 
 
 def binom2(n: int) -> int:
@@ -268,17 +243,20 @@ def hyper_series(spec: PhiSpec, order: int, arg_mono: Poly | Fraction | int = 1)
     return _euler(arg_mono, order, row)
 
 
-def _euler(mono: Poly | Fraction | int, order: int, row) -> TSeries:
-    """sum_n row[n] mono^n t^n for n <= order."""
-    if isinstance(mono, (int, Fraction)):
-        mono = Poly.const(mono)
+def _euler(mono: Poly | Fraction | int, order: int, row: Sequence[tuple[int, int]]) -> TSeries:
+    """sum_n num_n/den_n mono^n t^n for n <= order over the (num, den)
+    pairs of row; each t-power is one term, reduced by one gcd."""
+    mono = _coerce_poly(mono)
     if not mono.is_monomial():
         raise ValueError("series argument must be a monomial times t")
     ((i, j), c), = mono.terms.items() or [((0, 0), ZERO)]
-    coeffs = [Poly.zero()] * (order + 1)
-    for n, w in enumerate(row):
-        coeffs[n] = Poly.monomial(i * n, j * n, c**n * w)
-    return TSeries(order, coeffs)
+    rows, cn, cd = [], 1, 1  # c^n
+    for n, (w, d) in enumerate(row[: order + 1]):
+        w, d = _reduced(w * cn, d * cd)
+        rows.append(({(i * n, j * n): w}, d) if w else _ZROW)
+        cn *= c.numerator
+        cd *= c.denominator
+    return _series(order, rows + [_ZROW] * (order + 1 - len(rows)))
 
 
 def euler_inverse_series(mono: Poly | Fraction | int, q, order: int) -> TSeries:
@@ -292,18 +270,11 @@ def euler_product_series(mono: Poly | Fraction | int, q, order: int) -> TSeries:
 
 
 def qpoch_t_poly(mono: Poly | Fraction | int, q, j: int, order: int) -> TSeries:
-    """The finite product (mono*t; q)_j = prod_{i<j} (1 - mono q^i t) as a TSeries.
+    """The finite product (mono*t; q)_j = prod_{i<j} (1 - mono q^i t) as a
+    TSeries, for a monomial (or scalar) mono.
 
     Expanded by the q-binomial theorem: the t^k coefficient is
     [j;k] (-1)^k q^C(k,2) mono^k = (q^-j;q)_k / (q;q)_k * q^(jk) * mono^k.
     """
-    if isinstance(mono, (int, Fraction)):
-        mono = Poly.const(mono)
     q = as_fraction(q)
-    top = min(j, order)
-    coeffs = []
-    mono_pow = Poly.one()
-    for w in _poch_row((q**-j,), {"q": q}, q, top, z=q**j):
-        coeffs.append(mono_pow * w)
-        mono_pow = mono_pow * mono
-    return TSeries(order, coeffs + [Poly.zero()] * (order - top))
+    return _euler(mono, order, _poch_row((q**-j,), {"q": q}, q, min(j, order), z=q**j))

@@ -122,7 +122,8 @@ def apply_operator(spec: OperatorSpec, p: Poly) -> Poly:
     q = ps.q
     z, r = (ONE, ONE) if spec.kind == "T" else (-ONE, q)
     deg = p.x_degree()
-    weights = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, deg, z=z, r=r)
+    weights = [Fraction(c, d) for c, d in
+               _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, deg, z=z, r=r)]
     s = _symbol_row("dq" if spec.kind == "T" else "theta", q, deg)
     t: dict[tuple[int, int], Fraction] = {}
     for (i, j), c in p.terms.items():

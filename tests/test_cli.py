@@ -97,6 +97,21 @@ class TestVerifyCommand:
             assert code == 0
             assert hashlib.sha256(normalize(rep).encode()).hexdigest() == pinned, seed
 
+    def test_golden_exact_report_o12(self, tmp_path, capsys):
+        # the benchmark's exact-o12 configuration, order 12 x 5 trials at
+        # its two sub-seeds, pinned on Fraction-dict series
+        golden = {
+            42: "f58b901fd85664cf5905aa75da27209c07768d3feecab64bd86386c2450153d8",
+            1042: "512ab0a5ae2fae358ac9fac138e4b2f5875fd0b280b3d0227c295dbcc869ea3a",
+        }
+        for seed, pinned in golden.items():
+            code, rep = run_verify(
+                tmp_path, f"o12-{seed}.json",
+                ["--suite", "exact", "--order", "12", "--trials", "5", "--seed", str(seed)],
+            )
+            assert code == 0
+            assert hashlib.sha256(normalize(rep).encode()).hexdigest() == pinned, seed
+
     def test_usage_errors(self, tmp_path, capsys):
         assert cli.main(["verify", "--ids", "ID-99", "--out", str(tmp_path / "x.json")]) == 2
         assert cli.main(["verify", "--order", "2", "--out", str(tmp_path / "x.json")]) == 2

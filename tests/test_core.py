@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qasc.core import ParamSet, Poly, TSeries, random_paramset, random_rational
+from qasc.core import ParamSet, Poly, TSeries, _row, _series, random_paramset, random_rational
 
 Q = F(1, 2)
 
@@ -182,6 +183,139 @@ class TestTSeries:
         f = TSeries(2, [Poly.x(), Poly.one(), Poly.one()])
         with pytest.raises(ValueError):
             f.inverse()
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            e = (i1 + i2, j1 + j2)
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+class RefSeries:
+    """The series arithmetic on one Fraction term dict per power of t: the
+    reference the integer-row TSeries is checked against."""
+
+    def __init__(self, terms):
+        self.terms = [{e: F(c) for e, c in t.items() if c} for t in terms]
+
+    @staticmethod
+    def of(polys):
+        return RefSeries([p.terms for p in polys])
+
+    def __add__(self, other):
+        return RefSeries([_ref_add(a, b) for a, b in zip(self.terms, other.terms)])
+
+    def __neg__(self):
+        return RefSeries([{e: -c for e, c in t.items()} for t in self.terms])
+
+    def __mul__(self, other):
+        n = len(self.terms)
+        out = [{} for _ in range(n)]
+        for i, a in enumerate(self.terms):
+            for j, b in enumerate(other.terms[: n - i]):
+                out[i + j] = _ref_add(out[i + j], _ref_mul(a, b))
+        return RefSeries(out)
+
+    def scale(self, p):
+        return RefSeries([_ref_mul(t, p.terms) for t in self.terms])
+
+    def inverse(self):
+        inv0 = 1 / self.terms[0][(0, 0)]
+        out = [{(0, 0): inv0}]
+        for n in range(1, len(self.terms)):
+            acc: dict = {}
+            for k in range(1, n + 1):
+                acc = _ref_add(acc, _ref_mul(self.terms[k], out[n - k]))
+            out.append({e: -c * inv0 for e, c in acc.items()})
+        return RefSeries(out)
+
+    def first_mismatch(self, other):
+        return next((n for n, (a, b) in enumerate(zip(self.terms, other.terms)) if a != b), None)
+
+
+def _same(series: TSeries, ref: RefSeries) -> bool:
+    """The TSeries reads out the reference's terms, and its rows are
+    canonical: den > 0, no zero numerator, gcd(den, *nums) == 1."""
+    for nums, den in series.rows:
+        assert den > 0 and all(nums.values())
+        assert gcd(den, *nums.values()) == 1
+    return [p.terms for p in series.coeffs] == ref.terms
+
+
+ORDER_L = 4
+
+
+def layout_polys(max_terms=3):
+    """Polys in x, y with signed coefficients; zero and constant polys too."""
+    return st.one_of(polys(max_terms, 3), fracs().map(Poly.const), st.just(Poly.zero()))
+
+
+def layout_series():
+    return st.lists(layout_polys(), min_size=ORDER_L + 1, max_size=ORDER_L + 1)
+
+
+class TestRowLayout:
+    """Integer-row TSeries against the Fraction-dict reference."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(layout_series(), layout_series(), layout_polys())
+    def test_arithmetic_matches_reference(self, a, b, p):
+        sa, sb = TSeries(ORDER_L, a), TSeries(ORDER_L, b)
+        ra, rb = RefSeries.of(a), RefSeries.of(b)
+        assert _same(sa, ra) and _same(sb, rb)
+        assert _same(sa + sb, ra + rb)
+        assert _same(sa - sb, ra + (-rb))
+        assert _same(-sa, -ra)
+        assert _same(sa * sb, ra * rb)
+        assert _same(sa.scale(p), ra.scale(p))
+        assert _same(sa * p, ra.scale(p))
+        assert (sa == sb) == (ra.terms == rb.terms)
+        assert sa.first_mismatch(sb) == ra.first_mismatch(rb)
+        # cancellation to zero, and the zero series
+        assert _same(sa - sa, RefSeries([{}] * (ORDER_L + 1)))
+        assert (sa - sa).is_zero() and sa - sa == TSeries.zeros(ORDER_L)
+        assert _same(sa * TSeries.zeros(ORDER_L), RefSeries([{}] * (ORDER_L + 1)))
+        assert sa.scale(0) == TSeries.zeros(ORDER_L)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(fracs().filter(bool), layout_series())
+    def test_inverse_matches_reference(self, c0, rest):
+        polys = [Poly.const(c0)] + rest[1:]
+        s, ref = TSeries(ORDER_L, polys), RefSeries.of(polys)
+        assert _same(s.inverse(), ref.inverse())
+        assert s * s.inverse() == TSeries.one(ORDER_L)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(layout_series(), layout_series())
+    def test_poly_and_row_paths_agree(self, a, b):
+        # a series built from Polys equals the one built from its rows,
+        # and a product read out as Polys and rebuilt equals the product
+        s = TSeries(ORDER_L, a)
+        assert s == _series(ORDER_L, [_row(p) for p in a])
+        prod = s * TSeries(ORDER_L, b)
+        assert TSeries(ORDER_L, prod.coeffs) == prod
+        assert TSeries(ORDER_L, prod.coeffs).rows == prod.rows
+
+    def test_coeffs_read_only_and_built_once(self):
+        s = TSeries(3, [Poly.x(), Poly.y(), 0, Poly.const(F(-2, 3))])
+        first = s.coeffs
+        assert isinstance(first, tuple) and s.coeffs is first
+        assert s.coeff(1) is first[1]
+        with pytest.raises(TypeError):
+            s.coeffs[3] = Poly.one()
+        with pytest.raises(AttributeError):
+            s.coeffs = first
+        assert s.rows[3] == ({(0, 0): -2}, 3)
 
 
 class TestParamSet:

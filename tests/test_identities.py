@@ -14,6 +14,7 @@ from qasc.identities import (
     CATALOG,
     CATALOG_ORDER,
     BasisExpansionError,
+    IdentityCheck,
     _quotient_sum,
     build_id3_lhs,
     build_id3_rhs,
@@ -44,6 +45,11 @@ from qasc.qkernel import (
 )
 
 ORDER = 8  # catalog unit tests run fast; the acceptance suite uses 12
+
+
+def _fracs(row):
+    """A _poch_row row of (num, den) pairs as Fractions."""
+    return [F(c, d) for c, d in row]
 
 
 class TestCatalog:
@@ -188,19 +194,56 @@ class TestCatalog:
         assert lhs == euler_inverse_series(Poly.x(), ps.q, N)
 
 
-def test_builders_do_not_write_into_series(monkeypatch):
-    # every TSeries gets tuple coefficients, so an in-place write raises
-    init = TSeries.__init__
-
-    def frozen_init(self, order, coeffs=None):
-        init(self, order, coeffs)
-        self.coeffs = tuple(self.coeffs)
-
-    monkeypatch.setattr(TSeries, "__init__", frozen_init)
+def test_builders_do_not_write_into_series():
+    # every TSeries reads out a tuple of coefficients, built once, so an
+    # in-place write raises and repeated reads give the same Polys
     ps = random_paramset(random.Random(41))
     for K in range(4):
-        build_id7_pair(ps, 6, K)
+        for side in build_id7_pair(ps, 6, K)[1:]:
+            coeffs = side.coeffs
+            assert isinstance(coeffs, tuple) and side.coeffs is coeffs
+            assert all(a is b for a, b in zip(coeffs, side.coeffs))
+            with pytest.raises(TypeError):
+                side.coeffs[3] = Poly.one()
+            with pytest.raises(AttributeError):
+                side.coeffs = coeffs
     assert qpoch_t_poly(Poly.x(), ps.q, 3, 6).coeff(3) == Poly.monomial(3, 0, -ps.q**3)
+
+
+def _moved(series: TSeries, n: int, p: Poly) -> TSeries:
+    coeffs = list(series.coeffs)
+    coeffs[n] = coeffs[n] + p
+    return TSeries(series.order, coeffs)
+
+
+def test_mismatch_rendering_pinned():
+    # what verify reports for a wrong side, pinned on Fraction-dict series:
+    # the benchmark's negative control (ID-3 at order 12 with the rhs t^3
+    # coefficient shifted by y), and an ID-7 side with one coefficient moved
+    def id3_shifted(ps, order):
+        sub, lhs, rhs = CATALOG["ID-3"].build(ps, order)[0]
+        return [(sub, lhs, _moved(rhs, 3, Poly.y()))]
+
+    check = IdentityCheck("ID-3-perturbed", "ID-3 with rhs t^3 shifted by y", (), id3_shifted)
+    rep = verify(check, trial_paramset(check, 42, 0), 12)
+    t3 = ("(387420489/242225585)x^3 + (615054384/194829895)x^2y"
+          " + (1080799980530256/308612696808845)xy^2"
+          " + (1336364511891554338704/512193931419742536185)y^3")
+    assert rep.status == "fail"
+    assert rep.first_mismatch == {"power": 3, "sub": "", "lhs": t3, "rhs": t3 + " + y"}
+
+    def id7_moved(ps, order):
+        sides = CATALOG["ID-7"].build(ps, order)
+        sub, lhs, rhs = sides[2]
+        return sides[:2] + [(sub, lhs, _moved(rhs, 5, Poly.monomial(2, 5, F(-1, 7))))] + sides[3:]
+
+    check = IdentityCheck("ID-7-moved", "ID-7 with one rhs coefficient moved", (), id7_moved)
+    mism = verify(check, trial_paramset(CATALOG["ID-7"], 42, 0), 12).first_mismatch
+    assert (mism["power"], mism["sub"], len(mism["lhs"]), len(mism["rhs"])) == (5, "k=2", 897, 897)
+    assert hashlib.sha256(mism["lhs"].encode()).hexdigest() == (
+        "87b7a73aee2742d11d25d2540953452befd70931bebf99c415e6554b751efc35")
+    assert hashlib.sha256(mism["rhs"].encode()).hexdigest() == (
+        "ed61ecb075ec6ec2b889e5c3f31f481ea8e32729d8f83a4e4ff5fb522eebb3c9")
 
 
 class TestParallelVerification:
@@ -321,7 +364,7 @@ class TestResiduals:
             coeffs = [_random_poly(rng) for _ in range(3)]
             f = TSeries(2, coeffs)
             got = qdiff_residual(which, f, ps)
-            assert got.coeffs == [_shifted_residual(which, p, ps) for p in coeffs]
+            assert list(got.coeffs) == [_shifted_residual(which, p, ps) for p in coeffs]
 
     @pytest.mark.parametrize("seed", [3, 17, 58])
     def test_homogeneous_solutions_are_the_basis(self, seed):
@@ -512,7 +555,7 @@ def test_id12_quotients_match_series_inverse(M):
         (_poch_row((q**-M,), {"q": q}, q, M, z=sig), xi, xi * t0),
     ):
         old = TSeries.zeros(ORDER)
-        for n, wn in enumerate(w):
+        for n, wn in enumerate(_fracs(w)):
             quot = qpoch_t_poly(a, q, n, ORDER) * qpoch_t_poly(b, q, n, ORDER).inverse()
             old = old + quot.shift_t(n).scale(wn)
         assert _quotient_sum(w, a, b, q, ORDER) == old
@@ -558,7 +601,8 @@ def test_quotient_sum_matches_fraction_loop():
                 w = [c if i % 2 else F(0) for i, c in enumerate(w)]  # zero entries
             elif case == 5:
                 w = [F(0)] * len(w)
-            assert _quotient_sum(w, a, b, q, N) == _quotient_sum_by_fractions(w, a, b, q, N), (N, case)
+            got = _quotient_sum([(c.numerator, c.denominator) for c in w], a, b, q, N)
+            assert got == _quotient_sum_by_fractions(w, a, b, q, N), (N, case)
     assert _quotient_sum([], F(1, 3), F(1, 5), F(1, 2), 4) == TSeries.zeros(4)
 
 
@@ -599,7 +643,7 @@ def _id5_rhs_by_shifts(ps: ParamSet, N: int, sig: F, tau: F) -> TSeries:
     p = [F(1)]
     for n in range(N):
         p.append(p[-1] * (tau - sig * q**n))
-    w = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N)
+    w = _fracs(_poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N))
     acc = TSeries.zeros(N)
     for k in range(N + 1):
         term = euler_product_series(Poly.x() * (sig * q**k), q, N).shift_t(k)
@@ -610,7 +654,8 @@ def _id5_rhs_by_shifts(ps: ParamSet, N: int, sig: F, tau: F) -> TSeries:
 def _id6_rhs_by_shifts(ps: ParamSet, N: int, t_scale: F) -> TSeries:
     """ID-6's right side with one Euler product per k, shifted and scaled."""
     q = ps.q
-    w = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N, z=-t_scale, r=q)
+    w = _fracs(_poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N,
+                         z=-t_scale, r=q))
     acc = TSeries.zeros(N)
     for k in range(N + 1):
         term = euler_product_series(Poly.x() * (t_scale * q**k), q, N).shift_t(k)
@@ -624,9 +669,9 @@ def _id7_rhs_by_rows(ps: ParamSet, N: int, K: int) -> TSeries:
     1/(xt;q)_inf as a TSeries product."""
     q = ps.q
     M = N + K
-    A = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, M)
-    J = _poch_row((q**-K,), {}, q, K, z=-(q**K), r=1 / q)
-    E = [_poch_row((q**-j,), {"q": q}, q, j, z=q**j)[::-1] for j in range(K + 1)]
+    A = _fracs(_poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, M))
+    J = _fracs(_poch_row((q**-K,), {}, q, K, z=-(q**K), r=1 / q))
+    E = [_fracs(_poch_row((q**-j,), {"q": q}, q, j, z=q**j))[::-1] for j in range(K + 1)]
     acc = [Poly.zero()] * (N + 1)
     for n in range(M + 1):
         for j in range(min(n, K) + 1):

@@ -30,12 +30,21 @@ from qasc.numeric import (
     rel_diff,
     sum_until_tail,
     to_mp,
-    u_region_bound,
     u_series,
     u_series_rhs,
 )
 from qasc.polys import asc5_phi
 from qasc.qkernel import PoleError, qpoch
+
+def u_region_bound(xs, q, n):
+    """Conservative reading of the U(n+1) convergence region:
+    |z| < min_m (prod_i |x_i|) |x_m|^-n q^((n-1)/2)."""
+    prod = F(1)
+    for v in xs:
+        prod *= abs(F(v))
+    best = min(prod * abs(F(xm)) ** (-n) for xm in xs)
+    return float(best) * float(F(q)) ** ((n - 1) / 2)
+
 
 FAST = NumericConfig(precision_bits=128, tail_tol="1e-25", compare_tol="1e-12",
                      quad=QuadConfig(half_width=9.0, nodes=32, panels=12))

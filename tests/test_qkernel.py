@@ -11,15 +11,14 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from qasc.core import Poly, TSeries
+from qasc.core import Poly, TSeries, _poly, _row, _series
 from qasc.qkernel import (
     PhiSpec,
     PoleError,
-    _int_conv,
-    _int_row,
+    _common_den,
+    _euler,
     _poch_row,
     _qbinom_rows,
-    _row_series,
     euler_inverse_series,
     euler_product_series,
     hyper_series,
@@ -236,7 +235,7 @@ class TestTermStream:
                     nums.append(q**-m)
                 dens = {"d": draw(), "e": F(0) if trial % 4 == 0 else draw(), "q": q}
                 z, r = draw(), rng.choice([F(1), q, q * q, 1 / q])
-                row = _poch_row(nums, dens, q, 14, z=z, r=r)
+                row = _fracs(_poch_row(nums, dens, q, 14, z=z, r=r))
                 if m is not None:
                     assert row[m] != 0 and not any(row[m + 1:])
                 stream = term_stream(
@@ -264,6 +263,14 @@ def _stream_row(nums, dens, q, n, z=F(1), r=F(1)):
     return list(islice(term_stream(nums, dens, q, z, r, F(1)), n + 1))
 
 
+def _fracs(row):
+    """A _poch_row row of (num, den) pairs as Fractions, after checking its
+    form: integers, each den positive and dividing the next one."""
+    assert all(type(c) is int and type(d) is int and d > 0 for c, d in row)
+    assert all(b % a == 0 for (_, a), (_, b) in zip(row, row[1:]))
+    return [F(c, d) for c, d in row]
+
+
 def _outcome(build):
     try:
         return build()
@@ -287,7 +294,7 @@ class TestPochRow:
             z, r = draw(), rng.choice([F(1), q, q * q, 1 / q, draw()])
             n = rng.randint(0, 14)
             # a draw of b = 1 or b = q^-j is a pole, with the same index and text
-            got = _outcome(lambda: _poch_row(nums, dens, q, n, z, r))
+            got = _outcome(lambda: _fracs(_poch_row(nums, dens, q, n, z, r)))
             assert got == _outcome(lambda: _stream_row(nums, dens, q, n, z, r))
             poles += isinstance(got, tuple)
         assert 0 < poles < 50
@@ -304,7 +311,7 @@ class TestPochRow:
     )
     def test_edge_cases_match_term_stream(self, nums, dens, z, r):
         for n in (-1, 0, 1, 9):
-            row = _poch_row(nums, dens, Q, n, z, r)
+            row = _fracs(_poch_row(nums, dens, Q, n, z, r))
             assert row == _stream_row(nums, dens, Q, n, z, r)
             assert len(row) == n + 1
         if nums[0] == Q**-4:
@@ -317,8 +324,8 @@ class TestPochRow:
         # (q^-1;q)_k is 0 from k = 2 on and z = 0 empties every term past
         # k = 0; (4;q)_k at q = 1/2 still vanishes at k = 3
         nums, dens = [Q**-1], {"d": F(4), "q": Q}
-        assert _poch_row(nums, dens, Q, 2, z) == _stream_row(nums, dens, Q, 2, z)
-        got = _outcome(lambda: _poch_row(nums, dens, Q, 5, z))
+        assert _fracs(_poch_row(nums, dens, Q, 2, z)) == _stream_row(nums, dens, Q, 2, z)
+        got = _outcome(lambda: _fracs(_poch_row(nums, dens, Q, 5, z)))
         assert got == _outcome(lambda: _stream_row(nums, dens, Q, 5, z))
         assert got == ("pole", 3, "(d,q;q)_k vanished at k=3 for d=4, q=1/2")
 
@@ -349,7 +356,7 @@ class TestQBinomRows:
 
 def _fraction_conv(a, b, n):
     """The first n + 1 coefficients of the product of two rows, on
-    Fractions: the reference for _int_conv."""
+    Fractions: the reference for the product of integer rows."""
     out = [F(0)] * (n + 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -362,7 +369,15 @@ def _const_series(values, order):
     return TSeries(order, [Poly.const(c) for c in values])
 
 
+def _pairs(values):
+    return [(c.numerator, c.denominator) for c in values]
+
+
 class TestIntRows:
+    """Integer rows: a _poch_row-style row of (num, den) pairs over one
+    denominator (_common_den), the product of series of canonical rows
+    and a scalar row as a TSeries (_euler with mono 1)."""
+
     EDGE_ROWS = [
         [F(3, 4), F(-5, 6), F(1, 12), F(-7, 6)],  # entries whose sum cancels
         [F(0), F(0), F(0)],  # all zero
@@ -378,7 +393,7 @@ class TestIntRows:
 
     @pytest.mark.parametrize("row", EDGE_ROWS)
     def test_int_row_edge_cases(self, row):
-        nums, den = _int_row(row)
+        nums, den = _common_den(_pairs(row))
         assert den == lcm(*(c.denominator for c in row)) > 0
         assert [F(c, den) for c in nums] == row
         assert all(isinstance(c, int) for c in nums)
@@ -387,9 +402,12 @@ class TestIntRows:
         rng = random.Random(5)
         for _ in range(100):
             row = self._random_row(rng, rng.randint(1, 12))
-            nums, den = _int_row(row)
+            nums, den = _common_den(_pairs(row))
             assert [F(c, den) for c in nums] == row
             assert all(den % c.denominator == 0 for c in row)
+        # along a _poch_row row the common denominator is the last one
+        row = _poch_row((F(1, 3), F(-2, 5)), {"d": F(1, 7), "q": Q}, Q, 9, z=F(-3, 4), r=Q)
+        assert _common_den(row)[1] == row[-1][1]
 
     def test_conv_matches_fractions(self):
         rng = random.Random(9)
@@ -398,32 +416,36 @@ class TestIntRows:
             for b in rng.sample(rows, 6):
                 # N = 0, N shorter than either row, and N past both
                 for n in (0, 1, 3, len(a) + len(b) - 2, 15):
-                    (an, ad), (bn, bd) = _int_row(a), _int_row(b)
-                    got = _int_conv(an, bn, n)
+                    pad = [F(0)] * (n + 1)
+                    ra = [_row(Poly.const(c)) for c in (a + pad)[: n + 1]]
+                    rb = [_row(Poly.const(c)) for c in (b + pad)[: n + 1]]
+                    got = (_series(n, ra) * _series(n, rb)).rows
                     assert len(got) == n + 1
-                    assert [F(c, ad * bd) for c in got] == _fraction_conv(a, b, n)
+                    assert [_poly(r).constant() for r in got] == _fraction_conv(a, b, n)
+                    assert list(got) == [_row(Poly.const(c)) for c in _fraction_conv(a, b, n)]
 
     def test_row_series_reduced_without_zero_terms(self):
-        got = _row_series([6, 0, -4, 9, 3], 12, 6)
+        got = _euler(1, 6, [(c, 12) for c in (6, 0, -4, 9, 3)])
         assert got == _const_series([F(1, 2), 0, F(-1, 3), F(3, 4), F(1, 4), 0, 0], 6)
         for p in got.coeffs:
             for e, c in p.terms.items():
                 assert e == (0, 0) and c != 0 and gcd(c.numerator, c.denominator) == 1
         assert [bool(p.terms) for p in got.coeffs] == [1, 0, 1, 1, 1, 0, 0]
+        assert got.rows[2] == ({(0, 0): -1}, 3)
 
     def test_row_series_truncates_and_pads(self):
-        assert _row_series([2, 4, 6], 4, 1) == _const_series([F(1, 2), 1], 1)
-        assert _row_series([], 7, 2) == TSeries.zeros(2)
-        assert _row_series([0, 0], 3, 0) == TSeries.zeros(0)
-        assert _row_series([-9], 6, 0).coeffs[0].terms == {(0, 0): F(-3, 2)}
+        assert _euler(1, 1, [(2, 4), (4, 4), (6, 4)]) == _const_series([F(1, 2), 1], 1)
+        assert _euler(1, 2, []) == TSeries.zeros(2)
+        assert _euler(1, 0, [(0, 3), (0, 3)]) == TSeries.zeros(0)
+        assert _euler(1, 0, [(-9, 6)]).coeffs[0].terms == {(0, 0): F(-3, 2)}
 
     def test_product_of_rows_matches_series_product(self):
-        # integer rows multiplied and converted back equal the TSeries
-        # product of the same constants
+        # integer rows from _poch_row multiplied as series equal the
+        # Fraction convolution of the same terms
         rng = random.Random(17)
         for n in range(0, 9):
-            a, b = self._random_row(rng, n + 1), self._random_row(rng, rng.randint(1, n + 1))
-            (an, ad), (bn, bd) = _int_row(a), _int_row(b)
-            got = _row_series(_int_conv(an, bn, n), ad * bd, n)
-            b_full = b + [F(0)] * (n + 1 - len(b))
-            assert got == _const_series(a, n) * _const_series(b_full, n)
+            q = F(rng.randint(1, 8), rng.randint(9, 32))
+            a = _poch_row((F(rng.randint(-8, 8), 9),), {"q": q}, q, n, z=F(rng.randint(-5, 5), 7))
+            b = _poch_row((), {"q": q}, q, n, z=F(-1, rng.randint(2, 9)), r=q)
+            got = _euler(1, n, a) * _euler(1, n, b)
+            assert got == _const_series(_fraction_conv(_fracs(a), _fracs(b), n), n)
