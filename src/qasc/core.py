@@ -1,11 +1,13 @@
 """Exact arithmetic substrate: rationals, sparse bivariate polynomials in
 {x, y}, and truncated power series in a formal variable t.
 
-No value here is changed after construction, so values are safe to share
-across threads; ``Poly.terms`` is a plain dict that callers must not write
-to, and ``TSeries.coeffs`` is a tuple.  The coefficient field is the
-rationals: ``fractions.Fraction`` in a Poly, and in a TSeries one
-integer row per power of t, the layout of FLINT's ``fmpq_poly``.
+Both polynomial types share one exact layout, the canonical integer row
+(``Row``, the layout of FLINT's ``fmpq_poly``): a ``Poly`` holds one row,
+a ``TSeries`` one row per power of t, and all their arithmetic and
+comparison runs on those integers.  ``Poly.terms`` reads a row out as a
+read-only {(i, j): Fraction} mapping, built on first read.  No value here
+is changed after construction, so values are safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -33,84 +35,80 @@ def as_fraction(v) -> Fraction:
 
 
 class Poly:
-    """Sparse polynomial in x and y with Fraction coefficients.
+    """Sparse polynomial in x and y with rational coefficients.
 
-    Terms are stored as a dict mapping exponent pairs (i, j) to nonzero
-    coefficients, where i is the degree in x and j the degree in y.
-    Zero coefficients are never stored, so equality is term-map equality.
+    Held as one canonical row (see ``Row``): the coefficient of x^i y^j,
+    i the degree in x and j the degree in y, is row[0][(i, j)] / row[1].
+    Zero coefficients are never stored and the row is unique, so equality
+    is row equality.  ``terms`` gives the coefficients as Fractions.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("row", "_terms")
 
     def __init__(self, terms: Mapping[tuple[int, int], Fraction] | None = None):
-        t = {}
-        if terms:
-            for (i, j), c in terms.items():
-                if c:
-                    if i < 0 or j < 0:
-                        raise ValueError(f"negative exponent in term ({i},{j})")
-                    t[(i, j)] = c
-        self.terms = t
+        cs = {}
+        for (i, j), c in (terms or {}).items():
+            if c := as_fraction(c):
+                if i < 0 or j < 0:
+                    raise ValueError(f"negative exponent in term ({i},{j})")
+                cs[(i, j)] = c
+        # each prime power of den divides some denominator exactly, whose
+        # numerator it does not divide, so the row is canonical
+        den = lcm(*(c.denominator for c in cs.values()))
+        self.row = {e: c.numerator * (den // c.denominator) for e, c in cs.items()}, den
+        self._terms = None
+
+    @property
+    def terms(self) -> Mapping[tuple[int, int], Fraction]:
+        # two threads may both build the mapping; either result is the same
+        if self._terms is None:
+            nums, den = self.row
+            self._terms = MappingProxyType({e: Fraction(c, den) for e, c in nums.items()})
+        return self._terms
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly()
+        return _raw(_ZROW)
 
     @staticmethod
     def one() -> "Poly":
-        return Poly({(0, 0): ONE})
+        return _raw(_UNIT)
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly({(0, 0): as_fraction(c)})
+        return _raw(_row(as_fraction(c)))
 
     @staticmethod
     def monomial(i: int, j: int, c=ONE) -> "Poly":
-        return Poly({(i, j): as_fraction(c)})
+        return Poly({(i, j): c})
 
     @staticmethod
     def x() -> "Poly":
-        return Poly({(1, 0): ONE})
+        return _raw(({(1, 0): 1}, 1))
 
     @staticmethod
     def y() -> "Poly":
-        return Poly({(0, 1): ONE})
+        return _raw(({(0, 1): 1}, 1))
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "Poly":
-        other = _coerce_poly(other)
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e)
-            if s is None:
-                t[e] = c
-            elif s := s + c:
-                t[e] = s
-            else:
-                del t[e]
-        return _raw(t)
+        return _raw(_dot(((self.row, _UNIT), (_row(other), _UNIT))))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return _raw({e: -c for e, c in self.terms.items()})
+        nums, den = self.row
+        return _raw(({e: -c for e, c in nums.items()}, den))
 
     def __sub__(self, other) -> "Poly":
-        return self + (-_coerce_poly(other))
+        return _raw(_dot(((self.row, _UNIT), (_row(other), _MINUS))))
 
     def __rsub__(self, other) -> "Poly":
-        return _coerce_poly(other) + (-self)
+        return _raw(_dot(((self.row, _MINUS), (_row(other), _UNIT))))
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            if not c:
-                return Poly()
-            return _raw({e: k * c for e, k in self.terms.items()})
-        t: dict[tuple[int, int], Fraction] = {}
-        _mul_into(t, self.terms, _coerce_poly(other).terms)
-        return _raw({e: c for e, c in t.items() if c})
+        return _raw(_dot([(self.row, _row(other))]))
 
     __rmul__ = __mul__
 
@@ -127,62 +125,60 @@ class Poly:
         return out
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        if not isinstance(other, Poly):
+        if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
-        return self.terms == other.terms
+        return self.row == _row(other)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        nums, den = self.row
+        if self.is_constant():
+            return hash(Fraction(nums.get((0, 0), 0), den))
+        return hash((frozenset(nums.items()), den))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.row[0])
+
+    def __reduce__(self):
+        return (_raw, (self.row,))  # the terms view does not pickle
 
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.row[0]
 
     def is_monomial(self) -> bool:
-        return len(self.terms) <= 1
+        return len(self.row[0]) <= 1
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {(0, 0)}
+        return self.row[0].keys() <= {(0, 0)}
 
     def coeff(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), ZERO)
+        nums, den = self.row
+        return Fraction(nums.get((i, j), 0), den)
 
     def constant(self) -> Fraction:
-        return self.terms.get((0, 0), ZERO)
+        return self.coeff(0, 0)
 
     def x_degree(self) -> int:
         """Largest x-exponent present; -1 for the zero polynomial."""
-        return max((i for (i, _) in self.terms), default=-1)
+        return max((i for (i, _) in self.row[0]), default=-1)
 
     def shift(self, sx: Fraction, sy: Fraction) -> "Poly":
         """Substitute x -> sx*x and y -> sy*y.
 
         The coefficient of x^i y^j is multiplied by sx^i sy^j.
         """
-        sx = as_fraction(sx)
-        sy = as_fraction(sy)
-        t = {}
-        for (i, j), c in self.terms.items():
-            k = c * sx**i * sy**j
-            if k:
-                t[(i, j)] = k
-        return _raw(t)
+        return _raw(_canon(*_substitute(self.row, sx, sy)))
 
     def eval(self, xv, yv) -> Fraction:
         """Evaluate at exact rational points."""
-        xv = as_fraction(xv)
-        yv = as_fraction(yv)
-        return sum((c * xv**i * yv**j for (i, j), c in self.terms.items()), ZERO)
+        nums, den = _substitute(self.row, xv, yv)
+        return Fraction(sum(nums.values()), den)
 
     def xcoeff_as_y_poly(self, i: int) -> "Poly":
         """Collect the coefficient of x^i as a polynomial in y alone."""
-        return _raw({(0, j): c for (ii, j), c in self.terms.items() if ii == i})
+        nums, den = self.row
+        return _raw(_canon({(0, j): c for (ii, j), c in nums.items() if ii == i}, den))
 
     # -- rendering ----------------------------------------------------------
 
@@ -219,10 +215,46 @@ class Poly:
         return f"Poly({self})"
 
 
-def _raw(terms: dict[tuple[int, int], Fraction]) -> Poly:
+# A row is one polynomial as (nums, den): integer numerators keyed by (i, j)
+# over one positive denominator.  Canonical rows have no zero numerator and
+# gcd(den, *nums) == 1, so equal polynomials have equal rows.
+Row = tuple[dict[tuple[int, int], int], int]
+_ZROW: Row = ({}, 1)
+_UNIT: Row = ({(0, 0): 1}, 1)
+_MINUS: Row = ({(0, 0): -1}, 1)
+
+
+def _raw(row: Row) -> Poly:
+    """The Poly on a canonical row, sharing it."""
     p = Poly.__new__(Poly)
-    p.terms = terms
+    p.row, p._terms = row, None
     return p
+
+
+def _row(v) -> Row:
+    """The canonical row of a Poly or of a rational scalar."""
+    if isinstance(v, Poly):
+        return v.row
+    if isinstance(v, (int, Fraction)):
+        return ({(0, 0): v.numerator}, v.denominator) if v else _ZROW
+    raise TypeError(f"cannot use {v!r} as a polynomial")
+
+
+def _poly(row: Row) -> Poly:
+    """The Poly on any row with a positive denominator, made canonical."""
+    return _raw(_canon(*row))
+
+
+def _substitute(row: Row, sx, sy) -> Row:
+    """row under x -> sx*x, y -> sy*y, not reduced: with sx = sn/sd,
+    sy = tn/td and I, J the largest exponents, over den sd^I td^J the
+    term c x^i y^j has numerator c sn^i sd^(I-i) tn^j td^(J-j)."""
+    (sn, sd), (tn, td) = (as_fraction(v).as_integer_ratio() for v in (sx, sy))
+    nums, den = row
+    I, J = map(max, zip(*nums)) if nums else (0, 0)
+    xs = [sn**m * sd ** (I - m) for m in range(I + 1)]
+    ys = [tn**m * td ** (J - m) for m in range(J + 1)]
+    return {(i, j): c * xs[i] * ys[j] for (i, j), c in nums.items()}, den * xs[0] * ys[0]
 
 
 def _mul_into(acc: dict, a: Mapping, b: Mapping, f: int = 1) -> None:
@@ -237,34 +269,8 @@ def _mul_into(acc: dict, a: Mapping, b: Mapping, f: int = 1) -> None:
             acc[e] = c1 * c2 if s is None else s + c1 * c2
 
 
-def _coerce_poly(v) -> Poly:
-    if isinstance(v, Poly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return Poly.const(v)
-    raise TypeError(f"cannot use {v!r} as a polynomial")
-
-
 X = Poly.x()
 Y = Poly.y()
-
-# A row is one polynomial as (nums, den): integer numerators keyed by (i, j)
-# over one positive denominator.  Canonical rows have no zero numerator and
-# gcd(den, *nums) == 1, so equal polynomials have equal rows.
-Row = tuple[dict[tuple[int, int], int], int]
-_ZROW: Row = ({}, 1)
-_UNIT: Row = ({(0, 0): 1}, 1)
-
-
-def _row(p: Poly) -> Row:
-    """The canonical row of p: its numerators over the lcm of its denominators."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
-
-
-def _poly(row: Row) -> Poly:
-    nums, den = row
-    return _raw({e: Fraction(c, den) for e, c in nums.items() if c})
 
 
 def _lcm(dens: Iterable[int]) -> int:
@@ -331,8 +337,8 @@ class TSeries:
     """Power series in t truncated at a fixed order N.
 
     Each t^n coefficient is held as a canonical row (see ``Row``), and all
-    arithmetic and comparison runs on those integers.  ``coeffs`` gives
-    them as Poly values t^0 .. t^N, built on first read.  Arithmetic never
+    arithmetic and comparison runs on those integers.  ``coeffs`` wraps
+    them as Poly values t^0 .. t^N, on first read.  Arithmetic never
     reads or writes beyond the truncation order, and mixing different
     orders is an error rather than a silent re-truncation.
     """
@@ -344,7 +350,7 @@ class TSeries:
             raise ValueError("order must be >= 0")
         rows = [_ZROW] * (order + 1)
         if coeffs is not None:
-            rows = [_row(_coerce_poly(c)) for c in coeffs]
+            rows = [_row(c) for c in coeffs]
             if len(rows) != order + 1:
                 raise ValueError(f"need {order + 1} coefficients, got {len(rows)}")
         self.order, self.rows, self._coeffs = order, tuple(rows), None
@@ -353,7 +359,7 @@ class TSeries:
     def coeffs(self) -> tuple[Poly, ...]:
         # two threads may both build the tuple; either result is the same
         if self._coeffs is None:
-            self._coeffs = tuple(_poly(r) for r in self.rows)
+            self._coeffs = tuple(_raw(r) for r in self.rows)
         return self._coeffs
 
     @staticmethod
@@ -366,7 +372,7 @@ class TSeries:
 
     @staticmethod
     def from_poly(p: Poly, order: int) -> "TSeries":
-        return _series(order, [_row(_coerce_poly(p))] + [_ZROW] * order)
+        return _series(order, [_row(p)] + [_ZROW] * order)
 
     def coeff(self, n: int) -> Poly:
         if not 0 <= n <= self.order:
@@ -408,7 +414,7 @@ class TSeries:
     __rmul__ = __mul__
 
     def scale(self, p) -> "TSeries":
-        p = _row(_coerce_poly(p))
+        p = _row(p)
         return _series(self.order, [_dot([(r, p)]) for r in self.rows])
 
     def shift_t(self, k: int) -> "TSeries":

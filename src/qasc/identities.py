@@ -313,7 +313,7 @@ def _build_id10(ps: ParamSet, N: int) -> list[Side]:
     lam, x0, y0 = ps.get("lam"), ps.get("x0"), ps.get("y0")
     lhs = _gf(N, q, _family_rows("cauchy", 0, N, q, x=x0, y=y0), _poch_row((lam,), {}, q, N))
     rhs = hyper_series(
-        PhiSpec([lam, y0 / x0], [Fraction(0)], q), N, arg_mono=Poly.const(x0)
+        PhiSpec([lam, y0 / x0], [Fraction(0)], q), N, arg_mono=x0
     )
     return [("", lhs, rhs)]
 
@@ -585,18 +585,24 @@ def trial_paramset(check: IdentityCheck, seed: int, trial: int) -> ParamSet:
 def _residual_row(which: str, row: Row, ps: ParamSet) -> Row:
     if which not in ("phi_eq", "psi_eq"):
         raise ValueError("which must be 'phi_eq' or 'psi_eq'")
-    q, a, b, c = ps.q, ps.a, ps.b, ps.c
-    dq, eq = ps.d / q, ps.e / q
+    q, dq, eq = ps.q, ps.d / ps.q, ps.e / ps.q
+    qn, qd = q.numerator, q.denominator
     nums, den = row
+    top = max((max(e) for e in nums), default=0)
+    # 1 - f q^m = (fd qd^m - fn qn^m) / (fd qd^m), one table per f
+    one, a, b, c, d, e = ([f.denominator * qd**m - f.numerator * qn**m for m in range(top + 1)]
+                          for f in (ONE, ps.a, ps.b, ps.c, dq, eq))
+    # L lies over ld qd^(3j) and R over rd qd^(i+3j); each side takes the
+    # other's constant, so both lie over den ld rd qd^E
+    ld, rd = dq.denominator * eq.denominator, ps.a.denominator * ps.b.denominator * ps.c.denominator
+    base, psi = den * ld * rd, which == "psi_eq"
     terms = []
     for (i, j), k in nums.items():
-        u, v = q**i, q**j
-        left = (1 - v) * (1 - dq * v) * (1 - eq * v)
-        right = (1 - u) * (1 - a * v) * (1 - b * v) * (1 - c * v)
-        if which == "psi_eq":
-            left, right = u * left, -v * right
-        terms += [((i + 1, j), k * left.numerator, (den, left.denominator)),
-                  ((i, j + 1), -k * right.numerator, (den, right.denominator))]
+        left, el = k * rd * one[j] * d[j] * e[j], 3 * j
+        right, er = -k * ld * one[i] * a[j] * b[j] * c[j], i + 3 * j
+        if psi:  # u L and -v R
+            left, el, right, er = left * qn**i, el + i, -right * qn**j, er + j
+        terms += [((i + 1, j), left, (base, qd**el)), ((i, j + 1), right, (base, qd**er))]
     return _sum_terms(terms)
 
 

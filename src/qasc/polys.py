@@ -24,12 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import ONE, ZERO, ParamSet, Poly, Row, X, Y, _poly, _row, as_fraction
+from .core import ONE, ZERO, ParamSet, Poly, Row, X, Y, _UNIT, _dot, _poly, _row, as_fraction
 from .qkernel import _poch_row, _qbinom_rows
-
-
-def _val(v):
-    return v if isinstance(v, Poly) else Poly.const(as_fraction(v))
 
 
 def _asc_sum(lo: int, N: int, q: Fraction, w: Sequence[tuple[int, int]], x, y,
@@ -46,16 +42,17 @@ def _asc_sum(lo: int, N: int, q: Fraction, w: Sequence[tuple[int, int]], x, y,
     """
     if lo < 0:
         raise ValueError("polynomial degree n must be >= 0")
-    xv, yv = _val(x), _val(y)
-    subst = not (xv.is_monomial() and yv.is_monomial())
+    xr, yr = (_row(v if isinstance(v, Poly) else as_fraction(v)) for v in (x, y))
+    subst = len(xr[0]) > 1 or len(yr[0]) > 1
     # a monomial's one term; the zero polynomial reads as 0 * x^0 y^0
-    ((ix, jx), cx), = (X if subst else xv).terms.items() or [((0, 0), ZERO)]
-    ((iy, jy), cy), = (Y if subst else yv).terms.items() or [((0, 0), ZERO)]
+    ((ix, jx), cx), = (X.row if subst else xr)[0].items() or [((0, 0), 0)]
+    ((iy, jy), cy), = (Y.row if subst else yr)[0].items() or [((0, 0), 0)]
+    xd, yd = (1, 1) if subst else (xr[1], yr[1])
     binom = _qbinom_rows(q, N)
     qp = [(q.numerator if psi else q.denominator) ** m for m in range(N * N // 4 + 1)]
     # x^(n-k) y^k over xd^n yd^n: xn^(n-k) xd^k yn^k yd^(n-k)
-    xs = [(cx.numerator**m, cx.denominator**m) for m in range(N + 1)]
-    ys = [(cy.numerator**m, cy.denominator**m) for m in range(N + 1)]
+    xs = [(cx**m, xd**m) for m in range(N + 1)]
+    ys = [(cy**m, yd**m) for m in range(N + 1)]
     out = []
     for n in range(lo, N + 1):
         top = (n // 2) * (n - n // 2)
@@ -71,12 +68,13 @@ def _asc_sum(lo: int, N: int, q: Fraction, w: Sequence[tuple[int, int]], x, y,
                 nums[e] = c if s is None else s + c
         out.append((nums, wd * qp[top] * xs[n][1] * ys[n][1]))
     if subst:
-        xs, ys = [Poly.one()], [Poly.one()]
+        # nums/den over x^i y^j goes to sum nums[i, j]/den xr^i yr^j
+        xp, yp = [_UNIT], [_UNIT]
         for _ in range(N):
-            xs.append(xs[-1] * xv)
-            ys.append(ys[-1] * yv)
-        out = [_row(sum((xs[i] * ys[j] * c for (i, j), c in _poly(r).terms.items()), Poly.zero()))
-               for r in out]
+            xp.append(_dot([(xp[-1], xr)]))
+            yp.append(_dot([(yp[-1], yr)]))
+        out = [_dot((({e: c * k for e, k in xp[i][0].items()}, xp[i][1] * den), yp[j])
+                    for (i, j), c in nums.items()) for nums, den in out]
     return out
 
 

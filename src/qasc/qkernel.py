@@ -32,8 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .core import (ONE, ZERO, Poly, TSeries, _ZROW, _coerce_poly, _lcm, _reduced, _series,
-                   as_fraction)
+from .core import ONE, Poly, TSeries, _ZROW, _lcm, _reduced, _row, _series, as_fraction
 
 
 class PoleError(ArithmeticError):
@@ -246,16 +245,16 @@ def hyper_series(spec: PhiSpec, order: int, arg_mono: Poly | Fraction | int = 1)
 def _euler(mono: Poly | Fraction | int, order: int, row: Sequence[tuple[int, int]]) -> TSeries:
     """sum_n num_n/den_n mono^n t^n for n <= order over the (num, den)
     pairs of row; each t-power is one term, reduced by one gcd."""
-    mono = _coerce_poly(mono)
-    if not mono.is_monomial():
+    nums, den = _row(mono)
+    if len(nums) > 1:
         raise ValueError("series argument must be a monomial times t")
-    ((i, j), c), = mono.terms.items() or [((0, 0), ZERO)]
-    rows, cn, cd = [], 1, 1  # c^n
+    ((i, j), c), = nums.items() or [((0, 0), 0)]
+    rows, cn, cd = [], 1, 1  # (c/den)^n
     for n, (w, d) in enumerate(row[: order + 1]):
         w, d = _reduced(w * cn, d * cd)
         rows.append(({(i * n, j * n): w}, d) if w else _ZROW)
-        cn *= c.numerator
-        cd *= c.denominator
+        cn *= c
+        cd *= den
     return _series(order, rows + [_ZROW] * (order + 1 - len(rows)))
 
 

@@ -19,35 +19,44 @@ The operator series
     E(a,b,c,d,e, y*theta) = sum_n (-1)^n q^C(n,2) (a,b,c;q)_n / ((q,d,e;q)_n) (y theta)^n
 
 terminate on polynomials because the n-th power annihilates x-degrees
-below n; no truncation cap is involved.
+below n; no truncation cap is involved.  Everything here runs on the
+integer row of a Poly (``core.Row``) with integer symbol tables, so no
+Fraction is built per term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
-from .core import ONE, ZERO, ParamSet, Poly, as_fraction
+from .core import ParamSet, Poly, _dot, _raw, _sum_terms, as_fraction
 from .qkernel import _poch_row, _qbinom_rows
 
 
-_SYMBOLS = {"dq": lambda q, m: 1 - q**m, "theta": lambda q, m: q ** (1 - m) - q}
-
-
-def _symbol_row(op: str, q, deg: int) -> list[Fraction]:
-    """[sym(m) for m = 0..deg], where op x^m = sym(m) x^(m-1)."""
-    sym = _SYMBOLS[op]
-    return [sym(q, m) for m in range(deg + 1)]
+def _symbols(op: str, q, deg: int) -> tuple[list[int], int, int]:
+    """(s, u, v) with op x^m = s[m] / (u v^m) x^(m-1) for m = 0..deg, on
+    integers with q = qn/qd: D has 1 - q^m = (qd^m - qn^m) / qd^m, theta
+    has q^(1-m) - q = qn (qd^m - qn^m) / (qd qn^m)."""
+    q = as_fraction(q)
+    qn, qd = q.numerator, q.denominator
+    s = [qd**m - qn**m for m in range(deg + 1)]
+    if op == "dq":
+        return s, 1, qd
+    if op == "theta":
+        return [qn * c for c in s], qd, qn
+    raise ValueError(f"unknown operator {op!r}: use 'dq' or 'theta'")
 
 
 def _lower(op: str, p: Poly, k: int, q) -> Poly:
     """op^k on p: x^i y^j with i >= k goes to prod_(m=i-k+1..i) sym(m)
     x^(i-k) y^j, lower x-degrees vanish.  The map is one-to-one on
-    monomials, so no two terms meet."""
-    s = _symbol_row(op, as_fraction(q), p.x_degree())
-    return Poly({(i - k, j): prod(s[i - k + 1 : i + 1], start=c)
-                 for (i, j), c in p.terms.items() if i >= k})
+    monomials, so no two terms meet; the symbol product lies over
+    u^k v^(ki - C(k,2))."""
+    s, u, v = _symbols(op, q, p.x_degree())
+    nums, den = p.row
+    return _raw(_sum_terms([((i - k, j), prod(s[i - k + 1 : i + 1], start=c),
+                             (den * u**k, v ** (k * i - k * (k - 1) // 2)))
+                            for (i, j), c in nums.items() if i >= k]))
 
 
 def dq_apply(p: Poly, q) -> Poly:
@@ -76,25 +85,23 @@ def leibniz(op: str, f: Poly, g: Poly, n: int, q) -> Poly:
 
         D^n(fg)     = sum_k [n;k]            D^k f     * (D^(n-k) g)(x q^k)
         theta^n(fg) = sum_k [n;k] q^(k(k-n)) theta^k f * (theta^(n-k) g)(x q^-k)
+
+    With [n;k] = b_k / qd^(k(n-k)) (``_qbinom_rows``) the theta weight is
+    b_k / qn^(k(n-k)); the n + 1 products are summed as one row.
     """
     if n < 0:
         raise ValueError("leibniz needs n >= 0")
     q = as_fraction(q)
-    binom, qd = _qbinom_rows(q, n)[n], q.denominator  # [n;k] = binom[k] / qd^(k(n-k))
-    out = Poly.zero()
+    binom = _qbinom_rows(q, n)[n]
+    r, sx = (q.denominator, q) if op == "dq" else (q.numerator, 1 / q)
+    pairs = []
     fk = f
     for k in range(n + 1):
-        gk = op_power(op, g, n - k, q)
-        weight = Fraction(binom[k], qd ** (k * (n - k)))
-        if op == "dq":
-            shifted = gk.shift(q**k, ONE)
-        else:
-            weight *= q ** (k * (k - n))
-            shifted = gk.shift(q**-k, ONE)
-        out = out + fk * shifted * weight
+        gk, gd = op_power(op, g, n - k, q).shift(sx**k, 1).row
+        pairs.append((fk.row, ({e: c * binom[k] for e, c in gk.items()}, gd * r ** (k * (n - k)))))
         if k < n:
             fk = op_power(op, fk, 1, q)
-    return out
+    return _raw(_dot(pairs))
 
 
 @dataclass(frozen=True)
@@ -120,15 +127,17 @@ def apply_operator(spec: OperatorSpec, p: Poly) -> Poly:
     """
     ps = spec.params
     q = ps.q
-    z, r = (ONE, ONE) if spec.kind == "T" else (-ONE, q)
+    z, r = (1, 1) if spec.kind == "T" else (-1, q)
     deg = p.x_degree()
-    weights = [Fraction(c, d) for c, d in
-               _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, deg, z=z, r=r)]
-    s = _symbol_row("dq" if spec.kind == "T" else "theta", q, deg)
-    t: dict[tuple[int, int], Fraction] = {}
-    for (i, j), c in p.terms.items():
-        # w_n y^n op^n x^i = w_n prod_(m=i-n+1..i) sym(m) x^(i-n) y^n
+    w = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, deg, z=z, r=r)
+    s, u, v = _symbols("dq" if spec.kind == "T" else "theta", q, deg)
+    nums, den = p.row
+    terms = []
+    for (i, j), c in nums.items():
+        # w_n y^n op^n x^i = w_n prod_(m=i-n+1..i) sym(m) x^(i-n) y^n,
+        # the symbol product over u^n v^(ni - C(n,2))
         for n in range(i + 1):
-            t[(i - n, j + n)] = t.get((i - n, j + n), ZERO) + c * weights[n]
+            terms.append(((i - n, j + n), c * w[n][0],
+                          (den * u**n, v ** (n * i - n * (n - 1) // 2), w[n][1])))
             c *= s[i - n]
-    return Poly(t)
+    return _raw(_sum_terms(terms))

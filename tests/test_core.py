@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -100,6 +102,31 @@ class TestPoly:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             Poly({(-1, 0): F(1)})
+
+    def test_coefficients_must_be_rational(self):
+        for make in (lambda: Poly({(0, 0): 0.5}), lambda: Poly.const(0.5),
+                     lambda: Poly.monomial(1, 0, 0.5), lambda: Poly.x() * 0.5):
+            with pytest.raises(TypeError):
+                make()
+        assert Poly({(0, 0): "2/3", (1, 0): 2}) == Poly.x() * 2 + F(2, 3)
+
+    def test_terms_read_only(self):
+        x = Poly.x()
+        with pytest.raises(TypeError):
+            x.terms[(0, 0)] = 0
+        with pytest.raises(TypeError):
+            x.terms[(1, 0)] = F(2)
+        assert str(x) == "x" and x == Poly.x() and x.terms == {(1, 0): 1}
+        # the view does not stop a copy
+        p = Poly({(2, 1): F(-3, 7), (0, 0): 5})
+        assert p.terms and pickle.loads(pickle.dumps(p)) == p == copy.deepcopy(p)
+
+    def test_constants_hash_like_their_value(self):
+        assert len({Poly.const(3), 3}) == 1
+        assert len({Poly.const(F(2, 3)), F(2, 3), Poly.x() - Poly.x() + F(4, 6)}) == 1
+        assert hash(Poly.zero()) == hash(0) and Poly.zero() == 0
+        assert hash(Poly.one()) == hash(1) == hash(F(1))
+        assert Poly.x() + 1 != 1 and len({Poly.x() + 1, 1}) == 2
 
 
 class TestTSeries:
@@ -241,6 +268,129 @@ class RefSeries:
 
     def first_mismatch(self, other):
         return next((n for n, (a, b) in enumerate(zip(self.terms, other.terms)) if a != b), None)
+
+
+class RefPoly:
+    """The polynomial as one Fraction per nonzero term: the reference the
+    integer-row Poly is checked against."""
+
+    def __init__(self, terms):
+        self.terms = {e: F(c) for e, c in terms.items() if c}
+
+    def __add__(self, other):
+        return RefPoly(_ref_add(self.terms, other.terms))
+
+    def __neg__(self):
+        return RefPoly({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return RefPoly(_ref_mul(self.terms, other.terms))
+
+    def __pow__(self, n):
+        out = RefPoly({(0, 0): 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def shift(self, sx, sy):
+        return RefPoly({(i, j): c * sx**i * sy**j for (i, j), c in self.terms.items()})
+
+    def xcoeff_as_y_poly(self, i):
+        return RefPoly({(0, j): c for (ii, j), c in self.terms.items() if ii == i})
+
+    def eval(self, xv, yv):
+        return sum((c * xv**i * yv**j for (i, j), c in self.terms.items()), F(0))
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for (i, j) in sorted(self.terms, key=lambda e: (-e[0], -e[1])):
+            c = self.terms[(i, j)]
+            mono = ("x" if i == 1 else f"x^{i}" if i else "") + ("y" if j == 1 else f"y^{j}" if j else "")
+            a = abs(c)
+            if not mono:
+                body = str(a)
+            elif a == 1:
+                body = mono
+            else:
+                body = f"{a}{mono}" if a.denominator == 1 else f"({a}){mono}"
+            sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+            parts.append(sign + body)
+        return " ".join(parts)
+
+
+def big_fracs():
+    """Signed rationals with zero, and numerators and denominators up to 10^24."""
+    return st.one_of(fracs(), st.builds(F, st.integers(-10**24, 10**24), st.integers(1, 10**24)))
+
+
+def term_maps(max_terms=5, max_deg=4):
+    return st.dictionaries(st.tuples(st.integers(0, max_deg), st.integers(0, max_deg)),
+                           big_fracs(), max_size=max_terms)
+
+
+def _canonical(p: Poly) -> Poly:
+    nums, den = p.row
+    assert den > 0 and all(nums.values()) and gcd(den, *nums.values()) == 1
+    return p
+
+
+class TestPolyRows:
+    """Integer-row Poly against the Fraction-dict reference."""
+
+    @staticmethod
+    def same(p: Poly, ref: RefPoly) -> None:
+        assert _canonical(p).terms == ref.terms
+        assert str(p) == str(ref)
+        assert p == Poly(ref.terms) and hash(p) == hash(Poly(ref.terms))
+        assert p.is_zero() == (not ref.terms)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(term_maps(), term_maps(), big_fracs(), big_fracs(), st.integers(0, 3),
+           st.integers(0, 4))
+    def test_arithmetic_matches_reference(self, a, b, s, u, n, i):
+        pa, pb, ra, rb = Poly(a), Poly(b), RefPoly(a), RefPoly(b)
+        rs = RefPoly({(0, 0): s})
+        self.same(pa, ra)
+        self.same(pa + pb, ra + rb)
+        self.same(pa - pb, ra - rb)
+        self.same(-pa, -ra)
+        self.same(pa * pb, ra * rb)
+        self.same(pa**n, ra**n)
+        self.same(pa.shift(s, u), ra.shift(s, u))
+        self.same(pa.xcoeff_as_y_poly(i), ra.xcoeff_as_y_poly(i))
+        # scalars on either side
+        self.same(pa + s, ra + rs)
+        self.same(s + pa, ra + rs)
+        self.same(pa - s, ra - rs)
+        self.same(s - pa, rs - ra)
+        self.same(pa * s, ra * rs)
+        self.same(s * pa, ra * rs)
+        # cancellation to zero, and the zero polynomial
+        self.same(pa - pa, RefPoly({}))
+        self.same((pa + pb) - pb, ra)
+        self.same(pa * 0, RefPoly({}))
+        assert pa.eval(s, u) == ra.eval(s, u)
+        assert (pa == pb) == (ra == rb)
+        assert pa.x_degree() == max((e[0] for e in ra.terms), default=-1)
+        assert pa.coeff(1, 1) == ra.terms.get((1, 1), 0)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(big_fracs(), term_maps())
+    def test_constants_equal_and_hash_like_fractions(self, c, a):
+        p = Poly.const(c)
+        self.same(p, RefPoly({(0, 0): c}))
+        assert p == c and hash(p) == hash(c) and p.constant() == c and p.is_constant()
+        # a constant reached by cancellation is the same value
+        q = Poly(a) + c - Poly(a)
+        assert q == c and hash(q) == hash(c) and len({q, c, p}) == 1
 
 
 def _same(series: TSeries, ref: RefSeries) -> bool:
