@@ -115,6 +115,10 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        nums, den = self.row
+        if len(nums) == 1:  # a monomial: gcd(c, den) = 1 gives gcd(c^n, den^n) = 1
+            ((i, j), c), = nums.items()
+            return _raw(({(n * i, n * j): c**n}, den**n))
         out = Poly.one()
         base = self
         while n:
@@ -241,8 +245,10 @@ def _row(v) -> Row:
 
 
 def _poly(row: Row) -> Poly:
-    """The Poly on any row with a positive denominator, made canonical."""
-    return _raw(_canon(*row))
+    """The Poly on any row with a positive denominator, made canonical, with
+    numerators of its own (a memoized row may come in)."""
+    nums, den = _canon(*row)
+    return _raw((dict(nums) if nums is row[0] else nums, den))
 
 
 def _substitute(row: Row, sx, sy) -> Row:

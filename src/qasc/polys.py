@@ -22,10 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Sequence
 
 from .core import ONE, ZERO, ParamSet, Poly, Row, X, Y, _UNIT, _dot, _poly, _row, as_fraction
-from .qkernel import _poch_row, _qbinom_rows
+from .qkernel import _poch_row, _qbinom_rows, _ratio, _remember
+
+_FAMILY_ROWS: dict = {}  # (family, q, a..e) -> (row_0, ..., row_m), None where not built
 
 
 def _asc_sum(lo: int, N: int, q: Fraction, w: Sequence[tuple[int, int]], x, y,
@@ -49,7 +53,7 @@ def _asc_sum(lo: int, N: int, q: Fraction, w: Sequence[tuple[int, int]], x, y,
     ((iy, jy), cy), = (Y.row if subst else yr)[0].items() or [((0, 0), 0)]
     xd, yd = (1, 1) if subst else (xr[1], yr[1])
     binom = _qbinom_rows(q, N)
-    qp = [(q.numerator if psi else q.denominator) ** m for m in range(N * N // 4 + 1)]
+    qp = list(accumulate(repeat(q.numerator if psi else q.denominator, N * N // 4), mul, initial=1))
     # x^(n-k) y^k over xd^n yd^n: xn^(n-k) xd^k yn^k yd^(n-k)
     xs = [(cx**m, xd**m) for m in range(N + 1)]
     ys = [(cy**m, yd**m) for m in range(N + 1)]
@@ -80,7 +84,23 @@ def _asc_sum(lo: int, N: int, q: Fraction, w: Sequence[tuple[int, int]], x, y,
 
 def _family_rows(family: str, lo: int, N: int, q, a=ZERO, b=ZERO, c=ZERO, d=ZERO, e=ZERO,
                  x=X, y=Y) -> list[Row]:
-    """[p_n(x, y) for n = lo..N] of one family as rows, all from one weight row."""
+    """[p_n(x, y) for n = lo..N] of one family as shared, unreduced rows.
+    For the default x, y they are memoized per family and parameters, and
+    a call builds only the span of those not yet built, from one weight row."""
+    if x is not X or y is not Y:
+        return _family_sum(family, lo, N, q, a, b, c, d, e, x, y)
+    key = (family, *map(_ratio, (q, a, b, c, d, e)))
+    rows = _FAMILY_ROWS.get(key, ())
+    missing = [n for n in range(lo, N + 1) if not 0 <= n < len(rows) or rows[n] is None]
+    if missing:
+        first, last = missing[0], missing[-1]
+        grown = list(rows) + [None] * (last + 1 - len(rows))
+        grown[first : last + 1] = _family_sum(family, first, last, q, a, b, c, d, e, x, y)
+        rows = _remember(_FAMILY_ROWS, key, tuple(grown))
+    return list(rows[lo : N + 1])
+
+
+def _family_sum(family: str, lo: int, N: int, q, a, b, c, d, e, x, y) -> list[Row]:
     q = as_fraction(q)
     psi = family.endswith("_psi")
     if family == "cauchy":

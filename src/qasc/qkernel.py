@@ -30,6 +30,7 @@ PoleError naming the offending term.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Iterator, Mapping, Sequence
 
 from .core import ONE, Poly, TSeries, _ZROW, _lcm, _reduced, _row, _series, as_fraction
@@ -125,10 +126,29 @@ def _pole(dens: Mapping, k: int) -> PoleError:
     return PoleError(f"({','.join(dens)};q)_k vanished at k={k} for {given}", index=k)
 
 
+# Row memos, cleared when full, keyed on ints (a Fraction hashes slowly).
+# Entries are immutable tuples, replaced whole: a thread race only recomputes.
+_MEMO_SIZE = 16
+_POCH_ROWS: dict = {}
+_QBINOM_ROWS: dict = {}
+
+
+def _remember(memo: dict, key, value):
+    if len(memo) >= _MEMO_SIZE:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+def _ratio(v) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational, as plain ints."""
+    return (v, 1) if type(v) is int else as_fraction(v).as_integer_ratio()
+
+
 def _poch_row(
     nums: Sequence, dens: Mapping[str, Fraction], q, n: int, z=ONE, r=ONE
-) -> list[tuple[int, int]]:
-    """[(num, den) for k = 0..n] with num/den = (nums;q)_k / (dens;q)_k *
+) -> tuple[tuple[int, int], ...]:
+    """((num, den) for k = 0..n) with num/den = (nums;q)_k / (dens;q)_k *
     z^k * r^C(k,2): the first n + 1 terms of term_stream on Fractions.
 
     Computed on integers, with no gcd.  With q = qn/qd and a = an/ad the
@@ -136,48 +156,48 @@ def _poch_row(
     constants go into the step z r^k and the qd^k powers cancel down to
     qd^(k(#dens - #nums)).  Each step multiplies the running numerator and
     denominator by the integers of its ratio, so den > 0 and each den
-    divides the next (see ``_common_den``).
+    divides the next (see ``_common_den``).  Memoized with the loop state:
+    a longer request resumes the loop, a shorter one is a slice.
     """
-    dens = {name: as_fraction(b) for name, b in dens.items()}
-    nums = [as_fraction(a) for a in nums]
-    q, z, r = as_fraction(q), as_fraction(z), as_fraction(r)
-    qn, qd = q.numerator, q.denominator
-    top = [(a.denominator, a.numerator) for a in nums]
-    bottom = [(b.denominator, b.numerator) for b in dens.values()]
-    sn, sd = z.numerator, z.denominator  # z r^k times the ad, bd constants
-    for ad, _ in top:
-        sd *= ad
-    for bd, _ in bottom:
-        sn *= bd
-    excess = len(bottom) - len(top)
-    qd_step = qd ** abs(excess)
-    row = [(1, 1)][: n + 1]
-    tn = td = 1  # term k
-    qnk = qdk = ek = 1  # qn^k, qd^k, qd^(k |excess|)
-    for k in range(1, n + 1):
-        fn, fd = sn, sd
-        for ad, an in top:
-            fn *= ad * qdk - an * qnk
-        for bd, bn in bottom:
-            f = bd * qdk - bn * qnk
-            if not f:
-                raise _pole(dens, k)
-            fd *= f
-        if excess > 0:
-            fn *= ek
-        else:
-            fd *= ek
-        if fd < 0:
-            fn, fd = -fn, -fd
-        tn *= fn
-        td *= fd
-        row.append((tn, td))
-        sn *= r.numerator
-        sd *= r.denominator
-        qnk *= qn
-        qdk *= qd
-        ek *= qd_step
-    return row
+    top, bottom = tuple(map(_ratio, nums)), tuple(map(_ratio, dens.values()))
+    (qn, qd), (zn, zd), (rn, rd) = _ratio(q), _ratio(z), _ratio(r)
+    key = (top, bottom, qn, qd, zn, zd, rn, rd)
+    # state: term k, z r^k with the ad, bd constants, qn^k, qd^k, qd^(k |excess|)
+    row, state, pole = _POCH_ROWS.get(key) or (((1, 1),), None, None)
+    if n >= len(row) and pole is None:
+        tn, td, sn, sd, qnk, qdk, ek = state or (
+            1, 1, zn * prod(d for _, d in bottom), zd * prod(d for _, d in top), 1, 1, 1)
+        excess = len(bottom) - len(top)
+        qd_step = qd ** abs(excess)
+        new = []
+        for k in range(len(row), n + 1):
+            fn, fd = sn, sd
+            for an, ad in top:
+                fn *= ad * qdk - an * qnk
+            for bn, bd in bottom:
+                fd *= bd * qdk - bn * qnk
+            if not fd:
+                pole = k
+                break
+            if excess > 0:
+                fn *= ek
+            else:
+                fd *= ek
+            if fd < 0:
+                fn, fd = -fn, -fd
+            tn *= fn
+            td *= fd
+            new.append((tn, td))
+            sn *= rn
+            sd *= rd
+            qnk *= qn
+            qdk *= qd
+            ek *= qd_step
+        row += tuple(new)
+        _remember(_POCH_ROWS, key, (row, (tn, td, sn, sd, qnk, qdk, ek), pole))
+    if n >= len(row):
+        raise _pole({name: as_fraction(b) for name, b in dens.items()}, pole)
+    return row[: n + 1]
 
 
 def _common_den(row: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
@@ -194,16 +214,20 @@ def _qbinom_rows(q, N: int) -> list[list[int]]:
     Pascal's rule [n;k] = q^k [n-1;k] + [n-1;k-1], scaled by qd^(k(n-k)):
     b(n,k) = qn^k b(n-1,k) + qd^(n-k) b(n-1,k-1), with no division and no
     gcd.  It holds for every rational q, q = 1 and q = -1 included.
+    Memoized per q, grown by the rows a request lacks, copied out.
     """
-    q = as_fraction(q)
-    qnp = [q.numerator**k for k in range(N + 1)]
-    qdp = [q.denominator**k for k in range(N + 1)]
-    rows = [[1]]
-    for n in range(1, N + 1):
-        prev = rows[-1]
-        rows.append([1] + [qnp[k] * prev[k] + qdp[n - k] * prev[k - 1] for k in range(1, n)]
-                    + [1])
-    return rows[: N + 1]
+    qn, qd = _ratio(q)
+    rows = _QBINOM_ROWS.get((qn, qd), ((1,),))
+    if N >= len(rows):
+        qnp = [qn**k for k in range(N + 1)]
+        qdp = [qd**k for k in range(N + 1)]
+        grown = list(rows)
+        for n in range(len(rows), N + 1):
+            prev = grown[-1]
+            grown.append((1, *[qnp[k] * prev[k] + qdp[n - k] * prev[k - 1] for k in range(1, n)],
+                          1))
+        rows = _remember(_QBINOM_ROWS, (qn, qd), tuple(grown))
+    return list(map(list, rows[: N + 1]))
 
 
 def binom2(n: int) -> int:

@@ -257,6 +257,7 @@ class TestModuleEntryPoint:
              "--trials", "1", "--seed", "1", "--out", str(out)],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()

@@ -382,6 +382,21 @@ class TestPolyRows:
         assert pa.x_degree() == max((e[0] for e in ra.terms), default=-1)
         assert pa.coeff(1, 1) == ra.terms.get((1, 1), 0)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(big_fracs(), st.integers(0, 5), st.integers(0, 5), st.integers(0, 6))
+    def test_monomial_powers_match_reference(self, c, i, j, n):
+        # one term (x^i y^j, constants, negative and fractional c), the
+        # zero polynomial when c = 0, and n = 0 among the draws
+        self.same(Poly({(i, j): c})**n, RefPoly({(i, j): c})**n)
+        self.same(Poly.const(c)**n, RefPoly({(0, 0): c})**n)
+        self.same((Poly.x()**i * Poly.y()**j)**n, RefPoly({(i * n, j * n): 1}))
+
+    def test_powers_of_zero_and_one(self):
+        for n in range(4):
+            self.same(Poly.zero()**n, RefPoly({(0, 0): 1} if n == 0 else {}))
+            self.same(Poly.one()**n, RefPoly({(0, 0): 1}))
+        self.same(Poly({(2, 1): F(-3, 4)})**0, RefPoly({(0, 0): 1}))
+
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(big_fracs(), term_maps())
     def test_constants_equal_and_hash_like_fractions(self, c, a):

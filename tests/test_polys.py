@@ -4,13 +4,19 @@ cross-family collapse relations."""
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qasc.core import ParamSet, Poly, TSeries, X, Y, random_paramset
+from qasc.core import ParamSet, Poly, TSeries, X, Y, _poly, random_paramset
 from qasc.polys import (
     PolyFamily,
+    _FAMILY_ROWS,
+    _family_rows,
     asc3_phi,
     asc3_psi,
     asc5_phi,
@@ -22,6 +28,8 @@ from qasc.polys import (
 )
 from qasc.qkernel import (
     PoleError,
+    _POCH_ROWS,
+    _QBINOM_ROWS,
     binom2,
     euler_inverse_series,
     euler_product_series,
@@ -324,3 +332,124 @@ def test_sequence_matches_per_n(family):
                 assert p == _FAMILIES[family](n, ps, xv, yv), (family, n, ps, xv, yv)
         for n in range(7):
             assert seq[n] == _textbook(family, n, ps, xv, yv), (family, n, ps)
+
+
+def _memo_paramset(family: str, i: int) -> ParamSet:
+    """Parameter set i of the family memo tests: the second has integral
+    values, which a call may pass as ints, and the third differs from the
+    first in the family's last parameter (q when it takes none) alone."""
+    arity = _AS_FAMILY[family][1]
+    ps = random_paramset(random.Random(f"memo:{family}:{i % 2}"))
+    if i == 1:
+        ps = ps.with_values(a=2, c=-1, d=-3)
+    if i == 2:
+        last = "abcde"[arity - 1] if arity else "q"
+        ps = ps.with_values(**{last: ps.q / 2 if last == "q" else ps.get(last) + 1})
+    return ps.with_values(**{k: 0 for k in "abcde"[arity:]})
+
+
+_TEXTBOOK: dict = {}
+
+
+def _memo_want(family: str, i: int, n: int) -> Poly:
+    key = (family, i, n)
+    if key not in _TEXTBOOK:
+        _TEXTBOOK[key] = _textbook(family, n, _memo_paramset(family, i), X, Y)
+    return _TEXTBOOK[key]
+
+
+def _clear_memos():
+    _FAMILY_ROWS.clear()
+    _POCH_ROWS.clear()
+    _QBINOM_ROWS.clear()
+
+
+class TestFamilyMemo:
+    """The rows of each family are kept per parameter set for the default
+    symbolic x, y; any interleaving of requests gives the textbook sums."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from(list(_FAMILIES)), st.integers(0, 2),
+                              st.sampled_from(["n", "sequence", "evaluate", "rows"]),
+                              st.integers(0, 10), st.integers(0, 10), st.booleans()),
+                    min_size=1, max_size=16))
+    def test_interleaved_requests_match_textbook_sums(self, requests):
+        _clear_memos()
+        for family, i, kind, n, m, as_int in requests:
+            ps = _memo_paramset(family, i)
+            name = _AS_FAMILY[family][0]
+            lo, hi = min(n, m), max(n, m)
+            if kind == "n":
+                got = {n: _FAMILIES[family](n, ps, X, Y)}
+            elif kind == "sequence":
+                got = dict(enumerate(PolyFamily(name, ps).sequence(hi)))
+            elif kind == "evaluate":
+                got = {n: PolyFamily(name, ps).evaluate(n)}
+            else:
+                values = [ps.q] + [getattr(ps, k) for k in "abcde"]
+                given_ = [int(v) if as_int and v.denominator == 1 else v for v in values]
+                got = dict(enumerate(map(_poly, _family_rows(name, lo, hi, *given_)), lo))
+            for k, p in got.items():
+                assert p == _memo_want(family, i, k), (family, i, kind, k)
+
+    @pytest.mark.parametrize("lengths", [(8, 3, 8, 2), (3, 8, 0, 8), (2, 1, 9)])
+    def test_pole_cold_and_warm(self, lengths):
+        ps = ParamSet(q=Q, a=F(1, 3), b=F(1, 5), c=F(1, 7), d=F(1, 4), e=Q**-3)
+        _clear_memos()
+        for n in lengths:
+            for build in (lambda: asc5_phi(n, ps),
+                          lambda: PolyFamily("asc_new_phi", ps).sequence(n)[n]):
+                if n >= 4:
+                    with pytest.raises(PoleError) as err:
+                        build()
+                    assert err.value.index == 4
+                    assert str(err.value) == "(d,e;q)_k vanished at k=4 for d=1/4, e=8"
+                else:
+                    assert build() == _textbook("asc5_phi", n, ps, X, Y)
+
+    def test_returned_polys_do_not_share_rows(self):
+        ps = _memo_paramset("asc5_phi", 0)
+        _clear_memos()
+        want = [_memo_want("asc5_phi", 0, n) for n in range(7)]
+        family = PolyFamily("asc_new_phi", ps)
+        written = [asc5_phi(4, ps), family.evaluate(5), *family.sequence(6)]
+        for p in written:
+            p.row[0][(0, 0)] = 12345
+            p.row[0].clear()
+        seq = family.sequence(6)
+        seq[0] = seq.pop()
+        assert asc5_phi(4, ps) == want[4] and family.evaluate(5) == want[5]
+        assert family.sequence(6) == want
+        assert _poly(_family_rows("asc_new_phi", 0, 6, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e)[6]) \
+            == want[6]
+
+    def test_threads_match_serial(self):
+        # four threads (more than cores) grow and clear the same rows in
+        # opposite orders
+        lengths = [3, 11, 0, 7, 12, 5, 9, 1]
+        pss = [_memo_paramset("asc5_psi", i) for i in (0, 1)]
+        serial = {(i, n): asc5_psi(n, ps) for i, ps in enumerate(pss) for n in lengths}
+        seen: list[list] = [[] for _ in range(4)]
+
+        def work(t):
+            for rep in range(10):
+                for n in lengths[:: (-1) ** t]:
+                    for i, ps in enumerate(pss):
+                        seen[t].append(((i, n), asc5_psi(n, ps)))
+                        seen[t].append(((i, n), PolyFamily("asc_new_psi", ps).sequence(n)[n]))
+                if rep % 4 == t:
+                    _clear_memos()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert all(len(got) == 20 * len(serial) for got in seen)
+        assert all(p == serial[key] for got in seen for key, p in got)

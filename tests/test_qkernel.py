@@ -3,18 +3,25 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from fractions import Fraction as F
 from itertools import islice
 from math import comb, gcd, lcm
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from qasc.core import Poly, TSeries, _poly, _row, _series
 from qasc.qkernel import (
     PhiSpec,
     PoleError,
+    _MEMO_SIZE,
+    _POCH_ROWS,
+    _QBINOM_ROWS,
     _common_den,
     _euler,
     _poch_row,
@@ -352,6 +359,125 @@ class TestQBinomRows:
     def test_short_triangles(self):
         assert _qbinom_rows(Q, -1) == []
         assert _qbinom_rows(Q, 0) == [[1]]
+
+
+# parameter sets (nums, dens, q, z, r) for the memo tests, with integral
+# values that a call may pass as ints; d = 4 = q^-2 is a pole at k = 3,
+# past a numerator (q^-1;q)_k that vanishes from k = 2 on
+_MEMO_SETS = [
+    ((F(1, 3), F(-2)), {"d": F(3, 5), "q": Q}, Q, F(1), F(1)),
+    ((F(2), F(-1, 4), F(5, 7)), {"d": F(-3), "e": F(1, 9)}, F(2, 3), F(-1), F(2, 3)),
+    ((Q**-1,), {"d": F(4), "q": Q}, Q, F(1), F(1)),
+    ((), {"q": F(-3, 5)}, F(-3, 5), F(-1), F(-3, 5)),
+    ((F(1, 5),), {"b": F(-2), "c": F(0)}, F(9, 4), F(3), F(1, 2)),
+]
+
+
+def _given(v, as_int):
+    return int(v) if as_int and v.denominator == 1 else v
+
+
+def _memo_request(i, n, as_int=False):
+    nums, dens, q, z, r = _MEMO_SETS[i]
+    return _outcome(lambda: _fracs(_poch_row(
+        [_given(a, as_int) for a in nums], {k: _given(b, as_int) for k, b in dens.items()},
+        _given(q, as_int), n, _given(z, as_int), _given(r, as_int))))
+
+
+class TestRowMemos:
+    """_poch_row and _qbinom_rows keep each row they build and grow it on
+    demand; every answer is what a fresh computation gives."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(0, len(_MEMO_SETS) - 1), st.integers(-1, 12),
+                              st.booleans()), min_size=1, max_size=25))
+    def test_interleaved_requests_match_term_stream(self, requests):
+        # growing, shrinking and repeated lengths across parameter sets,
+        # each value passed as an int or as the equal Fraction
+        _POCH_ROWS.clear()
+        for i, n, as_int in requests:
+            nums, dens, q, z, r = _MEMO_SETS[i]
+            want = _outcome(lambda: _stream_row(nums, dens, q, n, z, r))
+            assert _memo_request(i, n, as_int) == want, (i, n, as_int)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from([Q, F(-3, 5), F(9, 4), F(1), F(-1)]),
+                              st.integers(-1, 14)), min_size=1, max_size=20))
+    def test_interleaved_triangles_match_qbinom(self, requests):
+        _QBINOM_ROWS.clear()
+        for q, N in requests:
+            rows = _qbinom_rows(q, N)
+            assert [len(row) for row in rows] == list(range(1, N + 2))
+            if q not in (1, -1):
+                assert all(F(b, q.denominator ** (k * (n - k))) == qbinom(n, k, q)
+                           for n, row in enumerate(rows) for k, b in enumerate(row))
+            assert rows == _qbinom_rows(_given(q, True), N)
+
+    @pytest.mark.parametrize("lengths", [(6, 2, 6), (2, 6, 2, 6), (1, 2, 9, 0, 4)])
+    def test_pole_cold_and_warm(self, lengths):
+        # a prefix short of the pole comes back after a longer request hit
+        # it, and the pole raises with the same index and text each time
+        _POCH_ROWS.clear()
+        for n in lengths:
+            got = _memo_request(2, n)
+            assert got == _outcome(lambda: _stream_row(*_MEMO_SETS[2][:3], n))
+            if n >= 3:
+                assert got == ("pole", 3, "(d,q;q)_k vanished at k=3 for d=4, q=1/2")
+            else:
+                assert len(got) == n + 1
+
+    def test_memos_are_bounded(self):
+        nums, dens = (F(1, 3),), {"d": F(1, 5)}
+        for m in range(3 * _MEMO_SIZE):
+            z = F(m + 1, 7)
+            assert _fracs(_poch_row(nums, dens, Q, 4, z)) == _stream_row(nums, dens, Q, 4, z)
+            assert _qbinom_rows(F(1, m + 2), 3)[3][1] == (m + 2) ** 2 + (m + 2) + 1
+            assert 0 < len(_POCH_ROWS) <= _MEMO_SIZE and 0 < len(_QBINOM_ROWS) <= _MEMO_SIZE
+
+    def test_results_cannot_change_the_memo(self):
+        row = _poch_row(*_MEMO_SETS[0][:3], 6)
+        with pytest.raises(TypeError):
+            row[1] = (0, 1)
+        want = _qbinom_rows(F(-3, 5), 6)
+        rows = _qbinom_rows(F(-3, 5), 6)
+        rows[2][1] = 0
+        rows[3].append(7)
+        rows.append([1])
+        del rows[0]
+        assert _qbinom_rows(F(-3, 5), 6) == want
+        assert _qbinom_rows(F(-3, 5), 8)[:7] == want
+
+    def test_threads_match_serial(self):
+        # four threads (more than cores) grow and clear the same rows, in
+        # opposite orders and with ints or Fractions as parameters
+        lengths = [3, 11, 0, 7, 12, 5, 9, 1]
+        serial = {(i, n): (_memo_request(i, n), _qbinom_rows(_MEMO_SETS[i][2], n))
+                  for i in range(len(_MEMO_SETS)) for n in lengths}
+        seen: list[list] = [[] for _ in range(4)]
+
+        def work(t):
+            for rep in range(20):
+                for n in lengths[:: (-1) ** t]:
+                    for i in range(len(_MEMO_SETS)):
+                        seen[t].append(((i, n), (_memo_request(i, n, t % 2 == 1),
+                                                 _qbinom_rows(_MEMO_SETS[i][2], n))))
+                if rep % 7 == t:
+                    _POCH_ROWS.clear()
+                    _QBINOM_ROWS.clear()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert all(len(got) == 20 * len(serial) for got in seen)
+        assert all(value == serial[key] for got in seen for key, value in got)
 
 
 def _fraction_conv(a, b, n):
