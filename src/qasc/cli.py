@@ -8,13 +8,14 @@ polynomial families exactly.
     qasc eval asc-new-phi --n 1 --q 1/2 --a 1/3 --b 0 --c 0 --d 0 --e 0
     qasc eval qbinom --n 3 --k 1 --q 1/2
 
-`--ids` picks checks within the selected suite (default `all`). The
-numeric module, and with it mpmath, is imported only when a numeric check
-runs.
+`--ids` picks checks within the selected suite (default `all`). Every
+setting, `--out` included, is checked before the first check runs; the
+numeric ones, and with them mpmath, are read only when a numeric check is
+selected.
 
-Exit codes: 0 all pass, 1 verification failure, 2 usage or configuration
-error (an unwritable report path included), 3 numeric non-convergence, 4
-an exact builder raised an unexpected error.
+Exit codes, the largest over all entries winning: 0 all pass, 1
+verification failure (`fail`, `pole`), 2 usage or configuration error, 3
+numeric non-convergence, 4 a check raised an unexpected error (`error`).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ EXIT_USAGE = 2
 EXIT_NOCONV = 3
 EXIT_ERROR = 4
 
-_SUITES = ("exact", "numeric", "all")
 _DEFAULTS = {
     "suite": "all",
     "order": 12,
@@ -49,6 +49,42 @@ _DEFAULTS = {
     "out": "report.json",
     "ids": None,
 }
+
+
+def _exact_suite(cfg: dict):
+    def run(cid):
+        check = CATALOG[cid]
+        for trial in range(cfg["trials"]):
+            rep = verify(check, trial_paramset(check, cfg["seed"], trial), cfg["order"], trial)
+            yield rep, f"{cid:7s} trial {trial}: {rep.status}"
+
+    return CATALOG_ORDER, run
+
+
+def _numeric_suite(cfg: dict):
+    from .numeric import NUMERIC_CATALOG, NUMERIC_ORDER, NumericConfig
+
+    try:
+        ncfg = NumericConfig(precision_bits=cfg["precision"], tail_tol=cfg["tail_tol"],
+                             compare_tol=cfg["compare_tol"])
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+
+    def run(cid):
+        rep = NUMERIC_CATALOG[cid].execute(ncfg)
+        yield rep, f"{cid:7s} {rep.status}" + (f" rel_diff={rep.rel_diff}" if rep.rel_diff else "")
+
+    return NUMERIC_ORDER, run
+
+
+# each suite's ids and runner, read in this order; a runner yields
+# (report, progress line) per entry
+_SUITES = {"exact": (_exact_suite,), "numeric": (_numeric_suite,),
+           "all": (_exact_suite, _numeric_suite)}
+
+# the exit code of each entry status; the largest in a run wins
+_EXIT_OF = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "pole": EXIT_FAIL,
+            "no-convergence": EXIT_NOCONV, "error": EXIT_ERROR}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,111 +131,70 @@ def _merge_config(args: argparse.Namespace) -> dict:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+            raise SystemExit(f"error: cannot read config {args.config}: {exc}")
         if not isinstance(file_cfg, dict):
-            print(f"error: config {args.config} must hold a JSON object", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+            raise SystemExit(f"error: config {args.config} must hold a JSON object")
         unknown = set(file_cfg) - set(cfg)
         if unknown:
-            print(f"error: unknown config keys {sorted(unknown)}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+            raise SystemExit(f"error: unknown config keys {sorted(unknown)}")
         for key, v in file_cfg.items():
             # the type its flag parses to: int for the numbers, else a string
             want = int if isinstance(_DEFAULTS[key], int) else str
             if type(v) is not want and not (v is None and _DEFAULTS[key] is None):
-                print(f"error: config key {key!r} must be {want.__name__}, got {v!r}",
-                      file=sys.stderr)
-                raise SystemExit(EXIT_USAGE)
+                raise SystemExit(f"error: config key {key!r} must be {want.__name__}, got {v!r}")
         cfg.update(file_cfg)
     for key in cfg:
         v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v
     if cfg["suite"] not in _SUITES:
-        print(f"error: suite must be one of {', '.join(_SUITES)}, got {cfg['suite']!r}",
-              file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit(f"error: suite must be one of {', '.join(_SUITES)}, got {cfg['suite']!r}")
     if cfg["order"] < 4:
-        print("error: --order must be >= 4", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit("error: --order must be >= 4")
     if cfg["trials"] < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit("error: --trials must be >= 1")
     return cfg
 
 
-def _select_ids(cfg: dict) -> tuple[list[str], list[str]]:
-    """The exact and the numeric ids to run: the suite's, or those of them
-    that --ids names.  The numeric catalog is read only when the suite has
-    numeric checks and no --ids, or --ids names an id the exact suite lacks."""
-    suite = cfg["suite"]
+def _select_ids(cfg: dict) -> list:
+    """The (id, runner) pairs to run: the suite's checks, or those of them
+    that --ids names.  A suite is read, and its settings checked, only
+    while one of its checks may still be wanted."""
     wanted = None
     if cfg["ids"]:
         wanted = [t.strip() for t in str(cfg["ids"]).split(",") if t.strip()]
-    exact = [i for i in CATALOG_ORDER if suite != "numeric" and (wanted is None or i in wanted)]
-    rest = [w for w in wanted or () if w not in exact]
-    numeric = []
-    if suite != "exact" and (wanted is None or rest):
-        from .numeric import NUMERIC_ORDER
-
-        numeric = [i for i in NUMERIC_ORDER if wanted is None or i in rest]
-    bad = [w for w in rest if w not in numeric]
-    if bad:
-        print(f"error: identity ids {bad} are not in suite {suite!r}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    return exact, numeric
+    pairs, rest = [], wanted
+    for suite in _SUITES[cfg["suite"]]:
+        if rest == []:
+            break
+        ids, run = suite(cfg)
+        pairs += [(i, run) for i in ids if rest is None or i in rest]
+        rest = rest and [w for w in rest if w not in ids]
+    if rest:
+        raise SystemExit(f"error: identity ids {rest} are not in suite {cfg['suite']!r}")
+    return pairs
 
 
 def _unwritable(out: str, reason: str):
-    print(f"error: cannot write report {out}: {reason}", file=sys.stderr)
-    raise SystemExit(EXIT_USAGE)
+    raise SystemExit(f"error: cannot write report {out}: {reason}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    exact_ids, numeric_ids = _select_ids(cfg)
+    pairs = _select_ids(cfg)
     out = cfg["out"]
-    # before any check runs, refuse a directory or a path in a missing one
+    # before any check runs, refuse a directory, an empty path or a path in
+    # a missing directory
     if os.path.isdir(out):
         _unwritable(out, os.strerror(errno.EISDIR))
-    if not os.path.isdir(os.path.dirname(out) or "."):
+    if not out or not os.path.isdir(os.path.dirname(out) or "."):
         _unwritable(out, os.strerror(errno.ENOENT))
-    entries = []
-    any_fail = False
-    any_noconv = False
-    any_error = False
-
-    for cid in exact_ids:
-        check = CATALOG[cid]
-        for trial in range(cfg["trials"]):
-            ps = trial_paramset(check, cfg["seed"], trial)
-            rep = verify(check, ps, cfg["order"], trial)
+    entries, code = [], EXIT_PASS
+    for cid, run in pairs:
+        for rep, line in run(cid):
             entries.append(rep.to_dict())
-            any_fail |= rep.status != "pass"
-            any_error |= rep.status == "error"
-            print(f"{cid:7s} trial {trial}: {rep.status}")
-
-    if numeric_ids:
-        from .numeric import NUMERIC_CATALOG, NumericConfig
-
-        try:
-            ncfg = NumericConfig(
-                precision_bits=cfg["precision"],
-                tail_tol=str(cfg["tail_tol"]),
-                compare_tol=str(cfg["compare_tol"]),
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-        for cid in numeric_ids:
-            rep = NUMERIC_CATALOG[cid].execute(ncfg)
-            entries.append(rep.to_dict())
-            if rep.status == "no-convergence":
-                any_noconv = True
-            elif rep.status != "pass":
-                any_fail = True
-            print(f"{cid:7s} {rep.status}" + (f" rel_diff={rep.rel_diff}" if rep.rel_diff else ""))
+            code = max(code, _EXIT_OF[rep.status])
+            print(line)
 
     report = {
         "suite": cfg["suite"],
@@ -215,14 +210,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except OSError as exc:
         _unwritable(out, exc.strerror or str(exc))
 
-    total = len(entries)
     passed = sum(1 for e in entries if e["status"] == "pass")
-    print(f"{passed}/{total} checks passed; report written to {out}")
-    if any_error:
-        return EXIT_ERROR
-    if any_noconv:
-        return EXIT_NOCONV
-    return EXIT_FAIL if any_fail else EXIT_PASS
+    print(f"{passed}/{len(entries)} checks passed; report written to {out}")
+    return code
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -249,8 +239,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(family.evaluate(n, x, y))
         return EXIT_PASS
     except (PoleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise SystemExit(f"error: {exc}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -524,7 +524,7 @@ class ParamSet:
         return out
 
 
-def random_rational(rng: random.Random, positive: bool = False, nonzero: bool = True) -> Fraction:
+def random_rational(rng: random.Random, positive: bool = False) -> Fraction:
     """Draw one bounded rational: numerator in [-8, 8] without 0, denominator
     in [9, 32], halved when the magnitude exceeds 1/2.
 
@@ -534,8 +534,6 @@ def random_rational(rng: random.Random, positive: bool = False, nonzero: bool = 
     num = rng.randint(1, 8)
     if not positive and rng.random() < 0.5:
         num = -num
-    if not nonzero and rng.random() < 0.1:
-        return ZERO
     v = Fraction(num, rng.randint(9, 32))
     if abs(v) > Fraction(1, 2):
         v = v / 2

@@ -517,23 +517,16 @@ class Report:
     """Outcome of one identity trial."""
 
     id: str
+    trial: int
     params: dict[str, str]
     status: str  # pass | fail | pole | error
     first_mismatch: dict | None = None
     runtime_ms: int = 0
-    trial: int = 0
 
     def to_dict(self) -> dict:
-        out = {
-            "id": self.id,
-            "trial": self.trial,
-            "params": self.params,
-            "status": self.status,
-        }
-        if self.first_mismatch is not None:
-            out["first_mismatch"] = self.first_mismatch
-        out["runtime_ms"] = self.runtime_ms
-        return out
+        """The fields in declaration order, the order __init__ sets them in;
+        first_mismatch only when set."""
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def verify(check: IdentityCheck, params: ParamSet, order: int, trial: int = 0) -> Report:
@@ -562,14 +555,7 @@ def verify(check: IdentityCheck, params: ParamSet, order: int, trial: int = 0) -
         status = "error"
         mismatch = {"power": None, "sub": "", "lhs": f"{type(exc).__name__}: {exc}", "rhs": ""}
     ms = int((time.perf_counter() - t0) * 1000)
-    return Report(
-        id=check.id,
-        params=params.render(),
-        status=status,
-        first_mismatch=mismatch,
-        runtime_ms=ms,
-        trial=trial,
-    )
+    return Report(check.id, trial, params.render(), status, mismatch, ms)
 
 
 def trial_paramset(check: IdentityCheck, seed: int, trial: int) -> ParamSet:

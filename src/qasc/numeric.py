@@ -16,7 +16,7 @@ nodes computed at working precision.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator, Sequence
@@ -409,8 +409,7 @@ def gaussian_decay_rate(q) -> mpf:
 
 
 def ramanujan_integral(a, b, m, q, cfg: NumericConfig,
-                       weight: ParamSet | None = None, y=None,
-                       budget: list | None = None):
+                       weight: ParamSet | None = None, y=None):
     """integral of exp(-x^2+2mx) / ((a q^(1/2) e^(2ikx), b q^(1/2) e^(-2ikx);q)_inf)
     [times 3phi2(r,s,t; u,v; q, y q^(1/2) e^(2ikx)) when weighted] over the
     real line, truncated to [m-L, m+L] with exp(-L^2) below the tail."""
@@ -473,7 +472,7 @@ class NumericReport:
     id: str
     description: str
     params: dict[str, str]
-    status: str  # pass | fail | no-convergence
+    status: str  # pass | fail | no-convergence | error
     rel_diff: str | None = None
     error_budget: str | None = None
     precision_bits: int = 256
@@ -483,7 +482,7 @@ class NumericReport:
     def to_dict(self) -> dict:
         """The fields in declaration order; rel_diff and error_budget only
         when set."""
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def rel_diff(lhs, rhs) -> mpf:
@@ -514,6 +513,10 @@ class NumericCheck:
                 lhs, rhs, budget = self.run(self, cfg)
             except NonConvergence as exc:
                 report.error_budget = str(exc)
+            except Exception as exc:
+                # a defect in the check, not a property of the identity
+                report.status = "error"
+                report.error_budget = f"{type(exc).__name__}: {exc}"
             else:
                 d = rel_diff(lhs, rhs)
                 report.status = "pass" if d < cfg.ctol() else "fail"
@@ -560,10 +563,9 @@ def _run_u(chk: NumericCheck, cfg: NumericConfig):
 
 def _run_gauss_anchor(chk: NumericCheck, cfg: NumericConfig):
     p = chk.params
-    budget: list = []
     lhs = ramanujan_integral(0, 0, p["m"], p["q"], cfg)
     rhs = mp.sqrt(mp.pi) * mp.e ** (to_mp(p["m"]) ** 2)
-    return lhs, rhs, budget
+    return lhs, rhs, []
 
 
 def _run_ramanujan(chk: NumericCheck, cfg: NumericConfig):

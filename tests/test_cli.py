@@ -204,6 +204,85 @@ class TestVerifyCommand:
                                "error_budget", "precision_bits", "runtime_ms", "trial"]
         assert entry["trial"] == 0
 
+    def test_golden_all_report(self, tmp_path, capsys):
+        # --suite all crosses both suites in one run: stdout and the
+        # runtime-stripped report are pinned byte for byte
+        code, rep = run_verify(tmp_path, "all.json", ["--ids", "ID-9,ID-12,NUM-3,NUM-4", "--order", "6",
+                                                      "--trials", "2", "--precision", "128"])
+        stdout = capsys.readouterr().out.replace(str(tmp_path / "all.json"), "OUT")
+        assert code == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "4f01d8c07857c293abd3fc6e89a0d034b88d1863540ab6be272a542ab912286a")
+        assert hashlib.sha256(normalize(rep).encode()).hexdigest() == (
+            "0531a274dda68b5aa2439efd2f77e8e38764113fc2c83f1fbc895f0dd4987e09")
+
+    @pytest.mark.parametrize("args, err", [
+        (["--suite", "all", "--tail-tol", "1e-5", "--out", "r.json"],
+         "error: tail_tol must sit well below compare_tol"),
+        (["--ids", "ID-9", "--out", ""], "error: cannot write report : No such file or directory"),
+    ], ids=["tail-tol", "empty out"])
+    def test_bad_setting_refused_before_first_check(self, tmp_path, monkeypatch, capsys, args, err):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["verify", "--order", "4", "--trials", "1"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [err]
+        assert "trial" not in captured.out and list(tmp_path.iterdir()) == []
+
+    def test_numeric_setting_unread_by_exact_suite(self, tmp_path):
+        # no numeric check runs, so the numeric settings are never read
+        code, rep = run_verify(tmp_path, "x.json", ["--suite", "exact", "--ids", "ID-9", "--order", "4",
+                                                    "--trials", "1", "--tail-tol", "1e-5"])
+        assert code == 0 and [e["status"] for e in rep["entries"]] == ["pass"]
+
+    def test_numeric_error_is_report_entry(self, tmp_path, monkeypatch):
+        # an exception other than NonConvergence is a defect in the check,
+        # reported as such like an exact builder's
+        import dataclasses
+
+        from qasc.numeric import NUMERIC_CATALOG
+
+        def divides_by_zero(chk, cfg):
+            return 1 / 0
+
+        broken = dataclasses.replace(NUMERIC_CATALOG["NUM-3"], run=divides_by_zero)
+        monkeypatch.setitem(NUMERIC_CATALOG, "NUM-3", broken)
+        code, rep = run_verify(tmp_path, "n.json", ["--suite", "numeric", "--ids", "NUM-3,NUM-4",
+                                                    "--precision", "128"])
+        assert code == cli.EXIT_ERROR == 4
+        assert [e["status"] for e in rep["entries"]] == ["error", "pass"]
+        entry = rep["entries"][0]
+        assert entry["error_budget"] == "ZeroDivisionError: division by zero"
+        assert "rel_diff" not in entry
+
+    @pytest.mark.parametrize("ids, statuses, want", [
+        ("ID-9,NUM-3,NUM-4", ["fail", "no-convergence", "pass"], 3),
+        ("ID-9,ID-10,NUM-3,NUM-4", ["fail", "error", "no-convergence", "pass"], 4),
+    ])
+    def test_exit_code_precedence(self, tmp_path, monkeypatch, ids, statuses, want):
+        # fail (ID-9), error (ID-10), no-convergence (NUM-3) and pass (NUM-4)
+        # in one run: the largest exit code wins, wherever its entry falls
+        import dataclasses
+
+        from qasc.numeric import NUMERIC_CATALOG, NonConvergence
+
+        def fails(ps, order):
+            return [("", TSeries.one(order), TSeries.zeros(order))]
+
+        def raises(ps, order):
+            raise RuntimeError("forced")
+
+        def stuck(chk, cfg):
+            raise NonConvergence("forced")
+
+        monkeypatch.setitem(CATALOG, "ID-9", IdentityCheck("ID-9", "fails", (), fails))
+        monkeypatch.setitem(CATALOG, "ID-10", IdentityCheck("ID-10", "raises", (), raises))
+        monkeypatch.setitem(NUMERIC_CATALOG, "NUM-3",
+                            dataclasses.replace(NUMERIC_CATALOG["NUM-3"], run=stuck))
+        code, rep = run_verify(tmp_path, "p.json", ["--ids", ids, "--order", "4", "--trials", "1",
+                                                    "--precision", "128"])
+        assert code == want
+        assert [e["status"] for e in rep["entries"]] == statuses
+
 
 class TestEvalCommand:
     def test_asc_new_phi(self, capsys):
