@@ -150,9 +150,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.row[0]
 
-    def is_monomial(self) -> bool:
-        return len(self.row[0]) <= 1
-
     def is_constant(self) -> bool:
         return self.row[0].keys() <= {(0, 0)}
 

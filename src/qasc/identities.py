@@ -7,7 +7,8 @@ transformation identity as TSeries, writing their integer rows directly,
 and compares them exactly.  Identities whose natural coefficients are infinite sums
 are handled by the numeric module instead; two entries here (ID-5 and
 ID-12) regain finite coefficients by scaling a parameter pair with the
-formal variable.
+formal variable.  The builders and the basis expansion read the family
+rows p_0..p_N as one prefix (``polys._family_rows``).
 """
 
 from __future__ import annotations
@@ -55,9 +56,12 @@ def _gf(N: int, q: Fraction, seq: Sequence[Row],
     return _series(N, rows)
 
 
-def _phi_seq(ps: ParamSet, N: int, x=X, y=Y) -> list[Row]:
-    """The five-parameter phi_0(x,y) .. phi_N(x,y) as rows."""
-    return _family_rows("asc_new_phi", 0, N, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)
+def _asc5_rows(which: str, ps: ParamSet, N: int, x=X, y=Y) -> list[Row]:
+    """The five-parameter phi_0(x,y) .. phi_N(x,y), or psi_0 .. psi_N, as
+    rows: one read of the family's prefix."""
+    if which not in ("phi", "psi"):
+        raise ValueError("basis must be 'phi' or 'psi'")
+    return _family_rows(f"asc_new_{which}", N, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)
 
 
 def _alt_weights(q: Fraction, N: int, t_scale: Fraction = ONE) -> list[tuple[int, int]]:
@@ -75,7 +79,7 @@ def build_id3_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
 
 
 def build_id3_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
-    return _gf(N, ps.q, _phi_seq(ps, N), _poch_row((), {}, ps.q, N, z=t_scale))
+    return _gf(N, ps.q, _asc5_rows("phi", ps, N), _poch_row((), {}, ps.q, N, z=t_scale))
 
 
 def build_id4_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
@@ -90,8 +94,7 @@ def build_id4_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
 
 
 def build_id4_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
-    psi = _family_rows("asc_new_psi", 0, N, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e)
-    return _gf(N, ps.q, psi, _alt_weights(ps.q, N, t_scale))
+    return _gf(N, ps.q, _asc5_rows("psi", ps, N), _alt_weights(ps.q, N, t_scale))
 
 
 def _euler_rows(terms: Iterable[tuple[int, int, int, int, int, Fraction]], q: Fraction,
@@ -127,7 +130,7 @@ def build_id6_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
 
 
 def build_id6_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
-    return _gf(N, ps.q, _phi_seq(ps, N), _alt_weights(ps.q, N, t_scale))
+    return _gf(N, ps.q, _asc5_rows("phi", ps, N), _alt_weights(ps.q, N, t_scale))
 
 
 def build_id5_pair(ps: ParamSet, N: int, sig: Fraction, tau: Fraction) -> Side:
@@ -141,7 +144,7 @@ def build_id5_pair(ps: ParamSet, N: int, sig: Fraction, tau: Fraction) -> Side:
     q = ps.q
     # p_n(tau, sig) = prod_(m<n) (tau - sig q^m) = tau^n (sig/tau;q)_n
     p = _poch_row((sig / tau,), {}, q, N, z=tau) if tau else _poch_row((), {}, q, N, z=-sig, r=q)
-    lhs = _gf(N, q, _phi_seq(ps, N), p)
+    lhs = _gf(N, q, _asc5_rows("phi", ps, N), p)
     w = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N)
     acc = _series(N, _euler_rows([(wn * pn, wd * pd, 0, k, k, sig * q**k)
                                   for k, ((wn, wd), (pn, pd)) in enumerate(zip(w, p))], q, N))
@@ -176,7 +179,7 @@ def build_id7_pair(ps: ParamSet, N: int, K: int, phi: Sequence[Row] | None = Non
     """
     q = ps.q
     if phi is None:
-        phi = _phi_seq(ps, N + K)
+        phi = _asc5_rows("phi", ps, N + K)
     lhs = _gf(N, q, phi[K:])
     if H is None:
         H = _id7_sums(ps, N, K)
@@ -209,7 +212,7 @@ class IdentityCheck:
 
 
 def _build_id1(ps: ParamSet, N: int) -> list[Side]:
-    lhs = _gf(N, ps.q, _family_rows("asc_gen3_phi", 0, N, ps.q, ps.a, ps.b, ps.c))
+    lhs = _gf(N, ps.q, _family_rows("asc_gen3_phi", N, ps.q, ps.a, ps.b, ps.c))
     rhs = euler_inverse_series(Y, ps.q, N) * hyper_series(
         PhiSpec([ps.a, ps.b], [ps.c], ps.q), N, arg_mono=X
     )
@@ -217,7 +220,7 @@ def _build_id1(ps: ParamSet, N: int) -> list[Side]:
 
 
 def _build_id2(ps: ParamSet, N: int) -> list[Side]:
-    psi = _family_rows("asc_gen3_psi", 0, N, ps.q, ps.a, ps.b, ps.c)
+    psi = _family_rows("asc_gen3_psi", N, ps.q, ps.a, ps.b, ps.c)
     lhs = _gf(N, ps.q, psi, _alt_weights(ps.q, N))
     rhs = euler_product_series(Y, ps.q, N) * hyper_series(
         PhiSpec([ps.a, ps.b], [ps.c], ps.q), N, arg_mono=X
@@ -242,7 +245,7 @@ def _build_id6(ps: ParamSet, N: int) -> list[Side]:
 
 
 def _build_id7(ps: ParamSet, N: int) -> list[Side]:
-    phi = _phi_seq(ps, N + 3)
+    phi = _asc5_rows("phi", ps, N + 3)
     H = _id7_sums(ps, N, 3)
     return [build_id7_pair(ps, N, K, phi, H) for K in range(4)]
 
@@ -252,8 +255,8 @@ def _build_id8(ps: ParamSet, N: int) -> list[Side]:
     ps2 = ParamSet(q, *(ps.get(k) for k in ("a2", "b2", "c2", "d2", "e2")))
     x1, y1, x2, y2 = (ps.get(k) for k in ("x1", "y1", "x2", "y2"))
 
-    lhs = _gf(N, q, [_dot([(u, v)])
-                     for u, v in zip(_phi_seq(ps, N, x1, y1), _phi_seq(ps2, N, x2, y2))])
+    phi1, phi2 = _asc5_rows("phi", ps, N, x1, y1), _asc5_rows("phi", ps2, N, x2, y2)
+    lhs = _gf(N, q, [_dot([(u, v)]) for u, v in zip(phi1, phi2)])
 
     # v_j times t^m of the j-th 3phi2(a q^j, b q^j, c q^j; d q^j, e q^j; q, x2 y1 t)
     # is A_(j+m) (y1/x1)^j (x2 y1)^m/(q;q)_m with A_k = (a,b,c;q)_k/(d,e;q)_k:
@@ -303,7 +306,7 @@ def _build_id8(ps: ParamSet, N: int) -> list[Side]:
 
 def _build_id9(ps: ParamSet, N: int) -> list[Side]:
     q = ps.q
-    lhs = _gf(N, q, _family_rows("cauchy", 0, N, q))
+    lhs = _gf(N, q, _family_rows("cauchy", N, q))
     rhs = euler_product_series(Y, q, N) * euler_inverse_series(X, q, N)
     return [("", lhs, rhs)]
 
@@ -311,7 +314,7 @@ def _build_id9(ps: ParamSet, N: int) -> list[Side]:
 def _build_id10(ps: ParamSet, N: int) -> list[Side]:
     q = ps.q
     lam, x0, y0 = ps.get("lam"), ps.get("x0"), ps.get("y0")
-    lhs = _gf(N, q, _family_rows("cauchy", 0, N, q, x=x0, y=y0), _poch_row((lam,), {}, q, N))
+    lhs = _gf(N, q, _family_rows("cauchy", N, q, x=x0, y=y0), _poch_row((lam,), {}, q, N))
     rhs = hyper_series(
         PhiSpec([lam, y0 / x0], [Fraction(0)], q), N, arg_mono=x0
     )
@@ -321,8 +324,8 @@ def _build_id10(ps: ParamSet, N: int) -> list[Side]:
 def _build_id11(ps: ParamSet, N: int) -> list[Side]:
     q = ps.q
     ra, rb, rc, rd = (ps.get(k) for k in ("ra", "rb", "rc", "rd"))
-    h1 = _family_rows("rogers_szego", 0, N, q, x=ra, y=rb)
-    h2 = _family_rows("rogers_szego", 0, N, q, x=rc, y=rd)
+    h1 = _family_rows("rogers_szego", N, q, x=ra, y=rb)
+    h2 = _family_rows("rogers_szego", N, q, x=rc, y=rd)
     lhs = _gf(N, q, [_dot([(u, v)]) for u, v in zip(h1, h2)])
     # (ra rb rc rd t^2;q)_inf / (ra rc t, ra rd t, rb rc t, rb rd t;q)_inf
     top = _poch_row((), {"q": q}, q, N // 2, z=-(ra * rb * rc * rd), r=q)
@@ -403,7 +406,7 @@ def _build_id13(ps: ParamSet, N: int) -> list[Side]:
     ps0 = ps.with_values(c=0, e=0)
 
     s1 = build_id3_lhs(ps0, N)
-    s2 = _gf(N, q, _family_rows("asc_gen3_phi", 0, N, q, ps.a, ps.b, ps.d, x=Y, y=X))
+    s2 = _gf(N, q, _family_rows("asc_gen3_phi", N, q, ps.a, ps.b, ps.d, x=Y, y=X))
     r1 = build_id3_rhs(ps0, N)
     r2 = euler_inverse_series(X, q, N) * hyper_series(
         PhiSpec([ps.a, ps.b], [ps.d], q), N, arg_mono=Y
@@ -619,14 +622,6 @@ class BasisExpansionError(ValueError):
         self.remainder = remainder
 
 
-def _basis_row(basis: str, ps: ParamSet, lo: int, hi: int) -> dict[int, Poly]:
-    """{n: basis_n for n = lo..hi}, all from one weight row."""
-    if basis not in ("phi", "psi"):
-        raise ValueError("basis must be 'phi' or 'psi'")
-    seq = _family_rows(f"asc_new_{basis}", lo, hi, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e)
-    return {n: _poly(r) for n, r in enumerate(seq, lo)}
-
-
 def expand_poly_in_basis(
     p: Poly, basis: str, ps: ParamSet, nmax: int | None = None
 ) -> list[Poly]:
@@ -643,17 +638,14 @@ def expand_poly_in_basis(
         nmax = deg
     mu = [Poly.zero()] * (nmax + 1)
     rem = p
-    row: dict[int, Poly] = {}
+    rows: list[Row] = []
     for n in range(min(nmax, deg), -1, -1):
         cn = rem.xcoeff_as_y_poly(n)
         if cn.is_zero():
             continue
-        if n not in row:
-            # the top index alone first: a multiple of one basis element,
-            # as each generating-function coefficient is, needs no other
-            row = _basis_row(basis, ps, 0 if row else n, n)
+        rows = rows or _asc5_rows(basis, ps, n)
         mu[n] = cn
-        rem = rem - cn * row[n]
+        rem = rem - cn * _poly(rows[n])
     if not rem.is_zero():
         raise BasisExpansionError(
             f"remainder of x-degree {rem.x_degree()} exceeds basis range {nmax}",
@@ -673,5 +665,5 @@ def expand_series_in_basis(
 def synthesize_from_basis(mu: Sequence[Poly], basis: str, ps: ParamSet) -> Poly:
     """Inverse of expand_poly_in_basis: sum_n mu_n * basis_n."""
     used = [n for n, m in enumerate(mu) if not m.is_zero()]
-    row = _basis_row(basis, ps, used[0], used[-1]) if used else {}
-    return sum((mu[n] * row[n] for n in used), Poly.zero())
+    rows = _asc5_rows(basis, ps, used[-1]) if used else []
+    return sum((mu[n] * _poly(rows[n]) for n in used), Poly.zero())

@@ -53,8 +53,10 @@ class NumericConfig:
         if self.precision_bits < 64:
             raise ValueError("precision must be at least 64 bits")
         with mp.workprec(64):
-            tail = mpf(self.tail_tol)
-            if not tail < mpf(self.compare_tol):
+            tail, ctol = mpf(self.tail_tol), mpf(self.compare_tol)
+            if not ctol <= mpf("1e-12"):  # the documented gate may only tighten
+                raise ValueError("compare_tol must be at most 1e-12")
+            if not tail < ctol:
                 raise ValueError("tail_tol must sit well below compare_tol")
             if mp.e ** (-mpf(self.quad.half_width) ** 2) >= tail:
                 raise ValueError(

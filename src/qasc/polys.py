@@ -3,19 +3,18 @@ Al-Salam-Carlitz families (classical one-parameter, three-parameter, and
 the five-parameter pair tied to the T/E operator series).
 
 All functions accept exact rationals or Poly values for the variable slots
-and return whichever the inputs produce; with the default symbolic x, y the
-result is a Poly.
+(the symbols x, y by default) and return a Poly.
 
 Every family is one sum  sum_k [n;k] w_k x^(n-k) y^k  whose weight w_k is
 q-hypergeometric in k: (nums;q)_k / (dens;q)_k times a twist z^k r^C(k,2);
 the psi families' n-dependent factor q^(k(k-n)) is folded into [n;k].
-So one weight row serves the whole sequence p_0..p_N
-(``PolyFamily.sequence``), the [n;k] come from one integer q-binomial
-triangle, and each polynomial is one integer row (``core.Row``), one
-integer product per term; the public functions read it out as a Poly.
-The per-n functions run the same pass for their one n.  The triangle has
-no division, so q = 1 gives the classical limits, e.g. cauchy_pn at q = 1
-is (x - y)^n.
+So one weight row serves the whole sequence p_0..p_N, the [n;k] come from
+one integer q-binomial triangle, and each polynomial is one integer row
+(``core.Row``), one integer product per term.  The rows p_0, p_1, ... of a
+family are kept per parameters and x, y as one grow-only prefix
+(``_family_rows``); the per-n functions and ``PolyFamily`` index or slice
+it.  The triangle has no division, so q = 1 gives the classical limits,
+e.g. cauchy_pn at q = 1 is (x - y)^n.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Sequence
 from .core import ONE, ZERO, ParamSet, Poly, Row, X, Y, _UNIT, _dot, _poly, _row, as_fraction
 from .qkernel import _poch_row, _qbinom_rows, _ratio, _remember
 
-_FAMILY_ROWS: dict = {}  # (family, q, a..e) -> (row_0, ..., row_m), None where not built
+_FAMILY_ROWS: dict = {}  # (family, q, a..e, x, y) -> (row_0, ..., row_m)
 
 
 def _asc_sum(lo: int, N: int, q: Fraction, w: Sequence[tuple[int, int]], x, y,
@@ -44,9 +43,7 @@ def _asc_sum(lo: int, N: int, q: Fraction, w: Sequence[tuple[int, int]], x, y,
     wd_n qd^E xd^n yd^n (qn^E under psi), E the largest k(n-k), and each
     term is one integer product.
     """
-    if lo < 0:
-        raise ValueError("polynomial degree n must be >= 0")
-    xr, yr = (_row(v if isinstance(v, Poly) else as_fraction(v)) for v in (x, y))
+    xr, yr = _row(x), _row(y)
     subst = len(xr[0]) > 1 or len(yr[0]) > 1
     # a monomial's one term; the zero polynomial reads as 0 * x^0 y^0
     ((ix, jx), cx), = (X.row if subst else xr)[0].items() or [((0, 0), 0)]
@@ -82,27 +79,17 @@ def _asc_sum(lo: int, N: int, q: Fraction, w: Sequence[tuple[int, int]], x, y,
     return out
 
 
-def _family_rows(family: str, lo: int, N: int, q, a=ZERO, b=ZERO, c=ZERO, d=ZERO, e=ZERO,
+def _family_rows(family: str, N: int, q, a=ZERO, b=ZERO, c=ZERO, d=ZERO, e=ZERO,
                  x=X, y=Y) -> list[Row]:
-    """[p_n(x, y) for n = lo..N] of one family as shared, unreduced rows.
-    For the default x, y they are memoized per family and parameters, and
-    a call builds only the span of those not yet built, from one weight row."""
-    if x is not X or y is not Y:
-        return _family_sum(family, lo, N, q, a, b, c, d, e, x, y)
-    key = (family, *map(_ratio, (q, a, b, c, d, e)))
+    """[p_n(x, y) for n = 0..N] of one family as shared, unreduced rows.
+    They are kept per family, parameters and x, y as one grow-only prefix:
+    a shorter request is a slice, a longer one extends it from one weight row."""
+    x, y = (v if isinstance(v, Poly) else as_fraction(v) for v in (x, y))
+    key = (family, *map(_ratio, (q, a, b, c, d, e)), x, y)
     rows = _FAMILY_ROWS.get(key, ())
-    missing = [n for n in range(lo, N + 1) if not 0 <= n < len(rows) or rows[n] is None]
-    if missing:
-        first, last = missing[0], missing[-1]
-        grown = list(rows) + [None] * (last + 1 - len(rows))
-        grown[first : last + 1] = _family_sum(family, first, last, q, a, b, c, d, e, x, y)
-        rows = _remember(_FAMILY_ROWS, key, tuple(grown))
-    return list(rows[lo : N + 1])
-
-
-def _family_sum(family: str, lo: int, N: int, q, a, b, c, d, e, x, y) -> list[Row]:
+    if N < len(rows):
+        return list(rows[: N + 1])
     q = as_fraction(q)
-    psi = family.endswith("_psi")
     if family == "cauchy":
         w = _poch_row((), {}, q, N, z=-ONE, r=q)
     elif family == "rogers_szego":
@@ -121,54 +108,63 @@ def _family_sum(family: str, lo: int, N: int, q, a, b, c, d, e, x, y) -> list[Ro
         w = _poch_row((a, b, c), {"d": d, "e": e}, q, N)
     else:
         w = _poch_row((a, b, c), {"d": d, "e": e}, q, N, z=-ONE)
-    return _asc_sum(lo, N, q, w, x, y, psi)
+    rows += tuple(_asc_sum(len(rows), N, q, w, x, y, family.endswith("_psi")))
+    return list(_remember(_FAMILY_ROWS, key, rows))
+
+
+def _family_poly(family: str, n: int, q, a=ZERO, b=ZERO, c=ZERO, d=ZERO, e=ZERO,
+                 x=X, y=Y) -> Poly:
+    """p_n(x, y) of one family, read from its prefix."""
+    if n < 0:
+        raise ValueError("polynomial degree n must be >= 0")
+    return _poly(_family_rows(family, n, q, a, b, c, d, e, x, y)[n])
 
 
 def cauchy_pn(n: int, x=X, y=Y, q=Fraction(1, 2)):
     """Cauchy polynomial p_n(x,y) = (x - y)(x - qy) ... (x - q^(n-1) y),
     summed by the q-binomial theorem as sum_k [n;k] (-1)^k q^C(k,2) x^(n-k) y^k."""
-    return _poly(_family_rows("cauchy", n, n, q, x=x, y=y)[0])
+    return _family_poly("cauchy", n, q, x=x, y=y)
 
 
 def rogers_szego_hn(n: int, a, b, q):
     """Homogeneous Rogers-Szego polynomial h_n(a,b|q) = sum_k [n;k] a^k b^(n-k)."""
-    return _poly(_family_rows("rogers_szego", n, n, q, x=a, y=b)[0])
+    return _family_poly("rogers_szego", n, q, x=a, y=b)
 
 
 def asc_phi(n: int, a, x, q):
     """Classical family phi_n^(a)(x|q) = sum_k [n;k] (a;q)_k x^k."""
-    return _poly(_family_rows("asc_classical_phi", n, n, q, a, x=x)[0])
+    return _family_poly("asc_classical_phi", n, q, a, x=x)
 
 
 def asc_psi(n: int, a, x, q):
     """Classical companion psi_n^(a)(x|q)
     = sum_k [n;k] q^(k(k-n)) (a q^(1-k);q)_k x^k."""
-    return _poly(_family_rows("asc_classical_psi", n, n, q, a, x=x)[0])
+    return _family_poly("asc_classical_psi", n, q, a, x=x)
 
 
 def asc3_phi(n: int, a, b, c, x=X, y=Y, q=Fraction(1, 2)):
     """Three-parameter family
     phi_n^(a,b,c)(x,y|q) = sum_k [n;k] (a,b;q)_k/(c;q)_k x^k y^(n-k)."""
-    return _poly(_family_rows("asc_gen3_phi", n, n, q, a, b, c, x=x, y=y)[0])
+    return _family_poly("asc_gen3_phi", n, q, a, b, c, x=x, y=y)
 
 
 def asc3_psi(n: int, a, b, c, x=X, y=Y, q=Fraction(1, 2)):
     """Three-parameter companion with weight (-1)^k q^(C(k+1,2) - nk)."""
-    return _poly(_family_rows("asc_gen3_psi", n, n, q, a, b, c, x=x, y=y)[0])
+    return _family_poly("asc_gen3_psi", n, q, a, b, c, x=x, y=y)
 
 
 def asc5_phi(n: int, ps: ParamSet, x=X, y=Y):
     """Five-parameter family
     phi_n(x,y) = sum_k [n;k] (a,b,c;q)_k/(d,e;q)_k x^(n-k) y^k,
     equivalently T(a,b,c,d,e, y D){x^n}."""
-    return _poly(_family_rows("asc_new_phi", n, n, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)[0])
+    return _family_poly("asc_new_phi", n, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)
 
 
 def asc5_psi(n: int, ps: ParamSet, x=X, y=Y):
     """Five-parameter companion
     psi_n(x,y) = sum_k [n;k] (-1)^k q^(k(k-n)) (a,b,c;q)_k/(d,e;q)_k x^(n-k) y^k,
     equivalently E(a,b,c,d,e, y theta){x^n}."""
-    return _poly(_family_rows("asc_new_psi", n, n, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)[0])
+    return _family_poly("asc_new_psi", n, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)
 
 
 # which of a..e each family consumes; anything else must be zero
@@ -206,11 +202,11 @@ class PolyFamily:
                 )
 
     def sequence(self, N: int, x=X, y=Y) -> list[Poly]:
-        """[p_n(x, y) for n = 0..N], all from one weight row."""
+        """[p_n(x, y) for n = 0..N], a slice of the family's prefix."""
         ps = self.params
         return [_poly(r) for r in
-                _family_rows(self.family, 0, N, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)]
+                _family_rows(self.family, N, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)]
 
     def evaluate(self, n: int, x=X, y=Y):
         ps = self.params
-        return _poly(_family_rows(self.family, n, n, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)[0])
+        return _family_poly(self.family, n, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)

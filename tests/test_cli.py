@@ -220,7 +220,11 @@ class TestVerifyCommand:
         (["--suite", "all", "--tail-tol", "1e-5", "--out", "r.json"],
          "error: tail_tol must sit well below compare_tol"),
         (["--ids", "ID-9", "--out", ""], "error: cannot write report : No such file or directory"),
-    ], ids=["tail-tol", "empty out"])
+        (["--ids", "ID-9,NUM-3", "--precision", "64", "--tail-tol", "1e-15", "--compare-tol", "inf",
+          "--out", "r.json"], "error: compare_tol must be at most 1e-12"),
+        (["--ids", "ID-9,NUM-3", "--precision", "64", "--compare-tol", "1e-6", "--out", "r.json"],
+         "error: compare_tol must be at most 1e-12"),
+    ], ids=["tail-tol", "empty out", "compare-tol inf", "compare-tol 1e-6"])
     def test_bad_setting_refused_before_first_check(self, tmp_path, monkeypatch, capsys, args, err):
         monkeypatch.chdir(tmp_path)
         assert cli.main(["verify", "--order", "4", "--trials", "1"] + args) == 2

@@ -58,6 +58,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="below compare_tol"):
             NumericConfig(tail_tol="1e-10", compare_tol="1e-12")
 
+    def test_compare_tol_cannot_loosen(self):
+        # rel_diff never exceeds 2, so a looser gate could pass anything
+        for tol in ("1e-6", "1e-3", "inf", "nan"):
+            with pytest.raises(ValueError, match="at most 1e-12"):
+                NumericConfig(compare_tol=tol)
+        NumericConfig(compare_tol="1e-20")
+
     def test_half_width_vs_tail(self):
         with pytest.raises(ValueError, match="half-width"):
             NumericConfig(quad=QuadConfig(half_width=5.0))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qasc import cli
 from qasc.core import ParamSet, Poly, TSeries, X, Y, _poly, random_paramset
 from qasc.polys import (
     PolyFamily,
@@ -334,6 +335,23 @@ def test_sequence_matches_per_n(family):
             assert seq[n] == _textbook(family, n, ps, xv, yv), (family, n, ps)
 
 
+def test_negative_degree_refused(capsys):
+    # the per-n functions and evaluate refuse n < 0 with one message, the
+    # sequence up to n = -1 is empty, and eval exits 2 with that message
+    message = "polynomial degree n must be >= 0"
+    for family, (name, _) in _AS_FAMILY.items():
+        ps = _memo_paramset(family, 0)
+        with pytest.raises(ValueError) as err:
+            _FAMILIES[family](-1, ps, X, Y)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            PolyFamily(name, ps).evaluate(-1)
+        assert str(err.value) == message
+        assert PolyFamily(name, ps).sequence(-1) == []
+    assert cli.main(["eval", "asc-new-phi", "--n", "-1", "--q", "1/2"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def _memo_paramset(family: str, i: int) -> ParamSet:
     """Parameter set i of the family memo tests: the second has integral
     values, which a call may pass as ints, and the third differs from the
@@ -351,10 +369,10 @@ def _memo_paramset(family: str, i: int) -> ParamSet:
 _TEXTBOOK: dict = {}
 
 
-def _memo_want(family: str, i: int, n: int) -> Poly:
-    key = (family, i, n)
+def _memo_want(family: str, i: int, n: int, x=X, y=Y) -> Poly:
+    key = (family, i, n, x, y)
     if key not in _TEXTBOOK:
-        _TEXTBOOK[key] = _textbook(family, n, _memo_paramset(family, i), X, Y)
+        _TEXTBOOK[key] = _textbook(family, n, _memo_paramset(family, i), x, y)
     return _TEXTBOOK[key]
 
 
@@ -365,12 +383,12 @@ def _clear_memos():
 
 
 class TestFamilyMemo:
-    """The rows of each family are kept per parameter set for the default
-    symbolic x, y; any interleaving of requests gives the textbook sums."""
+    """The rows of each family are kept per parameter set and x, y; any
+    interleaving of requests gives the textbook sums."""
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.sampled_from(list(_FAMILIES)), st.integers(0, 2),
-                              st.sampled_from(["n", "sequence", "evaluate", "rows"]),
+                              st.sampled_from(["n", "sequence", "evaluate", "rows", "xy"]),
                               st.integers(0, 10), st.integers(0, 10), st.booleans()),
                     min_size=1, max_size=16))
     def test_interleaved_requests_match_textbook_sums(self, requests):
@@ -378,7 +396,18 @@ class TestFamilyMemo:
         for family, i, kind, n, m, as_int in requests:
             ps = _memo_paramset(family, i)
             name = _AS_FAMILY[family][0]
-            lo, hi = min(n, m), max(n, m)
+            hi = max(n, m)
+            if kind == "xy":
+                # scalar x, y as ints, as the equal Fractions and as constant
+                # Polys (all one memo entry), then a binomial x
+                s, t = m - 5, (n + m) % 7 - 3
+                for xv, yv in ((s, t), (F(s), F(t)), (Poly.const(s), Poly.const(t)),
+                               (X + Y * F(t, 3), Y)):
+                    got = _FAMILIES[family](n, ps, xv, yv)
+                    assert got == _memo_want(family, i, n, xv, yv), (family, i, n, xv, yv)
+                with pytest.raises(TypeError):  # a float equal to a memo key
+                    _FAMILIES[family](n, ps, float(s), t)
+                continue
             if kind == "n":
                 got = {n: _FAMILIES[family](n, ps, X, Y)}
             elif kind == "sequence":
@@ -388,7 +417,7 @@ class TestFamilyMemo:
             else:
                 values = [ps.q] + [getattr(ps, k) for k in "abcde"]
                 given_ = [int(v) if as_int and v.denominator == 1 else v for v in values]
-                got = dict(enumerate(map(_poly, _family_rows(name, lo, hi, *given_)), lo))
+                got = dict(enumerate(map(_poly, _family_rows(name, hi, *given_))))
             for k, p in got.items():
                 assert p == _memo_want(family, i, k), (family, i, kind, k)
 
@@ -397,15 +426,17 @@ class TestFamilyMemo:
         ps = ParamSet(q=Q, a=F(1, 3), b=F(1, 5), c=F(1, 7), d=F(1, 4), e=Q**-3)
         _clear_memos()
         for n in lengths:
-            for build in (lambda: asc5_phi(n, ps),
-                          lambda: PolyFamily("asc_new_phi", ps).sequence(n)[n]):
+            # the scalar-x request comes first, so it meets each pole cold
+            for build, xy in ((lambda: asc5_phi(n, ps, F(2), 3), (F(2), 3)),
+                              (lambda: asc5_phi(n, ps), (X, Y)),
+                              (lambda: PolyFamily("asc_new_phi", ps).sequence(n)[n], (X, Y))):
                 if n >= 4:
                     with pytest.raises(PoleError) as err:
                         build()
                     assert err.value.index == 4
                     assert str(err.value) == "(d,e;q)_k vanished at k=4 for d=1/4, e=8"
                 else:
-                    assert build() == _textbook("asc5_phi", n, ps, X, Y)
+                    assert build() == _textbook("asc5_phi", n, ps, *xy)
 
     def test_returned_polys_do_not_share_rows(self):
         ps = _memo_paramset("asc5_phi", 0)
@@ -420,7 +451,7 @@ class TestFamilyMemo:
         seq[0] = seq.pop()
         assert asc5_phi(4, ps) == want[4] and family.evaluate(5) == want[5]
         assert family.sequence(6) == want
-        assert _poly(_family_rows("asc_new_phi", 0, 6, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e)[6]) \
+        assert _poly(_family_rows("asc_new_phi", 6, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e)[6]) \
             == want[6]
 
     def test_threads_match_serial(self):
