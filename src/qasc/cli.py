@@ -161,8 +161,10 @@ def _select_ids(cfg: dict) -> list:
     that --ids names.  A suite is read, and its settings checked, only
     while one of its checks may still be wanted."""
     wanted = None
-    if cfg["ids"]:
-        wanted = [t.strip() for t in str(cfg["ids"]).split(",") if t.strip()]
+    if cfg["ids"] is not None:
+        wanted = [t.strip() for t in cfg["ids"].split(",") if t.strip()]
+        if not wanted:
+            raise SystemExit(f"error: --ids names no check: {cfg['ids']!r}")
     pairs, rest = [], wanted
     for suite in _SUITES[cfg["suite"]]:
         if rest == []:

@@ -8,12 +8,16 @@ comparison runs on those integers.  ``Poly.terms`` reads a row out as a
 read-only {(i, j): Fraction} mapping, built on first read.  No value here
 is changed after construction, so values are safe to share across
 threads.
+
+The value classes (``ParamSet`` here, the check, config and report classes
+elsewhere) are slotted records on ``_Record``, with the frozen-dataclass
+behaviour but without ``dataclasses``, whose import of ``inspect`` every
+command-line call would pay for at start-up.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
 from types import MappingProxyType
@@ -464,8 +468,57 @@ class TSeries:
         return f"TSeries(order={self.order}, {self})"
 
 
-@dataclass(frozen=True)
-class ParamSet:
+class _Record:
+    """Base of the value classes, whose fields are the subclass's ``__slots__``.
+
+    ``__init__`` takes them by position or keyword, with ``_defaults``, then
+    runs ``_post_init`` to check or normalise them.  Fields are read-only;
+    ``==``, ``hash``, ``repr``, pickle and copy run over them in slot order.
+    A record filled in after construction sets ``__setattr__ =
+    object.__setattr__`` and ``__hash__ = None``.
+    """
+
+    __slots__ = ()
+    _defaults: Mapping[str, object] = {}
+
+    def __init__(self, *args, **kw):
+        names = self.__slots__
+        given = dict(zip(names, args))
+        values = {**self._defaults, **given, **kw}
+        if len(args) > len(names) or given.keys() & kw.keys() or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {names}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self._post_init()
+
+    def _post_init(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, n) for n in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+
+class ParamSet(_Record):
     """One verification trial's rational parameter assignment.
 
     Holds the base q and the five family parameters a, b, c, d, e, plus
@@ -474,15 +527,10 @@ class ParamSet:
     ParamSets still share.
     """
 
-    q: Fraction
-    a: Fraction = ZERO
-    b: Fraction = ZERO
-    c: Fraction = ZERO
-    d: Fraction = ZERO
-    e: Fraction = ZERO
-    extras: Mapping[str, Fraction] = field(default_factory=dict, hash=False)
+    __slots__ = ("q", "a", "b", "c", "d", "e", "extras")
+    _defaults = {"a": ZERO, "b": ZERO, "c": ZERO, "d": ZERO, "e": ZERO, "extras": {}}
 
-    def __post_init__(self):
+    def _post_init(self):
         object.__setattr__(self, "q", as_fraction(self.q))
         for name in ("a", "b", "c", "d", "e"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
@@ -493,6 +541,9 @@ class ParamSet:
         )
         if not (0 < self.q < 1):
             raise ValueError(f"q must satisfy 0 < q < 1, got {self.q}")
+
+    def __hash__(self):
+        return hash(self._values()[:-1])
 
     def __reduce__(self):
         # a mappingproxy does not pickle; rebuild from a plain dict

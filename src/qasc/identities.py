@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .core import (ONE, ParamSet, Poly, Row, TSeries, X, Y, _canon, _dot, _poly,
+from .core import (ONE, ParamSet, Poly, Row, TSeries, X, Y, _canon, _dot, _poly, _Record,
                    _reduced, _series, _sum_terms, random_paramset)
 from .qkernel import (
     PhiSpec,
@@ -194,15 +193,11 @@ def build_id7_pair(ps: ParamSet, N: int, K: int, phi: Sequence[Row] | None = Non
 # identity catalog
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(_Record):
     """One exactly-verifiable identity: builders for both sides plus the
     extra parameter names its trials draw."""
 
-    id: str
-    title: str
-    extras: tuple[str, ...]
-    build: Callable[[ParamSet, int], list[Side]]
+    __slots__ = ("id", "title", "extras", "build")
 
     def sample(self, rng: random.Random, trial: int = 0) -> ParamSet:
         ps = random_paramset(rng, extras=self.extras)
@@ -377,7 +372,10 @@ def _build_id12(ps: ParamSet, N: int) -> list[Side]:
     """
     q = ps.q
     t0, xi, sig = ps.get("tt"), ps.get("xi"), ps.get("sig")
-    M = int(ps.get("em"))
+    em = ps.get("em")
+    if em.denominator != 1 or em < 0:
+        raise ValueError(f"ID-12 needs em to be a non-negative integer, got {em}")
+    M = int(em)
     r_scale = sig * q**-M  # r = r_scale * u
 
     # LHS: sum_n (t;q)_n (sig*u;q)_n (xi*u)^n / ((r_scale*u;q)_n (q;q)_n)
@@ -515,21 +513,17 @@ CATALOG_ORDER = list(CATALOG)
 # verification driver
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Report:
-    """Outcome of one identity trial."""
+class Report(_Record):
+    """Outcome of one identity trial; status is pass, fail, pole or error."""
 
-    id: str
-    trial: int
-    params: dict[str, str]
-    status: str  # pass | fail | pole | error
-    first_mismatch: dict | None = None
-    runtime_ms: int = 0
+    __slots__ = ("id", "trial", "params", "status", "first_mismatch", "runtime_ms")
+    _defaults = {"first_mismatch": None, "runtime_ms": 0}
+    __setattr__ = object.__setattr__
+    __hash__ = None
 
     def to_dict(self) -> dict:
-        """The fields in declaration order, the order __init__ sets them in;
-        first_mismatch only when set."""
-        return {k: v for k, v in vars(self).items() if v is not None}
+        """The fields in slot order; first_mismatch only when set."""
+        return {k: v for k, v in zip(self.__slots__, self._values()) if v is not None}
 
 
 def verify(check: IdentityCheck, params: ParamSet, order: int, trial: int = 0) -> Report:

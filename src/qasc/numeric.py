@@ -16,14 +16,13 @@ nodes computed at working precision.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 from mpmath import mp, mpc, mpf
 
-from .core import ParamSet, as_fraction
+from .core import ParamSet, _Record, as_fraction
 from .qkernel import term_stream
 
 F = Fraction
@@ -32,24 +31,20 @@ _MAX_TERMS = 100_000  # terms of one series or factors of one q-product
 _MAX_SHELLS = 600     # total-degree shells of one U(n+1) sum
 
 
-@dataclass(frozen=True)
-class QuadConfig:
+class QuadConfig(_Record):
     """Composite Gauss-Legendre layout: [center-L, center+L] split into
     panels with a fixed node count per panel."""
 
-    half_width: float = 12.0
-    nodes: int = 48
-    panels: int = 24
+    __slots__ = ("half_width", "nodes", "panels")
+    _defaults = {"half_width": 12.0, "nodes": 48, "panels": 24}
 
 
-@dataclass(frozen=True)
-class NumericConfig:
-    precision_bits: int = 256
-    tail_tol: str = "1e-40"
-    compare_tol: str = "1e-12"
-    quad: QuadConfig = field(default_factory=QuadConfig)
+class NumericConfig(_Record):
+    __slots__ = ("precision_bits", "tail_tol", "compare_tol", "quad")
+    _defaults = {"precision_bits": 256, "tail_tol": "1e-40", "compare_tol": "1e-12",
+                 "quad": QuadConfig()}
 
-    def __post_init__(self):
+    def _post_init(self):
         if self.precision_bits < 64:
             raise ValueError("precision must be at least 64 bits")
         with mp.workprec(64):
@@ -469,22 +464,21 @@ def ramanujan_closed_form(a, b, m, q, cfg: NumericConfig,
 # numeric check catalog
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NumericReport:
-    id: str
-    description: str
-    params: dict[str, str]
-    status: str  # pass | fail | no-convergence | error
-    rel_diff: str | None = None
-    error_budget: str | None = None
-    precision_bits: int = 256
-    runtime_ms: int = 0
-    trial: int = 0
+class NumericReport(_Record):
+    """Filled in by ``NumericCheck.execute``; status is pass, fail,
+    no-convergence or error."""
+
+    __slots__ = ("id", "description", "params", "status", "rel_diff", "error_budget",
+                 "precision_bits", "runtime_ms", "trial")
+    _defaults = {"rel_diff": None, "error_budget": None, "precision_bits": 256,
+                 "runtime_ms": 0, "trial": 0}
+    __setattr__ = object.__setattr__
+    __hash__ = None
 
     def to_dict(self) -> dict:
-        """The fields in declaration order; rel_diff and error_budget only
-        when set."""
-        return {k: v for k, v in vars(self).items() if v is not None}
+        """The fields in slot order; rel_diff and error_budget only when
+        set."""
+        return {k: v for k, v in zip(self.__slots__, self._values()) if v is not None}
 
 
 def rel_diff(lhs, rhs) -> mpf:
@@ -494,12 +488,10 @@ def rel_diff(lhs, rhs) -> mpf:
     return abs(lhs - rhs) / scale
 
 
-@dataclass(frozen=True)
-class NumericCheck:
-    id: str
-    description: str
-    params: dict[str, Fraction]
-    run: Callable[["NumericCheck", NumericConfig], tuple]
+class NumericCheck(_Record):
+    """One numeric identity; ``run(check, cfg)`` returns (lhs, rhs, budget)."""
+
+    __slots__ = ("id", "description", "params", "run")
 
     def execute(self, cfg: NumericConfig) -> NumericReport:
         t0 = time.perf_counter()

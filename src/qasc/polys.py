@@ -19,13 +19,13 @@ e.g. cauchy_pn at q = 1 is (x - y)^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
 from typing import Sequence
 
-from .core import ONE, ZERO, ParamSet, Poly, Row, X, Y, _UNIT, _dot, _poly, _row, as_fraction
+from .core import (ONE, ZERO, ParamSet, Poly, Row, X, Y, _UNIT, _dot, _poly, _Record, _row,
+                   as_fraction)
 from .qkernel import _poch_row, _qbinom_rows, _ratio, _remember
 
 _FAMILY_ROWS: dict = {}  # (family, q, a..e, x, y) -> (row_0, ..., row_m)
@@ -180,18 +180,16 @@ _FAMILY_ARITY = {
 }
 
 
-@dataclass(frozen=True)
-class PolyFamily:
+class PolyFamily(_Record):
     """A named polynomial family bound to one parameter assignment.
 
     Validates that the parameters beyond the family's arity are zero, so a
     mistaken draw cannot silently evaluate the wrong family.
     """
 
-    family: str
-    params: ParamSet
+    __slots__ = ("family", "params")
 
-    def __post_init__(self):
+    def _post_init(self):
         if self.family not in _FAMILY_ARITY:
             raise ValueError(f"unknown family {self.family!r}")
         used = _FAMILY_ARITY[self.family]

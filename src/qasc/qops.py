@@ -26,10 +26,9 @@ Fraction is built per term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
-from .core import ParamSet, Poly, _dot, _raw, _sum_terms, as_fraction
+from .core import Poly, _dot, _raw, _Record, _sum_terms, as_fraction
 from .qkernel import _poch_row, _qbinom_rows
 
 
@@ -104,14 +103,12 @@ def leibniz(op: str, f: Poly, g: Poly, n: int, q) -> Poly:
     return _raw(_dot(pairs))
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(_Record):
     """Which operator series to apply (T or E) and with which parameters."""
 
-    kind: str  # "T" | "E"
-    params: ParamSet
+    __slots__ = ("kind", "params")
 
-    def __post_init__(self):
+    def _post_init(self):
         if self.kind not in ("T", "E"):
             raise ValueError("operator kind must be 'T' or 'E'")
 

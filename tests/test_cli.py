@@ -175,14 +175,13 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_nonconvergence_exit_code(self, tmp_path, monkeypatch):
-        import dataclasses
-
-        from qasc.numeric import NUMERIC_CATALOG, NonConvergence
+        from qasc.numeric import NUMERIC_CATALOG, NonConvergence, NumericCheck
 
         def blow_up(chk, cfg):
             raise NonConvergence("forced for the exit-code contract")
 
-        stuck = dataclasses.replace(NUMERIC_CATALOG["NUM-3"], run=blow_up)
+        c = NUMERIC_CATALOG["NUM-3"]
+        stuck = NumericCheck(c.id, c.description, c.params, blow_up)
         monkeypatch.setitem(NUMERIC_CATALOG, "NUM-3", stuck)
         code, rep = run_verify(
             tmp_path, "h.json", ["--suite", "numeric", "--ids", "NUM-3", "--precision", "128"]
@@ -224,7 +223,9 @@ class TestVerifyCommand:
           "--out", "r.json"], "error: compare_tol must be at most 1e-12"),
         (["--ids", "ID-9,NUM-3", "--precision", "64", "--compare-tol", "1e-6", "--out", "r.json"],
          "error: compare_tol must be at most 1e-12"),
-    ], ids=["tail-tol", "empty out", "compare-tol inf", "compare-tol 1e-6"])
+        (["--ids", ",", "--out", "r.json"], "error: --ids names no check: ','"),
+        (["--ids", "", "--out", "r.json"], "error: --ids names no check: ''"),
+    ], ids=["tail-tol", "empty out", "compare-tol inf", "compare-tol 1e-6", "ids comma", "ids empty"])
     def test_bad_setting_refused_before_first_check(self, tmp_path, monkeypatch, capsys, args, err):
         monkeypatch.chdir(tmp_path)
         assert cli.main(["verify", "--order", "4", "--trials", "1"] + args) == 2
@@ -241,14 +242,13 @@ class TestVerifyCommand:
     def test_numeric_error_is_report_entry(self, tmp_path, monkeypatch):
         # an exception other than NonConvergence is a defect in the check,
         # reported as such like an exact builder's
-        import dataclasses
-
-        from qasc.numeric import NUMERIC_CATALOG
+        from qasc.numeric import NUMERIC_CATALOG, NumericCheck
 
         def divides_by_zero(chk, cfg):
             return 1 / 0
 
-        broken = dataclasses.replace(NUMERIC_CATALOG["NUM-3"], run=divides_by_zero)
+        c = NUMERIC_CATALOG["NUM-3"]
+        broken = NumericCheck(c.id, c.description, c.params, divides_by_zero)
         monkeypatch.setitem(NUMERIC_CATALOG, "NUM-3", broken)
         code, rep = run_verify(tmp_path, "n.json", ["--suite", "numeric", "--ids", "NUM-3,NUM-4",
                                                     "--precision", "128"])
@@ -265,9 +265,7 @@ class TestVerifyCommand:
     def test_exit_code_precedence(self, tmp_path, monkeypatch, ids, statuses, want):
         # fail (ID-9), error (ID-10), no-convergence (NUM-3) and pass (NUM-4)
         # in one run: the largest exit code wins, wherever its entry falls
-        import dataclasses
-
-        from qasc.numeric import NUMERIC_CATALOG, NonConvergence
+        from qasc.numeric import NUMERIC_CATALOG, NonConvergence, NumericCheck
 
         def fails(ps, order):
             return [("", TSeries.one(order), TSeries.zeros(order))]
@@ -280,8 +278,9 @@ class TestVerifyCommand:
 
         monkeypatch.setitem(CATALOG, "ID-9", IdentityCheck("ID-9", "fails", (), fails))
         monkeypatch.setitem(CATALOG, "ID-10", IdentityCheck("ID-10", "raises", (), raises))
+        c = NUMERIC_CATALOG["NUM-3"]
         monkeypatch.setitem(NUMERIC_CATALOG, "NUM-3",
-                            dataclasses.replace(NUMERIC_CATALOG["NUM-3"], run=stuck))
+                            NumericCheck(c.id, c.description, c.params, stuck))
         code, rep = run_verify(tmp_path, "p.json", ["--ids", ids, "--order", "4", "--trials", "1",
                                                     "--precision", "128"])
         assert code == want
@@ -349,7 +348,8 @@ class TestModuleEntryPoint:
 ROOT = Path(__file__).resolve().parent.parent
 
 # the exact suite and eval run without the numeric module or mpmath; the
-# numeric names of the package resolve on first use
+# numeric names of the package resolve on first use.  No qasc module loads
+# dataclasses or inspect, whose imports would add to every call's start-up
 _COLD_START = """
 import json
 import sys
@@ -362,14 +362,15 @@ codes = [
                    "--out", sys.argv[1]]),
     qasc.cli.main(["eval", "qbinom", "--n", "3", "--k", "1", "--q", "1/2"]),
 ]
-loaded = [m for m in ("mpmath", "qasc.numeric") if m in sys.modules]
+loaded = [m for m in ("mpmath", "qasc.numeric", "dataclasses", "inspect") if m in sys.modules]
 config = qasc.NumericConfig
 from qasc import numeric
 
 star = {}
 exec("from qasc import *", star)
 print(json.dumps([codes, loaded, config is numeric.NumericConfig,
-                  [name for name in qasc.__all__ if name not in star]]))
+                  [name for name in qasc.__all__ if name not in star],
+                  "inspect" in sys.modules]))
 """
 
 
@@ -379,7 +380,7 @@ class TestColdStart:
         proc = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path / "r.json")],
                               capture_output=True, text=True, env=env, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], [], True, []]
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], [], True, [], False]
 
 # perfbench/tracer.py looks up qasc's entry points by name and perfbench/child.py
 # patches three of them; run both against the package as it stands

@@ -13,6 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qasc.core import ParamSet, Poly, TSeries, _row, _series, random_paramset, random_rational
+from qasc.identities import CATALOG, IdentityCheck
+from qasc.numeric import NUMERIC_CATALOG, NumericCheck, NumericConfig, QuadConfig
+from qasc.polys import PolyFamily
+from qasc.qops import OperatorSpec
 
 Q = F(1, 2)
 
@@ -546,3 +550,40 @@ class TestParamSet:
 
         ps = ParamSet(q=F(1, 2), a=F(-2, 7), extras={"z": F(3, 11)})
         assert pickle.loads(pickle.dumps(ps)) == ps
+
+
+def _ps():
+    return ParamSet(q=F(1, 2), a=F(-2, 7), extras={"z": F(3, 11)})
+
+
+# each frozen value class: a maker that builds a fresh record from equal
+# fields, one field to assign to, and whether the record is hashable
+_FROZEN_RECORDS = {
+    "ParamSet": (_ps, "q", True),
+    "IdentityCheck": (lambda: IdentityCheck("ID-9", "Cauchy", (), CATALOG["ID-9"].build),
+                      "build", True),
+    "PolyFamily": (lambda: PolyFamily("asc_new_phi", _ps()), "family", True),
+    "OperatorSpec": (lambda: OperatorSpec("E", _ps()), "kind", True),
+    "QuadConfig": (lambda: QuadConfig(half_width=10.0, nodes=16), "nodes", True),
+    "NumericConfig": (lambda: NumericConfig(precision_bits=128, tail_tol="1e-30"),
+                      "precision_bits", True),
+    "NumericCheck": (lambda: NumericCheck("NUM-3", "U(2)", {"q": F(1, 2)},
+                                          NUMERIC_CATALOG["NUM-3"].run), "run", False),
+}
+
+
+@pytest.mark.parametrize("name", list(_FROZEN_RECORDS))
+def test_frozen_record_semantics(name):
+    make, field, hashable = _FROZEN_RECORDS[name]
+    rec = make()
+    with pytest.raises(AttributeError):
+        setattr(rec, field, getattr(rec, field))
+    assert rec == make() and not rec != make()
+    assert pickle.loads(pickle.dumps(rec)) == rec
+    assert copy.copy(rec) == rec == copy.deepcopy(rec)
+    assert repr(copy.deepcopy(rec)) == repr(rec)
+    if hashable:
+        assert hash(rec) == hash(make()) == hash(copy.deepcopy(rec))
+    else:  # its params field is a dict
+        with pytest.raises(TypeError):
+            hash(rec)

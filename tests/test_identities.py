@@ -561,6 +561,19 @@ def test_id12_quotients_match_series_inverse(M):
         assert _quotient_sum(w, a, b, q, ORDER) == old
 
 
+@pytest.mark.parametrize("em, status", [(F(3, 2), "error"), (F(5, 2), "error"), (F(-1), "error"),
+                                        (F(0), "pass"), (F(2), "pass")])
+def test_id12_em_must_be_nonnegative_integer(em, status):
+    # the slice r = q^-M s terminates only for an integer M >= 0; any other
+    # em is refused rather than checked as another M than the report names
+    ps = trial_paramset(CATALOG["ID-12"], 5, 0).with_values(em=em)
+    rep = verify(CATALOG["ID-12"], ps, 8)
+    assert (rep.status, rep.params["em"]) == (status, str(em))
+    if status == "error":
+        assert rep.first_mismatch["lhs"] == (
+            f"ValueError: ID-12 needs em to be a non-negative integer, got {em}")
+
+
 def _quotient_sum_by_fractions(w, a, b, q, N) -> TSeries:
     """sum_n w[n] u^n (a u;q)_n / (b u;q)_n on Fractions, one linear factor
     and one geometric division per n: the reference for _quotient_sum."""
