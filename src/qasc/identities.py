@@ -8,7 +8,9 @@ and compares them exactly.  Identities whose natural coefficients are infinite s
 are handled by the numeric module instead; two entries here (ID-5 and
 ID-12) regain finite coefficients by scaling a parameter pair with the
 formal variable.  The builders and the basis expansion read the family
-rows p_0..p_N as one prefix (``polys._family_rows``).
+rows p_0..p_N as one prefix (``polys._family_rows``).  A series expansion
+reads its basis rows once; each back-substitution step and each synthesis
+is one ``core._dot`` over the shared rows, reduced once.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .core import (ONE, ParamSet, Poly, Row, TSeries, X, Y, _canon, _dot, _poly, _Record,
+from .core import (ONE, ParamSet, Poly, Row, TSeries, X, Y, _UNIT, _canon, _dot, _raw, _Record,
                    _reduced, _series, _sum_terms, random_paramset)
 from .qkernel import (
     PhiSpec,
@@ -55,12 +57,17 @@ def _gf(N: int, q: Fraction, seq: Sequence[Row],
     return _series(N, rows)
 
 
+def _basis_family(which: str) -> str:
+    """The family of the basis 'phi' or 'psi'; any other name is refused."""
+    if which not in ("phi", "psi"):
+        raise ValueError("basis must be 'phi' or 'psi'")
+    return f"asc_new_{which}"
+
+
 def _asc5_rows(which: str, ps: ParamSet, N: int, x=X, y=Y) -> list[Row]:
     """The five-parameter phi_0(x,y) .. phi_N(x,y), or psi_0 .. psi_N, as
     rows: one read of the family's prefix."""
-    if which not in ("phi", "psi"):
-        raise ValueError("basis must be 'phi' or 'psi'")
-    return _family_rows(f"asc_new_{which}", N, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)
+    return _family_rows(_basis_family(which), N, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)
 
 
 def _alt_weights(q: Fraction, N: int, t_scale: Fraction = ONE) -> list[tuple[int, int]]:
@@ -625,8 +632,9 @@ def expand_poly_in_basis(
     The mu_n come back as polynomials in y alone; inputs lying in the
     rational span (like the generating-function coefficients) produce
     constant mu_n.  Raises BasisExpansionError when nmax is too small to
-    absorb the x-degree of p.
+    absorb the x-degree of p.  Each step rem - mu_n * basis_n is one _dot.
     """
+    _basis_family(basis)
     deg = max(p.x_degree(), 0)
     if nmax is None:
         nmax = deg
@@ -639,7 +647,9 @@ def expand_poly_in_basis(
             continue
         rows = rows or _asc5_rows(basis, ps, n)
         mu[n] = cn
-        rem = rem - cn * _poly(rows[n])
+        rem = _raw(_dot(((rem.row, _UNIT), ((-cn).row, rows[n]))))
+        if rem.is_zero():
+            break
     if not rem.is_zero():
         raise BasisExpansionError(
             f"remainder of x-degree {rem.x_degree()} exceeds basis range {nmax}",
@@ -652,12 +662,18 @@ def expand_series_in_basis(
     f: TSeries, basis: str, ps: ParamSet, nmax: int | None = None
 ) -> list[list[Poly]]:
     """Per-t-power basis expansion of a TSeries; element [m][n] is mu_n for
-    the coefficient of t^m."""
+    the coefficient of t^m.  The basis rows are read once, as far as one
+    coefficient's expansion reads them: its highest x-power <= nmax."""
+    _basis_family(basis)
+    cols =[i for nums, _ in f.rows for i, _ in nums if nmax is None or i <= nmax]
+    if cols:
+        _asc5_rows(basis, ps, max(cols))
     return [expand_poly_in_basis(p, basis, ps, nmax) for p in f.coeffs]
 
 
 def synthesize_from_basis(mu: Sequence[Poly], basis: str, ps: ParamSet) -> Poly:
-    """Inverse of expand_poly_in_basis: sum_n mu_n * basis_n."""
+    """Inverse of expand_poly_in_basis: sum_n mu_n * basis_n as one _dot."""
+    _basis_family(basis)
     used = [n for n, m in enumerate(mu) if not m.is_zero()]
     rows = _asc5_rows(basis, ps, used[-1]) if used else []
-    return sum((mu[n] * _poly(rows[n]) for n in used), Poly.zero())
+    return _raw(_dot((mu[n].row, rows[n]) for n in used))

@@ -207,14 +207,15 @@ def _common_den(row: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     return [c * (den // d) for c, d in row], den
 
 
-def _qbinom_rows(q, N: int) -> list[list[int]]:
+def _qbinom_rows(q, N: int) -> tuple[tuple[int, ...], ...]:
     """The q-binomial triangle on integers: with q = qn/qd in lowest terms,
     [n;k]_q = rows[n][k] / qd^(k(n-k)) for 0 <= k <= n <= N.
 
     Pascal's rule [n;k] = q^k [n-1;k] + [n-1;k-1], scaled by qd^(k(n-k)):
     b(n,k) = qn^k b(n-1,k) + qd^(n-k) b(n-1,k-1), with no division and no
     gcd.  It holds for every rational q, q = 1 and q = -1 included.
-    Memoized per q, grown by the rows a request lacks, copied out.
+    Memoized per q and grown by the rows a request lacks; the rows handed
+    out are the memo's own tuples, so no caller can change them.
     """
     qn, qd = _ratio(q)
     rows = _QBINOM_ROWS.get((qn, qd), ((1,),))
@@ -227,7 +228,7 @@ def _qbinom_rows(q, N: int) -> list[list[int]]:
             grown.append((1, *[qnp[k] * prev[k] + qdp[n - k] * prev[k - 1] for k in range(1, n)],
                           1))
         rows = _remember(_QBINOM_ROWS, (qn, qd), tuple(grown))
-    return list(map(list, rows[: N + 1]))
+    return rows[: N + 1]
 
 
 def binom2(n: int) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -31,6 +32,7 @@ from qasc.identities import (
     trial_paramset,
     verify,
 )
+from qasc import polys
 from qasc.polys import asc5_phi, asc5_psi, cauchy_pn
 from qasc.qkernel import (
     PhiSpec,
@@ -524,10 +526,15 @@ class TestBasisExpansion:
         assert not err.value.remainder.is_zero()
 
     def test_basis_validation(self, expansion_ps):
-        with pytest.raises(ValueError, match="basis must be"):
-            expand_poly_in_basis(Poly.x(), "chi", expansion_ps)
-        with pytest.raises(ValueError, match="basis must be"):
-            synthesize_from_basis([Poly.one()], "chi", expansion_ps)
+        # the name is checked on entry, also where no basis row is read
+        for call in (lambda: expand_poly_in_basis(Poly.x(), "chi", expansion_ps),
+                     lambda: synthesize_from_basis([Poly.one()], "chi", expansion_ps),
+                     lambda: expand_poly_in_basis(Poly.zero(), "chi", expansion_ps),
+                     lambda: synthesize_from_basis([Poly.zero()], "chi", expansion_ps),
+                     lambda: expand_series_in_basis(TSeries.zeros(2), "chi", expansion_ps),
+                     lambda: expand_poly_in_basis(Poly.x() ** 5, "chi", expansion_ps, nmax=3)):
+            with pytest.raises(ValueError, match="basis must be"):
+                call()
 
     def test_pole_only_past_the_degree_used(self, expansion_ps):
         # with d = q^-2 the basis weights have a pole at k = 3: degrees <= 2
@@ -541,6 +548,36 @@ class TestBasisExpansion:
             with pytest.raises(PoleError) as err:
                 expand_poly_in_basis(p + Poly.x() ** 3, basis, ps)
             assert err.value.index == 3
+            # a series reads its rows once, no further than the highest
+            # x-column at or below nmax that a coefficient uses
+            f = TSeries(2, [p, Poly.x() + Poly.y() * F(2, 7), Poly.zero()])
+            want = [expand_poly_in_basis(c, basis, ps) for c in f.coeffs]
+            assert expand_series_in_basis(f, basis, ps) == want
+            g = TSeries(1, [Poly.x() ** 5 + Poly.x() ** 2 * F(3, 5), p])
+            with pytest.raises(BasisExpansionError, match="x-degree 5 "):
+                expand_series_in_basis(g, basis, ps, nmax=3)
+
+    def test_round_trip_work_counts(self, monkeypatch):
+        # from cold, an order-12 series reads its basis rows in one
+        # _asc_sum call, and neither the expansion nor the syntheses form
+        # a Poly product: each step is one reduced row
+        ps = random_paramset(random.Random(1812))
+        polys._FAMILY_ROWS.clear()
+        f = build_id3_rhs(ps, 12)  # the build itself multiplies Polys
+        calls = Counter()
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(polys, "_asc_sum", counted("_asc_sum", polys._asc_sum))
+        monkeypatch.setattr(Poly, "__mul__", counted("Poly.__mul__", Poly.__mul__))
+        mus = expand_series_in_basis(f, "phi", ps)
+        assert calls == {"_asc_sum": 1}
+        assert [synthesize_from_basis(mu, "phi", ps) for mu in mus] == list(f.coeffs)
+        assert calls == {"_asc_sum": 1}
 
 
 @pytest.mark.parametrize("M", [1, 2, 3])
