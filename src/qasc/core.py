@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -47,7 +47,7 @@ class Poly:
     is row equality.  ``terms`` gives the coefficients as Fractions.
     """
 
-    __slots__ = ("row", "_terms")
+    __slots__ = ("row", "_terms", "_hash")
 
     def __init__(self, terms: Mapping[tuple[int, int], Fraction] | None = None):
         cs = {}
@@ -60,7 +60,7 @@ class Poly:
         # numerator it does not divide, so the row is canonical
         den = lcm(*(c.denominator for c in cs.values()))
         self.row = {e: c.numerator * (den // c.denominator) for e, c in cs.items()}, den
-        self._terms = None
+        self._terms = self._hash = None
 
     @property
     def terms(self) -> Mapping[tuple[int, int], Fraction]:
@@ -138,10 +138,12 @@ class Poly:
         return self.row == _row(other)
 
     def __hash__(self):
-        nums, den = self.row
-        if self.is_constant():
-            return hash(Fraction(nums.get((0, 0), 0), den))
-        return hash((frozenset(nums.items()), den))
+        # filled on first use, like terms; a constant hashes as its Fraction
+        if self._hash is None:
+            nums, den = self.row
+            self._hash = hash(Fraction(nums.get((0, 0), 0), den) if self.is_constant()
+                              else (frozenset(nums.items()), den))
+        return self._hash
 
     def __bool__(self) -> bool:
         return bool(self.row[0])
@@ -232,7 +234,7 @@ _MINUS: Row = ({(0, 0): -1}, 1)
 def _raw(row: Row) -> Poly:
     """The Poly on a canonical row, sharing it."""
     p = Poly.__new__(Poly)
-    p.row, p._terms = row, None
+    p.row, p._terms, p._hash = row, None, None
     return p
 
 
@@ -264,18 +266,6 @@ def _substitute(row: Row, sx, sy) -> Row:
     return {(i, j): c * xs[i] * ys[j] for (i, j), c in nums.items()}, den * xs[0] * ys[0]
 
 
-def _mul_into(acc: dict, a: Mapping, b: Mapping, f: int = 1) -> None:
-    """Add f times the product of the term maps a and b into acc; a
-    cancelled key stays in acc with value 0."""
-    for (i1, j1), c1 in a.items():
-        if f != 1:
-            c1 *= f
-        for (i2, j2), c2 in b.items():
-            e = (i1 + i2, j1 + j2)
-            s = acc.get(e)
-            acc[e] = c1 * c2 if s is None else s + c1 * c2
-
-
 X = Poly.x()
 Y = Poly.y()
 
@@ -297,9 +287,7 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
 
 def _canon(nums: dict, den: int) -> Row:
     """nums/den as a canonical row: zeros dropped, content divided out."""
-    g = gcd(den, min(nums.values(), key=abs, default=0))
-    if g != 1:
-        g = gcd(g, *nums.values())
+    g = gcd(den, *nums.values())
     if den < 0:
         g = -g
     if g == 1 and all(nums.values()):
@@ -308,29 +296,24 @@ def _canon(nums: dict, den: int) -> Row:
     return (nums, den // g) if nums else _ZROW
 
 
-def _sum_terms(terms: Sequence[tuple[tuple[int, int], int, tuple[int, ...]]],
-               reduce: bool = True) -> Row:
-    """The row (canonical with reduce) of sum c/(d_1 d_2 ...) x^i y^j over
-    the terms ((i, j), c, (d_1, d_2, ...)), over the product of the lcms of
-    each slot's denominators."""
-    slots = [_lcm(ds) for ds in zip(*(ds for _, _, ds in terms))]
+def _dot(pairs: Iterable[tuple[Row, Row]], den: int = 0) -> Row:
+    """The canonical row of sum a*b over pairs of rows, reduced once: over
+    den when the caller names one (each ad bd divides it), else over the
+    lcm of the products ad bd."""
+    pairs = [(an, bn, ad * bd) for (an, ad), (bn, bd) in pairs if an and bn]
+    den = den or _lcm(d for _, _, d in pairs)
     acc: dict[tuple[int, int], int] = {}
-    for e, c, ds in terms:
-        for m, d in zip(slots, ds):
-            c *= m // d
-        acc[e] = acc.get(e, 0) + c
-    return _canon(acc, prod(slots)) if reduce else (acc, prod(slots))
-
-
-def _dot(pairs: Iterable[tuple[Row, Row]], la: int = 0, lb: int = 0) -> Row:
-    """The canonical row of sum a*b over pairs of rows, over la lb: the lcms
-    of the a and of the b denominators unless given."""
-    pairs = [(a, b) for a, b in pairs if a[0] and b[0]]
-    la, lb = la or _lcm(a[1] for a, _ in pairs), lb or _lcm(b[1] for _, b in pairs)
-    acc: dict[tuple[int, int], int] = {}
-    for (an, ad), (bn, bd) in pairs:
-        _mul_into(acc, an, bn, (la // ad) * (lb // bd))
-    return _canon(acc, la * lb)
+    for an, bn, d in pairs:
+        if len(an) > len(bn):  # scale the shorter row by den / d
+            an, bn = bn, an
+        f = den // d
+        for (i1, j1), c1 in an.items():
+            c1 *= f
+            for (i2, j2), c2 in bn.items():
+                e = (i1 + i2, j1 + j2)
+                s = acc.get(e)
+                acc[e] = c1 * c2 if s is None else s + c1 * c2
+    return _canon(acc, den)
 
 
 def _series(order: int, rows: Iterable[Row]) -> "TSeries":
@@ -415,7 +398,7 @@ class TSeries:
         for (_, ad), (_, bd) in zip(a, b):
             la.append(_lcm((la[-1], ad)))
             lb.append(_lcm((lb[-1], bd)))
-        return _series(self.order, [_dot(zip(a[: n + 1], b[n::-1]), la[n + 1], lb[n + 1])
+        return _series(self.order, [_dot(zip(a[: n + 1], b[n::-1]), la[n + 1] * lb[n + 1])
                                     for n in range(self.order + 1)])
 
     __rmul__ = __mul__

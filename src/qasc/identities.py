@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .core import (ONE, ParamSet, Poly, Row, TSeries, X, Y, _UNIT, _canon, _dot, _raw, _Record,
-                   _reduced, _series, _sum_terms, random_paramset)
+from .core import (ONE, ParamSet, Poly, Row, TSeries, X, Y, _UNIT, _canon, _dot, _raw,
+                   _Record, _reduced, _series, random_paramset)
 from .qkernel import (
     PhiSpec,
     PoleError,
@@ -104,25 +104,26 @@ def build_id4_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
 
 
 def _euler_rows(terms: Iterable[tuple[int, int, int, int, int, Fraction]], q: Fraction,
-                N: int, inverse: bool = False, reduce: bool = True) -> list[Row]:
-    """The rows (canonical with reduce) of sum c x^i y^j t^d (x s t;q)_inf
-    over terms (cn, cd, i, j, d, s) with c = cn/cd, or of
-    c x^i y^j t^d / (x s t;q)_inf when inverse, truncated at t^N.
+                N: int, inverse: bool = False) -> list[Row]:
+    """The canonical rows of sum c x^i y^j t^d (x s t;q)_inf over terms
+    (cn, cd, i, j, d, s) with c = cn/cd, or of c x^i y^j t^d / (x s t;q)_inf
+    when inverse, truncated at t^N.
 
     One Euler row e_m serves every term: term m of a summand is
-    c e_m s^m x^(i+m) y^j t^(d+m), each t-power summed on integers.
+    c e_m s^m x^(i+m) y^j t^(d+m), each t-power one ``_dot`` of monomial rows.
     """
     e = _poch_row((), {"q": q}, q, N) if inverse else _poch_row((), {"q": q}, q, N, z=-ONE, r=q)
-    rows: dict[Fraction, list] = {}  # s -> e_m s^m, reduced
+    rows: dict[Fraction, list] = {}  # s -> e_m s^m x^m
     parts: list[list] = [[] for _ in range(N + 1)]
     for cn, cd, i, j, d, s in terms:
         if s not in rows:
-            rows[s] = [_reduced(n * s.numerator**m, dn * s.denominator**m)
+            rows[s] = [({(m, 0): n * s.numerator**m}, dn * s.denominator**m)
                        for m, (n, dn) in enumerate(e)]
         cn, cd = _reduced(cn, cd)
-        for m, (en, ed) in enumerate(rows[s][: max(N + 1 - d, 0)]):
-            parts[d + m].append(((i + m, j), cn * en, (cd, ed)))
-    return [_sum_terms(p, reduce) for p in parts]
+        c = ({(i, j): cn}, cd)
+        for m, em in enumerate(rows[s][: max(N + 1 - d, 0)]):
+            parts[d + m].append((c, em))
+    return [_dot(p) for p in parts]
 
 
 def build_id6_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
@@ -159,20 +160,19 @@ def build_id5_pair(ps: ParamSet, N: int, sig: Fraction, tau: Fraction) -> Side:
 
 
 def _id7_sums(ps: ParamSet, N: int, top: int) -> list[list[Row]]:
-    """The unreduced rows of H_j = sum_(n=j..N+j) A_n [n;j] y^n t^(n-j)
+    """The rows of H_j = sum_(n=j..N+j) A_n [n;j] y^n t^(n-j)
     / (x q^j t;q)_inf for j = 0..top, A_n = (a,b,c;q)_n/((q,d,e;q)_n)."""
     q = ps.q
     binom, qd = _qbinom_rows(q, N + top), q.denominator
     A = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, N + top)
     return [_euler_rows([(A[n][0] * binom[n][j], A[n][1] * qd ** (j * (n - j)), 0, n, n - j, q**j)
-                         for n in range(j, N + j + 1)], q, N, inverse=True, reduce=False)
+                         for n in range(j, N + j + 1)], q, N, inverse=True)
             for j in range(top + 1)]
 
 
-def build_id7_pair(ps: ParamSet, N: int, K: int, phi: Sequence[Row] | None = None,
-                   H: Sequence[list[Row]] | None = None) -> Side:
-    """Index-shifted generating function for shift K; phi (the rows of
-    phi_0 .. phi_(N+K)) and H (``_id7_sums`` to K) are built when not given.
+def build_id7_pair(ps: ParamSet, N: int, K: int, H: Sequence[list[Row]] | None = None) -> Side:
+    """Index-shifted generating function for shift K; H (``_id7_sums`` to
+    K) is built when not given.
 
     LHS: sum_n phi_(n+K)(x,y) t^n/(q;q)_n
     RHS: x^K/(xt;q)_inf * sum_n A_n (yt)^n
@@ -184,15 +184,14 @@ def build_id7_pair(ps: ParamSet, N: int, K: int, phi: Sequence[Row] | None = Non
     what the K-fold derivative of x^K/(xt;q)_inf produces.
     """
     q = ps.q
-    if phi is None:
-        phi = _asc5_rows("phi", ps, N + K)
-    lhs = _gf(N, q, phi[K:])
+    lhs = _gf(N, q, _asc5_rows("phi", ps, N + K)[K:])
     if H is None:
         H = _id7_sums(ps, N, K)
-    # (-1)^j q^(Kj - C(j,2)) (q^-K;q)_j, j <= K
-    J = _poch_row((q**-K,), {}, q, K, z=-(q**K), r=1 / q)
-    rhs = _series(N, [_dot((h[n], ({(K - j, 0): J[j][0]}, J[j][1]))
-                           for j, h in enumerate(H[: K + 1])) for n in range(N + 1)])
+    # (-1)^j q^(Kj - C(j,2)) (q^-K;q)_j x^(K-j), j <= K, reduced
+    J = [({(K - j, 0): c}, d) for j, (c, d) in
+         enumerate(_reduced(*t) for t in _poch_row((q**-K,), {}, q, K, z=-(q**K), r=1 / q))]
+    # shift 0 has J_0 x^0 = 1, so its right side is H_0 itself
+    rhs = _series(N, H[0] if K == 0 else [_dot(zip((h[n] for h in H), J)) for n in range(N + 1)])
     return (f"k={K}", lhs, rhs)
 
 
@@ -247,9 +246,11 @@ def _build_id6(ps: ParamSet, N: int) -> list[Side]:
 
 
 def _build_id7(ps: ParamSet, N: int) -> list[Side]:
-    phi = _asc5_rows("phi", ps, N + 3)
+    # the phi prefix first, so that a (d,e;q)_k pole is named before the
+    # (q,d,e;q)_k pole of _id7_sums
+    _asc5_rows("phi", ps, N + 3)
     H = _id7_sums(ps, N, 3)
-    return [build_id7_pair(ps, N, K, phi, H) for K in range(4)]
+    return [build_id7_pair(ps, N, K, H) for K in range(4)]
 
 
 def _build_id8(ps: ParamSet, N: int) -> list[Side]:
@@ -572,30 +573,6 @@ def trial_paramset(check: IdentityCheck, seed: int, trial: int) -> ParamSet:
 # q-difference-equation residuals
 # ---------------------------------------------------------------------------
 
-def _residual_row(which: str, row: Row, ps: ParamSet) -> Row:
-    if which not in ("phi_eq", "psi_eq"):
-        raise ValueError("which must be 'phi_eq' or 'psi_eq'")
-    q, dq, eq = ps.q, ps.d / ps.q, ps.e / ps.q
-    qn, qd = q.numerator, q.denominator
-    nums, den = row
-    top = max((max(e) for e in nums), default=0)
-    # 1 - f q^m = (fd qd^m - fn qn^m) / (fd qd^m), one table per f
-    one, a, b, c, d, e = ([f.denominator * qd**m - f.numerator * qn**m for m in range(top + 1)]
-                          for f in (ONE, ps.a, ps.b, ps.c, dq, eq))
-    # L lies over ld qd^(3j) and R over rd qd^(i+3j); each side takes the
-    # other's constant, so both lie over den ld rd qd^E
-    ld, rd = dq.denominator * eq.denominator, ps.a.denominator * ps.b.denominator * ps.c.denominator
-    base, psi = den * ld * rd, which == "psi_eq"
-    terms = []
-    for (i, j), k in nums.items():
-        left, el = k * rd * one[j] * d[j] * e[j], 3 * j
-        right, er = -k * ld * one[i] * a[j] * b[j] * c[j], i + 3 * j
-        if psi:  # u L and -v R
-            left, el, right, er = left * qn**i, el + i, -right * qn**j, er + j
-        terms += [((i + 1, j), left, (base, qd**el)), ((i, j + 1), right, (base, qd**er))]
-    return _sum_terms(terms)
-
-
 def qdiff_residual(which: str, f: TSeries, ps: ParamSet) -> TSeries:
     """Left minus right side of the seven-variable difference equation,
     applied to every t-coefficient of f.  Zero means f satisfies it.
@@ -608,7 +585,34 @@ def qdiff_residual(which: str, f: TSeries, ps: ParamSet) -> TSeries:
         phi_eq:  k (L x^(i+1) y^j - R x^i y^(j+1))
         psi_eq:  k (u L x^(i+1) y^j + v R x^i y^(j+1))
     """
-    return _series(f.order, [_residual_row(which, r, ps) for r in f.rows])
+    if which not in ("phi_eq", "psi_eq"):
+        raise ValueError("which must be 'phi_eq' or 'psi_eq'")
+    psi = which == "psi_eq"
+    q, dq, eq = ps.q, ps.d / ps.q, ps.e / ps.q
+    qn, qd = q.numerator, q.denominator
+    # L lies over ld qd^(3j) and R over rd qd^(i+3j), u L over ld qd^(i+3j)
+    # and v R over rd qd^(i+4j); each side takes the other's constant, so a
+    # row lies over den ld rd qd^E, E its largest right-side exponent
+    tops = [max((i + (4 if psi else 3) * j for i, j in nums), default=0) for nums, _ in f.rows]
+    top = max((max(e) for nums, _ in f.rows for e in nums), default=0)
+    qnp, qdp = [qn**m for m in range(top + 1)], [qd**m for m in range(max(tops) + 1)]
+    # 1 - p q^m = (pd qd^m - pn qn^m) / (pd qd^m), one table per constant p
+    one, a, b, c, d, e = ([p.denominator * qdp[m] - p.numerator * qnp[m] for m in range(top + 1)]
+                          for p in (ONE, ps.a, ps.b, ps.c, dq, eq))
+    ld, rd = dq.denominator * eq.denominator, ps.a.denominator * ps.b.denominator * ps.c.denominator
+    rows = []
+    for (nums, den), E in zip(f.rows, tops):
+        acc: dict[tuple[int, int], int] = {}
+        for (i, j), k in nums.items():
+            el, er = (i + 3 * j, i + 4 * j) if psi else (3 * j, i + 3 * j)
+            left = k * rd * one[j] * d[j] * e[j] * qdp[E - el]
+            right = -k * ld * one[i] * a[j] * b[j] * c[j] * qdp[E - er]
+            if psi:  # u L and -v R
+                left, right = left * qnp[i], -right * qnp[j]
+            acc[i + 1, j] = acc.get((i + 1, j), 0) + left
+            acc[i, j + 1] = acc.get((i, j + 1), 0) + right
+        rows.append(_canon(acc, den * ld * rd * qdp[E]))
+    return _series(f.order, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from math import prod
 
-from .core import Poly, _dot, _raw, _Record, _sum_terms, as_fraction
+from .core import Poly, _canon, _dot, _raw, _Record, as_fraction
 from .qkernel import _poch_row, _qbinom_rows
 
 
@@ -42,6 +42,8 @@ def _symbols(op: str, q, deg: int) -> tuple[list[int], int, int]:
     if op == "dq":
         return s, 1, qd
     if op == "theta":
+        if not qn:
+            raise ZeroDivisionError("theta needs q != 0")
         return [qn * c for c in s], qd, qn
     raise ValueError(f"unknown operator {op!r}: use 'dq' or 'theta'")
 
@@ -50,12 +52,14 @@ def _lower(op: str, p: Poly, k: int, q) -> Poly:
     """op^k on p: x^i y^j with i >= k goes to prod_(m=i-k+1..i) sym(m)
     x^(i-k) y^j, lower x-degrees vanish.  The map is one-to-one on
     monomials, so no two terms meet; the symbol product lies over
-    u^k v^(ki - C(k,2))."""
+    u^k v^(ki - C(k,2)), and the row over den u^k v^(kI - C(k,2)), I the
+    top x-degree (at least k)."""
     s, u, v = _symbols(op, q, p.x_degree())
     nums, den = p.row
-    return _raw(_sum_terms([((i - k, j), prod(s[i - k + 1 : i + 1], start=c),
-                             (den * u**k, v ** (k * i - k * (k - 1) // 2)))
-                            for (i, j), c in nums.items() if i >= k]))
+    top = max(p.x_degree(), k)
+    return _raw(_canon({(i - k, j): prod(s[i - k + 1 : i + 1], start=c) * v ** (k * (top - i))
+                        for (i, j), c in nums.items() if i >= k},
+                       den * u**k * v ** (k * top - k * (k - 1) // 2)))
 
 
 def dq_apply(p: Poly, q) -> Poly:
@@ -125,16 +129,22 @@ def apply_operator(spec: OperatorSpec, p: Poly) -> Poly:
     ps = spec.params
     q = ps.q
     z, r = (1, 1) if spec.kind == "T" else (-1, q)
-    deg = p.x_degree()
+    deg = max(p.x_degree(), 0)
     w = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, deg, z=z, r=r)
     s, u, v = _symbols("dq" if spec.kind == "T" else "theta", q, deg)
+    # the row lies over den u^deg v^E wd, E = C(deg+1, 2) the largest
+    # ni - C(n,2) and wd the last weight denominator, which each
+    # weight denominator divides
+    E, wd = deg * (deg + 1) // 2, w[deg][1]
+    up, vp = [u**m for m in range(deg + 1)], [v**m for m in range(E + 1)]
+    ws = [c * (wd // d) for c, d in w]
     nums, den = p.row
-    terms = []
+    acc: dict[tuple[int, int], int] = {}
     for (i, j), c in nums.items():
         # w_n y^n op^n x^i = w_n prod_(m=i-n+1..i) sym(m) x^(i-n) y^n,
         # the symbol product over u^n v^(ni - C(n,2))
         for n in range(i + 1):
-            terms.append(((i - n, j + n), c * w[n][0],
-                          (den * u**n, v ** (n * i - n * (n - 1) // 2), w[n][1])))
+            e = (i - n, j + n)
+            acc[e] = acc.get(e, 0) + c * ws[n] * up[deg - n] * vp[E - n * i + n * (n - 1) // 2]
             c *= s[i - n]
-    return _raw(_sum_terms(terms))
+    return _raw(_canon(acc, den * up[deg] * vp[E] * wd))

@@ -399,8 +399,13 @@ for owner, name in ((qasc.cli, "verify"), (numeric.NumericCheck, "execute"),
 check = identities.CATALOG["ID-8"]
 rep = qasc.cli.verify(check, identities.trial_paramset(check, 42, 0), 6, 0)
 num = numeric.NUMERIC_CATALOG["NUM-3"].execute(numeric.NumericConfig())
+# one traced exact-structure pass and its negative control
+import structure
+statuses = []
+structure.run_pass(42, lambda rid, seconds, units, entry: statuses.append(entry["status"]), t)
 print(json.dumps([rep.status, num.status, t.calls["identities.verify"],
-                  t.calls["numeric.NumericCheck.execute"]]))
+                  t.calls["numeric.NumericCheck.execute"], len(statuses),
+                  sorted(set(statuses)), structure.negative_control("exact-structure", 42)]))
 """
 
 
@@ -411,4 +416,4 @@ class TestBenchmarkContract:
         proc = subprocess.run([sys.executable, "-c", _BENCH_CONTRACT], capture_output=True,
                               text=True, env=env, cwd=ROOT)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == ["pass", "pass", 1, 1]
+        assert json.loads(proc.stdout) == ["pass", "pass", 1, 1, 21, ["pass"], "fail"]

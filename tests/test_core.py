@@ -132,6 +132,14 @@ class TestPoly:
         assert hash(Poly.one()) == hash(1) == hash(F(1))
         assert Poly.x() + 1 != 1 and len({Poly.x() + 1, 1}) == 2
 
+    def test_hash_is_kept_and_unchanged(self):
+        # filled on first use; the value is that of the row, also after a
+        # pickle round trip, which builds the Poly afresh
+        p = Poly({(2, 1): F(-3, 7), (0, 3): F(1, 2)})
+        nums, den = p.row
+        assert hash(p) == hash((frozenset(nums.items()), den)) == hash(p)
+        assert hash(pickle.loads(pickle.dumps(p))) == hash(p) == hash(p * 1)
+
 
 class TestTSeries:
     def test_mul_truncates(self):

@@ -367,6 +367,16 @@ class TestResiduals:
             f = TSeries(2, coeffs)
             got = qdiff_residual(which, f, ps)
             assert list(got.coeffs) == [_shifted_residual(which, p, ps) for p in coeffs]
+        # rows reaching different top exponents (the symbol tables are built
+        # once per series, to its largest exponent), a zero and a constant row
+        Y, X = Poly.y(), Poly.x()
+        for _ in range(10):
+            ps = random_paramset(rng)
+            coeffs = [Y**6 * F(2, 3) - X, X**5 + X * Y * F(-1, 7), Poly.zero(),
+                      Poly.const(F(5, 9)), _random_poly(rng)]
+            got = qdiff_residual(which, TSeries(4, coeffs), ps)
+            assert list(got.coeffs) == [_shifted_residual(which, p, ps) for p in coeffs]
+            assert got.rows[2] == ({}, 1)
 
     @pytest.mark.parametrize("seed", [3, 17, 58])
     def test_homogeneous_solutions_are_the_basis(self, seed):

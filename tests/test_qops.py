@@ -9,7 +9,7 @@ import pytest
 
 from qasc.core import ParamSet, Poly, random_paramset
 from qasc.polys import asc5_phi, asc5_psi, rogers_szego_hn
-from qasc.qkernel import PoleError, qpoch
+from qasc.qkernel import PoleError, _poch_row, qpoch
 from qasc.qops import OperatorSpec, apply_operator, dq_apply, leibniz, op_power, theta_apply
 
 Q = F(1, 2)
@@ -60,6 +60,9 @@ class TestBasicOperators:
     def test_theta_frozen(self):
         assert theta_apply(Poly.x(), Q) == Poly.const(1 - Q)
         assert theta_apply(Poly.x() ** 2, Q) == Poly.x() * (Q**-1 - Q)
+        # q^(1-n) has no value at q = 0: no row over a zero denominator
+        with pytest.raises(ZeroDivisionError):
+            theta_apply(Poly.x() ** 2, 0)
 
     def test_dq_examples(self):
         assert dq_apply(Poly.monomial(2, 1), Q) == Poly.monomial(1, 1, F(3, 4))
@@ -149,6 +152,25 @@ class TestOperatorSeries:
             for n in range(11):
                 assert apply_operator(OperatorSpec("T", ps), Poly.x() ** n) == asc5_phi(n, ps)
                 assert apply_operator(OperatorSpec("E", ps), Poly.x() ** n) == asc5_psi(n, ps)
+
+    @pytest.mark.parametrize("seed", [2, 11, 29, 64])
+    def test_matches_weighted_powers_on_mixed_polynomials(self, seed):
+        # sum_n w_n y^n op^n p with the weight row and Poly arithmetic, on
+        # polynomials whose monomials reach different x-degrees, carry
+        # powers of y and a constant term
+        rng = random.Random(f"mixed-{seed}")
+        ps = random_paramset(rng)
+        q = ps.q
+        for _ in range(3):
+            p = random_poly(rng, max_deg=6) + F(1, 3) + Poly.monomial(0, rng.randint(1, 3), F(2, 7))
+            p = p + Poly.monomial(rng.randint(2, 7), rng.randint(1, 3), F(-2, 5))
+            assert p.constant()
+            deg = p.x_degree()
+            for kind, op, z, r in (("T", "dq", 1, 1), ("E", "theta", -1, q)):
+                w = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, deg, z=z, r=r)
+                want = sum((Poly.y() ** n * op_power(op, p, n, q) * F(wn, wd)
+                            for n, (wn, wd) in enumerate(w)), Poly.zero())
+                assert apply_operator(OperatorSpec(kind, ps), p) == want, (kind, p)
 
     def test_degenerate_weights_give_rogers_szego(self):
         # all five parameters zero: T{x^n} collapses to sum_k [n;k] x^(n-k) y^k
