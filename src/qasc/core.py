@@ -280,6 +280,16 @@ def _lcm(dens: Iterable[int]) -> int:
     return out
 
 
+def _powers(b: int, exps: Iterable[int]) -> dict[int, int]:
+    """{e: b**e} for the exponents e, each power from the one below it by
+    one power of b to their (small) difference."""
+    out, p, last = {}, 1, 0
+    for e in sorted(set(exps)):
+        p *= b ** (e - last)
+        out[e], last = p, e
+    return out
+
+
 def _reduced(n: int, d: int) -> tuple[int, int]:
     g = gcd(n, d)
     return n // g, d // g

@@ -26,12 +26,14 @@ from .core import (ONE, ParamSet, Poly, Row, TSeries, X, Y, _UNIT, _canon, _dot,
 from .qkernel import (
     PhiSpec,
     PoleError,
+    _chain_product,
     _common_den,
     _euler,
+    _euler_row,
+    _hyper_row,
     _poch_row,
     _qbinom_rows,
     euler_inverse_series,
-    euler_product_series,
     hyper_series,
 )
 from .polys import _family_rows
@@ -47,7 +49,7 @@ def _gf(N: int, q: Fraction, seq: Sequence[Row],
         weights: Sequence[tuple[int, int]] | None = None) -> TSeries:
     """sum_n seq[n] * weights[n] * t^n / (q;q)_n for rows seq and a
     ``_poch_row`` weight row, truncated at N."""
-    e = _poch_row((), {"q": q}, q, N)
+    e = _euler_row(q, N)
     if weights is not None:
         e = [(a * c, b * d) for (a, b), (c, d) in zip(e, weights)]
     rows = []
@@ -77,11 +79,9 @@ def _alt_weights(q: Fraction, N: int, t_scale: Fraction = ONE) -> list[tuple[int
 
 def build_id3_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
     """1/(x*s*t;q)_inf * 3phi2(a,b,c; d,e; q, y*s*t) with t-scale s."""
-    pre = euler_inverse_series(X * t_scale, ps.q, N)
-    tail = hyper_series(
-        PhiSpec([ps.a, ps.b, ps.c], [ps.d, ps.e], ps.q), N, arg_mono=Y * t_scale
-    )
-    return pre * tail
+    e = _euler_row(ps.q, N)
+    h = _hyper_row(PhiSpec([ps.a, ps.b, ps.c], [ps.d, ps.e], ps.q), N)
+    return _chain_product(e, X * t_scale, h, Y * t_scale, N)
 
 
 def build_id3_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
@@ -90,13 +90,9 @@ def build_id3_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
 
 def build_id4_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
     """(x*s*t;q)_inf * 3phi3(a,b,c; 0,d,e; q, -y*s*t)."""
-    pre = euler_product_series(X * t_scale, ps.q, N)
-    tail = hyper_series(
-        PhiSpec([ps.a, ps.b, ps.c], [Fraction(0), ps.d, ps.e], ps.q),
-        N,
-        arg_mono=Y * (-t_scale),
-    )
-    return pre * tail
+    e = _euler_row(ps.q, N, product=True)
+    h = _hyper_row(PhiSpec([ps.a, ps.b, ps.c], [Fraction(0), ps.d, ps.e], ps.q), N)
+    return _chain_product(e, X * t_scale, h, Y * (-t_scale), N)
 
 
 def build_id4_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
@@ -112,7 +108,7 @@ def _euler_rows(terms: Iterable[tuple[int, int, int, int, int, Fraction]], q: Fr
     One Euler row e_m serves every term: term m of a summand is
     c e_m s^m x^(i+m) y^j t^(d+m), each t-power one ``_dot`` of monomial rows.
     """
-    e = _poch_row((), {"q": q}, q, N) if inverse else _poch_row((), {"q": q}, q, N, z=-ONE, r=q)
+    e = _euler_row(q, N, product=not inverse)
     rows: dict[Fraction, list] = {}  # s -> e_m s^m x^m
     parts: list[list] = [[] for _ in range(N + 1)]
     for cn, cd, i, j, d, s in terms:
@@ -214,18 +210,16 @@ class IdentityCheck(_Record):
 
 def _build_id1(ps: ParamSet, N: int) -> list[Side]:
     lhs = _gf(N, ps.q, _family_rows("asc_gen3_phi", N, ps.q, ps.a, ps.b, ps.c))
-    rhs = euler_inverse_series(Y, ps.q, N) * hyper_series(
-        PhiSpec([ps.a, ps.b], [ps.c], ps.q), N, arg_mono=X
-    )
+    e = _euler_row(ps.q, N)
+    rhs = _chain_product(e, Y, _hyper_row(PhiSpec([ps.a, ps.b], [ps.c], ps.q), N), X, N)
     return [("", lhs, rhs)]
 
 
 def _build_id2(ps: ParamSet, N: int) -> list[Side]:
     psi = _family_rows("asc_gen3_psi", N, ps.q, ps.a, ps.b, ps.c)
     lhs = _gf(N, ps.q, psi, _alt_weights(ps.q, N))
-    rhs = euler_product_series(Y, ps.q, N) * hyper_series(
-        PhiSpec([ps.a, ps.b], [ps.c], ps.q), N, arg_mono=X
-    )
+    e = _euler_row(ps.q, N, product=True)
+    rhs = _chain_product(e, Y, _hyper_row(PhiSpec([ps.a, ps.b], [ps.c], ps.q), N), X, N)
     return [("", lhs, rhs)]
 
 
@@ -310,7 +304,7 @@ def _build_id8(ps: ParamSet, N: int) -> list[Side]:
 def _build_id9(ps: ParamSet, N: int) -> list[Side]:
     q = ps.q
     lhs = _gf(N, q, _family_rows("cauchy", N, q))
-    rhs = euler_product_series(Y, q, N) * euler_inverse_series(X, q, N)
+    rhs = _chain_product(_euler_row(q, N, product=True), Y, _euler_row(q, N), X, N)
     return [("", lhs, rhs)]
 
 
@@ -394,8 +388,8 @@ def _build_id12(ps: ParamSet, N: int) -> list[Side]:
     # times the prefactor (s, x t;q)_inf / ((r, x;q)_inf), all u-scaled: with
     # r = q^-M s it is (x t;q)_inf/(x;q)_inf = 1phi0(t; x) times
     # (s;q)_inf/(r;q)_inf = 1/(r;q)_M = 1phi0(q^M; r)
-    rhs = (hyper_series(PhiSpec([t0], [], q), N, xi)
-           * hyper_series(PhiSpec([q**M], [], q), N, r_scale) * tail)
+    rhs = _chain_product(_hyper_row(PhiSpec([t0], [], q), N), xi,
+                         _hyper_row(PhiSpec([q**M], [], q), N), r_scale, N) * tail
     return [("u-scaled", lhs, rhs)]
 
 
@@ -414,13 +408,11 @@ def _build_id13(ps: ParamSet, N: int) -> list[Side]:
     s1 = build_id3_lhs(ps0, N)
     s2 = _gf(N, q, _family_rows("asc_gen3_phi", N, q, ps.a, ps.b, ps.d, x=Y, y=X))
     r1 = build_id3_rhs(ps0, N)
-    r2 = euler_inverse_series(X, q, N) * hyper_series(
-        PhiSpec([ps.a, ps.b], [ps.d], q), N, arg_mono=Y
-    )
+    r2 = _chain_product(_euler_row(q, N), X,
+                        _hyper_row(PhiSpec([ps.a, ps.b], [ps.d], q), N), Y, N)
     l4 = build_id4_lhs(ps0, N)
-    r4 = euler_product_series(X, q, N) * hyper_series(
-        PhiSpec([ps.a, ps.b], [Fraction(0), ps.d], q), N, arg_mono=-Y
-    )
+    r4 = _chain_product(_euler_row(q, N, product=True), X,
+                        _hyper_row(PhiSpec([ps.a, ps.b], [Fraction(0), ps.d], q), N), -Y, N)
     return [
         ("phi-lhs-swap", s1, s2),
         ("phi-rhs-swap", r1, r2),
@@ -639,17 +631,27 @@ def expand_poly_in_basis(
     absorb the x-degree of p.  Each step rem - mu_n * basis_n is one _dot.
     """
     _basis_family(basis)
+    return _expand_rows(p, _basis_rows(basis, ps, [p.row], nmax), nmax)
+
+
+def _basis_rows(basis: str, ps: ParamSet, rows: Iterable[Row], nmax: int | None) -> list[Row]:
+    """The basis rows as far as an expansion of the rows reads them: to
+    their highest x-power <= nmax, the first step with a nonzero x-coefficient."""
+    cols = [i for nums, _ in rows for i, _ in nums if nmax is None or i <= nmax]
+    return _asc5_rows(basis, ps, max(cols)) if cols else []
+
+
+def _expand_rows(p: Poly, rows: Sequence[Row], nmax: int | None) -> list[Poly]:
+    """expand_poly_in_basis of p over the basis rows rows (``_basis_rows``)."""
     deg = max(p.x_degree(), 0)
     if nmax is None:
         nmax = deg
     mu = [Poly.zero()] * (nmax + 1)
     rem = p
-    rows: list[Row] = []
     for n in range(min(nmax, deg), -1, -1):
         cn = rem.xcoeff_as_y_poly(n)
         if cn.is_zero():
             continue
-        rows = rows or _asc5_rows(basis, ps, n)
         mu[n] = cn
         rem = _raw(_dot(((rem.row, _UNIT), ((-cn).row, rows[n]))))
         if rem.is_zero():
@@ -666,13 +668,11 @@ def expand_series_in_basis(
     f: TSeries, basis: str, ps: ParamSet, nmax: int | None = None
 ) -> list[list[Poly]]:
     """Per-t-power basis expansion of a TSeries; element [m][n] is mu_n for
-    the coefficient of t^m.  The basis rows are read once, as far as one
-    coefficient's expansion reads them: its highest x-power <= nmax."""
+    the coefficient of t^m.  The basis rows are read once, as far as the
+    expansion of any coefficient reads them, and shared by all of them."""
     _basis_family(basis)
-    cols =[i for nums, _ in f.rows for i, _ in nums if nmax is None or i <= nmax]
-    if cols:
-        _asc5_rows(basis, ps, max(cols))
-    return [expand_poly_in_basis(p, basis, ps, nmax) for p in f.coeffs]
+    rows = _basis_rows(basis, ps, f.rows, nmax)
+    return [_expand_rows(p, rows, nmax) for p in f.coeffs]
 
 
 def synthesize_from_basis(mu: Sequence[Poly], basis: str, ps: ParamSet) -> Poly:

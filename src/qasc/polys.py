@@ -10,8 +10,8 @@ q-hypergeometric in k: (nums;q)_k / (dens;q)_k times a twist z^k r^C(k,2);
 the psi families' n-dependent factor q^(k(k-n)) is folded into [n;k].
 So one weight row serves the whole sequence p_0..p_N, the [n;k] come from
 one integer q-binomial triangle, and each polynomial is one integer row
-(``core.Row``), one integer product per term.  The rows p_0, p_1, ... of a
-family are kept per parameters and x, y as one grow-only prefix
+(``core.Row``), one large integer product per term.  The rows p_0, p_1,
+... of a family are kept per parameters and x, y as one grow-only prefix
 (``_family_rows``); the per-n functions and ``PolyFamily`` index or slice
 it.  The triangle has no division, so q = 1 gives the classical limits,
 e.g. cauchy_pn at q = 1 is (x - y)^n.
@@ -20,12 +20,10 @@ e.g. cauchy_pn at q = 1 is (x - y)^n.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import mul
 from typing import Sequence
 
-from .core import (ONE, ZERO, ParamSet, Poly, Row, X, Y, _UNIT, _dot, _poly, _Record, _row,
-                   as_fraction)
+from .core import (ONE, ZERO, ParamSet, Poly, Row, X, Y, _UNIT, _dot, _poly, _powers, _Record,
+                   _row, as_fraction)
 from .qkernel import _poch_row, _qbinom_rows, _ratio, _remember
 
 _FAMILY_ROWS: dict = {}  # (family, q, a..e, x, y) -> (row_0, ..., row_m)
@@ -40,8 +38,11 @@ def _asc_sum(lo: int, N: int, q: Fraction, w: Sequence[tuple[int, int]], x, y,
     row; otherwise the sums are formed over the symbols x, y and then
     substituted.  [n;k] = b(n,k)/qd^(k(n-k)) (``_qbinom_rows``), which
     q^(k(k-n)) turns into b(n,k)/qn^(k(n-k)), so row n lies over
-    wd_n qd^E xd^n yd^n (qn^E under psi), E the largest k(n-k), and each
-    term is one integer product.
+    wd_n qd^E xd^n yd^n (qn^E under psi), E the largest k(n-k).  Along
+    the weight chain each wd_(n-1) divides wd_n, so the weight numerators
+    over wd_n come from row n-1's by one small step factor, and each term
+    is one large product: its weight numerator times the small factors
+    [n;k], the q power and the x, y powers.
     """
     xr, yr = _row(x), _row(y)
     subst = len(xr[0]) > 1 or len(yr[0]) > 1
@@ -50,24 +51,32 @@ def _asc_sum(lo: int, N: int, q: Fraction, w: Sequence[tuple[int, int]], x, y,
     ((iy, jy), cy), = (Y.row if subst else yr)[0].items() or [((0, 0), 0)]
     xd, yd = (1, 1) if subst else (xr[1], yr[1])
     binom = _qbinom_rows(q, N)
-    qp = list(accumulate(repeat(q.numerator if psi else q.denominator, N * N // 4), mul, initial=1))
-    # x^(n-k) y^k over xd^n yd^n: xn^(n-k) xd^k yn^k yd^(n-k)
-    xs = [(cx**m, xd**m) for m in range(N + 1)]
-    ys = [(cy**m, yd**m) for m in range(N + 1)]
+    # only the q powers these rows read: qb^(E - k(n-k)), E the largest k(n-k)
+    qp = _powers(q.numerator if psi else q.denominator,
+                 [(n // 2) * (n - n // 2) - k * (n - k) for n in range(lo, N + 1)
+                  for k in range(n // 2 + 1)])
+    # x^(n-k) y^k over (xd yd)^n: (xn yd)^(n-k) (xd yn)^k
+    xs = [(cx * yd) ** m for m in range(N + 1)]
+    ys = [(xd * cy) ** m for m in range(N + 1)]
+    # weight numerators w_k over wd_n for k <= n: row lo's by division,
+    # each later row's from the row before by the step wd_n / wd_(n-1)
+    wd = w[lo][1]
+    ws = [c * (wd // d) for c, d in w[:lo]]
     out = []
     for n in range(lo, N + 1):
+        wn, d = w[n]
+        step, wd = d // wd, d
+        ws = [c * step for c in ws]
+        ws.append(wn)
         top = (n // 2) * (n - n // 2)
-        wd = w[n][1]
         nums: dict[tuple[int, int], int] = {}
         for k, b in enumerate(binom[n]):
-            wn, d = w[k]
-            if wn:
-                c = (b * qp[top - k * (n - k)] * wn * (wd // d)
-                     * xs[n - k][0] * xs[k][1] * ys[k][0] * ys[n - k][1])
+            if ws[k]:
+                c = ws[k] * (b * qp[top - k * (n - k)] * xs[n - k] * ys[k])
                 e = (ix * (n - k) + iy * k, jx * (n - k) + jy * k)
                 s = nums.get(e)
                 nums[e] = c if s is None else s + c
-        out.append((nums, wd * qp[top] * xs[n][1] * ys[n][1]))
+        out.append((nums, wd * qp[top] * (xd * yd) ** n))
     if subst:
         # nums/den over x^i y^j goes to sum nums[i, j]/den xr^i yr^j
         xp, yp = [_UNIT], [_UNIT]

@@ -15,12 +15,14 @@ Every series and weight row here is a q-hypergeometric term sequence
 with the ratio prod(1 - a q^k) / prod(1 - b q^k) * z r^k.  It is written
 twice: ``term_stream`` runs it on any field and is the loop of the
 mpmath side; ``_poch_row`` runs it for exact rows as integer (num, den)
-pairs with no gcd, and is tested against ``term_stream`` on Fractions.
-Its rows feed the integer rows of TSeries (see ``core.Row``) directly:
-``_euler`` places one reduced term per power of t.  ``_qbinom_rows``
-builds the q-binomial triangle on integers.  ``qpoch``, ``qpoch_multi``
-and ``qbinom`` stay as direct products, the reference the tests compare
-against.
+pairs, one small gcd per step, and is tested against ``term_stream`` on
+Fractions.  Its rows feed the integer rows of TSeries (see ``core.Row``)
+directly: ``_euler`` places one reduced term per power of t, and
+``_chain_product`` writes the product of two such series (an Euler
+product times an rPhis, say) row by row along both denominator chains,
+reduced once per row.  ``_qbinom_rows`` builds the q-binomial triangle on
+integers.  ``qpoch``, ``qpoch_multi`` and ``qbinom`` stay as direct
+products, the reference the tests compare against.
 
 A denominator parameter equal to 0 is allowed, with (0;q)_n = 1; a
 denominator parameter of the form q^(-j) makes a term blow up and raises
@@ -30,10 +32,11 @@ PoleError naming the offending term.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from typing import Iterator, Mapping, Sequence
 
-from .core import ONE, Poly, TSeries, _ZROW, _lcm, _reduced, _row, _series, as_fraction
+from .core import (ONE, Poly, TSeries, _ZROW, _canon, _lcm, _reduced, _row, _series,
+                   as_fraction)
 
 
 class PoleError(ArithmeticError):
@@ -151,13 +154,15 @@ def _poch_row(
     """((num, den) for k = 0..n) with num/den = (nums;q)_k / (dens;q)_k *
     z^k * r^C(k,2): the first n + 1 terms of term_stream on Fractions.
 
-    Computed on integers, with no gcd.  With q = qn/qd and a = an/ad the
-    factor 1 - a q^k is (ad qd^k - an qn^k) / (ad qd^k); the ad and bd
-    constants go into the step z r^k and the qd^k powers cancel down to
-    qd^(k(#dens - #nums)).  Each step multiplies the running numerator and
-    denominator by the integers of its ratio, so den > 0 and each den
-    divides the next (see ``_common_den``).  Memoized with the loop state:
-    a longer request resumes the loop, a shorter one is a slice.
+    Computed on integers.  With q = qn/qd and a = an/ad the factor
+    1 - a q^k is (ad qd^k - an qn^k) / (ad qd^k); the ad and bd constants
+    go into the step z r^k and the qd^k powers cancel down to
+    qd^(k(#dens - #nums)).  Each step divides the small integers of its
+    ratio by their gcd and multiplies them into the running numerator and
+    denominator, so den > 0, each den divides the next (see
+    ``_common_den``) and the two quotients of a step are coprime; no gcd
+    ever meets the running term.  Memoized with the loop state: a longer
+    request resumes the loop, a shorter one is a slice.
     """
     top, bottom = tuple(map(_ratio, nums)), tuple(map(_ratio, dens.values()))
     (qn, qd), (zn, zd), (rn, rd) = _ratio(q), _ratio(z), _ratio(r)
@@ -183,10 +188,11 @@ def _poch_row(
                 fn *= ek
             else:
                 fd *= ek
+            g = gcd(fn, fd)
             if fd < 0:
-                fn, fd = -fn, -fd
-            tn *= fn
-            td *= fd
+                g = -g
+            tn *= fn // g
+            td *= fd // g
             new.append((tn, td))
             sn *= rn
             sd *= rd
@@ -252,6 +258,15 @@ class PhiSpec:
             raise ValueError("series with r > s+1 are not supported")
 
 
+def _hyper_row(spec: PhiSpec, order: int) -> tuple[tuple[int, int], ...]:
+    """The scalar terms of rPhis for n <= order as a ``_poch_row`` row; the
+    denominator parameters are named b1..bs in a PoleError."""
+    e, q = spec.sign_exponent, spec.q
+    dens = {f"b{i + 1}": b for i, b in enumerate(spec.denominators)}
+    dens["q"] = q
+    return _poch_row(spec.numerators, dens, q, order, z=(-1) ** e, r=q**e)
+
+
 def hyper_series(spec: PhiSpec, order: int, arg_mono: Poly | Fraction | int = 1) -> TSeries:
     """Truncated rPhis with argument z = arg_mono * t.
 
@@ -260,20 +275,22 @@ def hyper_series(spec: PhiSpec, order: int, arg_mono: Poly | Fraction | int = 1)
     term of the series.  The denominator parameters are named b1..bs in a
     PoleError.
     """
-    e, q = spec.sign_exponent, spec.q
-    dens = {f"b{i + 1}": b for i, b in enumerate(spec.denominators)}
-    dens["q"] = q
-    row = _poch_row(spec.numerators, dens, q, order, z=(-1) ** e, r=q**e)
-    return _euler(arg_mono, order, row)
+    return _euler(arg_mono, order, _hyper_row(spec, order))
+
+
+def _mono(mono: Poly | Fraction | int) -> tuple[tuple[int, int], int, int]:
+    """((i, j), c, den) of a monomial c/den x^i y^j; zero reads as 0 * x^0 y^0."""
+    nums, den = _row(mono)
+    if len(nums) > 1:
+        raise ValueError("series argument must be a monomial times t")
+    ((i, j), c), = nums.items() or [((0, 0), 0)]
+    return (i, j), c, den
 
 
 def _euler(mono: Poly | Fraction | int, order: int, row: Sequence[tuple[int, int]]) -> TSeries:
     """sum_n num_n/den_n mono^n t^n for n <= order over the (num, den)
     pairs of row; each t-power is one term, reduced by one gcd."""
-    nums, den = _row(mono)
-    if len(nums) > 1:
-        raise ValueError("series argument must be a monomial times t")
-    ((i, j), c), = nums.items() or [((0, 0), 0)]
+    (i, j), c, den = _mono(mono)
     rows, cn, cd = [], 1, 1  # (c/den)^n
     for n, (w, d) in enumerate(row[: order + 1]):
         w, d = _reduced(w * cn, d * cd)
@@ -283,14 +300,60 @@ def _euler(mono: Poly | Fraction | int, order: int, row: Sequence[tuple[int, int
     return _series(order, rows + [_ZROW] * (order + 1 - len(rows)))
 
 
+def _chain_product(e: Sequence[tuple[int, int]], u: Poly | Fraction | int,
+                   h: Sequence[tuple[int, int]], v: Poly | Fraction | int,
+                   order: int) -> TSeries:
+    """sum_n t^n sum_(m+k=n) e_m u^m h_k v^k for n <= order: the product of
+    the series sum e_m u^m t^m and sum h_k v^k t^k for two ``_poch_row``
+    rows e, h (order + 1 terms each) and monomials u, v.
+
+    Row n lies over ed_n ud^n hd_n vd^n.  Along a ``_poch_row`` row each
+    denominator divides the next, so the numerators of e_m u^m over
+    ed_n ud^n come from those over ed_(n-1) ud^(n-1) by one product with
+    the small step factor ed_n/ed_(n-1) ud, and likewise for h; no term
+    needs a division, and each row is reduced once.
+    """
+    (ui, uj), un, ud = _mono(u)
+    (vi, vj), vn, vd = _mono(v)
+    E: list[int] = []  # e_m u^m, m <= n, over ed_n ud^n
+    H: list[int] = []  # h_k v^k, k <= n, over hd_n vd^n
+    rows = []
+    ep = hp = 1  # ed_(n-1), hd_(n-1)
+    unn, vnn, dn = 1, 1, 1  # un^n, vn^n, (ud vd)^n
+    for n, ((en, ed), (hn, hd)) in enumerate(zip(e[: order + 1], h[: order + 1])):
+        fe, fh = ed // ep * ud, hd // hp * vd
+        E = [c * fe for c in E]
+        H = [c * fh for c in H]
+        E.append(en * unn)
+        H.append(hn * vnn)
+        pairs = zip(E, reversed(H))
+        if (ui, uj) == (vi, vj):  # every term of row n meets at u^n
+            acc = {(ui * n, uj * n): sum(c * d for c, d in pairs)}
+        else:  # term m alone lands at u^m v^(n-m)
+            acc = {(ui * m + vi * (n - m), uj * m + vj * (n - m)): c * d
+                   for m, (c, d) in enumerate(pairs)}
+        rows.append(_canon(acc, ed * hd * dn))
+        ep, hp = ed, hd
+        unn, vnn, dn = unn * un, vnn * vn, dn * ud * vd
+    return _series(order, rows)
+
+
+def _euler_row(q, order: int, product: bool = False) -> tuple[tuple[int, int], ...]:
+    """1/(q;q)_n for n <= order, or (-1)^n q^C(n,2)/(q;q)_n when product,
+    as a ``_poch_row`` row: the terms of 1/(z;q)_inf and (z;q)_inf."""
+    if product:
+        return _poch_row((), {"q": q}, q, order, z=-ONE, r=q)
+    return _poch_row((), {"q": q}, q, order)
+
+
 def euler_inverse_series(mono: Poly | Fraction | int, q, order: int) -> TSeries:
     """Series for 1/(mono*t; q)_inf = sum_n mono^n t^n / (q;q)_n."""
-    return _euler(mono, order, _poch_row((), {"q": q}, q, order))
+    return _euler(mono, order, _euler_row(q, order))
 
 
 def euler_product_series(mono: Poly | Fraction | int, q, order: int) -> TSeries:
     """Series for (mono*t; q)_inf = sum_n (-1)^n q^C(n,2) mono^n t^n / (q;q)_n."""
-    return _euler(mono, order, _poch_row((), {"q": q}, q, order, z=-ONE, r=q))
+    return _euler(mono, order, _euler_row(q, order, product=True))
 
 
 def qpoch_t_poly(mono: Poly | Fraction | int, q, j: int, order: int) -> TSeries:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from math import prod
 
-from .core import Poly, _canon, _dot, _raw, _Record, as_fraction
+from .core import Poly, _canon, _dot, _powers, _raw, _Record, as_fraction
 from .qkernel import _poch_row, _qbinom_rows
 
 
@@ -136,9 +136,12 @@ def apply_operator(spec: OperatorSpec, p: Poly) -> Poly:
     # ni - C(n,2) and wd the last weight denominator, which each
     # weight denominator divides
     E, wd = deg * (deg + 1) // 2, w[deg][1]
-    up, vp = [u**m for m in range(deg + 1)], [v**m for m in range(E + 1)]
-    ws = [c * (wd // d) for c, d in w]
     nums, den = p.row
+    # only the powers of v that the terms read
+    up = [u**m for m in range(deg + 1)]
+    vp = _powers(v, [E] + [E - n * i + n * (n - 1) // 2
+                           for i in {i for i, _ in nums} for n in range(i + 1)])
+    ws = [c * (wd // d) for c, d in w]
     acc: dict[tuple[int, int], int] = {}
     for (i, j), c in nums.items():
         # w_n y^n op^n x^i = w_n prod_(m=i-n+1..i) sym(m) x^(i-n) y^n,

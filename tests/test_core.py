@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qasc.core import ParamSet, Poly, TSeries, _row, _series, random_paramset, random_rational
+from qasc.core import (ParamSet, Poly, TSeries, _powers, _row, _series, random_paramset,
+                       random_rational)
 from qasc.identities import CATALOG, IdentityCheck
 from qasc.numeric import NUMERIC_CATALOG, NumericCheck, NumericConfig, QuadConfig
 from qasc.polys import PolyFamily
@@ -443,6 +444,12 @@ def layout_series():
 
 class TestRowLayout:
     """Integer-row TSeries against the Fraction-dict reference."""
+
+    @pytest.mark.parametrize("b", [0, 1, -3, 7, 2**70 + 1])
+    def test_powers_reads_only_its_exponents(self, b):
+        exps = [9, 0, 4, 9, 31, 5]
+        assert _powers(b, exps) == {e: b**e for e in exps}
+        assert _powers(b, []) == {}
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(layout_series(), layout_series(), layout_polys())

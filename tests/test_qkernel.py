@@ -22,8 +22,11 @@ from qasc.qkernel import (
     _MEMO_SIZE,
     _POCH_ROWS,
     _QBINOM_ROWS,
+    _chain_product,
     _common_den,
     _euler,
+    _euler_row,
+    _hyper_row,
     _poch_row,
     _qbinom_rows,
     euler_inverse_series,
@@ -336,6 +339,31 @@ class TestPochRow:
         assert got == _outcome(lambda: _stream_row(nums, dens, Q, 5, z))
         assert got == ("pole", 3, "(d,q;q)_k vanished at k=3 for d=4, q=1/2")
 
+    def test_rows_are_reduced_divisibility_chains(self):
+        # each step divides its factor pair by their gcd: each denominator
+        # divides the next, and the two quotients of a step are coprime
+        rng = random.Random(43)
+
+        def draw():
+            return F(rng.randint(-8, 8), rng.randint(1, 32))  # zero among them
+
+        steps = 0
+        for _ in range(200):
+            q = draw() or Q
+            nums = [draw() for _ in range(rng.randint(0, 4))]
+            dens = {f"b{i}": draw() for i in range(rng.randint(0, 4))}
+            z, r = rng.choice([draw(), -abs(draw()), F(-1)]), rng.choice([F(1), q, 1 / q, draw()])
+            try:
+                row = _poch_row(nums, dens, q, rng.randint(0, 12), z, r)
+            except PoleError:
+                continue
+            for (an, ad), (bn, bd) in zip(row, row[1:]):
+                assert ad > 0 and bd % ad == 0
+                if an:
+                    assert bn % an == 0 and gcd(bn // an, bd // ad) == 1
+                    steps += 1
+        assert steps > 300
+
 
 class TestQBinomRows:
     @pytest.mark.parametrize("q", [F(7, 23), F(0), F(-3, 5), F(9, 4)])
@@ -573,3 +601,73 @@ class TestIntRows:
             b = _poch_row((), {"q": q}, q, n, z=F(-1, rng.randint(2, 9)), r=q)
             got = _euler(1, n, a) * _euler(1, n, b)
             assert got == _const_series(_fraction_conv(_fracs(a), _fracs(b), n), n)
+
+
+class TestChainProduct:
+    """_chain_product against the series product it replaces,
+    euler_*_series(u, q, N) * hyper_series(spec, N, v), kept as the oracle."""
+
+    @staticmethod
+    def _both(product, u, spec, v, n):
+        def oracle():
+            euler = euler_product_series if product else euler_inverse_series
+            return euler(u, spec.q, n) * hyper_series(spec, n, v)
+
+        def kernel():
+            return _chain_product(_euler_row(spec.q, n, product), u, _hyper_row(spec, n), v, n)
+
+        return _outcome(kernel), _outcome(oracle)
+
+    def test_random_draws(self):
+        rng = random.Random(29)
+
+        def draw():
+            return F(rng.randint(-8, 8) or 1, rng.randint(9, 32))
+
+        def mono():
+            return Poly.monomial(rng.randint(0, 2), rng.randint(0, 2), draw())
+
+        for _ in range(60):
+            q = F(rng.randint(1, 8), rng.randint(9, 32))
+            nums = [draw() for _ in range(rng.randint(0, 3))]
+            s = rng.randint(max(len(nums) - 1, 0), 3)
+            dens = [rng.choice([F(0), draw()]) for _ in range(s)]
+            n = rng.randint(0, 12)
+            got, want = self._both(rng.random() < 0.5, mono(), PhiSpec(nums, dens, q), mono(), n)
+            assert got == want
+            assert got.rows == want.rows and len(got.rows) == n + 1
+
+    @pytest.mark.parametrize(
+        "u, nums, dens, v",
+        [
+            (F(0), [F(1, 3)], [F(2, 5)], Poly.y()),  # zero monomial coefficient
+            (Poly.x() * F(1, 4), [F(1, 3)], [F(2, 5)], Poly.zero()),  # zero second factor
+            (Poly.x() * F(-3, 5), [F(1, 3), F(-2, 7)], [F(2, 5)], Poly.y() * F(-2, 7)),  # negative
+            (F(2, 3), [F(1, 3), F(1, 6)], [F(0), F(2, 5)], F(-1, 4)),  # scalars: all at x^0 y^0
+            (Poly.x() * F(2, 3), [F(1, 3)], [F(1, 6)], Poly.x() * F(-1, 5)),  # both powers of x
+            (Poly.x(), [Q**-3, F(1, 5)], [F(1, 4)], Poly.y()),  # terminating at k = 3
+            (Poly.x(), [F(1, 3)], [Q**-2], Poly.y()),  # pole at k = 3 of the 2phi1 row
+        ],
+    )
+    @pytest.mark.parametrize("product", [False, True])
+    def test_edge_cases(self, u, nums, dens, v, product):
+        for n in (0, 1, 9):
+            got, want = self._both(product, u, PhiSpec(nums, dens, Q), v, n)
+            assert got == want
+            if isinstance(got, TSeries):
+                assert got.rows == want.rows
+        if dens == [Q**-2]:
+            assert got == ("pole", 3, "(b1,q;q)_k vanished at k=3 for b1=4, q=1/2")
+
+    def test_two_euler_rows(self):
+        # the Cauchy right side (yt;q)_inf / (xt;q)_inf
+        for q in (Q, F(4, 9), F(1, 31)):
+            x, y = Poly.x(), Poly.y()
+            got = _chain_product(_euler_row(q, 10, True), y, _euler_row(q, 10), x, 10)
+            want = euler_product_series(y, q, 10) * euler_inverse_series(x, q, 10)
+            assert got.rows == want.rows
+
+    def test_argument_must_be_a_monomial(self):
+        row = _euler_row(Q, 3)
+        with pytest.raises(ValueError, match="monomial"):
+            _chain_product(row, Poly.x() + Poly.y(), row, Poly.y(), 3)
