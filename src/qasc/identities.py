@@ -3,14 +3,15 @@ the seven-variable q-difference-equation residuals, and triangular
 expansion in the five-parameter polynomial basis.
 
 Every catalog entry builds both sides of one generating-function or
-transformation identity as TSeries, writing their integer rows directly,
-and compares them exactly.  Identities whose natural coefficients are infinite sums
-are handled by the numeric module instead; two entries here (ID-5 and
-ID-12) regain finite coefficients by scaling a parameter pair with the
-formal variable.  The builders and the basis expansion read the family
-rows p_0..p_N as one prefix (``polys._family_rows``).  A series expansion
-reads its basis rows once; each back-substitution step and each synthesis
-is one ``core._dot`` over the shared rows, reduced once.
+transformation identity as TSeries, writing their integer rows directly
+(each product one ``qkernel._chain_product``), and compares them exactly.
+Identities whose natural coefficients are infinite sums are handled by
+the numeric module instead; two entries here (ID-5 and ID-12) regain
+finite coefficients by scaling a parameter pair with the formal variable.
+The builders and the basis expansion read the family rows p_0..p_N as
+one prefix (``polys._family_rows``).  A series expansion reads its basis
+rows once; each back-substitution step and each synthesis is one
+``core._dot`` over the shared rows, reduced once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import random
 import time
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (ONE, ParamSet, Poly, Row, TSeries, X, Y, _UNIT, _canon, _dot, _raw,
                    _Record, _reduced, _series, random_paramset)
@@ -33,7 +34,6 @@ from .qkernel import (
     _hyper_row,
     _poch_row,
     _qbinom_rows,
-    euler_inverse_series,
     hyper_series,
 )
 from .polys import _family_rows
@@ -99,27 +99,14 @@ def build_id4_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
     return _gf(N, ps.q, _asc5_rows("psi", ps, N), _alt_weights(ps.q, N, t_scale))
 
 
-def _euler_rows(terms: Iterable[tuple[int, int, int, int, int, Fraction]], q: Fraction,
-                N: int, inverse: bool = False) -> list[Row]:
-    """The canonical rows of sum c x^i y^j t^d (x s t;q)_inf over terms
-    (cn, cd, i, j, d, s) with c = cn/cd, or of c x^i y^j t^d / (x s t;q)_inf
-    when inverse, truncated at t^N.
-
-    One Euler row e_m serves every term: term m of a summand is
-    c e_m s^m x^(i+m) y^j t^(d+m), each t-power one ``_dot`` of monomial rows.
-    """
-    e = _euler_row(q, N, product=not inverse)
-    rows: dict[Fraction, list] = {}  # s -> e_m s^m x^m
-    parts: list[list] = [[] for _ in range(N + 1)]
-    for cn, cd, i, j, d, s in terms:
-        if s not in rows:
-            rows[s] = [({(m, 0): n * s.numerator**m}, dn * s.denominator**m)
-                       for m, (n, dn) in enumerate(e)]
-        cn, cd = _reduced(cn, cd)
-        c = ({(i, j): cn}, cd)
-        for m, em in enumerate(rows[s][: max(N + 1 - d, 0)]):
-            parts[d + m].append((c, em))
-    return [_dot(p) for p in parts]
+def _y_sum(w: Sequence[tuple[int, int]], factor: Callable[[int], TSeries], N: int) -> TSeries:
+    """sum_k w_k y^k t^k factor(k) truncated at t^N, for the (num, den)
+    pairs w and the series factor(k) of order N - k, built only where
+    w_k is not 0: each power of t is one ``_dot``."""
+    terms = [(k, ({(0, k): c}, d), factor(k).rows)
+             for k, (c, d) in enumerate(_reduced(*p) for p in w[: N + 1]) if c]
+    return _series(N, [_dot((wk, rows[n - k]) for k, wk, rows in terms if k <= n)
+                       for n in range(N + 1)])
 
 
 def build_id6_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
@@ -128,8 +115,8 @@ def build_id6_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
     parameter folded into the Euler product of term k."""
     q = ps.q
     w = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N, z=-t_scale, r=q)
-    return _series(N, _euler_rows([(wn, wd, 0, k, k, t_scale * q**k)
-                                   for k, (wn, wd) in enumerate(w)], q, N))
+    f = _euler_row(q, N, product=True)
+    return _y_sum(w, lambda k: _euler(X * (t_scale * q**k), N - k, f), N)
 
 
 def build_id6_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
@@ -141,32 +128,35 @@ def build_id5_pair(ps: ParamSet, N: int, sig: Fraction, tau: Fraction) -> Side:
     substitution (s, t) = (sig*u, tau*u).
 
     LHS: sum_n phi_n(x,y) p_n(tau,sig) u^n / (q;q)_n
-    RHS: 1/(x*tau*u;q)_inf * sum_k W_k y^k u^k (x*sig*q^k*u;q)_inf
-         with W_k = (a,b,c;q)_k p_k(tau,sig) / ((d,e;q)_k (q;q)_k).
+    RHS: sum_k W_k y^k u^k (x*sig*q^k*u;q)_inf / (x*tau*u;q)_inf
+         with W_k = (a,b,c;q)_k p_k(tau,sig) / ((d,e;q)_k (q;q)_k),
+    each quotient of Euler products one ``_chain_product`` of both rows.
     """
     q = ps.q
     # p_n(tau, sig) = prod_(m<n) (tau - sig q^m) = tau^n (sig/tau;q)_n
     p = _poch_row((sig / tau,), {}, q, N, z=tau) if tau else _poch_row((), {}, q, N, z=-sig, r=q)
     lhs = _gf(N, q, _asc5_rows("phi", ps, N), p)
     w = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N)
-    acc = _series(N, _euler_rows([(wn * pn, wd * pd, 0, k, k, sig * q**k)
-                                  for k, ((wn, wd), (pn, pd)) in enumerate(zip(w, p))], q, N))
-    rhs = euler_inverse_series(X * tau, q, N) * acc
+    e, f = _euler_row(q, N), _euler_row(q, N, product=True)
+    rhs = _y_sum([(wn * pn, wd * pd) for (wn, wd), (pn, pd) in zip(w, p)],
+                 lambda k: _chain_product(e, X * tau, f, X * (sig * q**k), N - k), N)
     return ("u-scaled", lhs, rhs)
 
 
-def _id7_sums(ps: ParamSet, N: int, top: int) -> list[list[Row]]:
-    """The rows of H_j = sum_(n=j..N+j) A_n [n;j] y^n t^(n-j)
-    / (x q^j t;q)_inf for j = 0..top, A_n = (a,b,c;q)_n/((q,d,e;q)_n)."""
+def _id7_sums(ps: ParamSet, N: int, top: int) -> list[tuple[Row, ...]]:
+    """The rows of H_j = sum_(m<=N) A_(m+j) [m+j;j] y^m t^m / (x q^j t;q)_inf
+    for j = 0..top, A_n = (a,b,c;q)_n/((q,d,e;q)_n), each one
+    ``_chain_product`` of the Euler row and the pairs A_(m+j) [m+j;j]."""
     q = ps.q
     binom, qd = _qbinom_rows(q, N + top), q.denominator
     A = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, N + top)
-    return [_euler_rows([(A[n][0] * binom[n][j], A[n][1] * qd ** (j * (n - j)), 0, n, n - j, q**j)
-                         for n in range(j, N + j + 1)], q, N, inverse=True)
+    e = _euler_row(q, N)
+    return [_chain_product(e, X * q**j, [(A[n][0] * binom[n][j], A[n][1] * qd ** (j * (n - j)))
+                                         for n in range(j, N + j + 1)], Y, N).rows
             for j in range(top + 1)]
 
 
-def build_id7_pair(ps: ParamSet, N: int, K: int, H: Sequence[list[Row]] | None = None) -> Side:
+def build_id7_pair(ps: ParamSet, N: int, K: int, H: Sequence[Sequence[Row]] | None = None) -> Side:
     """Index-shifted generating function for shift K; H (``_id7_sums`` to
     K) is built when not given.
 
@@ -174,17 +164,18 @@ def build_id7_pair(ps: ParamSet, N: int, K: int, H: Sequence[list[Row]] | None =
     RHS: x^K/(xt;q)_inf * sum_n A_n (yt)^n
          * sum_j [n;j] (-1)^j q^(Kj-C(j,2)) (q^-K, xt;q)_j / (xt)^j
     with A_n = (a,b,c;q)_n/((q,d,e;q)_n).  Since (xt;q)_j/(xt;q)_inf =
-    1/(x q^j t;q)_inf, the right side is sum_j J_j x^(K-j) H_j, every x
-    and t exponent nonnegative because (q^-K;q)_j kills j > K.  The q^(Kj)
-    power makes the j-weight J_j equal to (q;q)_K/(q;q)_(K-j), which is
-    what the K-fold derivative of x^K/(xt;q)_inf produces.
+    1/(x q^j t;q)_inf, the right side is sum_j J_j x^(K-j) y^j H_j, every
+    x and t exponent nonnegative because (q^-K;q)_j kills j > K; each power
+    of t is one ``_dot`` of the H_j rows with the monomials J_j x^(K-j) y^j.
+    The q^(Kj) power makes the j-weight J_j equal to (q;q)_K/(q;q)_(K-j),
+    which is what the K-fold derivative of x^K/(xt;q)_inf produces.
     """
     q = ps.q
     lhs = _gf(N, q, _asc5_rows("phi", ps, N + K)[K:])
     if H is None:
         H = _id7_sums(ps, N, K)
-    # (-1)^j q^(Kj - C(j,2)) (q^-K;q)_j x^(K-j), j <= K, reduced
-    J = [({(K - j, 0): c}, d) for j, (c, d) in
+    # (-1)^j q^(Kj - C(j,2)) (q^-K;q)_j x^(K-j) y^j, j <= K, reduced
+    J = [({(K - j, j): c}, d) for j, (c, d) in
          enumerate(_reduced(*t) for t in _poch_row((q**-K,), {}, q, K, z=-(q**K), r=1 / q))]
     # shift 0 has J_0 x^0 = 1, so its right side is H_0 itself
     rhs = _series(N, H[0] if K == 0 else [_dot(zip((h[n] for h in H), J)) for n in range(N + 1)])
@@ -297,7 +288,7 @@ def _build_id8(ps: ParamSet, N: int) -> list[Side]:
                 acc[m] += s[n] * x
     # times 1/(x1 x2 t;q)_inf
     den = sd * Ad * wd * rd**N * pd**N * qd ** (top + E)
-    rhs = euler_inverse_series(P, q, N) * _euler(ONE, N, [(c, den) for c in acc])
+    rhs = _chain_product(_euler_row(q, N), P, [(c, den) for c in acc], ONE, N)
     return [("", lhs, rhs)]
 
 
@@ -324,18 +315,24 @@ def _build_id11(ps: ParamSet, N: int) -> list[Side]:
     h1 = _family_rows("rogers_szego", N, q, x=ra, y=rb)
     h2 = _family_rows("rogers_szego", N, q, x=rc, y=rd)
     lhs = _gf(N, q, [_dot([(u, v)]) for u, v in zip(h1, h2)])
-    # (ra rb rc rd t^2;q)_inf / (ra rc t, ra rd t, rb rc t, rb rd t;q)_inf
+    # (ra rb rc rd t^2;q)_inf / (ra rc t, ra rd t, rb rc t, rb rd t;q)_inf, one fold per factor
     top = _poch_row((), {"q": q}, q, N // 2, z=-(ra * rb * rc * rd), r=q)
-    rhs = _euler(ONE, N, [c for t in top for c in (t, (0, 1))])
+    h, e = [c for t in top for c in (t, (0, 1))], _euler_row(q, N)
     for pair in (ra * rc, ra * rd, rb * rc, rb * rd):
-        rhs = rhs * euler_inverse_series(pair, q, N)
+        rhs = _chain_product(e, pair, h, ONE, N)
+        h = _scalars(rhs)
     return [("", lhs, rhs)]
 
 
+def _scalars(s: TSeries) -> list[tuple[int, int]]:
+    """The (num, den) pairs of a series whose coefficients are scalars."""
+    return [(nums.get((0, 0), 0), den) for nums, den in s.rows]
+
+
 def _quotient_sum(w: Sequence[tuple[int, int]], a: Fraction, b: Fraction, q: Fraction,
-                  N: int) -> TSeries:
+                  N: int) -> list[tuple[int, int]]:
     """sum_n w[n] u^n (a u;q)_n / (b u;q)_n for scalar a, b and the
-    ``_poch_row`` row w, truncated at u^N.
+    ``_poch_row`` row w to u^N, as N + 1 (num, den) pairs over one denominator.
 
     Summed by Horner's rule from the top term down, on one integer row
     over one denominator: h_(n-1) = w[n-1] + u h_n (1 - a q^(n-1) u) /
@@ -361,7 +358,7 @@ def _quotient_sum(w: Sequence[tuple[int, int]], a: Fraction, b: Fraction, q: Fra
         row = [nums[n - 1] * hd] + [k * p for k, p in zip(K, reversed(bdp))]
         g = gcd(hd, *row)
         h, hd = [x // g for x in row], hd // g
-    return _euler(ONE, N, [(c, den * hd) for c in h])
+    return [(c, den * hd) for c in h]
 
 
 def _build_id12(ps: ParamSet, N: int) -> list[Side]:
@@ -381,15 +378,15 @@ def _build_id12(ps: ParamSet, N: int) -> list[Side]:
     r_scale = sig * q**-M  # r = r_scale * u
 
     # LHS: sum_n (t;q)_n (sig*u;q)_n (xi*u)^n / ((r_scale*u;q)_n (q;q)_n)
-    lhs = _quotient_sum(_poch_row((t0,), {"q": q}, q, N, z=xi), sig, r_scale, q, N)
+    lhs = _euler(ONE, N, _quotient_sum(_poch_row((t0,), {"q": q}, q, N, z=xi), sig, r_scale, q, N))
 
     # 2phi1(q^-M, x; x t; q, s): terminating in k <= M
     tail = _quotient_sum(_poch_row((q**-M,), {"q": q}, q, M, z=sig), xi, xi * t0, q, N)
     # times the prefactor (s, x t;q)_inf / ((r, x;q)_inf), all u-scaled: with
     # r = q^-M s it is (x t;q)_inf/(x;q)_inf = 1phi0(t; x) times
-    # (s;q)_inf/(r;q)_inf = 1/(r;q)_M = 1phi0(q^M; r)
-    rhs = _chain_product(_hyper_row(PhiSpec([t0], [], q), N), xi,
-                         _hyper_row(PhiSpec([q**M], [], q), N), r_scale, N) * tail
+    # (s;q)_inf/(r;q)_inf = 1/(r;q)_M = 1phi0(q^M; r), each folded into the tail
+    rhs = _chain_product(_hyper_row(PhiSpec([q**M], [], q), N), r_scale, tail, ONE, N)
+    rhs = _chain_product(_hyper_row(PhiSpec([t0], [], q), N), xi, _scalars(rhs), ONE, N)
     return [("u-scaled", lhs, rhs)]
 
 

@@ -18,11 +18,11 @@ mpmath side; ``_poch_row`` runs it for exact rows as integer (num, den)
 pairs, one small gcd per step, and is tested against ``term_stream`` on
 Fractions.  Its rows feed the integer rows of TSeries (see ``core.Row``)
 directly: ``_euler`` places one reduced term per power of t, and
-``_chain_product`` writes the product of two such series (an Euler
-product times an rPhis, say) row by row along both denominator chains,
-reduced once per row.  ``_qbinom_rows`` builds the q-binomial triangle on
-integers.  ``qpoch``, ``qpoch_multi`` and ``qbinom`` stay as direct
-products, the reference the tests compare against.
+``_chain_product``, the builders' one product, writes such a series times
+the series of any (num, den) row (an rPhis, an Euler row, the scalar rows
+of an earlier product) row by row, reduced once per row.  ``_qbinom_rows``
+builds the q-binomial triangle on integers.  ``qpoch``, ``qpoch_multi``
+and ``qbinom`` stay as direct products, the reference of the tests.
 
 A denominator parameter equal to 0 is allowed, with (0;q)_n = 1; a
 denominator parameter of the form q^(-j) makes a term blow up and raises
@@ -32,7 +32,7 @@ PoleError naming the offending term.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Iterator, Mapping, Sequence
 
 from .core import (ONE, Poly, TSeries, _ZROW, _canon, _lcm, _reduced, _row, _series,
@@ -304,14 +304,15 @@ def _chain_product(e: Sequence[tuple[int, int]], u: Poly | Fraction | int,
                    h: Sequence[tuple[int, int]], v: Poly | Fraction | int,
                    order: int) -> TSeries:
     """sum_n t^n sum_(m+k=n) e_m u^m h_k v^k for n <= order: the product of
-    the series sum e_m u^m t^m and sum h_k v^k t^k for two ``_poch_row``
-    rows e, h (order + 1 terms each) and monomials u, v.
+    the series sum e_m u^m t^m and sum h_k v^k t^k for a ``_poch_row`` row
+    e, any row h of (num, den) pairs (order + 1 terms each) and monomials u, v.
 
-    Row n lies over ed_n ud^n hd_n vd^n.  Along a ``_poch_row`` row each
-    denominator divides the next, so the numerators of e_m u^m over
-    ed_n ud^n come from those over ed_(n-1) ud^(n-1) by one product with
-    the small step factor ed_n/ed_(n-1) ud, and likewise for h; no term
-    needs a division, and each row is reduced once.
+    Row n lies over ed_n ud^n hd_n vd^n, hd_n the running lcm of h's
+    denominators.  Along a ``_poch_row`` row each denominator divides the
+    next, so the numerators of e_m u^m over ed_n ud^n come from those over
+    ed_(n-1) ud^(n-1) by one product with the small step factor
+    ed_n/ed_(n-1) ud, and likewise for h, whose lcm then costs a remainder;
+    no earlier term needs a division, and each row is reduced once.
     """
     (ui, uj), un, ud = _mono(u)
     (vi, vj), vn, vd = _mono(v)
@@ -321,19 +322,20 @@ def _chain_product(e: Sequence[tuple[int, int]], u: Poly | Fraction | int,
     ep = hp = 1  # ed_(n-1), hd_(n-1)
     unn, vnn, dn = 1, 1, 1  # un^n, vn^n, (ud vd)^n
     for n, ((en, ed), (hn, hd)) in enumerate(zip(e[: order + 1], h[: order + 1])):
-        fe, fh = ed // ep * ud, hd // hp * vd
+        hl = hd if hd % hp == 0 else lcm(hp, hd)  # hd_n
+        fe, fh = ed // ep * ud, hl // hp * vd
         E = [c * fe for c in E]
         H = [c * fh for c in H]
         E.append(en * unn)
-        H.append(hn * vnn)
+        H.append(hn * (hl // hd) * vnn)
         pairs = zip(E, reversed(H))
         if (ui, uj) == (vi, vj):  # every term of row n meets at u^n
             acc = {(ui * n, uj * n): sum(c * d for c, d in pairs)}
         else:  # term m alone lands at u^m v^(n-m)
             acc = {(ui * m + vi * (n - m), uj * m + vj * (n - m)): c * d
                    for m, (c, d) in enumerate(pairs)}
-        rows.append(_canon(acc, ed * hd * dn))
-        ep, hp = ed, hd
+        rows.append(_canon(acc, ed * hl * dn))
+        ep, hp = ed, hl
         unn, vnn, dn = unn * un, vnn * vn, dn * ud * vd
     return _series(order, rows)
 

@@ -112,6 +112,15 @@ class TestVerifyCommand:
             assert code == 0
             assert hashlib.sha256(normalize(rep).encode()).hexdigest() == pinned, seed
 
+    def test_golden_exact_report_o20(self, tmp_path):
+        # the stress point, order 20 x 2 trials at seed 42, pinned like the
+        # order-8 and order-12 reports
+        code, rep = run_verify(tmp_path, "o20.json",
+                               ["--suite", "exact", "--order", "20", "--trials", "2", "--seed", "42"])
+        assert code == 0 and len(rep["entries"]) == 26
+        assert hashlib.sha256(normalize(rep).encode()).hexdigest() == (
+            "78544aaee112fb8197fdd3086c71153fdef55084361720e2e6404ac0e63dea31")
+
     def test_usage_errors(self, tmp_path, capsys):
         assert cli.main(["verify", "--ids", "ID-99", "--out", str(tmp_path / "x.json")]) == 2
         assert cli.main(["verify", "--order", "2", "--out", str(tmp_path / "x.json")]) == 2

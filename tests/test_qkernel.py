@@ -604,8 +604,9 @@ class TestIntRows:
 
 
 class TestChainProduct:
-    """_chain_product against the series product it replaces,
-    euler_*_series(u, q, N) * hyper_series(spec, N, v), kept as the oracle."""
+    """_chain_product against the series products it replaces,
+    euler_*_series(u, q, N) * hyper_series(spec, N, v), and for any other
+    row h the product of the two series of e and h, kept as the oracles."""
 
     @staticmethod
     def _both(product, u, spec, v, n):
@@ -666,6 +667,41 @@ class TestChainProduct:
             got = _chain_product(_euler_row(q, 10, True), y, _euler_row(q, 10), x, 10)
             want = euler_product_series(y, q, 10) * euler_inverse_series(x, q, 10)
             assert got.rows == want.rows
+
+    @pytest.mark.parametrize("kind", ["previous product", "constant den", "gaps", "any dens"])
+    def test_h_off_a_chain(self, kind):
+        # h need not be a _poch_row chain: the scalar rows of a previous
+        # product (ID-11 and ID-12 fold through these), one unreduced
+        # constant denominator (ID-8), a t^2 row with (0, 1) gaps (ID-11),
+        # and denominators with no order at all; the oracle is the product
+        # of the two series that e and h make on their own
+        rng = random.Random(kind)
+
+        def draw():
+            return F(rng.randint(-8, 8) or 1, rng.randint(9, 32))
+
+        def mono():
+            return Poly.monomial(rng.randint(0, 2), rng.randint(0, 2), draw())
+
+        for _ in range(25):
+            q, n = F(rng.randint(1, 8), rng.randint(9, 32)), rng.randint(0, 12)
+            if kind == "previous product":
+                spec = PhiSpec([draw()], [draw()], q)
+                prev = _chain_product(_euler_row(q, n), draw(), _hyper_row(spec, n), draw(), n)
+                h = [(nums.get((0, 0), 0), den) for nums, den in prev.rows]
+            elif kind == "constant den":
+                den = 6 * rng.randint(1, 10**6)  # unreduced pairs and zeros among them
+                h = [(rng.choice([0, 1, 2]) * rng.randint(-10**6, 10**6), den)
+                     for _ in range(n + 1)]
+            elif kind == "gaps":
+                top = _poch_row((), {"q": q}, q, n // 2, z=draw(), r=q)
+                h = [c for t in top for c in (t, (0, 1))][: n + 1]
+            else:
+                h = [(rng.randint(-50, 50), rng.randint(1, 60)) for _ in range(n + 1)]
+            e, u, v = _euler_row(q, n, rng.random() < 0.5), mono(), mono()
+            got = _chain_product(e, u, h, v, n)
+            assert got.rows == (_euler(u, n, e) * _euler(v, n, h)).rows
+            assert len(got.rows) == n + 1
 
     def test_argument_must_be_a_monomial(self):
         row = _euler_row(Q, 3)
