@@ -1,9 +1,9 @@
 """Exact arithmetic substrate: rationals, sparse bivariate polynomials in
 {x, y}, and truncated power series in a formal variable t.
 
-Both polynomial types share one exact layout, the canonical integer row
-(``Row``, the layout of FLINT's ``fmpq_poly``): a ``Poly`` holds one row,
-a ``TSeries`` one row per power of t, and all their arithmetic and
+Both polynomial types share one exact layout, the integer row (``Row``,
+the layout of FLINT's ``fmpq_poly``): a ``Poly`` holds one canonical row,
+a ``TSeries`` one exact row per power of t, and all their arithmetic and
 comparison runs on those integers.  ``Poly.terms`` reads a row out as a
 read-only {(i, j): Fraction} mapping, built on first read.  No value here
 is changed after construction, so values are safe to share across
@@ -97,7 +97,7 @@ class Poly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "Poly":
-        return _raw(_dot(((self.row, _UNIT), (_row(other), _UNIT))))
+        return _raw(_canon(*_dot(((self.row, _UNIT), (_row(other), _UNIT)))))
 
     __radd__ = __add__
 
@@ -106,13 +106,13 @@ class Poly:
         return _raw(({e: -c for e, c in nums.items()}, den))
 
     def __sub__(self, other) -> "Poly":
-        return _raw(_dot(((self.row, _UNIT), (_row(other), _MINUS))))
+        return _raw(_canon(*_dot(((self.row, _UNIT), (_row(other), _MINUS)))))
 
     def __rsub__(self, other) -> "Poly":
-        return _raw(_dot(((self.row, _MINUS), (_row(other), _UNIT))))
+        return _raw(_canon(*_dot(((self.row, _MINUS), (_row(other), _UNIT)))))
 
     def __mul__(self, other) -> "Poly":
-        return _raw(_dot([(self.row, _row(other))]))
+        return _raw(_canon(*_dot([(self.row, _row(other))])))
 
     __rmul__ = __mul__
 
@@ -222,9 +222,9 @@ class Poly:
         return f"Poly({self})"
 
 
-# A row is one polynomial as (nums, den): integer numerators keyed by (i, j)
-# over one positive denominator.  Canonical rows have no zero numerator and
-# gcd(den, *nums) == 1, so equal polynomials have equal rows.
+# A row is one polynomial as (nums, den): nonzero integer numerators keyed by
+# (i, j) over one positive denominator.  An exact row (kernel output) may carry
+# content (``_same`` compares two); a canonical one has gcd(den, *nums) == 1.
 Row = tuple[dict[tuple[int, int], int], int]
 _ZROW: Row = ({}, 1)
 _UNIT: Row = ({(0, 0): 1}, 1)
@@ -306,10 +306,26 @@ def _canon(nums: dict, den: int) -> Row:
     return (nums, den // g) if nums else _ZROW
 
 
+def _exact(nums: dict, den: int) -> Row:
+    """nums/den, den > 0, as an exact row: zeros dropped, content kept."""
+    if not all(nums.values()):
+        nums = {e: c for e, c in nums.items() if c}
+    return (nums, den) if nums else _ZROW
+
+
+def _same(a: Row, b: Row) -> bool:
+    """Whether exact rows a, b hold the same polynomial: the same terms, and
+    each c (bd/g) equal to its c' (ad/g), g = gcd(ad, bd); neither is reduced."""
+    (an, ad), (bn, bd) = a, b
+    g = gcd(ad, bd)
+    fa, fb = bd // g, ad // g
+    return an.keys() == bn.keys() and all(c * fa == bn[e] * fb for e, c in an.items())
+
+
 def _dot(pairs: Iterable[tuple[Row, Row]], den: int = 0) -> Row:
-    """The canonical row of sum a*b over pairs of rows, reduced once: over
-    den when the caller names one (each ad bd divides it), else over the
-    lcm of the products ad bd."""
+    """The exact row of sum a*b over pairs of rows, not reduced: over den
+    when the caller names one (each ad bd divides it), else over the lcm
+    of the products ad bd; ``_canon(*_dot(...))`` reduces it."""
     pairs = [(an, bn, ad * bd) for (an, ad), (bn, bd) in pairs if an and bn]
     den = den or _lcm(d for _, _, d in pairs)
     acc: dict[tuple[int, int], int] = {}
@@ -323,11 +339,11 @@ def _dot(pairs: Iterable[tuple[Row, Row]], den: int = 0) -> Row:
                 e = (i1 + i2, j1 + j2)
                 s = acc.get(e)
                 acc[e] = c1 * c2 if s is None else s + c1 * c2
-    return _canon(acc, den)
+    return _exact(acc, den)
 
 
 def _series(order: int, rows: Iterable[Row]) -> "TSeries":
-    """A TSeries from order + 1 canonical rows."""
+    """A TSeries from order + 1 exact rows."""
     s = TSeries.__new__(TSeries)
     s.order, s.rows, s._coeffs = order, tuple(rows), None
     return s
@@ -336,11 +352,11 @@ def _series(order: int, rows: Iterable[Row]) -> "TSeries":
 class TSeries:
     """Power series in t truncated at a fixed order N.
 
-    Each t^n coefficient is held as a canonical row (see ``Row``), and all
-    arithmetic and comparison runs on those integers.  ``coeffs`` wraps
-    them as Poly values t^0 .. t^N, on first read.  Arithmetic never
-    reads or writes beyond the truncation order, and mixing different
-    orders is an error rather than a silent re-truncation.
+    Each t^n coefficient is an exact row (see ``Row``), which ``==`` and
+    ``first_mismatch`` compare unreduced; arithmetic writes canonical rows.
+    ``coeffs`` reduces them to Poly values t^0 .. t^N, on first read.
+    Arithmetic never reads or writes beyond the truncation order, and
+    mixing different orders is an error rather than a silent re-truncation.
     """
 
     __slots__ = ("order", "rows", "_coeffs")
@@ -359,7 +375,7 @@ class TSeries:
     def coeffs(self) -> tuple[Poly, ...]:
         # two threads may both build the tuple; either result is the same
         if self._coeffs is None:
-            self._coeffs = tuple(_raw(r) for r in self.rows)
+            self._coeffs = tuple(_raw(_canon(*r)) for r in self.rows)
         return self._coeffs
 
     @staticmethod
@@ -388,7 +404,7 @@ class TSeries:
 
     def __add__(self, other: "TSeries") -> "TSeries":
         self._check(other)
-        return _series(self.order, [_dot(((a, _UNIT), (b, _UNIT)))
+        return _series(self.order, [_canon(*_dot(((a, _UNIT), (b, _UNIT))))
                                     for a, b in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "TSeries") -> "TSeries":
@@ -408,14 +424,15 @@ class TSeries:
         for (_, ad), (_, bd) in zip(a, b):
             la.append(_lcm((la[-1], ad)))
             lb.append(_lcm((lb[-1], bd)))
-        return _series(self.order, [_dot(zip(a[: n + 1], b[n::-1]), la[n + 1] * lb[n + 1])
+        return _series(self.order, [_canon(*_dot(zip(a[: n + 1], b[n::-1]),
+                                                 la[n + 1] * lb[n + 1]))
                                     for n in range(self.order + 1)])
 
     __rmul__ = __mul__
 
     def scale(self, p) -> "TSeries":
         p = _row(p)
-        return _series(self.order, [_dot([(r, p)]) for r in self.rows])
+        return _series(self.order, [_canon(*_dot([(r, p)])) for r in self.rows])
 
     def shift_t(self, k: int) -> "TSeries":
         """Multiply by t^k, dropping coefficients past the order."""
@@ -434,13 +451,13 @@ class TSeries:
         minus_inv = _canon({(0, 0): -den}, c)
         for n in range(1, self.order + 1):
             acc = _dot((self.rows[k], out[n - k]) for k in range(1, n + 1))
-            out.append(_dot([(acc, minus_inv)]))
+            out.append(_canon(*_dot([(acc, minus_inv)])))
         return _series(self.order, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TSeries):
             return NotImplemented
-        return self.order == other.order and self.rows == other.rows
+        return self.order == other.order and all(map(_same, self.rows, other.rows))
 
     def is_zero(self) -> bool:
         return not any(nums for nums, _ in self.rows)
@@ -448,10 +465,8 @@ class TSeries:
     def first_mismatch(self, other: "TSeries") -> int | None:
         """Lowest t-power where the two series differ, or None if equal."""
         self._check(other)
-        for n, (a, b) in enumerate(zip(self.rows, other.rows)):
-            if a != b:
-                return n
-        return None
+        return next((n for n, (a, b) in enumerate(zip(self.rows, other.rows))
+                     if not _same(a, b)), None)
 
     def __str__(self) -> str:
         parts = [f"({c})*t^{n}" for n, c in enumerate(self.coeffs) if not c.is_zero()]

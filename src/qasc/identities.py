@@ -4,14 +4,14 @@ expansion in the five-parameter polynomial basis.
 
 Every catalog entry builds both sides of one generating-function or
 transformation identity as TSeries, writing their integer rows directly
-(each product one ``qkernel._chain_product``), and compares them exactly.
+(each product one ``qkernel._chain_product``), and compares them exactly
+as exact rows (``core.Row``), reduced only where they feed more products.
 Identities whose natural coefficients are infinite sums are handled by
 the numeric module instead; two entries here (ID-5 and ID-12) regain
 finite coefficients by scaling a parameter pair with the formal variable.
-The builders and the basis expansion read the family rows p_0..p_N as
-one prefix (``polys._family_rows``).  A series expansion reads its basis
-rows once; each back-substitution step and each synthesis is one
-``core._dot`` over the shared rows, reduced once.
+The builders and the basis expansion read the family rows p_0..p_N as one
+prefix (``polys._family_rows``).  A series expansion reads its basis rows
+once; each back-substitution step and synthesis is one reduced ``_dot``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
-from .core import (ONE, ParamSet, Poly, Row, TSeries, X, Y, _UNIT, _canon, _dot, _raw,
-                   _Record, _reduced, _series, random_paramset)
+from .core import (ONE, ParamSet, Poly, Row, TSeries, X, Y, _UNIT, _canon, _dot, _exact,
+                   _raw, _Record, _reduced, _series, random_paramset)
 from .qkernel import (
     PhiSpec,
     PoleError,
@@ -48,14 +48,14 @@ Side = tuple[str, TSeries, TSeries]
 def _gf(N: int, q: Fraction, seq: Sequence[Row],
         weights: Sequence[tuple[int, int]] | None = None) -> TSeries:
     """sum_n seq[n] * weights[n] * t^n / (q;q)_n for rows seq and a
-    ``_poch_row`` weight row, truncated at N."""
+    ``_poch_row`` weight row, truncated at N, as exact rows."""
     e = _euler_row(q, N)
     if weights is not None:
         e = [(a * c, b * d) for (a, b), (c, d) in zip(e, weights)]
     rows = []
     for (nums, den), (en, ed) in zip(seq, e):
         g = gcd(en, den)  # the powers of qd in en cancel against den
-        rows.append(_canon({k: c * (en // g) for k, c in nums.items()}, den // g * ed))
+        rows.append(_exact({k: c * (en // g) for k, c in nums.items()}, den // g * ed))
     return _series(N, rows)
 
 
@@ -99,11 +99,11 @@ def build_id4_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
     return _gf(N, ps.q, _asc5_rows("psi", ps, N), _alt_weights(ps.q, N, t_scale))
 
 
-def _y_sum(w: Sequence[tuple[int, int]], factor: Callable[[int], TSeries], N: int) -> TSeries:
-    """sum_k w_k y^k t^k factor(k) truncated at t^N, for the (num, den)
-    pairs w and the series factor(k) of order N - k, built only where
-    w_k is not 0: each power of t is one ``_dot``."""
-    terms = [(k, ({(0, k): c}, d), factor(k).rows)
+def _y_sum(w: Sequence[tuple[int, int]], factor: Callable[[int], list[Row]], N: int) -> TSeries:
+    """sum_k w_k y^k t^k P_k truncated at t^N, for the (num, den) pairs w
+    and the rows factor(k) of the series P_k to order N - k, built only
+    where w_k is not 0: each power of t is one ``_dot``."""
+    terms = [(k, ({(0, k): c}, d), factor(k))
              for k, (c, d) in enumerate(_reduced(*p) for p in w[: N + 1]) if c]
     return _series(N, [_dot((wk, rows[n - k]) for k, wk, rows in terms if k <= n)
                        for n in range(N + 1)])
@@ -116,7 +116,7 @@ def build_id6_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
     q = ps.q
     w = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N, z=-t_scale, r=q)
     f = _euler_row(q, N, product=True)
-    return _y_sum(w, lambda k: _euler(X * (t_scale * q**k), N - k, f), N)
+    return _y_sum(w, lambda k: _euler(X * (t_scale * q**k), N - k, f).rows, N)
 
 
 def build_id6_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
@@ -130,7 +130,7 @@ def build_id5_pair(ps: ParamSet, N: int, sig: Fraction, tau: Fraction) -> Side:
     LHS: sum_n phi_n(x,y) p_n(tau,sig) u^n / (q;q)_n
     RHS: sum_k W_k y^k u^k (x*sig*q^k*u;q)_inf / (x*tau*u;q)_inf
          with W_k = (a,b,c;q)_k p_k(tau,sig) / ((d,e;q)_k (q;q)_k),
-    each quotient of Euler products one ``_chain_product`` of both rows.
+    each quotient one ``_chain_product`` of both rows, reduced for the sums.
     """
     q = ps.q
     # p_n(tau, sig) = prod_(m<n) (tau - sig q^m) = tau^n (sig/tau;q)_n
@@ -139,7 +139,8 @@ def build_id5_pair(ps: ParamSet, N: int, sig: Fraction, tau: Fraction) -> Side:
     w = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N)
     e, f = _euler_row(q, N), _euler_row(q, N, product=True)
     rhs = _y_sum([(wn * pn, wd * pd) for (wn, wd), (pn, pd) in zip(w, p)],
-                 lambda k: _chain_product(e, X * tau, f, X * (sig * q**k), N - k), N)
+                 lambda k: [_canon(*r) for r in
+                            _chain_product(e, X * tau, f, X * (sig * q**k), N - k).rows], N)
     return ("u-scaled", lhs, rhs)
 
 
@@ -325,8 +326,8 @@ def _build_id11(ps: ParamSet, N: int) -> list[Side]:
 
 
 def _scalars(s: TSeries) -> list[tuple[int, int]]:
-    """The (num, den) pairs of a series whose coefficients are scalars."""
-    return [(nums.get((0, 0), 0), den) for nums, den in s.rows]
+    """The reduced (num, den) pairs of a series of scalars, for a further product."""
+    return [_reduced(nums.get((0, 0), 0), den) for nums, den in s.rows]
 
 
 def _quotient_sum(w: Sequence[tuple[int, int]], a: Fraction, b: Fraction, q: Fraction,
@@ -600,7 +601,7 @@ def qdiff_residual(which: str, f: TSeries, ps: ParamSet) -> TSeries:
                 left, right = left * qnp[i], -right * qnp[j]
             acc[i + 1, j] = acc.get((i + 1, j), 0) + left
             acc[i, j + 1] = acc.get((i, j + 1), 0) + right
-        rows.append(_canon(acc, den * ld * rd * qdp[E]))
+        rows.append(_exact(acc, den * ld * rd * qdp[E]))
     return _series(f.order, rows)
 
 
@@ -650,7 +651,7 @@ def _expand_rows(p: Poly, rows: Sequence[Row], nmax: int | None) -> list[Poly]:
         if cn.is_zero():
             continue
         mu[n] = cn
-        rem = _raw(_dot(((rem.row, _UNIT), ((-cn).row, rows[n]))))
+        rem = _raw(_canon(*_dot(((rem.row, _UNIT), ((-cn).row, rows[n])))))
         if rem.is_zero():
             break
     if not rem.is_zero():
@@ -677,4 +678,4 @@ def synthesize_from_basis(mu: Sequence[Poly], basis: str, ps: ParamSet) -> Poly:
     _basis_family(basis)
     used = [n for n, m in enumerate(mu) if not m.is_zero()]
     rows = _asc5_rows(basis, ps, used[-1]) if used else []
-    return _raw(_dot((mu[n].row, rows[n]) for n in used))
+    return _raw(_canon(*_dot((mu[n].row, rows[n]) for n in used)))

@@ -22,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (ONE, ZERO, ParamSet, Poly, Row, X, Y, _UNIT, _dot, _poly, _powers, _Record,
-                   _row, as_fraction)
+from .core import (ONE, ZERO, ParamSet, Poly, Row, X, Y, _UNIT, _canon, _dot, _poly, _powers,
+                   _Record, _row, as_fraction)
 from .qkernel import _poch_row, _qbinom_rows, _ratio, _remember
 
 _FAMILY_ROWS: dict = {}  # (family, q, a..e, x, y) -> (row_0, ..., row_m)
@@ -81,8 +81,8 @@ def _asc_sum(lo: int, N: int, q: Fraction, w: Sequence[tuple[int, int]], x, y,
         # nums/den over x^i y^j goes to sum nums[i, j]/den xr^i yr^j
         xp, yp = [_UNIT], [_UNIT]
         for _ in range(N):
-            xp.append(_dot([(xp[-1], xr)]))
-            yp.append(_dot([(yp[-1], yr)]))
+            xp.append(_canon(*_dot([(xp[-1], xr)])))
+            yp.append(_canon(*_dot([(yp[-1], yr)])))
         out = [_dot((({e: c * k for e, k in xp[i][0].items()}, xp[i][1] * den), yp[j])
                     for (i, j), c in nums.items()) for nums, den in out]
     return out

@@ -20,7 +20,7 @@ Fractions.  Its rows feed the integer rows of TSeries (see ``core.Row``)
 directly: ``_euler`` places one reduced term per power of t, and
 ``_chain_product``, the builders' one product, writes such a series times
 the series of any (num, den) row (an rPhis, an Euler row, the scalar rows
-of an earlier product) row by row, reduced once per row.  ``_qbinom_rows``
+of an earlier product) row by row, as exact rows.  ``_qbinom_rows``
 builds the q-binomial triangle on integers.  ``qpoch``, ``qpoch_multi``
 and ``qbinom`` stay as direct products, the reference of the tests.
 
@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterator, Mapping, Sequence
 
-from .core import (ONE, Poly, TSeries, _ZROW, _canon, _lcm, _reduced, _row, _series,
+from .core import (ONE, Poly, TSeries, _ZROW, _exact, _lcm, _reduced, _row, _series,
                    as_fraction)
 
 
@@ -312,10 +312,13 @@ def _chain_product(e: Sequence[tuple[int, int]], u: Poly | Fraction | int,
     next, so the numerators of e_m u^m over ed_n ud^n come from those over
     ed_(n-1) ud^(n-1) by one product with the small step factor
     ed_n/ed_(n-1) ud, and likewise for h, whose lcm then costs a remainder;
-    no earlier term needs a division, and each row is reduced once.
+    no earlier term needs a division, and no row is reduced (``core.Row``).
     """
     (ui, uj), un, ud = _mono(u)
     (vi, vj), vn, vd = _mono(v)
+    for name, row in (("e", e), ("h", h)):
+        if len(row) <= order:
+            raise ValueError(f"factor {name} has {len(row)} terms; order {order} needs {order + 1}")
     E: list[int] = []  # e_m u^m, m <= n, over ed_n ud^n
     H: list[int] = []  # h_k v^k, k <= n, over hd_n vd^n
     rows = []
@@ -334,7 +337,7 @@ def _chain_product(e: Sequence[tuple[int, int]], u: Poly | Fraction | int,
         else:  # term m alone lands at u^m v^(n-m)
             acc = {(ui * m + vi * (n - m), uj * m + vj * (n - m)): c * d
                    for m, (c, d) in enumerate(pairs)}
-        rows.append(_canon(acc, ed * hl * dn))
+        rows.append(_exact(acc, ed * hl * dn))
         ep, hp = ed, hl
         unn, vnn, dn = unn * un, vnn * vn, dn * ud * vd
     return _series(order, rows)

@@ -104,7 +104,7 @@ def leibniz(op: str, f: Poly, g: Poly, n: int, q) -> Poly:
         pairs.append((fk.row, ({e: c * binom[k] for e, c in gk.items()}, gd * r ** (k * (n - k)))))
         if k < n:
             fk = op_power(op, fk, 1, q)
-    return _raw(_dot(pairs))
+    return _raw(_canon(*_dot(pairs)))
 
 
 class OperatorSpec(_Record):

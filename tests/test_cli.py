@@ -121,6 +121,14 @@ class TestVerifyCommand:
         assert hashlib.sha256(normalize(rep).encode()).hexdigest() == (
             "78544aaee112fb8197fdd3086c71153fdef55084361720e2e6404ac0e63dea31")
 
+    def test_golden_exact_report_o40(self, tmp_path):
+        # order 40 x 1 trial at seed 42, pinned like the reports above
+        code, rep = run_verify(tmp_path, "o40.json",
+                               ["--suite", "exact", "--order", "40", "--trials", "1", "--seed", "42"])
+        assert code == 0 and len(rep["entries"]) == 13
+        assert hashlib.sha256(normalize(rep).encode()).hexdigest() == (
+            "dd87e2b70eb3b12b99874c6041ae5dfe360d1e641705a5f25de646c021e9f761")
+
     def test_usage_errors(self, tmp_path, capsys):
         assert cli.main(["verify", "--ids", "ID-99", "--out", str(tmp_path / "x.json")]) == 2
         assert cli.main(["verify", "--order", "2", "--out", str(tmp_path / "x.json")]) == 2

@@ -6,7 +6,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from qasc.core import (ParamSet, Poly, TSeries, _powers, _row, _series, random_paramset,
                        random_rational)
-from qasc.identities import CATALOG, IdentityCheck
+from qasc.identities import CATALOG, CATALOG_ORDER, IdentityCheck, trial_paramset
 from qasc.numeric import NUMERIC_CATALOG, NumericCheck, NumericConfig, QuadConfig
 from qasc.polys import PolyFamily
 from qasc.qops import OperatorSpec
@@ -500,6 +500,83 @@ class TestRowLayout:
         with pytest.raises(AttributeError):
             s.coeffs = first
         assert s.rows[3] == ({(0, 0): -2}, 3)
+
+
+def _exact_row(rng: random.Random, terms: dict) -> tuple[dict, int]:
+    """An exact row of the Fraction terms over their lcm denominator times
+    a random factor, which every numerator then shares as content."""
+    den = lcm(*(c.denominator for c in terms.values())) * rng.randint(1, 10**6)
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+class TestExactRows:
+    """Series on exact rows, content left in, against Fraction rows."""
+
+    @staticmethod
+    def random_terms(rng: random.Random) -> dict:
+        keys = rng.sample([(i, j) for i in range(4) for j in range(4)], rng.randint(0, 5))
+        return {e: F(rng.randint(-10**4, 10**4) or 1, rng.randint(1, 10**4)) for e in keys}
+
+    def test_compare_matches_fractions(self):
+        rng = random.Random(23)
+        kinds = ("equal", "nudged", "extra key", "missing key", "zeroed", "negated")
+        seen = set()
+        for _ in range(400):
+            a = [self.random_terms(rng) for _ in range(ORDER_L + 1)]
+            b = [dict(t) for t in a]
+            n, kind = rng.randint(0, ORDER_L), rng.choice(kinds)
+            if kind == "nudged" and b[n]:  # one term off by one part in 10^6
+                e = rng.choice(list(b[n]))
+                b[n][e] *= 1 + F(1, 10**6)
+            elif kind == "extra key":
+                b[n][(5, rng.randint(0, 5))] = F(rng.choice([-1, 1]), 10**6)
+            elif kind == "missing key" and b[n]:
+                del b[n][rng.choice(list(b[n]))]
+            elif kind == "zeroed":
+                b[n] = {}
+            elif kind == "negated" and b[n]:
+                b[n] = {e: -c for e, c in b[n].items()}
+            sa = _series(ORDER_L, [_exact_row(rng, t) for t in a])
+            sb = _series(ORDER_L, [_exact_row(rng, t) for t in b])
+            want = next((m for m, (x, y) in enumerate(zip(a, b)) if x != y), None)
+            seen.add((kind, want is None))
+            assert sa.first_mismatch(sb) == want == sb.first_mismatch(sa), kind
+            assert (sa == sb) == (want is None) == (sb == sa), kind
+            # against the canonical rows of Polys, and read out as Polys
+            polys = TSeries(ORDER_L, [Poly(t) for t in b])
+            assert (sa == polys) == (want is None) == (polys == sa), kind
+            assert [p.terms for p in sb.coeffs] == b
+            assert sb == polys and sb.coeffs == polys.coeffs
+        assert {k for k, equal in seen if not equal} == set(kinds) - {"equal"}
+
+    def test_rows_with_content_and_constants(self):
+        # one value over three denominators, and a constant row against a
+        # Poly-built one
+        rows = [({(0, 0): 3, (2, 1): -5}, 7), ({(0, 0): 6, (2, 1): -10}, 14),
+                ({(0, 0): 3 * 2**90, (2, 1): -5 * 2**90}, 7 * 2**90)]
+        for r in rows[1:]:
+            assert _series(0, [r]) == _series(0, [rows[0]])
+        assert _series(0, [({(0, 0): 6}, 4)]) == TSeries(0, [Poly.const(F(3, 2))])
+        assert _series(0, [({(0, 0): 6}, 4)]) != TSeries(0, [Poly.const(F(3, 2) + F(1, 10**6))])
+        assert _series(1, [({}, 9), ({(0, 0): -2}, 6)]) == TSeries(1, [0, Poly.const(F(-1, 3))])
+        assert _series(1, [({(1, 0): 2}, 4), _row(Poly.zero())]).first_mismatch(
+            TSeries(1, [Poly.x() * F(1, 2), Poly.y()])) == 1
+        # coeffs reduces each row once, when first read
+        s = _series(1, [rows[1], ({(0, 0): 6}, 4)])
+        assert [p.row for p in s.coeffs] == [rows[0], ({(0, 0): 3}, 2)]
+
+
+def test_builders_write_exact_rows():
+    # both sides of every catalog check: order + 1 rows, each with den > 0
+    # and no zero numerator, so that the rational compare is exact
+    for cid in CATALOG_ORDER:
+        for trial in (0, 1):
+            ps = trial_paramset(CATALOG[cid], 42, trial)
+            for sub, lhs, rhs in CATALOG[cid].build(ps, 8):
+                for side in (lhs, rhs):
+                    assert len(side.rows) == 9, (cid, sub)
+                    for nums, den in side.rows:
+                        assert den > 0 and all(nums.values()), (cid, trial, sub)
 
 
 class TestParamSet:

@@ -218,6 +218,20 @@ def test_no_builder_multiplies_series(monkeypatch):
             assert rep.status == "pass", (cid, trial, rep.first_mismatch)
 
 
+def test_passing_verify_reads_no_coefficients(monkeypatch):
+    # both sides are compared on their exact rows, so with the Poly
+    # read-out refused the whole catalog still passes: a passing check
+    # never reduces a side's rows or converts them to Polys
+    def refused(self):
+        raise AssertionError("a passing check read a side's coefficients")
+
+    monkeypatch.setattr(TSeries, "coeffs", property(refused))
+    for cid in CATALOG_ORDER:
+        for trial in (0, 1):
+            rep = verify(CATALOG[cid], trial_paramset(CATALOG[cid], 42, trial), 8, trial)
+            assert rep.status == "pass", (cid, trial, rep.first_mismatch)
+
+
 def test_builders_do_not_write_into_series():
     # every TSeries reads out a tuple of coefficients, built once, so an
     # in-place write raises and repeated reads give the same Polys
