@@ -481,9 +481,8 @@ class _Record:
 
     ``__init__`` takes them by position or keyword, with ``_defaults``, then
     runs ``_post_init`` to check or normalise them.  Fields are read-only;
-    ``==``, ``hash``, ``repr``, pickle and copy run over them in slot order.
-    A record filled in after construction sets ``__setattr__ =
-    object.__setattr__`` and ``__hash__ = None``.
+    ``==``, ``hash``, ``repr``, pickle, copy and ``to_dict`` run over them
+    in slot order.  A record with a dict field (a report) cannot be hashed.
     """
 
     __slots__ = ()
@@ -524,6 +523,11 @@ class _Record:
 
     def __reduce__(self):
         return (type(self), self._values())
+
+    def to_dict(self) -> dict:
+        """The fields in slot order, those that are None left out: the
+        JSON form of a report."""
+        return {k: v for k, v in zip(self.__slots__, self._values()) if v is not None}
 
 
 class ParamSet(_Record):

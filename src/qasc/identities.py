@@ -101,10 +101,10 @@ def build_id4_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
 
 def _y_sum(w: Sequence[tuple[int, int]], factor: Callable[[int], list[Row]], N: int) -> TSeries:
     """sum_k w_k y^k t^k P_k truncated at t^N, for the (num, den) pairs w
-    and the rows factor(k) of the series P_k to order N - k, built only
-    where w_k is not 0: each power of t is one ``_dot``."""
-    terms = [(k, ({(0, k): c}, d), factor(k))
-             for k, (c, d) in enumerate(_reduced(*p) for p in w[: N + 1]) if c]
+    (den > 0, as they come, not reduced) and the rows factor(k) of the
+    series P_k to order N - k, built only where w_k is not 0: each power of
+    t is one ``_dot``."""
+    terms = [(k, ({(0, k): c}, d), factor(k)) for k, (c, d) in enumerate(w[: N + 1]) if c]
     return _series(N, [_dot((wk, rows[n - k]) for k, wk, rows in terms if k <= n)
                        for n in range(N + 1)])
 
@@ -175,9 +175,9 @@ def build_id7_pair(ps: ParamSet, N: int, K: int, H: Sequence[Sequence[Row]] | No
     lhs = _gf(N, q, _asc5_rows("phi", ps, N + K)[K:])
     if H is None:
         H = _id7_sums(ps, N, K)
-    # (-1)^j q^(Kj - C(j,2)) (q^-K;q)_j x^(K-j) y^j, j <= K, reduced
+    # (-1)^j q^(Kj - C(j,2)) (q^-K;q)_j x^(K-j) y^j, j <= K, each one nonzero
     J = [({(K - j, j): c}, d) for j, (c, d) in
-         enumerate(_reduced(*t) for t in _poch_row((q**-K,), {}, q, K, z=-(q**K), r=1 / q))]
+         enumerate(_poch_row((q**-K,), {}, q, K, z=-(q**K), r=1 / q))]
     # shift 0 has J_0 x^0 = 1, so its right side is H_0 itself
     rhs = _series(N, H[0] if K == 0 else [_dot(zip((h[n] for h in H), J)) for n in range(N + 1)])
     return (f"k={K}", lhs, rhs)
@@ -515,13 +515,6 @@ class Report(_Record):
     """Outcome of one identity trial; status is pass, fail, pole or error."""
 
     __slots__ = ("id", "trial", "params", "status", "first_mismatch", "runtime_ms")
-    _defaults = {"first_mismatch": None, "runtime_ms": 0}
-    __setattr__ = object.__setattr__
-    __hash__ = None
-
-    def to_dict(self) -> dict:
-        """The fields in slot order; first_mismatch only when set."""
-        return {k: v for k, v in zip(self.__slots__, self._values()) if v is not None}
 
 
 def verify(check: IdentityCheck, params: ParamSet, order: int, trial: int = 0) -> Report:

@@ -465,20 +465,11 @@ def ramanujan_closed_form(a, b, m, q, cfg: NumericConfig,
 # ---------------------------------------------------------------------------
 
 class NumericReport(_Record):
-    """Filled in by ``NumericCheck.execute``; status is pass, fail,
-    no-convergence or error."""
+    """Outcome of ``NumericCheck.execute``; status is pass, fail,
+    no-convergence or error; rel_diff is None when the check raised."""
 
     __slots__ = ("id", "description", "params", "status", "rel_diff", "error_budget",
                  "precision_bits", "runtime_ms", "trial")
-    _defaults = {"rel_diff": None, "error_budget": None, "precision_bits": 256,
-                 "runtime_ms": 0, "trial": 0}
-    __setattr__ = object.__setattr__
-    __hash__ = None
-
-    def to_dict(self) -> dict:
-        """The fields in slot order; rel_diff and error_budget only when
-        set."""
-        return {k: v for k, v in zip(self.__slots__, self._values()) if v is not None}
 
 
 def rel_diff(lhs, rhs) -> mpf:
@@ -495,30 +486,24 @@ class NumericCheck(_Record):
 
     def execute(self, cfg: NumericConfig) -> NumericReport:
         t0 = time.perf_counter()
-        report = NumericReport(
-            id=self.id,
-            description=self.description,
-            params={k: str(v) for k, v in self.params.items()},
-            status="no-convergence",
-            precision_bits=cfg.precision_bits,
-        )
+        diff = error_budget = None
         with mp.workprec(cfg.precision_bits):
             try:
                 lhs, rhs, budget = self.run(self, cfg)
             except NonConvergence as exc:
-                report.error_budget = str(exc)
+                status, error_budget = "no-convergence", str(exc)
             except Exception as exc:
                 # a defect in the check, not a property of the identity
-                report.status = "error"
-                report.error_budget = f"{type(exc).__name__}: {exc}"
+                status, error_budget = "error", f"{type(exc).__name__}: {exc}"
             else:
                 d = rel_diff(lhs, rhs)
-                report.status = "pass" if d < cfg.ctol() else "fail"
-                report.rel_diff = mp.nstr(d, 8)
+                status, diff = "pass" if d < cfg.ctol() else "fail", mp.nstr(d, 8)
                 if budget:
-                    report.error_budget = mp.nstr(sum(budget, mpf(0)), 5)
-        report.runtime_ms = int((time.perf_counter() - t0) * 1000)
-        return report
+                    error_budget = mp.nstr(sum(budget, mpf(0)), 5)
+        ms = int((time.perf_counter() - t0) * 1000)
+        params = {k: str(v) for k, v in self.params.items()}
+        return NumericReport(self.id, self.description, params, status, diff, error_budget,
+                             cfg.precision_bits, runtime_ms=ms, trial=0)
 
     def diff(self, cfg: NumericConfig) -> mpf:
         with mp.workprec(cfg.precision_bits):

@@ -17,7 +17,7 @@ twice: ``term_stream`` runs it on any field and is the loop of the
 mpmath side; ``_poch_row`` runs it for exact rows as integer (num, den)
 pairs, one small gcd per step, and is tested against ``term_stream`` on
 Fractions.  Its rows feed the integer rows of TSeries (see ``core.Row``)
-directly: ``_euler`` places one reduced term per power of t, and
+directly: ``_euler`` places one exact term per power of t, and
 ``_chain_product``, the builders' one product, writes such a series times
 the series of any (num, den) row (an rPhis, an Euler row, the scalar rows
 of an earlier product) row by row, as exact rows.  ``_qbinom_rows``
@@ -35,8 +35,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterator, Mapping, Sequence
 
-from .core import (ONE, Poly, TSeries, _ZROW, _exact, _lcm, _reduced, _row, _series,
-                   as_fraction)
+from .core import ONE, Poly, TSeries, _ZROW, _exact, _lcm, _row, _series, as_fraction
 
 
 class PoleError(ArithmeticError):
@@ -289,12 +288,11 @@ def _mono(mono: Poly | Fraction | int) -> tuple[tuple[int, int], int, int]:
 
 def _euler(mono: Poly | Fraction | int, order: int, row: Sequence[tuple[int, int]]) -> TSeries:
     """sum_n num_n/den_n mono^n t^n for n <= order over the (num, den)
-    pairs of row; each t-power is one term, reduced by one gcd."""
+    pairs of row (den > 0); each t-power is one exact term, not reduced."""
     (i, j), c, den = _mono(mono)
     rows, cn, cd = [], 1, 1  # (c/den)^n
     for n, (w, d) in enumerate(row[: order + 1]):
-        w, d = _reduced(w * cn, d * cd)
-        rows.append(({(i * n, j * n): w}, d) if w else _ZROW)
+        rows.append(({(i * n, j * n): w * cn}, d * cd) if w and cn else _ZROW)
         cn *= c
         cd *= den
     return _series(order, rows + [_ZROW] * (order + 1 - len(rows)))

@@ -8,6 +8,8 @@ numeric criteria use 256-bit precision with a 1e-12 comparison tolerance.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction as F
@@ -198,8 +200,10 @@ def test_numeric_suite():
     t0 = time.time()
     failures = []
     diffs = {}
+    entries = []  # each report without its runtime_ms
     for cid in NUMERIC_CATALOG:
         rep = NUMERIC_CATALOG[cid].execute(CFG_256)
+        entries.append({k: v for k, v in rep.to_dict().items() if k != "runtime_ms"})
         diffs[cid] = rep.rel_diff
         if rep.status != "pass":
             failures.append((cid, rep.status, rep.rel_diff))
@@ -228,6 +232,9 @@ def test_numeric_suite():
         f"shrink ratios {shrink_detail}"
         + (f"; failures: {failures}" if failures else ""),
     )
+    # the ten reports are pinned byte for byte, apart from runtime_ms
+    assert hashlib.sha256(json.dumps(entries).encode()).hexdigest() == (
+        "075bffc2d16485d45d3c85bad614a176edfc72b061b9c3efa977021871964723")
 
 
 def test_trivial_anchors():

@@ -204,7 +204,13 @@ class TestVerifyCommand:
             tmp_path, "h.json", ["--suite", "numeric", "--ids", "NUM-3", "--precision", "128"]
         )
         assert code == 3
-        assert rep["entries"][0]["status"] == "no-convergence"
+        # the whole entry: the message as error_budget, and no rel_diff
+        entry = {k: v for k, v in rep["entries"][0].items() if k != "runtime_ms"}
+        assert entry == {"id": "NUM-3", "description": c.description,
+                         "params": {k: str(v) for k, v in c.params.items()},
+                         "status": "no-convergence",
+                         "error_budget": "forced for the exit-code contract",
+                         "precision_bits": 128, "trial": 0}
 
     def test_numeric_entry_schema(self, tmp_path):
         code, rep = run_verify(
@@ -416,13 +422,14 @@ for owner, name in ((qasc.cli, "verify"), (numeric.NumericCheck, "execute"),
 check = identities.CATALOG["ID-8"]
 rep = qasc.cli.verify(check, identities.trial_paramset(check, 42, 0), 6, 0)
 num = numeric.NUMERIC_CATALOG["NUM-3"].execute(numeric.NumericConfig())
-# one traced exact-structure pass and its negative control
+# one traced exact-structure pass, and the negative controls of both exact workloads
 import structure
 statuses = []
 structure.run_pass(42, lambda rid, seconds, units, entry: statuses.append(entry["status"]), t)
 print(json.dumps([rep.status, num.status, t.calls["identities.verify"],
                   t.calls["numeric.NumericCheck.execute"], len(statuses),
-                  sorted(set(statuses)), structure.negative_control("exact-structure", 42)]))
+                  sorted(set(statuses)), structure.negative_control("exact-structure", 42),
+                  structure.negative_control("exact-o12", 42)]))
 """
 
 
@@ -433,4 +440,4 @@ class TestBenchmarkContract:
         proc = subprocess.run([sys.executable, "-c", _BENCH_CONTRACT], capture_output=True,
                               text=True, env=env, cwd=ROOT)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == ["pass", "pass", 1, 1, 21, ["pass"], "fail"]
+        assert json.loads(proc.stdout) == ["pass", "pass", 1, 1, 21, ["pass"], "fail", "fail"]

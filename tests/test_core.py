@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from qasc.core import (ParamSet, Poly, TSeries, _powers, _row, _series, random_paramset,
                        random_rational)
-from qasc.identities import CATALOG, CATALOG_ORDER, IdentityCheck, trial_paramset
-from qasc.numeric import NUMERIC_CATALOG, NumericCheck, NumericConfig, QuadConfig
+from qasc.identities import CATALOG, CATALOG_ORDER, IdentityCheck, Report, trial_paramset
+from qasc.numeric import (NUMERIC_CATALOG, NumericCheck, NumericConfig, NumericReport,
+                          QuadConfig)
 from qasc.polys import PolyFamily
 from qasc.qops import OperatorSpec
 
@@ -661,6 +662,11 @@ _FROZEN_RECORDS = {
                       "precision_bits", True),
     "NumericCheck": (lambda: NumericCheck("NUM-3", "U(2)", {"q": F(1, 2)},
                                           NUMERIC_CATALOG["NUM-3"].run), "run", False),
+    "Report": (lambda: Report("ID-9", 1, _ps().render(), "fail",
+                              {"power": 3, "sub": "", "lhs": "x", "rhs": "y"}, 7),
+               "status", False),
+    "NumericReport": (lambda: NumericReport("NUM-3", "U(2)", {"q": "1/2"}, "pass", "1.5e-41",
+                                            "2.0e-40", 128, 5, 0), "rel_diff", False),
 }
 
 

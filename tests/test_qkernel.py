@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from qasc.core import Poly, TSeries, _canon, _poly, _row, _series
+from qasc.core import Poly, TSeries, _ZROW, _canon, _poly, _row, _series
 from qasc.qkernel import (
     PhiSpec,
     PoleError,
@@ -576,14 +576,21 @@ class TestIntRows:
                     assert [_poly(r).constant() for r in got] == _fraction_conv(a, b, n)
                     assert list(got) == [_row(Poly.const(c)) for c in _fraction_conv(a, b, n)]
 
-    def test_row_series_reduced_without_zero_terms(self):
+    def test_row_series_exact_without_zero_terms(self):
+        want = [F(1, 2), 0, F(-1, 3), F(3, 4), F(1, 4), 0, 0]
         got = _euler(1, 6, [(c, 12) for c in (6, 0, -4, 9, 3)])
-        assert got == _const_series([F(1, 2), 0, F(-1, 3), F(3, 4), F(1, 4), 0, 0], 6)
-        for p in got.coeffs:
-            for e, c in p.terms.items():
-                assert e == (0, 0) and c != 0 and gcd(c.numerator, c.denominator) == 1
-        assert [bool(p.terms) for p in got.coeffs] == [1, 0, 1, 1, 1, 0, 0]
-        assert got.rows[2] == ({(0, 0): -1}, 3)
+        assert got == _const_series(want, 6)
+        assert [p.constant() for p in got.coeffs] == want
+        # exact rows: den > 0, no zero numerator, the content left in
+        for nums, den in got.rows:
+            assert den > 0 and all(nums.values()) and nums.keys() <= {(0, 0)}
+        assert [bool(nums) for nums, _ in got.rows] == [1, 0, 1, 1, 1, 0, 0]
+        assert got.rows[2] == ({(0, 0): -4}, 12)
+        # a zero monomial keeps the constant term; every later term is 0
+        zero = _euler(0, 3, [(c, 12) for c in (6, 0, -4, 9)])
+        assert zero.rows == (({(0, 0): 6}, 12), _ZROW, _ZROW, _ZROW)
+        assert zero == _const_series([F(1, 2), 0, 0, 0], 3)
+        assert [p.constant() for p in zero.coeffs] == [F(1, 2), 0, 0, 0]
 
     def test_row_series_truncates_and_pads(self):
         assert _euler(1, 1, [(2, 4), (4, 4), (6, 4)]) == _const_series([F(1, 2), 1], 1)
