@@ -236,8 +236,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
         family = PolyFamily(fam.replace("-", "_"), ps)
         # the two variable slots default to the symbols x, y
-        x = _frac(args.x, "x") if args.x else Poly.x()
-        y = _frac(args.y, "y") if args.y else Poly.y()
+        x = _frac(args.x, "x") if args.x is not None else Poly.x()
+        y = _frac(args.y, "y") if args.y is not None else Poly.y()
         print(family.evaluate(n, x, y))
         return EXIT_PASS
     except (PoleError, ValueError) as exc:

@@ -6,6 +6,10 @@ Every catalog entry builds both sides of one generating-function or
 transformation identity as TSeries, writing their integer rows directly
 (each product one ``qkernel._chain_product``), and compares them exactly
 as exact rows (``core.Row``), reduced only where they feed more products.
+A generating function sum_n p_n w_n t^n is one ``_gf`` over a single
+``_poch_row`` weight row w that holds its 1/(q;q)_n, and every rPhis is one
+``qkernel._hyper_row`` of plain parameter tuples; the builders take the
+draw and the order (ps, N) alone, ID-7's pair also the rows it shares.
 Identities whose natural coefficients are infinite sums are handled by
 the numeric module instead; two entries here (ID-5 and ID-12) regain
 finite coefficients by scaling a parameter pair with the formal variable.
@@ -25,7 +29,6 @@ from typing import Callable, Iterable, Sequence
 from .core import (ONE, ParamSet, Poly, Row, TSeries, X, Y, _UNIT, _canon, _dot, _exact,
                    _raw, _Record, _reduced, _series, random_paramset)
 from .qkernel import (
-    PhiSpec,
     PoleError,
     _chain_product,
     _common_den,
@@ -34,7 +37,6 @@ from .qkernel import (
     _hyper_row,
     _poch_row,
     _qbinom_rows,
-    hyper_series,
 )
 from .polys import _family_rows
 
@@ -45,13 +47,9 @@ Side = tuple[str, TSeries, TSeries]
 # generating-function builders
 # ---------------------------------------------------------------------------
 
-def _gf(N: int, q: Fraction, seq: Sequence[Row],
-        weights: Sequence[tuple[int, int]] | None = None) -> TSeries:
-    """sum_n seq[n] * weights[n] * t^n / (q;q)_n for rows seq and a
-    ``_poch_row`` weight row, truncated at N, as exact rows."""
-    e = _euler_row(q, N)
-    if weights is not None:
-        e = [(a * c, b * d) for (a, b), (c, d) in zip(e, weights)]
+def _gf(N: int, seq: Sequence[Row], e: Sequence[tuple[int, int]]) -> TSeries:
+    """sum_n seq[n] * e[n] * t^n for rows seq and one ``_poch_row`` weight
+    row e, which holds the side's 1/(q;q)_n, truncated at N, as exact rows."""
     rows = []
     for (nums, den), (en, ed) in zip(seq, e):
         g = gcd(en, den)  # the powers of qd in en cancel against den
@@ -72,31 +70,24 @@ def _asc5_rows(which: str, ps: ParamSet, N: int, x=X, y=Y) -> list[Row]:
     return _family_rows(_basis_family(which), N, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)
 
 
-def _alt_weights(q: Fraction, N: int, t_scale: Fraction = ONE) -> list[tuple[int, int]]:
-    """(-1)^n q^C(n,2) t_scale^n for n = 0..N, as a ``_poch_row`` row."""
-    return _poch_row((), {}, q, N, z=-t_scale, r=q)
+def build_id3_rhs(ps: ParamSet, N: int) -> TSeries:
+    """1/(x*t;q)_inf * 3phi2(a,b,c; d,e; q, y*t)."""
+    h = _hyper_row((ps.a, ps.b, ps.c), (ps.d, ps.e), ps.q, N)
+    return _chain_product(_euler_row(ps.q, N), X, h, Y, N)
 
 
-def build_id3_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
-    """1/(x*s*t;q)_inf * 3phi2(a,b,c; d,e; q, y*s*t) with t-scale s."""
-    e = _euler_row(ps.q, N)
-    h = _hyper_row(PhiSpec([ps.a, ps.b, ps.c], [ps.d, ps.e], ps.q), N)
-    return _chain_product(e, X * t_scale, h, Y * t_scale, N)
+def build_id3_lhs(ps: ParamSet, N: int) -> TSeries:
+    return _gf(N, _asc5_rows("phi", ps, N), _euler_row(ps.q, N))
 
 
-def build_id3_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
-    return _gf(N, ps.q, _asc5_rows("phi", ps, N), _poch_row((), {}, ps.q, N, z=t_scale))
+def build_id4_rhs(ps: ParamSet, N: int) -> TSeries:
+    """(x*t;q)_inf * 3phi3(a,b,c; 0,d,e; q, -y*t)."""
+    h = _hyper_row((ps.a, ps.b, ps.c), (0, ps.d, ps.e), ps.q, N)
+    return _chain_product(_euler_row(ps.q, N, product=True), X, h, -Y, N)
 
 
-def build_id4_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
-    """(x*s*t;q)_inf * 3phi3(a,b,c; 0,d,e; q, -y*s*t)."""
-    e = _euler_row(ps.q, N, product=True)
-    h = _hyper_row(PhiSpec([ps.a, ps.b, ps.c], [Fraction(0), ps.d, ps.e], ps.q), N)
-    return _chain_product(e, X * t_scale, h, Y * (-t_scale), N)
-
-
-def build_id4_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
-    return _gf(N, ps.q, _asc5_rows("psi", ps, N), _alt_weights(ps.q, N, t_scale))
+def build_id4_lhs(ps: ParamSet, N: int) -> TSeries:
+    return _gf(N, _asc5_rows("psi", ps, N), _euler_row(ps.q, N, product=True))
 
 
 def _y_sum(w: Sequence[tuple[int, int]], factor: Callable[[int], list[Row]], N: int) -> TSeries:
@@ -109,38 +100,37 @@ def _y_sum(w: Sequence[tuple[int, int]], factor: Callable[[int], list[Row]], N: 
                        for n in range(N + 1)])
 
 
-def build_id6_rhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
-    """(x*s*t;q)_inf * 3phi3(a,b,c; d,e,x*s*t; q, y*s*t), summed as
-    sum_k w_k y^k t^k (x*s*q^k*t;q)_inf: the x-dependent denominator
+def build_id6_rhs(ps: ParamSet, N: int) -> TSeries:
+    """(x*t;q)_inf * 3phi3(a,b,c; d,e,x*t; q, y*t), summed as
+    sum_k w_k y^k t^k (x*q^k*t;q)_inf: the x-dependent denominator
     parameter folded into the Euler product of term k."""
     q = ps.q
-    w = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N, z=-t_scale, r=q)
+    w = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N, z=-1, r=q)
     f = _euler_row(q, N, product=True)
-    return _y_sum(w, lambda k: _euler(X * (t_scale * q**k), N - k, f).rows, N)
+    return _y_sum(w, lambda k: _euler(X * q**k, N - k, f).rows, N)
 
 
-def build_id6_lhs(ps: ParamSet, N: int, t_scale: Fraction = ONE) -> TSeries:
-    return _gf(N, ps.q, _asc5_rows("phi", ps, N), _alt_weights(ps.q, N, t_scale))
+def build_id6_lhs(ps: ParamSet, N: int) -> TSeries:
+    return _gf(N, _asc5_rows("phi", ps, N), _euler_row(ps.q, N, product=True))
 
 
-def build_id5_pair(ps: ParamSet, N: int, sig: Fraction, tau: Fraction) -> Side:
+def build_id5_pair(ps: ParamSet, N: int) -> Side:
     """Cauchy-polynomial transformation, verified as series in u after the
-    substitution (s, t) = (sig*u, tau*u).
+    substitution (s, t) = (sig*u, tau*u), sig and tau read from ps.
 
     LHS: sum_n phi_n(x,y) p_n(tau,sig) u^n / (q;q)_n
     RHS: sum_k W_k y^k u^k (x*sig*q^k*u;q)_inf / (x*tau*u;q)_inf
          with W_k = (a,b,c;q)_k p_k(tau,sig) / ((d,e;q)_k (q;q)_k),
     each quotient one ``_chain_product`` of both rows, reduced for the sums.
     """
-    q = ps.q
+    q, sig, tau = ps.q, ps.get("sig"), ps.get("tau")
     # p_n(tau, sig) = prod_(m<n) (tau - sig q^m) = tau^n (sig/tau;q)_n
-    p = _poch_row((sig / tau,), {}, q, N, z=tau) if tau else _poch_row((), {}, q, N, z=-sig, r=q)
-    lhs = _gf(N, q, _asc5_rows("phi", ps, N), p)
-    w = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N)
+    top, z, r = ((sig / tau,), tau, 1) if tau else ((), -sig, q)
+    lhs = _gf(N, _asc5_rows("phi", ps, N), _poch_row(top, {"q": q}, q, N, z=z, r=r))
+    w = _poch_row((ps.a, ps.b, ps.c, *top), {"d": ps.d, "e": ps.e, "q": q}, q, N, z=z, r=r)
     e, f = _euler_row(q, N), _euler_row(q, N, product=True)
-    rhs = _y_sum([(wn * pn, wd * pd) for (wn, wd), (pn, pd) in zip(w, p)],
-                 lambda k: [_canon(*r) for r in
-                            _chain_product(e, X * tau, f, X * (sig * q**k), N - k).rows], N)
+    rhs = _y_sum(w, lambda k: [_canon(*row) for row in
+                               _chain_product(e, X * tau, f, X * (sig * q**k), N - k).rows], N)
     return ("u-scaled", lhs, rhs)
 
 
@@ -157,9 +147,9 @@ def _id7_sums(ps: ParamSet, N: int, top: int) -> list[tuple[Row, ...]]:
             for j in range(top + 1)]
 
 
-def build_id7_pair(ps: ParamSet, N: int, K: int, H: Sequence[Sequence[Row]] | None = None) -> Side:
-    """Index-shifted generating function for shift K; H (``_id7_sums`` to
-    K) is built when not given.
+def build_id7_pair(ps: ParamSet, N: int, K: int, H: Sequence[Sequence[Row]]) -> Side:
+    """Index-shifted generating function for shift K, over H = the rows
+    ``_id7_sums`` gives to at least K.
 
     LHS: sum_n phi_(n+K)(x,y) t^n/(q;q)_n
     RHS: x^K/(xt;q)_inf * sum_n A_n (yt)^n
@@ -172,9 +162,7 @@ def build_id7_pair(ps: ParamSet, N: int, K: int, H: Sequence[Sequence[Row]] | No
     which is what the K-fold derivative of x^K/(xt;q)_inf produces.
     """
     q = ps.q
-    lhs = _gf(N, q, _asc5_rows("phi", ps, N + K)[K:])
-    if H is None:
-        H = _id7_sums(ps, N, K)
+    lhs = _gf(N, _asc5_rows("phi", ps, N + K)[K:], _euler_row(q, N))
     # (-1)^j q^(Kj - C(j,2)) (q^-K;q)_j x^(K-j) y^j, j <= K, each one nonzero
     J = [({(K - j, j): c}, d) for j, (c, d) in
          enumerate(_poch_row((q**-K,), {}, q, K, z=-(q**K), r=1 / q))]
@@ -201,17 +189,16 @@ class IdentityCheck(_Record):
 
 
 def _build_id1(ps: ParamSet, N: int) -> list[Side]:
-    lhs = _gf(N, ps.q, _family_rows("asc_gen3_phi", N, ps.q, ps.a, ps.b, ps.c))
     e = _euler_row(ps.q, N)
-    rhs = _chain_product(e, Y, _hyper_row(PhiSpec([ps.a, ps.b], [ps.c], ps.q), N), X, N)
+    lhs = _gf(N, _family_rows("asc_gen3_phi", N, ps.q, ps.a, ps.b, ps.c), e)
+    rhs = _chain_product(e, Y, _hyper_row((ps.a, ps.b), (ps.c,), ps.q, N), X, N)
     return [("", lhs, rhs)]
 
 
 def _build_id2(ps: ParamSet, N: int) -> list[Side]:
-    psi = _family_rows("asc_gen3_psi", N, ps.q, ps.a, ps.b, ps.c)
-    lhs = _gf(N, ps.q, psi, _alt_weights(ps.q, N))
     e = _euler_row(ps.q, N, product=True)
-    rhs = _chain_product(e, Y, _hyper_row(PhiSpec([ps.a, ps.b], [ps.c], ps.q), N), X, N)
+    lhs = _gf(N, _family_rows("asc_gen3_psi", N, ps.q, ps.a, ps.b, ps.c), e)
+    rhs = _chain_product(e, Y, _hyper_row((ps.a, ps.b), (ps.c,), ps.q, N), X, N)
     return [("", lhs, rhs)]
 
 
@@ -224,7 +211,7 @@ def _build_id4(ps: ParamSet, N: int) -> list[Side]:
 
 
 def _build_id5(ps: ParamSet, N: int) -> list[Side]:
-    return [build_id5_pair(ps, N, ps.get("sig"), ps.get("tau"))]
+    return [build_id5_pair(ps, N)]
 
 
 def _build_id6(ps: ParamSet, N: int) -> list[Side]:
@@ -245,7 +232,7 @@ def _build_id8(ps: ParamSet, N: int) -> list[Side]:
     x1, y1, x2, y2 = (ps.get(k) for k in ("x1", "y1", "x2", "y2"))
 
     phi1, phi2 = _asc5_rows("phi", ps, N, x1, y1), _asc5_rows("phi", ps2, N, x2, y2)
-    lhs = _gf(N, q, [_dot([(u, v)]) for u, v in zip(phi1, phi2)])
+    lhs = _gf(N, [_dot([(u, v)]) for u, v in zip(phi1, phi2)], _euler_row(q, N))
 
     # v_j times t^m of the j-th 3phi2(a q^j, b q^j, c q^j; d q^j, e q^j; q, x2 y1 t)
     # is A_(j+m) (y1/x1)^j (x2 y1)^m/(q;q)_m with A_k = (a,b,c;q)_k/(d,e;q)_k:
@@ -295,7 +282,7 @@ def _build_id8(ps: ParamSet, N: int) -> list[Side]:
 
 def _build_id9(ps: ParamSet, N: int) -> list[Side]:
     q = ps.q
-    lhs = _gf(N, q, _family_rows("cauchy", N, q))
+    lhs = _gf(N, _family_rows("cauchy", N, q), _euler_row(q, N))
     rhs = _chain_product(_euler_row(q, N, product=True), Y, _euler_row(q, N), X, N)
     return [("", lhs, rhs)]
 
@@ -303,10 +290,8 @@ def _build_id9(ps: ParamSet, N: int) -> list[Side]:
 def _build_id10(ps: ParamSet, N: int) -> list[Side]:
     q = ps.q
     lam, x0, y0 = ps.get("lam"), ps.get("x0"), ps.get("y0")
-    lhs = _gf(N, q, _family_rows("cauchy", N, q, x=x0, y=y0), _poch_row((lam,), {}, q, N))
-    rhs = hyper_series(
-        PhiSpec([lam, y0 / x0], [Fraction(0)], q), N, arg_mono=x0
-    )
+    lhs = _gf(N, _family_rows("cauchy", N, q, x=x0, y=y0), _poch_row((lam,), {"q": q}, q, N))
+    rhs = _euler(x0, N, _hyper_row((lam, y0 / x0), (0,), q, N))
     return [("", lhs, rhs)]
 
 
@@ -315,7 +300,7 @@ def _build_id11(ps: ParamSet, N: int) -> list[Side]:
     ra, rb, rc, rd = (ps.get(k) for k in ("ra", "rb", "rc", "rd"))
     h1 = _family_rows("rogers_szego", N, q, x=ra, y=rb)
     h2 = _family_rows("rogers_szego", N, q, x=rc, y=rd)
-    lhs = _gf(N, q, [_dot([(u, v)]) for u, v in zip(h1, h2)])
+    lhs = _gf(N, [_dot([(u, v)]) for u, v in zip(h1, h2)], _euler_row(q, N))
     # (ra rb rc rd t^2;q)_inf / (ra rc t, ra rd t, rb rc t, rb rd t;q)_inf, one fold per factor
     top = _poch_row((), {"q": q}, q, N // 2, z=-(ra * rb * rc * rd), r=q)
     h, e = [c for t in top for c in (t, (0, 1))], _euler_row(q, N)
@@ -386,8 +371,8 @@ def _build_id12(ps: ParamSet, N: int) -> list[Side]:
     # times the prefactor (s, x t;q)_inf / ((r, x;q)_inf), all u-scaled: with
     # r = q^-M s it is (x t;q)_inf/(x;q)_inf = 1phi0(t; x) times
     # (s;q)_inf/(r;q)_inf = 1/(r;q)_M = 1phi0(q^M; r), each folded into the tail
-    rhs = _chain_product(_hyper_row(PhiSpec([q**M], [], q), N), r_scale, tail, ONE, N)
-    rhs = _chain_product(_hyper_row(PhiSpec([t0], [], q), N), xi, _scalars(rhs), ONE, N)
+    rhs = _chain_product(_hyper_row((q**M,), (), q, N), r_scale, tail, ONE, N)
+    rhs = _chain_product(_hyper_row((t0,), (), q, N), xi, _scalars(rhs), ONE, N)
     return [("u-scaled", lhs, rhs)]
 
 
@@ -404,13 +389,12 @@ def _build_id13(ps: ParamSet, N: int) -> list[Side]:
     ps0 = ps.with_values(c=0, e=0)
 
     s1 = build_id3_lhs(ps0, N)
-    s2 = _gf(N, q, _family_rows("asc_gen3_phi", N, q, ps.a, ps.b, ps.d, x=Y, y=X))
+    s2 = _gf(N, _family_rows("asc_gen3_phi", N, q, ps.a, ps.b, ps.d, x=Y, y=X), _euler_row(q, N))
     r1 = build_id3_rhs(ps0, N)
-    r2 = _chain_product(_euler_row(q, N), X,
-                        _hyper_row(PhiSpec([ps.a, ps.b], [ps.d], q), N), Y, N)
+    r2 = _chain_product(_euler_row(q, N), X, _hyper_row((ps.a, ps.b), (ps.d,), q, N), Y, N)
     l4 = build_id4_lhs(ps0, N)
     r4 = _chain_product(_euler_row(q, N, product=True), X,
-                        _hyper_row(PhiSpec([ps.a, ps.b], [Fraction(0), ps.d], q), N), -Y, N)
+                        _hyper_row((ps.a, ps.b), (0, ps.d), q, N), -Y, N)
     return [
         ("phi-lhs-swap", s1, s2),
         ("phi-rhs-swap", r1, r2),

@@ -20,9 +20,12 @@ Fractions.  Its rows feed the integer rows of TSeries (see ``core.Row``)
 directly: ``_euler`` places one exact term per power of t, and
 ``_chain_product``, the builders' one product, writes such a series times
 the series of any (num, den) row (an rPhis, an Euler row, the scalar rows
-of an earlier product) row by row, as exact rows.  ``_qbinom_rows``
-builds the q-binomial triangle on integers.  ``qpoch``, ``qpoch_multi``
-and ``qbinom`` stay as direct products, the reference of the tests.
+of an earlier product) row by row, as exact rows.  ``_hyper_row`` is
+the rPhis row of plain parameter tuples, which the identity builders call
+directly; ``PhiSpec`` and ``hyper_series`` wrap it for library callers.
+``_qbinom_rows`` builds the q-binomial triangle on integers.  ``qpoch``,
+``qpoch_multi`` and ``qbinom`` stay as direct products, the reference of
+the tests.
 
 A denominator parameter equal to 0 is allowed, with (0;q)_n = 1; a
 denominator parameter of the form q^(-j) makes a term blow up and raises
@@ -257,13 +260,16 @@ class PhiSpec:
             raise ValueError("series with r > s+1 are not supported")
 
 
-def _hyper_row(spec: PhiSpec, order: int) -> tuple[tuple[int, int], ...]:
-    """The scalar terms of rPhis for n <= order as a ``_poch_row`` row; the
+def _hyper_row(nums: Sequence, dens: Sequence, q, order: int) -> tuple[tuple[int, int], ...]:
+    """The scalar terms of rPhis(nums; dens; q) for n <= order as a
+    ``_poch_row`` row.  Like ``PhiSpec``, r > s + 1 is refused, and the
     denominator parameters are named b1..bs in a PoleError."""
-    e, q = spec.sign_exponent, spec.q
-    dens = {f"b{i + 1}": b for i, b in enumerate(spec.denominators)}
-    dens["q"] = q
-    return _poch_row(spec.numerators, dens, q, order, z=(-1) ** e, r=q**e)
+    e = 1 + len(dens) - len(nums)
+    if e < 0:
+        raise ValueError("series with r > s+1 are not supported")
+    named = {f"b{i + 1}": b for i, b in enumerate(dens)}
+    named["q"] = q
+    return _poch_row(nums, named, q, order, z=(-1) ** e, r=q**e)
 
 
 def hyper_series(spec: PhiSpec, order: int, arg_mono: Poly | Fraction | int = 1) -> TSeries:
@@ -274,7 +280,7 @@ def hyper_series(spec: PhiSpec, order: int, arg_mono: Poly | Fraction | int = 1)
     term of the series.  The denominator parameters are named b1..bs in a
     PoleError.
     """
-    return _euler(arg_mono, order, _hyper_row(spec, order))
+    return _euler(arg_mono, order, _hyper_row(spec.numerators, spec.denominators, spec.q, order))
 
 
 def _mono(mono: Poly | Fraction | int) -> tuple[tuple[int, int], int, int]:

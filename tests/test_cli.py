@@ -342,6 +342,18 @@ class TestEvalCommand:
     def test_bad_fraction(self, capsys):
         assert cli.main(["eval", "qbinom", "--n", "3", "--k", "1", "--q", "zap"]) == 2
 
+    @pytest.mark.parametrize("name", ["x", "y", "a", "q"])
+    def test_empty_value_is_usage_error(self, capsys, name):
+        # an empty value is no rational, in the variable slots as elsewhere;
+        # it must not fall back to the symbol x or y
+        flags = {"q": "1/2", "a": "1/3", "x": "1/5", "y": "1/7", name: ""}
+        argv = ["eval", "asc-new-phi", "--n", "2"] + [arg for k, v in flags.items()
+                                                        for arg in (f"--{k}", v)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"error: --{name} expects an exact rational like 1/2, got ''"
+
     @pytest.mark.parametrize("family", list(_FAMILY_ARITY))
     def test_every_family_evaluates(self, capsys, family):
         values = dict(a=Fraction(1, 3), b=Fraction(1, 5), c=Fraction(1, 7),

@@ -140,6 +140,8 @@ class TestHyperSeries:
     def test_unsupported_shape(self):
         with pytest.raises(ValueError):
             PhiSpec([F(1, 2), F(1, 3), F(1, 5)], [F(1, 7)], Q)
+        with pytest.raises(ValueError, match=r"r > s\+1"):
+            _hyper_row((F(1, 2), F(1, 3), F(1, 5)), (F(1, 7),), Q, 4)
 
     def test_against_mpmath_qhyper(self):
         # truncated at order 60 with |z| = 1/5 the tail is far below 1e-15
@@ -622,7 +624,8 @@ class TestChainProduct:
             return euler(u, spec.q, n) * hyper_series(spec, n, v)
 
         def kernel():
-            return _chain_product(_euler_row(spec.q, n, product), u, _hyper_row(spec, n), v, n)
+            h = _hyper_row(spec.numerators, spec.denominators, spec.q, n)
+            return _chain_product(_euler_row(spec.q, n, product), u, h, v, n)
 
         return _outcome(kernel), _outcome(oracle)
 
@@ -693,8 +696,8 @@ class TestChainProduct:
         for _ in range(25):
             q, n = F(rng.randint(1, 8), rng.randint(9, 32)), rng.randint(0, 12)
             if kind == "previous product":
-                spec = PhiSpec([draw()], [draw()], q)
-                prev = _chain_product(_euler_row(q, n), draw(), _hyper_row(spec, n), draw(), n)
+                h = _hyper_row((draw(),), (draw(),), q, n)
+                prev = _chain_product(_euler_row(q, n), draw(), h, draw(), n)
                 h = [(nums.get((0, 0), 0), den) for nums, den in prev.rows]
             elif kind == "constant den":
                 den = 6 * rng.randint(1, 10**6)  # unreduced pairs and zeros among them
