@@ -33,7 +33,6 @@ from .polys import (
 )
 from .identities import (
     CATALOG,
-    BasisExpansionError,
     IdentityCheck,
     Report,
     expand_poly_in_basis,
@@ -91,7 +90,6 @@ __all__ = [
     "cauchy_pn",
     "rogers_szego_hn",
     "CATALOG",
-    "BasisExpansionError",
     "IdentityCheck",
     "Report",
     "expand_poly_in_basis",

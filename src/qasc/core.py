@@ -344,6 +344,8 @@ def _dot(pairs: Iterable[tuple[Row, Row]], den: int = 0) -> Row:
 
 def _series(order: int, rows: Iterable[Row]) -> "TSeries":
     """A TSeries from order + 1 exact rows."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
     s = TSeries.__new__(TSeries)
     s.order, s.rows, s._coeffs = order, tuple(rows), None
     return s

@@ -586,44 +586,33 @@ def qdiff_residual(which: str, f: TSeries, ps: ParamSet) -> TSeries:
 # triangular basis expansion
 # ---------------------------------------------------------------------------
 
-class BasisExpansionError(ValueError):
-    """Input not expressible in the requested basis range."""
-
-    def __init__(self, message: str, remainder: Poly):
-        super().__init__(message)
-        self.remainder = remainder
-
-
-def expand_poly_in_basis(
-    p: Poly, basis: str, ps: ParamSet, nmax: int | None = None
-) -> list[Poly]:
-    """Write p = sum_n mu_n * basis_n(x,y) by back-substitution on the
-    x-degree, which is triangular because basis_n = x^n + (y-tail).
+def expand_poly_in_basis(p: Poly, basis: str, ps: ParamSet) -> list[Poly]:
+    """Write p = sum_n mu_n * basis_n(x,y), n = 0..deg_x p, by
+    back-substitution on the x-degree, which is triangular because
+    basis_n = x^n + (y-tail).
 
     The mu_n come back as polynomials in y alone; inputs lying in the
     rational span (like the generating-function coefficients) produce
-    constant mu_n.  Raises BasisExpansionError when nmax is too small to
-    absorb the x-degree of p.  Each step rem - mu_n * basis_n is one _dot.
+    constant mu_n.  Each step rem - mu_n * basis_n is one _dot.
     """
     _basis_family(basis)
-    return _expand_rows(p, _basis_rows(basis, ps, [p.row], nmax), nmax)
+    return _expand_rows(p, _basis_rows(basis, ps, [p.row]))
 
 
-def _basis_rows(basis: str, ps: ParamSet, rows: Iterable[Row], nmax: int | None) -> list[Row]:
+def _basis_rows(basis: str, ps: ParamSet, rows: Iterable[Row]) -> list[Row]:
     """The basis rows as far as an expansion of the rows reads them: to
-    their highest x-power <= nmax, the first step with a nonzero x-coefficient."""
-    cols = [i for nums, _ in rows for i, _ in nums if nmax is None or i <= nmax]
+    their highest x-power, so a pole past it is never reached."""
+    cols = [i for nums, _ in rows for i, _ in nums]
     return _asc5_rows(basis, ps, max(cols)) if cols else []
 
 
-def _expand_rows(p: Poly, rows: Sequence[Row], nmax: int | None) -> list[Poly]:
-    """expand_poly_in_basis of p over the basis rows rows (``_basis_rows``)."""
+def _expand_rows(p: Poly, rows: Sequence[Row]) -> list[Poly]:
+    """expand_poly_in_basis of p over the basis rows rows (``_basis_rows``);
+    basis_0 = 1 takes the last remainder whole."""
     deg = max(p.x_degree(), 0)
-    if nmax is None:
-        nmax = deg
-    mu = [Poly.zero()] * (nmax + 1)
+    mu = [Poly.zero()] * (deg + 1)
     rem = p
-    for n in range(min(nmax, deg), -1, -1):
+    for n in range(deg, -1, -1):
         cn = rem.xcoeff_as_y_poly(n)
         if cn.is_zero():
             continue
@@ -631,23 +620,16 @@ def _expand_rows(p: Poly, rows: Sequence[Row], nmax: int | None) -> list[Poly]:
         rem = _raw(_canon(*_dot(((rem.row, _UNIT), ((-cn).row, rows[n])))))
         if rem.is_zero():
             break
-    if not rem.is_zero():
-        raise BasisExpansionError(
-            f"remainder of x-degree {rem.x_degree()} exceeds basis range {nmax}",
-            rem,
-        )
     return mu
 
 
-def expand_series_in_basis(
-    f: TSeries, basis: str, ps: ParamSet, nmax: int | None = None
-) -> list[list[Poly]]:
+def expand_series_in_basis(f: TSeries, basis: str, ps: ParamSet) -> list[list[Poly]]:
     """Per-t-power basis expansion of a TSeries; element [m][n] is mu_n for
     the coefficient of t^m.  The basis rows are read once, as far as the
     expansion of any coefficient reads them, and shared by all of them."""
     _basis_family(basis)
-    rows = _basis_rows(basis, ps, f.rows, nmax)
-    return [_expand_rows(p, rows, nmax) for p in f.coeffs]
+    rows = _basis_rows(basis, ps, f.rows)
+    return [_expand_rows(p, rows) for p in f.coeffs]
 
 
 def synthesize_from_basis(mu: Sequence[Poly], basis: str, ps: ParamSet) -> Poly:

@@ -49,6 +49,8 @@ class NumericConfig(_Record):
             raise ValueError("precision must be at least 64 bits")
         with mp.workprec(64):
             tail, ctol = mpf(self.tail_tol), mpf(self.compare_tol)
+            if not tail > 0:
+                raise ValueError("tail_tol must be positive")
             if not ctol <= mpf("1e-12"):  # the documented gate may only tighten
                 raise ValueError("compare_tol must be at most 1e-12")
             if not tail < ctol:
@@ -504,11 +506,6 @@ class NumericCheck(_Record):
         params = {k: str(v) for k, v in self.params.items()}
         return NumericReport(self.id, self.description, params, status, diff, error_budget,
                              cfg.precision_bits, runtime_ms=ms, trial=0)
-
-    def diff(self, cfg: NumericConfig) -> mpf:
-        with mp.workprec(cfg.precision_bits):
-            lhs, rhs, _ = self.run(self, cfg)
-            return rel_diff(lhs, rhs)
 
 
 def _ps_of(p: dict) -> ParamSet:

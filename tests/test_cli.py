@@ -241,6 +241,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("args, err", [
         (["--suite", "all", "--tail-tol", "1e-5", "--out", "r.json"],
          "error: tail_tol must sit well below compare_tol"),
+        (["--suite", "numeric", "--tail-tol", "0", "--out", "r.json"], "error: tail_tol must be positive"),
         (["--ids", "ID-9", "--out", ""], "error: cannot write report : No such file or directory"),
         (["--ids", "ID-9,NUM-3", "--precision", "64", "--tail-tol", "1e-15", "--compare-tol", "inf",
           "--out", "r.json"], "error: compare_tol must be at most 1e-12"),
@@ -248,7 +249,7 @@ class TestVerifyCommand:
          "error: compare_tol must be at most 1e-12"),
         (["--ids", ",", "--out", "r.json"], "error: --ids names no check: ','"),
         (["--ids", "", "--out", "r.json"], "error: --ids names no check: ''"),
-    ], ids=["tail-tol", "empty out", "compare-tol inf", "compare-tol 1e-6", "ids comma", "ids empty"])
+    ], ids=["tail-tol", "tail-tol 0", "empty out", "compare-tol inf", "compare-tol 1e-6", "ids comma", "ids empty"])
     def test_bad_setting_refused_before_first_check(self, tmp_path, monkeypatch, capsys, args, err):
         monkeypatch.chdir(tmp_path)
         assert cli.main(["verify", "--order", "4", "--trials", "1"] + args) == 2

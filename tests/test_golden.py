@@ -1,5 +1,6 @@
 """Printed exact outputs pinned by sha256: the operator series T/E, the
-Leibniz rules, a nonzero q-difference residual and a basis expansion.
+Leibniz rules, a nonzero q-difference residual and two basis expansions
+(spanned series coefficients, and random polynomials with y-dependent mu_n).
 
 The digests were taken from the Fraction-dict Poly, before Poly moved onto
 integer rows; any change of value, term order or rendering shows here.
@@ -12,7 +13,8 @@ import random
 from fractions import Fraction as F
 
 from qasc.core import Poly, TSeries, Y, random_paramset
-from qasc.identities import build_id3_rhs, build_id4_rhs, expand_series_in_basis, qdiff_residual
+from qasc.identities import (build_id3_rhs, build_id4_rhs, expand_poly_in_basis,
+                             expand_series_in_basis, qdiff_residual)
 from qasc.qops import OperatorSpec, apply_operator, leibniz
 
 ORDER = 8
@@ -59,6 +61,17 @@ def _basis_lines():
             yield " | ".join(map(str, mus))
 
 
+def _random_expansion_lines():
+    """mu_0..mu_deg of seeded random polynomials, whose mu_n are polynomials
+    in y; the length of each list is part of the printed line."""
+    for basis in ("phi", "psi"):
+        rng = random.Random(f"golden:expand:{basis}")
+        ps = random_paramset(rng)
+        for _ in range(6):
+            mu = expand_poly_in_basis(_random_poly(rng), basis, ps)
+            yield f"{len(mu)}: " + " | ".join(map(str, mu))
+
+
 def test_operator_series_digest():
     assert _digest(_operator_lines()) == (
         "0c0d43d19df1d9f3259d60a87c8c686065075050836f6d2361f91d1ed72fa546")
@@ -81,3 +94,10 @@ def test_shifted_residual_digest():
 def test_basis_expansion_digest():
     assert _digest(_basis_lines()) == (
         "93faf596b3f71500fb29b585b198a4de64d74cda3eaa3df4203da012a256feb1")
+
+
+def test_random_expansion_digest():
+    lines = list(_random_expansion_lines())
+    assert any("y" in line for line in lines)  # some mu_n depend on y
+    assert _digest(lines) == (
+        "ec3c71f23cb211a0aabd6d9de250e04f9d5cf942a8e2528d98b6ea77c9681e94")

@@ -65,6 +65,12 @@ class TestConfig:
                 NumericConfig(compare_tol=tol)
         NumericConfig(compare_tol="1e-20")
 
+    def test_tail_must_be_positive(self):
+        # refused for its own cause, before the half-width check
+        for tol in ("0", "-1e-40"):
+            with pytest.raises(ValueError, match="tail_tol must be positive"):
+                NumericConfig(tail_tol=tol)
+
     def test_half_width_vs_tail(self):
         with pytest.raises(ValueError, match="half-width"):
             NumericConfig(quad=QuadConfig(half_width=5.0))

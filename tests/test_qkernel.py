@@ -42,6 +42,20 @@ from qasc.qkernel import (
 Q = F(1, 2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: TSeries.one(-1),
+    lambda: TSeries.from_poly(Poly.x(), -2),
+    lambda: hyper_series(PhiSpec((F(1, 3),), (), Q), -1),
+    lambda: euler_inverse_series(Poly.x(), Q, -1),
+    lambda: euler_product_series(Poly.x(), Q, -1),
+    lambda: qpoch_t_poly(Poly.x(), Q, 2, -1),
+], ids=["one", "from_poly", "hyper_series", "euler_inverse", "euler_product", "qpoch_t_poly"])
+def test_negative_order_refused(build):
+    # every series constructor refuses what TSeries(-1) refuses
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        build()
+
+
 class TestQPoch:
     def test_empty_product(self):
         assert qpoch(F(1, 3), Q, 0) == 1
