@@ -290,11 +290,6 @@ def _powers(b: int, exps: Iterable[int]) -> dict[int, int]:
     return out
 
 
-def _reduced(n: int, d: int) -> tuple[int, int]:
-    g = gcd(n, d)
-    return n // g, d // g
-
-
 def _canon(nums: dict, den: int) -> Row:
     """nums/den as a canonical row: zeros dropped, content divided out."""
     g = gcd(den, *nums.values())
@@ -322,12 +317,12 @@ def _same(a: Row, b: Row) -> bool:
     return an.keys() == bn.keys() and all(c * fa == bn[e] * fb for e, c in an.items())
 
 
-def _dot(pairs: Iterable[tuple[Row, Row]], den: int = 0) -> Row:
-    """The exact row of sum a*b over pairs of rows, not reduced: over den
-    when the caller names one (each ad bd divides it), else over the lcm
-    of the products ad bd; ``_canon(*_dot(...))`` reduces it."""
+def _dot(pairs: Iterable[tuple[Row, Row]]) -> Row:
+    """The exact row of sum a*b over pairs of rows, not reduced, over the
+    lcm of the products ad bd for every caller (a ``TSeries`` product is
+    one ``_dot`` per power); ``_canon(*_dot(...))`` reduces it."""
     pairs = [(an, bn, ad * bd) for (an, ad), (bn, bd) in pairs if an and bn]
-    den = den or _lcm(d for _, _, d in pairs)
+    den = _lcm(d for _, _, d in pairs)
     acc: dict[tuple[int, int], int] = {}
     for an, bn, d in pairs:
         if len(an) > len(bn):  # scale the shorter row by den / d
@@ -421,13 +416,7 @@ class TSeries:
             return self.scale(other)
         self._check(other)
         a, b = self.rows, other.rows
-        # row n over the lcms of the denominators of a[:n + 1] and b[:n + 1]
-        la, lb = [1], [1]
-        for (_, ad), (_, bd) in zip(a, b):
-            la.append(_lcm((la[-1], ad)))
-            lb.append(_lcm((lb[-1], bd)))
-        return _series(self.order, [_canon(*_dot(zip(a[: n + 1], b[n::-1]),
-                                                 la[n + 1] * lb[n + 1]))
+        return _series(self.order, [_canon(*_dot(zip(a[: n + 1], b[n::-1])))
                                     for n in range(self.order + 1)])
 
     __rmul__ = __mul__

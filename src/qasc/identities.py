@@ -27,7 +27,7 @@ from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .core import (ONE, ParamSet, Poly, Row, TSeries, X, Y, _UNIT, _canon, _dot, _exact,
-                   _raw, _Record, _reduced, _series, random_paramset)
+                   _raw, _Record, _series, random_paramset)
 from .qkernel import (
     PoleError,
     _chain_product,
@@ -181,12 +181,6 @@ class IdentityCheck(_Record):
 
     __slots__ = ("id", "title", "extras", "build")
 
-    def sample(self, rng: random.Random, trial: int = 0) -> ParamSet:
-        ps = random_paramset(rng, extras=self.extras)
-        if self.id == "ID-12":
-            ps = ps.with_values(em=Fraction(1 + trial % 3))
-        return ps
-
 
 def _build_id1(ps: ParamSet, N: int) -> list[Side]:
     e = _euler_row(ps.q, N)
@@ -312,7 +306,7 @@ def _build_id11(ps: ParamSet, N: int) -> list[Side]:
 
 def _scalars(s: TSeries) -> list[tuple[int, int]]:
     """The reduced (num, den) pairs of a series of scalars, for a further product."""
-    return [_reduced(nums.get((0, 0), 0), den) for nums, den in s.rows]
+    return [(nums.get((0, 0), 0), den) for nums, den in (_canon(*row) for row in s.rows)]
 
 
 def _quotient_sum(w: Sequence[tuple[int, int]], a: Fraction, b: Fraction, q: Fraction,
@@ -531,9 +525,10 @@ def verify(check: IdentityCheck, params: ParamSet, order: int, trial: int = 0) -
 
 
 def trial_paramset(check: IdentityCheck, seed: int, trial: int) -> ParamSet:
-    """Deterministic per-(identity, trial) parameter draw."""
-    rng = random.Random(f"{seed}:{check.id}:{trial}")
-    return check.sample(rng, trial)
+    """Deterministic per-(identity, trial) parameter draw: q, a..e and the
+    check's extras, in that order; ID-12's em is 1 + trial % 3."""
+    ps = random_paramset(random.Random(f"{seed}:{check.id}:{trial}"), extras=check.extras)
+    return ps.with_values(em=1 + trial % 3) if check.id == "ID-12" else ps
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Sequence
 from mpmath import mp, mpc, mpf
 
 from .core import ParamSet, _Record, as_fraction
-from .qkernel import term_stream
+from .qkernel import _phi_shape, term_stream
 
 F = Fraction
 
@@ -37,6 +37,14 @@ class QuadConfig(_Record):
 
     __slots__ = ("half_width", "nodes", "panels")
     _defaults = {"half_width": 12.0, "nodes": 48, "panels": 24}
+
+    def _post_init(self):
+        if not 0 < mpf(self.half_width) < mp.inf:
+            raise ValueError(f"half_width={self.half_width}: "
+                             "quadrature half-width must be in (0, inf)")
+        for name, v in (("nodes", self.nodes), ("panels", self.panels)):
+            if not (isinstance(v, int) and v >= 1):
+                raise ValueError(f"{name}={v!r}: quadrature {name} must be an integer >= 1")
 
 
 class NumericConfig(_Record):
@@ -151,11 +159,7 @@ def hyper_num(nums: Sequence, dens: Sequence, q, z, cfg: NumericConfig,
     """Numeric rPhis(nums; dens; q, z) with the usual sign/q-power factor
     raised to 1+s-r, summed by term recurrence until the tail rule.  The
     denominator parameters are named b1..bs in a PoleError."""
-    e = 1 + len(dens) - len(nums)
-    if e < 0:
-        raise ValueError("series with r > s+1 are not supported")
-    named = {f"b{i + 1}": b for i, b in enumerate(dens)}
-    named["q"] = q
+    named, e = _phi_shape(nums, dens, q)
     terms = term_stream(nums, named, q, z * (-1) ** e, q**e, mpc(1))
     return sum_until_tail(terms, cfg, budget)
 
@@ -260,6 +264,8 @@ def u_series(
     family with those parameters.  Divergence (shell growth) is flagged
     empirically via NonConvergence.
     """
+    if n < 1 or len(xs) != n:
+        raise ValueError(f"u_series needs n >= 1 and len(xs) == n, got n={n}, len(xs)={len(xs)}")
     q = to_mp(q)
     xs_mp = [to_mp(v) for v in xs]
     b = to_mp(b)

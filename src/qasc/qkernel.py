@@ -23,7 +23,9 @@ the series of any (num, den) row (an rPhis, an Euler row, the scalar rows
 of an earlier product) row by row, as exact rows.  ``_hyper_row`` is
 the rPhis row of plain parameter tuples, which the identity builders call
 directly; ``PhiSpec`` and ``hyper_series`` wrap it for library callers.
-``_qbinom_rows`` builds the q-binomial triangle on integers.  ``qpoch``,
+It, ``PhiSpec`` and ``numeric.hyper_num`` take their shape from ``_phi_shape``.
+``_qbinom_rows`` builds the q-binomial triangle on integers; it and
+``_poch_row`` memoize rows alone.  ``qpoch``,
 ``qpoch_multi`` and ``qbinom`` stay as direct products, the reference of
 the tests.
 
@@ -163,21 +165,24 @@ def _poch_row(
     ratio by their gcd and multiplies them into the running numerator and
     denominator, so den > 0, each den divides the next (see
     ``_common_den``) and the two quotients of a step are coprime; no gcd
-    ever meets the running term.  Memoized with the loop state: a longer
-    request resumes the loop, a shorter one is a slice.
+    ever meets the running term.  Memoized as the row alone: a shorter
+    request is a slice, and a longer one re-derives the loop state from
+    the last term and resumes, so a pole is found again, not kept.
     """
     top, bottom = tuple(map(_ratio, nums)), tuple(map(_ratio, dens.values()))
     (qn, qd), (zn, zd), (rn, rd) = _ratio(q), _ratio(z), _ratio(r)
     key = (top, bottom, qn, qd, zn, zd, rn, rd)
-    # state: term k, z r^k with the ad, bd constants, qn^k, qd^k, qd^(k |excess|)
-    row, state, pole = _POCH_ROWS.get(key) or (((1, 1),), None, None)
-    if n >= len(row) and pole is None:
-        tn, td, sn, sd, qnk, qdk, ek = state or (
-            1, 1, zn * prod(d for _, d in bottom), zd * prod(d for _, d in top), 1, 1, 1)
-        excess = len(bottom) - len(top)
-        qd_step = qd ** abs(excess)
+    row, pole = _POCH_ROWS.get(key, ((1, 1),)), None
+    if n >= len(row):
+        # the loop state after the last term m: z r^m with the ad, bd
+        # constants, qn^m, qd^m and qd^(m |excess|)
+        m, excess = len(row) - 1, len(bottom) - len(top)
+        (tn, td), qd_step = row[m], qd ** abs(excess)
+        sn = zn * prod(d for _, d in bottom) * rn**m
+        sd = zd * prod(d for _, d in top) * rd**m
+        qnk, qdk, ek = qn**m, qd**m, qd_step**m
         new = []
-        for k in range(len(row), n + 1):
+        for k in range(m + 1, n + 1):
             fn, fd = sn, sd
             for an, ad in top:
                 fn *= ad * qdk - an * qnk
@@ -201,9 +206,8 @@ def _poch_row(
             qnk *= qn
             qdk *= qd
             ek *= qd_step
-        row += tuple(new)
-        _remember(_POCH_ROWS, key, (row, (tn, td, sn, sd, qnk, qdk, ek), pole))
-    if n >= len(row):
+        row = _remember(_POCH_ROWS, key, row + tuple(new))
+    if pole:
         raise _pole({name: as_fraction(b) for name, b in dens.items()}, pole)
     return row[: n + 1]
 
@@ -255,20 +259,23 @@ class PhiSpec:
         self.numerators = [as_fraction(v) for v in numerators]
         self.denominators = [as_fraction(v) for v in denominators]
         self.q = as_fraction(q)
-        self.sign_exponent = 1 + len(self.denominators) - len(self.numerators)
-        if self.sign_exponent < 0:
-            raise ValueError("series with r > s+1 are not supported")
+        self.sign_exponent = _phi_shape(self.numerators, self.denominators, self.q)[1]
+
+
+def _phi_shape(nums: Sequence, dens: Sequence, q) -> tuple[dict, int]:
+    """(named, e) for rPhis(nums; dens; q): the denominator parameters
+    named b1..bs, then q, as a PoleError names them, and e = 1 + s - r,
+    the power of (-1)^n q^C(n,2); r > s + 1 is refused."""
+    e = 1 + len(dens) - len(nums)
+    if e < 0:
+        raise ValueError("series with r > s+1 are not supported")
+    return {**{f"b{i + 1}": b for i, b in enumerate(dens)}, "q": q}, e
 
 
 def _hyper_row(nums: Sequence, dens: Sequence, q, order: int) -> tuple[tuple[int, int], ...]:
     """The scalar terms of rPhis(nums; dens; q) for n <= order as a
-    ``_poch_row`` row.  Like ``PhiSpec``, r > s + 1 is refused, and the
-    denominator parameters are named b1..bs in a PoleError."""
-    e = 1 + len(dens) - len(nums)
-    if e < 0:
-        raise ValueError("series with r > s+1 are not supported")
-    named = {f"b{i + 1}": b for i, b in enumerate(dens)}
-    named["q"] = q
+    ``_poch_row`` row, shaped by ``_phi_shape``."""
+    named, e = _phi_shape(nums, dens, q)
     return _poch_row(nums, named, q, order, z=(-1) ** e, r=q**e)
 
 
@@ -372,5 +379,7 @@ def qpoch_t_poly(mono: Poly | Fraction | int, q, j: int, order: int) -> TSeries:
     Expanded by the q-binomial theorem: the t^k coefficient is
     [j;k] (-1)^k q^C(k,2) mono^k = (q^-j;q)_k / (q;q)_k * q^(jk) * mono^k.
     """
+    if j < 0:
+        raise ValueError("qpoch_t_poly needs j >= 0")
     q = as_fraction(q)
     return _euler(mono, order, _poch_row((q**-j,), {"q": q}, q, min(j, order), z=q**j))

@@ -75,6 +75,22 @@ class TestConfig:
         with pytest.raises(ValueError, match="half-width"):
             NumericConfig(quad=QuadConfig(half_width=5.0))
 
+    def test_half_width_must_be_positive(self):
+        # the exp(-L^2) tail check squares L and cannot refuse a negative
+        # half-width; an infinite one makes the integral nan
+        for width in (-12.0, 0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="half_width=.*: quadrature half-width must be in"):
+                NumericConfig(precision_bits=64, tail_tol="1e-15",
+                              quad=QuadConfig(half_width=width))
+
+    @pytest.mark.parametrize("field", ["nodes", "panels"])
+    def test_nodes_and_panels_at_least_one(self, field):
+        for bad in (0, -3, 2.5):
+            with pytest.raises(ValueError, match=f"{field}=.*: quadrature {field} must be an integer"):
+                NumericConfig(precision_bits=64, tail_tol="1e-15",
+                              quad=QuadConfig(**{field: bad}))
+        NumericConfig(quad=QuadConfig(**{field: 1}))
+
     def test_minimum_precision(self):
         with pytest.raises(ValueError, match="64 bits"):
             NumericConfig(precision_bits=32)
@@ -133,12 +149,19 @@ class TestPrimitives:
             ref = mpmath.qhyper([mpf(1) / 3, mpf(1) / 5], [mpf(1) / 7], mpf("0.5"), mpf("0.2"))
             assert rel_diff(got, ref) < mpf("1e-22")
 
+    def test_hyper_num_refuses_r_above_s_plus_1(self):
+        with mp.workprec(128):
+            with pytest.raises(ValueError) as err:
+                hyper_num([mpf(1), mpf(2), mpf(3)], [mpf(4)], mpf("0.5"), mpf(1) / 5, FAST)
+        assert str(err.value) == "series with r > s+1 are not supported"
+
     def test_pole_is_pole_error(self):
         # a vanishing (b;q)_k on mpf values names the term, as on the exact side
         with mp.workprec(128):
             with pytest.raises(PoleError) as err:
                 hyper_num([mpf(1) / 3], [mpf(4)], mpf("0.5"), mpf(1) / 5, FAST)
             assert err.value.index == 3
+            assert str(err.value) == "(b1,q;q)_k vanished at k=3 for b1=4.0, q=0.5"
             with pytest.raises(PoleError) as err:
                 asc5_phi_num(4, *(mpf(0),) * 3, mpf(2), mpf(0), mpf("0.5"), mpf(1), mpf(1))
             assert err.value.index == 2
@@ -260,6 +283,13 @@ class TestUSeries:
         assert u_region_bound([F(1), F(1, 3)], F(1, 2), 2) == pytest.approx(
             (1 / 3) * (1 / 2) ** 0.5
         )
+
+    def test_n_must_match_xs(self):
+        # unchecked, n = 1 with two xs reads x2's table as (b;q)_m, n = 0
+        # recurses without end and n > len(xs) runs off the list
+        for n, xs in ((1, [F(1), F(1, 3)]), (0, []), (0, [F(1)]), (3, [F(1), F(1, 3)])):
+            with pytest.raises(ValueError, match="u_series needs n >= 1 and len"):
+                u_series(n, xs, F(1, 4), F(1, 10), F(1, 2), FAST)
 
     def test_divergence_flagged(self):
         with mp.workprec(64):

@@ -56,6 +56,14 @@ def test_negative_order_refused(build):
         build()
 
 
+def test_qpoch_t_poly_refuses_negative_j():
+    # as qpoch refuses a negative n; unchecked, j < 0 slices the row to
+    # nothing and gives the zero series
+    for j in (-1, -4):
+        with pytest.raises(ValueError, match="qpoch_t_poly needs j >= 0"):
+            qpoch_t_poly(Poly.x(), Q, j, 3)
+
+
 class TestQPoch:
     def test_empty_product(self):
         assert qpoch(F(1, 3), Q, 0) == 1
@@ -469,6 +477,8 @@ class TestRowMemos:
                 assert got == ("pole", 3, "(d,q;q)_k vanished at k=3 for d=4, q=1/2")
             else:
                 assert len(got) == n + 1
+            # also past a pole, the memo keeps (num, den) rows and no loop state
+            assert all(len(pair) == 2 for row in _POCH_ROWS.values() for pair in row)
 
     def test_memos_are_bounded(self):
         nums, dens = (F(1, 3),), {"d": F(1, 5)}
