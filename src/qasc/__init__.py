@@ -42,19 +42,7 @@ from .identities import (
     trial_paramset,
     verify,
 )
-
-# the numeric checks need mpmath, which the exact side never loads: their
-# names resolve on first use (PEP 562)
-_NUMERIC_NAMES = ("NUMERIC_CATALOG", "NonConvergence", "NumericConfig", "NumericReport")
-
-
-def __getattr__(name: str):
-    if name in _NUMERIC_NAMES:
-        from . import numeric
-
-        return getattr(numeric, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+from .numeric import NUMERIC_CATALOG, NonConvergence, NumericConfig, NumericReport
 
 __all__ = [
     "ParamSet",

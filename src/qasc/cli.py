@@ -10,8 +10,8 @@ polynomial families exactly.
 
 `--ids` picks checks within the selected suite (default `all`). Every
 setting, `--out` included, is checked before the first check runs; the
-numeric ones, and with them mpmath, are read only when a numeric check is
-selected.
+numeric ones are read only when a numeric check is selected, and mpmath
+is loaded only when a numeric check makes its first value.
 
 Exit codes, the largest over all entries winning: 0 all pass, 1
 verification failure (`fail`, `pole`), 2 usage or configuration error, 3
@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from .core import ParamSet, Poly
 from .identities import CATALOG, CATALOG_ORDER, trial_paramset, verify
+from .numeric import NUMERIC_CATALOG, NUMERIC_ORDER, NumericConfig
 from .polys import _FAMILY_ARITY, PolyFamily
 from .qkernel import PoleError, qbinom, qpoch
 
@@ -62,8 +63,6 @@ def _exact_suite(cfg: dict):
 
 
 def _numeric_suite(cfg: dict):
-    from .numeric import NUMERIC_CATALOG, NUMERIC_ORDER, NumericConfig
-
     try:
         ncfg = NumericConfig(precision_bits=cfg["precision"], tail_tol=cfg["tail_tol"],
                              compare_tol=cfg["compare_tol"])

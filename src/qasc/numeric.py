@@ -11,16 +11,25 @@ Every q-hypergeometric term sequence, the (q x_r/x_s;q)_j and (b;q)_m
 tables of the U(n+1) shells included, comes from ``qkernel.term_stream``.
 Quadrature is composite Gauss-Legendre over a truncated domain, with
 nodes computed at working precision.
+
+Importing this module loads no part of mpmath, which the exact side never
+needs: each function that makes an mpmath value imports the names it uses,
+and the first such call pays for loading mpmath.  ``QuadConfig`` and the
+precision check of ``NumericConfig`` run without it, so building the
+default configs or refusing a precision loads none of it; the tolerances
+are parsed with it.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from mpmath import mp, mpc, mpf
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 from .core import ParamSet, _Record, as_fraction
 from .qkernel import _phi_shape, term_stream
@@ -39,7 +48,7 @@ class QuadConfig(_Record):
     _defaults = {"half_width": 12.0, "nodes": 48, "panels": 24}
 
     def _post_init(self):
-        if not 0 < mpf(self.half_width) < mp.inf:
+        if not 0 < float(self.half_width) < math.inf:
             raise ValueError(f"half_width={self.half_width}: "
                              "quadrature half-width must be in (0, inf)")
         for name, v in (("nodes", self.nodes), ("panels", self.panels)):
@@ -53,8 +62,12 @@ class NumericConfig(_Record):
                  "quad": QuadConfig()}
 
     def _post_init(self):
-        if self.precision_bits < 64:
-            raise ValueError("precision must be at least 64 bits")
+        bits = self.precision_bits
+        if not (type(bits) is int and bits >= 64):  # a bool is refused too
+            raise ValueError(f"precision_bits={bits!r}: precision must be an integer "
+                             "of at least 64 bits")
+        from mpmath import mp, mpf
+
         with mp.workprec(64):
             tail, ctol = mpf(self.tail_tol), mpf(self.compare_tol)
             if not tail > 0:
@@ -69,14 +82,20 @@ class NumericConfig(_Record):
                 )
 
     def tail(self) -> mpf:
+        from mpmath import mpf
+
         return mpf(self.tail_tol)
 
     def ctol(self) -> mpf:
+        from mpmath import mpf
+
         return mpf(self.compare_tol)
 
 
 def to_mp(v) -> mpf:
     """Exact rational to mpf at current working precision."""
+    from mpmath import mpf
+
     v = as_fraction(v)
     return mpf(v.numerator) / mpf(v.denominator)
 
@@ -95,6 +114,8 @@ def sum_until_tail(terms: Iterator, cfg: NumericConfig, budget: list | None = No
     The neglected tail is estimated geometrically from the trailing ratio
     and appended to the budget list when one is supplied.
     """
+    from mpmath import mpf
+
     tail = cfg.tail()
     total = mpf(0)
     small = 0
@@ -122,6 +143,8 @@ def sum_until_tail(terms: Iterator, cfg: NumericConfig, budget: list | None = No
 
 def qpoch_num(a, q, n: int):
     """Finite (a;q)_n on mpf/mpc values."""
+    from mpmath import mpf
+
     out = mpf(1)
     p = mpf(1)
     for _ in range(n):
@@ -136,6 +159,8 @@ def poch_inf(a, q, cfg: NumericConfig, budget: list | None = None):
     The dropped factors multiply to 1 + O(|a| q^(I+1)/(1-q)); that bound
     goes into the budget as a relative error estimate.
     """
+    from mpmath import mpc, mpf
+
     absa = abs(a)
     if absa == 0:
         return mpf(1)
@@ -159,6 +184,8 @@ def hyper_num(nums: Sequence, dens: Sequence, q, z, cfg: NumericConfig,
     """Numeric rPhis(nums; dens; q, z) with the usual sign/q-power factor
     raised to 1+s-r, summed by term recurrence until the tail rule.  The
     denominator parameters are named b1..bs in a PoleError."""
+    from mpmath import mpc
+
     named, e = _phi_shape(nums, dens, q)
     terms = term_stream(nums, named, q, z * (-1) ** e, q**e, mpc(1))
     return sum_until_tail(terms, cfg, budget)
@@ -168,6 +195,8 @@ def _asc5_phi_seq(a, b, c, d, e, q, x, y) -> Iterator:
     """phi_0(x,y), phi_1(x,y), ... on floats, from one weight row
     (a,b,c;q)_j/(d,e;q)_j and one table each of x^j, y^j and 1 - q^j,
     every one grown by one entry per n."""
+    from mpmath import mpc, mpf
+
     weights = term_stream((a, b, c), {"d": d, "e": e}, q, 1, 1, mpf(1))
     row, xp, yp, om = [], [], [], []
     for n, w in enumerate(weights):
@@ -195,6 +224,8 @@ def asc5_phi_num(n: int, a, b, c, d, e, q, x, y):
 
 def transformation_lhs(ps: ParamSet, x, y, t, s, r, cfg: NumericConfig):
     """sum_k phi_k(x,y) (t,s;q)_k / ((q,r;q)_k)."""
+    from mpmath import mpf
+
     q = to_mp(ps.q)
     a, b, c, d, e = (to_mp(v) for v in (ps.a, ps.b, ps.c, ps.d, ps.e))
     x, y, t, s, r = (to_mp(v) for v in (x, y, t, s, r))
@@ -214,6 +245,8 @@ def transformation_rhs(ps: ParamSet, x, y, t, s, r, cfg: NumericConfig,
     q-binomial theorem forces it, and the y = 0 case then collapses to the
     two-term Heine transformation.
     """
+    from mpmath import mpf
+
     q = to_mp(ps.q)
     a, b, c, d, e = (to_mp(v) for v in (ps.a, ps.b, ps.c, ps.d, ps.e))
     x, y, t, s, r = (to_mp(v) for v in (x, y, t, s, r))
@@ -266,6 +299,8 @@ def u_series(
     """
     if n < 1 or len(xs) != n:
         raise ValueError(f"u_series needs n >= 1 and len(xs) == n, got n={n}, len(xs)={len(xs)}")
+    from mpmath import mpc, mpf
+
     q = to_mp(q)
     xs_mp = [to_mp(v) for v in xs]
     b = to_mp(b)
@@ -365,6 +400,7 @@ def gauss_legendre_nodes(n: int, prec: int) -> tuple[list, list]:
     key = (n, prec)
     if key in _GL_CACHE:
         return _GL_CACHE[key]
+    from mpmath import mp, mpf
 
     def legendre(x):
         """P_n(x) and P_n'(x) by the three-term recurrence."""
@@ -393,6 +429,8 @@ def gauss_legendre_nodes(n: int, prec: int) -> tuple[list, list]:
 
 def integrate_panels(f: Callable, lo, hi, cfg: NumericConfig):
     """Composite Gauss-Legendre integral of f over [lo, hi]."""
+    from mpmath import mpc
+
     nodes, weights = gauss_legendre_nodes(cfg.quad.nodes, cfg.precision_bits)
     panels = cfg.quad.panels
     width = (hi - lo) / panels
@@ -410,6 +448,8 @@ def integrate_panels(f: Callable, lo, hi, cfg: NumericConfig):
 def gaussian_decay_rate(q) -> mpf:
     """k with q = exp(-2 k^2), the frequency tying the q-products to the
     Gaussian weight."""
+    from mpmath import mp
+
     return mp.sqrt(-mp.log(to_mp(q)) / 2)
 
 
@@ -418,6 +458,8 @@ def ramanujan_integral(a, b, m, q, cfg: NumericConfig,
     """integral of exp(-x^2+2mx) / ((a q^(1/2) e^(2ikx), b q^(1/2) e^(-2ikx);q)_inf)
     [times 3phi2(r,s,t; u,v; q, y q^(1/2) e^(2ikx)) when weighted] over the
     real line, truncated to [m-L, m+L] with exp(-L^2) below the tail."""
+    from mpmath import mp, mpf
+
     qm = to_mp(q)
     am, bm, mm = to_mp(a), to_mp(b), to_mp(m)
     k = gaussian_decay_rate(q)
@@ -450,6 +492,8 @@ def ramanujan_closed_form(a, b, m, q, cfg: NumericConfig,
     center by ijk and rebalancing the two q-products produces
     (-e^(2mki)/b; q)_j, so the entry carries the minus sign.
     """
+    from mpmath import mp
+
     qm = to_mp(q)
     am, bm, mm = to_mp(a), to_mp(b), to_mp(m)
     k = gaussian_decay_rate(q)
@@ -481,6 +525,8 @@ class NumericReport(_Record):
 
 
 def rel_diff(lhs, rhs) -> mpf:
+    from mpmath import mpf
+
     scale = max(abs(lhs), abs(rhs))
     if scale == 0:
         return mpf(0)
@@ -493,6 +539,8 @@ class NumericCheck(_Record):
     __slots__ = ("id", "description", "params", "run")
 
     def execute(self, cfg: NumericConfig) -> NumericReport:
+        from mpmath import mp, mpf
+
         t0 = time.perf_counter()
         diff = error_budget = None
         with mp.workprec(cfg.precision_bits):
@@ -544,6 +592,8 @@ def _run_u(chk: NumericCheck, cfg: NumericConfig):
 
 
 def _run_gauss_anchor(chk: NumericCheck, cfg: NumericConfig):
+    from mpmath import mp
+
     p = chk.params
     lhs = ramanujan_integral(0, 0, p["m"], p["q"], cfg)
     rhs = mp.sqrt(mp.pi) * mp.e ** (to_mp(p["m"]) ** 2)

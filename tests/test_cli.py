@@ -383,9 +383,10 @@ class TestModuleEntryPoint:
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the exact suite and eval run without the numeric module or mpmath; the
-# numeric names of the package resolve on first use.  No qasc module loads
-# dataclasses or inspect, whose imports would add to every call's start-up
+# the exact suite and eval run without mpmath, and so do importing
+# qasc.numeric and a refused numeric setting: mpmath loads with the first
+# numeric value.  No qasc module loads dataclasses or inspect, whose imports
+# would add to every call's start-up
 _COLD_START = """
 import json
 import sys
@@ -393,20 +394,31 @@ import sys
 import qasc
 import qasc.cli
 
+
+def mpmath_loaded():
+    return sorted(m for m in sys.modules if m.startswith("mpmath"))
+
+
 codes = [
     qasc.cli.main(["verify", "--suite", "exact", "--order", "4", "--trials", "1",
                    "--out", sys.argv[1]]),
     qasc.cli.main(["eval", "qbinom", "--n", "3", "--k", "1", "--q", "1/2"]),
 ]
-loaded = [m for m in ("mpmath", "qasc.numeric", "dataclasses", "inspect") if m in sys.modules]
+loaded = [m for m in ("mpmath", "dataclasses", "inspect") if m in sys.modules]
 config = qasc.NumericConfig
 from qasc import numeric
 
+after_import = mpmath_loaded()
+refused = qasc.cli.main(["verify", "--suite", "numeric", "--precision", "32",
+                         "--out", sys.argv[1]])
+after_refusal = mpmath_loaded()
 star = {}
 exec("from qasc import *", star)
+inspect_loaded = "inspect" in sys.modules
+num3 = numeric.NUMERIC_CATALOG["NUM-3"].execute(numeric.NumericConfig()).status
 print(json.dumps([codes, loaded, config is numeric.NumericConfig,
                   [name for name in qasc.__all__ if name not in star],
-                  "inspect" in sys.modules]))
+                  inspect_loaded, after_import, refused, after_refusal, num3]))
 """
 
 
@@ -416,7 +428,8 @@ class TestColdStart:
         proc = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path / "r.json")],
                               capture_output=True, text=True, env=env, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], [], True, [], False]
+        assert json.loads(proc.stdout.splitlines()[-1]) == [
+            [0, 0], [], True, [], False, [], 2, [], "pass"]
 
 # perfbench/tracer.py looks up qasc's entry points by name and perfbench/child.py
 # patches three of them; run both against the package as it stands

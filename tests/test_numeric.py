@@ -95,6 +95,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="64 bits"):
             NumericConfig(precision_bits=32)
 
+    @pytest.mark.parametrize("bits", [100.5, "256", True])
+    def test_precision_must_be_an_integer(self, bits):
+        # a bool is an int; a float would reach mpmath and the report unrounded
+        with pytest.raises(ValueError, match="precision_bits=.*: precision must be an integer"):
+            NumericConfig(precision_bits=bits)
+
 
 class TestPrimitives:
     def test_sum_until_tail_geometric(self):
