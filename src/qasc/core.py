@@ -582,13 +582,13 @@ def random_rational(rng: random.Random, positive: bool = False) -> Fraction:
     Keeps every draw inside (-1/2, 1/2], which stays clear of q-shifted
     factorial poles and bounds coefficient bit-growth through order 12.
     """
-    num = rng.randint(1, 8)
+    # randrange(a, b + 1) is randint(a, b), one call shorter
+    num = rng.randrange(1, 9)
     if not positive and rng.random() < 0.5:
         num = -num
-    v = Fraction(num, rng.randint(9, 32))
-    if abs(v) > Fraction(1, 2):
-        v = v / 2
-    return v
+    den = rng.randrange(9, 33)
+    # |num/den| > 1/2 exactly when 2|num| > den: one Fraction per draw
+    return Fraction(num, 2 * den if 2 * abs(num) > den else den)
 
 
 def random_paramset(rng: random.Random, extras: Iterable[str] = ()) -> ParamSet:

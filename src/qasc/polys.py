@@ -20,53 +20,63 @@ e.g. cauchy_pn at q = 1 is (x - y)^n.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Sequence
 
 from .core import (ONE, ZERO, ParamSet, Poly, Row, X, Y, _UNIT, _canon, _dot, _poly, _powers,
                    _Record, _row, as_fraction)
-from .qkernel import _poch_row, _qbinom_rows, _ratio, _remember
+from .qkernel import (_POCH_ROWS, _poch_key, _poch_pole, _poch_steps, _poch_walk, _qbinom_rows,
+                      _ratio, _remember)
 
-_FAMILY_ROWS: dict = {}  # (family, q, a..e, x, y) -> (row_0, ..., row_m)
+# (family, q, a..e, x, y) -> ((row_0, ..., row_m), the state that extends them)
+_FAMILY_ROWS: dict = {}
 
 
-def _asc_sum(lo: int, N: int, q: Fraction, w: Sequence[tuple[int, int]], x, y,
-             psi: bool = False) -> list[Row]:
-    """[sum_k [n;k] w_k x^(n-k) y^k for n = lo..N] as unreduced rows, for a
-    ``_poch_row`` weight row; under psi each term also carries q^(k(k-n)).
+def _asc_sum(lo: int, N: int, grow: tuple) -> tuple[list[Row], tuple]:
+    """Rows lo..N (lo >= 1) of sum_k [n;k] w_k x^(n-k) y^k, unreduced, for
+    a monomial or scalar x and y, and the state that extends them past N;
+    under psi each term also carries q^(k(k-n)).
 
-    With monomial (or scalar) x and y every term goes straight into its
-    row; otherwise the sums are formed over the symbols x, y and then
-    substituted.  [n;k] = b(n,k)/qd^(k(n-k)) (``_qbinom_rows``), which
+    Its traffic is one parameter set with n rising, one row per call, so
+    grow is the state after row lo - 1 and a row costs its own terms: the
+    weight walk takes one step, the weight numerators one step factor and
+    the q-binomial triangle one row; no earlier term is divided again.
+    grow = (q, x, y, psi, walk, ws, wd) holds the ``qkernel._poch_walk``
+    after weight lo - 1 and the weight numerators ws of k < lo over
+    wd = wd_(lo-1).  [n;k] = b(n,k)/qd^(k(n-k)) (``_qbinom_rows``), which
     q^(k(k-n)) turns into b(n,k)/qn^(k(n-k)), so row n lies over
-    wd_n qd^E xd^n yd^n (qn^E under psi), E the largest k(n-k).  Along
-    the weight chain each wd_(n-1) divides wd_n, so the weight numerators
-    over wd_n come from row n-1's by one small step factor, and each term
-    is one large product: its weight numerator times the small factors
-    [n;k], the q power and the x, y powers.
+    wd_n qd^E xd^n yd^n (qn^E under psi), E the largest k(n-k).  Along the
+    weight chain each wd_(n-1) divides wd_n, so the small step factor
+    wd_n/wd_(n-1) takes ws over wd_n, and each term is one large product:
+    its weight numerator times the small factors [n;k], the q power and
+    the x, y powers.  A pole raises before any row is kept.
     """
-    xr, yr = _row(x), _row(y)
-    subst = len(xr[0]) > 1 or len(yr[0]) > 1
+    q, x, y, psi, walk, ws, wd = grow
+    new, walk, pole = _poch_steps(walk, N)
+    if pole:
+        raise _poch_pole(walk, pole)
+    if lo == 1 and len(_POCH_ROWS.get(walk[0], ())) <= N:
+        # a first build walked the whole weight row: leave it in the rows
+        # memo for the builders that read the same row (ID-8's A_k)
+        _remember(_POCH_ROWS, walk[0], ((1, 1), *new))
+    (xn, xd), (yn, yd) = _row(x), _row(y)
     # a monomial's one term; the zero polynomial reads as 0 * x^0 y^0
-    ((ix, jx), cx), = (X.row if subst else xr)[0].items() or [((0, 0), 0)]
-    ((iy, jy), cy), = (Y.row if subst else yr)[0].items() or [((0, 0), 0)]
-    xd, yd = (1, 1) if subst else (xr[1], yr[1])
+    ((ix, jx), cx), = xn.items() or [((0, 0), 0)]
+    ((iy, jy), cy), = yn.items() or [((0, 0), 0)]
     binom = _qbinom_rows(q, N)
     # only the q powers these rows read: qb^(E - k(n-k)), E the largest k(n-k)
     qp = _powers(q.numerator if psi else q.denominator,
                  [(n // 2) * (n - n // 2) - k * (n - k) for n in range(lo, N + 1)
                   for k in range(n // 2 + 1)])
     # x^(n-k) y^k over (xd yd)^n: (xn yd)^(n-k) (xd yn)^k
-    xs = [(cx * yd) ** m for m in range(N + 1)]
-    ys = [(xd * cy) ** m for m in range(N + 1)]
-    # weight numerators w_k over wd_n for k <= n: row lo's by division,
-    # each later row's from the row before by the step wd_n / wd_(n-1)
-    wd = w[lo][1]
-    ws = [c * (wd // d) for c, d in w[:lo]]
+    xs = list(accumulate(repeat(cx * yd, N), mul, initial=1))
+    ys = list(accumulate(repeat(xd * cy, N), mul, initial=1))
     out = []
-    for n in range(lo, N + 1):
-        wn, d = w[n]
+    for n, (wn, d) in enumerate(new, lo):
         step, wd = d // wd, d
-        ws = [c * step for c in ws]
+        # a new list each row: the list a state holds is never changed
+        ws = [c * step for c in ws] if step > 1 else ws[:]
         ws.append(wn)
         top = (n // 2) * (n - n // 2)
         nums: dict[tuple[int, int], int] = {}
@@ -77,48 +87,73 @@ def _asc_sum(lo: int, N: int, q: Fraction, w: Sequence[tuple[int, int]], x, y,
                 s = nums.get(e)
                 nums[e] = c if s is None else s + c
         out.append((nums, wd * qp[top] * (xd * yd) ** n))
-    if subst:
-        # nums/den over x^i y^j goes to sum nums[i, j]/den xr^i yr^j
-        xp, yp = [_UNIT], [_UNIT]
-        for _ in range(N):
-            xp.append(_canon(*_dot([(xp[-1], xr)])))
-            yp.append(_canon(*_dot([(yp[-1], yr)])))
-        out = [_dot((({e: c * k for e, k in xp[i][0].items()}, xp[i][1] * den), yp[j])
-                    for (i, j), c in nums.items()) for nums, den in out]
-    return out
+    return out, (q, x, y, psi, walk, ws, wd)
+
+
+def _family_start(family: str, q: Fraction, a, b, c, d, e, x, y) -> tuple:
+    """The ``_asc_sum`` state of a family after row 0, p_0 = 1: its weight
+    walk after w_0 = 1 and the x, y of its sum."""
+    def walk(nums, dens, base=q, z=ONE, r=ONE):
+        return _poch_walk(_poch_key(nums, dens, base, z, r), dens)
+
+    if family == "cauchy":
+        w = walk((), {}, z=-ONE, r=q)
+    elif family == "rogers_szego":
+        w, x, y = walk((), {}), y, x
+    elif family == "asc_classical_phi":
+        w, x, y = walk((a,), {}), ONE, x
+    elif family == "asc_classical_psi":
+        # (a q^(1-k);q)_k = (a;1/q)_k
+        w, x, y = walk((a,), {}, 1 / q), ONE, x
+    elif family == "asc_gen3_phi":
+        w, x, y = walk((a, b), {"c": c}), y, x
+    elif family == "asc_gen3_psi":
+        # (-1)^k q^(C(k+1,2) - nk) = (-1)^k q^(-C(k,2)) q^(k(k-n))
+        w, x, y = walk((a, b), {"c": c}, z=-ONE, r=1 / q), y, x
+    elif family == "asc_new_phi":
+        w = walk((a, b, c), {"d": d, "e": e})
+    else:
+        w = walk((a, b, c), {"d": d, "e": e}, z=-ONE)
+    return q, x, y, family.endswith("_psi"), w, [1], 1
+
+
+def _substituted(rows: Sequence[Row], x: Poly | Fraction, y: Poly | Fraction) -> list[Row]:
+    """Rows over the symbols X, Y with the polynomials x, y put in their
+    place: nums/den over X^i Y^j goes to sum nums[i, j]/den x^i y^j, not
+    reduced."""
+    xr, yr = _row(x), _row(y)
+    top = max((max(e) for nums, _ in rows for e in nums), default=0)
+    xp, yp = [_UNIT], [_UNIT]
+    for _ in range(top):
+        xp.append(_canon(*_dot([(xp[-1], xr)])))
+        yp.append(_canon(*_dot([(yp[-1], yr)])))
+    return [_dot((({e: c * k for e, k in xp[i][0].items()}, xp[i][1] * den), yp[j])
+                 for (i, j), c in nums.items()) for nums, den in rows]
 
 
 def _family_rows(family: str, N: int, q, a=ZERO, b=ZERO, c=ZERO, d=ZERO, e=ZERO,
-                 x=X, y=Y) -> list[Row]:
-    """[p_n(x, y) for n = 0..N] of one family as shared, unreduced rows.
-    They are kept per family, parameters and x, y as one grow-only prefix:
-    a shorter request is a slice, a longer one extends it from one weight row."""
+                 x=X, y=Y) -> tuple[Row, ...]:
+    """(p_n(x, y) for n = 0..N) of one family as shared, unreduced rows.
+
+    They are kept per family, parameters and x, y as one grow-only prefix
+    entry, (rows, state), replaced whole: a shorter request is a slice,
+    and a longer one extends the rows from the state (``_asc_sum``), which
+    the entry alone owns.  The traffic it serves is one parameter set with
+    n rising (the per-n functions, the operator checks against T and E)
+    and whole sequences (the generating functions and basis expansions).
+    A polynomial x or y (not a monomial) reads the rows over the symbols
+    and substitutes them."""
     x, y = (v if isinstance(v, Poly) else as_fraction(v) for v in (x, y))
     key = (family, *map(_ratio, (q, a, b, c, d, e)), x, y)
-    rows = _FAMILY_ROWS.get(key, ())
+    rows, grow = _FAMILY_ROWS.get(key, ((_UNIT,), None))  # p_0 = 1
     if N < len(rows):
-        return list(rows[: N + 1])
-    q = as_fraction(q)
-    if family == "cauchy":
-        w = _poch_row((), {}, q, N, z=-ONE, r=q)
-    elif family == "rogers_szego":
-        w, x, y = [(1, 1)] * (N + 1), y, x
-    elif family == "asc_classical_phi":
-        w, x, y = _poch_row((a,), {}, q, N), ONE, x
-    elif family == "asc_classical_psi":
-        # (a q^(1-k);q)_k = (a;1/q)_k
-        w, x, y = _poch_row((a,), {}, 1 / q, N), ONE, x
-    elif family == "asc_gen3_phi":
-        w, x, y = _poch_row((a, b), {"c": c}, q, N), y, x
-    elif family == "asc_gen3_psi":
-        # (-1)^k q^(C(k+1,2) - nk) = (-1)^k q^(-C(k,2)) q^(k(k-n))
-        w, x, y = _poch_row((a, b), {"c": c}, q, N, z=-ONE, r=1 / q), y, x
-    elif family == "asc_new_phi":
-        w = _poch_row((a, b, c), {"d": d, "e": e}, q, N)
+        return rows if N + 1 == len(rows) else rows[: N + 1]
+    if len(_row(x)[0]) > 1 or len(_row(y)[0]) > 1:
+        new = _substituted(_family_rows(family, N, q, a, b, c, d, e)[len(rows):], x, y)
     else:
-        w = _poch_row((a, b, c), {"d": d, "e": e}, q, N, z=-ONE)
-    rows += tuple(_asc_sum(len(rows), N, q, w, x, y, family.endswith("_psi")))
-    return list(_remember(_FAMILY_ROWS, key, rows))
+        new, grow = _asc_sum(len(rows), N, grow or _family_start(
+            family, as_fraction(q), a, b, c, d, e, x, y))
+    return _remember(_FAMILY_ROWS, key, (rows + tuple(new), grow))[0]
 
 
 def _family_poly(family: str, n: int, q, a=ZERO, b=ZERO, c=ZERO, d=ZERO, e=ZERO,

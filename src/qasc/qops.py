@@ -20,15 +20,21 @@ The operator series
 
 terminate on polynomials because the n-th power annihilates x-degrees
 below n; no truncation cap is involved.  Everything here runs on the
-integer row of a Poly (``core.Row``) with integer symbol tables, so no
-Fraction is built per term.
+integer row of a Poly (``core.Row``), so no Fraction is built per term,
+and each result is reduced once.
+
+Their traffic is the library path: ``apply_operator`` on x^n for one
+parameter set with n rising (phi_n = T{x^n}, psi_n = E{x^n}), and
+``leibniz`` checked against ``op_power`` on the product f g.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from math import prod
+from operator import mul
 
-from .core import Poly, _canon, _dot, _powers, _raw, _Record, as_fraction
+from .core import ParamSet, Poly, _canon, _dot, _raw, _Record, as_fraction
 from .qkernel import _poch_row, _qbinom_rows
 
 
@@ -89,21 +95,45 @@ def leibniz(op: str, f: Poly, g: Poly, n: int, q) -> Poly:
         D^n(fg)     = sum_k [n;k]            D^k f     * (D^(n-k) g)(x q^k)
         theta^n(fg) = sum_k [n;k] q^(k(k-n)) theta^k f * (theta^(n-k) g)(x q^-k)
 
-    With [n;k] = b_k / qd^(k(n-k)) (``_qbinom_rows``) the theta weight is
-    b_k / qn^(k(n-k)); the n + 1 products are summed as one row.
+    One pass on integer rows with one symbol table.  With
+    op x^m = s_m / (u v^m) x^(m-1) (``_symbols``), I and J the top
+    x-degrees of f and g and S(i, l) the product of s_m for
+    m = i-l+1..i:
+      * op^k f grows as a row over fden u^k v^(kI - C(k,2)), its term from
+        x^i y^j carrying S(i, k) v^(k(I - i));
+      * x -> x q^(+-k) multiplies x^e by (w/v)^(ke), w = qn for D and qd
+        for theta, so it folds into the symbol product of op^(n-k) g;
+      * [n;k] = b_k / qd^(k(n-k)) (``_qbinom_rows``) and the theta weight
+        is b_k / qn^(k(n-k)), both b_k / v^(k(n-k)); the weighted,
+        shifted op^(l) g, l = n - k, then lies over gden u^l v^(nJ - C(l,2)),
+        its term from x^i y^j carrying b_k S(i, l) w^(k(i-l)) v^(n(J - i)).
+    The n + 1 products are summed as one row (``_dot``), reduced once.
     """
     if n < 0:
         raise ValueError("leibniz needs n >= 0")
     q = as_fraction(q)
+    I, J = max(f.x_degree(), 0), max(g.x_degree(), 0)
+    s, u, v = _symbols(op, q, max(I, J))
+    vp = list(accumulate(repeat(v, max(I, n * J)), mul, initial=1))
+    wp = list(accumulate(repeat(q.numerator if op == "dq" else q.denominator, n * J), mul,
+                         initial=1))
     binom = _qbinom_rows(q, n)[n]
-    r, sx = (q.denominator, q) if op == "dq" else (q.numerator, 1 / q)
-    pairs = []
-    fk = f
+    (fk, den), F = f.row, []
     for k in range(n + 1):
-        gk, gd = op_power(op, g, n - k, q).shift(sx**k, 1).row
-        pairs.append((fk.row, ({e: c * binom[k] for e, c in gk.items()}, gd * r ** (k * (n - k)))))
-        if k < n:
-            fk = op_power(op, fk, 1, q)
+        if not fk:
+            break
+        F.append((fk, den))
+        fk = {(e - 1, j): c * s[e] * vp[I - e - k] for (e, j), c in fk.items() if e}
+        den *= u * vp[I - k]
+    gnums, gden = g.row
+    terms = [(i, j, c * vp[n * (J - i)]) for (i, j), c in gnums.items()]
+    pairs = []
+    for l in range(n + 1):
+        k = n - l
+        if k < len(F) and terms:
+            pairs.append((F[k], ({(i - l, j): binom[k] * c * wp[k * (i - l)] for i, j, c in terms},
+                                 gden * u**l * v ** (n * J - l * (l - 1) // 2))))
+        terms = [(i, j, c * s[i - l]) for i, j, c in terms if i > l]
     return _raw(_canon(*_dot(pairs)))
 
 
@@ -115,6 +145,9 @@ class OperatorSpec(_Record):
     def _post_init(self):
         if self.kind not in ("T", "E"):
             raise ValueError("operator kind must be 'T' or 'E'")
+        if not isinstance(self.params, ParamSet):
+            raise TypeError("OperatorSpec params must be a ParamSet, got "
+                            f"{type(self.params).__name__}")
 
 
 def apply_operator(spec: OperatorSpec, p: Poly) -> Poly:
@@ -122,32 +155,44 @@ def apply_operator(spec: OperatorSpec, p: Poly) -> Poly:
 
     The sum runs until the operator power annihilates the input, which
     happens after its x-degree, so the result is exact.  The n-th term
-    multiplies in y^n and the scalar weight (a,b,c;q)_n / ((q,d,e;q)_n),
-    with the E-series carrying the extra (-1)^n q^C(n,2).  Each monomial
-    x^i feeds the n = 0..i terms through the running product of symbols.
+    multiplies in y^n and the scalar weight w_n = (a,b,c;q)_n / ((q,d,e;q)_n),
+    with the E-series carrying the extra (-1)^n q^C(n,2).
+
+    Its traffic is one parameter set with x^n, n rising, so the weight row
+    (``_poch_row``) grows by one term a call and the call builds no table:
+    one pass over n carries each monomial's running term.  The row lies
+    over den u^d v^C(d+1,2) wd_d (op x^m = s_m / (u v^m) x^(m-1),
+    ``_symbols``; d the x-degree, wd_d the last weight denominator, which
+    each weight denominator divides).  Over it the term n of x^i y^j has
+    the numerator c wn_n (wd_d/wd_n) u^(d-n) v^(C(d+1,2) - ni + C(n,2))
+    times s_i .. s_(i-n+1), so term n + 1 is term n times the small
+    factors fn s_(i-n), divided exactly by fd u v^(i-n), where
+    fn/fd = w_(n+1)/w_n is a step of the weight chain, read off the row
+    by two small-quotient divisions.  Once a weight numerator vanishes,
+    every later term does.
     """
     ps = spec.params
-    q = ps.q
-    z, r = (1, 1) if spec.kind == "T" else (-1, q)
+    q, dq = ps.q, spec.kind == "T"
+    qn, qd = q.numerator, q.denominator
+    # op x^m = t (qd^m - qn^m) / (u v^m) x^(m-1) (``_symbols``)
+    t, u = (1, 1) if dq else (qn, qd)
+    v = qd if dq else qn
     deg = max(p.x_degree(), 0)
-    w = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, deg, z=z, r=r)
-    s, u, v = _symbols("dq" if spec.kind == "T" else "theta", q, deg)
-    # the row lies over den u^deg v^E wd, E = C(deg+1, 2) the largest
-    # ni - C(n,2) and wd the last weight denominator, which each
-    # weight denominator divides
-    E, wd = deg * (deg + 1) // 2, w[deg][1]
+    w = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, deg,
+                  z=1 if dq else -1, r=1 if dq else q)
     nums, den = p.row
-    # only the powers of v that the terms read
-    up = [u**m for m in range(deg + 1)]
-    vp = _powers(v, [E] + [E - n * i + n * (n - 1) // 2
-                           for i in {i for i, _ in nums} for n in range(i + 1)])
-    ws = [c * (wd // d) for c, d in w]
+    top = w[deg][1] * u**deg * v ** (deg * (deg + 1) // 2)
+    # (i - n, j + n, numerator, qd^(i-n), qn^(i-n)) of each monomial still alive
+    live = [(i, j, c * top, qd**i, qn**i) for (i, j), c in nums.items()]
     acc: dict[tuple[int, int], int] = {}
-    for (i, j), c in nums.items():
-        # w_n y^n op^n x^i = w_n prod_(m=i-n+1..i) sym(m) x^(i-n) y^n,
-        # the symbol product over u^n v^(ni - C(n,2))
-        for n in range(i + 1):
-            e = (i - n, j + n)
-            acc[e] = acc.get(e, 0) + c * ws[n] * up[deg - n] * vp[E - n * i + n * (n - 1) // 2]
-            c *= s[i - n]
-    return _raw(_canon(acc, den * up[deg] * vp[E] * wd))
+    # a zero weight after the last one ends the pass
+    for (wn, wd), (wn1, wd1) in zip(w, w[1:] + ((0, 1),)):
+        for i, j, c, _, _ in live:
+            s = acc.get((i, j))
+            acc[i, j] = c if s is None else s + c
+        if not wn1:
+            break
+        fn, fd = wn1 // wn * t, wd1 // wd * u
+        live = [(i - 1, j + 1, c * fn * (a - b) // (fd * (a if dq else b)), a // qd, b // qn)
+                for i, j, c, a, b in live if i]
+    return _raw(_canon(acc, den * top))

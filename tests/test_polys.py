@@ -37,6 +37,7 @@ from qasc.qkernel import (
     qbinom,
     qpoch,
 )
+from qasc.qops import OperatorSpec, apply_operator
 
 Q = F(1, 2)
 
@@ -382,13 +383,38 @@ def _clear_memos():
     _QBINOM_ROWS.clear()
 
 
+# the operator series whose action on x^n is each five-parameter family
+_OPERATOR = {"asc5_phi": "T", "asc5_psi": "E"}
+
+
+def _cold(compute):
+    """compute() on empty memos, which are then put back as they were."""
+    memos = (_FAMILY_ROWS, _POCH_ROWS, _QBINOM_ROWS)
+    saved = [dict(memo) for memo in memos]
+    _clear_memos()
+    try:
+        return compute()
+    finally:
+        for memo, entries in zip(memos, saved):
+            memo.clear()
+            memo.update(entries)
+
+
+def _outcome(compute):
+    """("pole", index, text) for a PoleError, else ("value", result)."""
+    try:
+        return ("value", compute())
+    except PoleError as err:
+        return ("pole", err.index, str(err))
+
+
 class TestFamilyMemo:
     """The rows of each family are kept per parameter set and x, y; any
     interleaving of requests gives the textbook sums."""
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.sampled_from(list(_FAMILIES)), st.integers(0, 2),
-                              st.sampled_from(["n", "sequence", "evaluate", "rows", "xy"]),
+                              st.sampled_from(["n", "sequence", "evaluate", "rows", "xy", "op"]),
                               st.integers(0, 10), st.integers(0, 10), st.booleans()),
                     min_size=1, max_size=16))
     def test_interleaved_requests_match_textbook_sums(self, requests):
@@ -397,6 +423,21 @@ class TestFamilyMemo:
             ps = _memo_paramset(family, i)
             name = _AS_FAMILY[family][0]
             hi = max(n, m)
+            if kind == "op" and family in _OPERATOR:
+                # T/E on x^k for k rising to hi, then its pole cold and warm
+                spec = OperatorSpec(_OPERATOR[family], ps)
+                got = [apply_operator(spec, X**k) for k in range(hi + 1)]
+                assert got == [_memo_want(family, i, k) for k in range(hi + 1)], (family, i, hi)
+                assert got == _cold(lambda: PolyFamily(name, ps).sequence(hi)), (family, i, hi)
+                pole = OperatorSpec(_OPERATOR[family], ps.with_values(e=ps.q ** -(m % 4)))
+                outcomes = [_outcome(lambda: apply_operator(pole, X**k)) for k in range(hi + 1)]
+                assert outcomes == _cold(lambda: [_outcome(lambda: apply_operator(pole, X**k))
+                                                  for k in range(hi + 1)])
+                # (e;q)_k, e = q^-(m % 4), vanishes first at k = m % 4 + 1
+                poles = [o for o in outcomes if o[0] == "pole"]
+                assert len(poles) == max(0, hi - m % 4), outcomes
+                assert all(o[1] == m % 4 + 1 for o in poles), outcomes
+                continue
             if kind == "xy":
                 # scalar x, y as ints, as the equal Fractions and as constant
                 # Polys (all one memo entry), then a binomial x

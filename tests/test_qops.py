@@ -9,7 +9,7 @@ import pytest
 
 from qasc.core import ParamSet, Poly, random_paramset
 from qasc.polys import asc5_phi, asc5_psi, rogers_szego_hn
-from qasc.qkernel import PoleError, _poch_row, qpoch
+from qasc.qkernel import PoleError, _poch_row, qbinom, qpoch
 from qasc.qops import OperatorSpec, apply_operator, dq_apply, leibniz, op_power, theta_apply
 
 Q = F(1, 2)
@@ -113,7 +113,37 @@ class TestOpPower:
             assert dq_apply(p, Q).x_degree() == p.x_degree() - 1
 
 
+def _leibniz_oracle(op, f, g, n, q):
+    """The Leibniz sum term by term, each term from op_power, Poly.shift
+    and Poly products: sum_k [n;k] op^k f (op^(n-k) g)(x q^(+-k)), the
+    theta terms weighted by q^(k(k-n))."""
+    q = F(q)
+    out = Poly.zero()
+    fk = f
+    for k in range(n + 1):
+        w = qbinom(n, k, q) * (1 if op == "dq" else q ** (k * (k - n)))
+        gk = op_power(op, g, n - k, q).shift(q**k if op == "dq" else q**-k, F(1))
+        out = out + fk * gk * w
+        fk = op_power(op, fk, 1, q)
+    return out
+
+
 class TestLeibniz:
+    @pytest.mark.parametrize("q", [F(1, 2), F(3, 7), F(-2, 5), F(-3), F(7, 4), F(1)])
+    def test_matches_term_by_term_oracle(self, q):
+        # the one-pass rows against the term-by-term sum, for both
+        # operators, q positive, negative and 1, and zero f or g
+        rng = random.Random(f"oracle:{q}")
+        cases = [(random_poly(rng), random_poly(rng)) for _ in range(4)]
+        cases += [(Poly.zero(), random_poly(rng)), (random_poly(rng), Poly.zero()),
+                  (Poly.const(F(2, 3)), Poly.y() ** 2), (Poly.x() ** 6, Poly.x() ** 5 * F(-1, 3))]
+        for f, g in cases:
+            for n in range(7):
+                for op in ("dq", "theta"):
+                    got = leibniz(op, f, g, n, q)
+                    assert got == _leibniz_oracle(op, f, g, n, q), (op, n, f, g)
+                    assert got == op_power(op, f * g, n, q), (op, n, f, g)
+
     def test_n_zero(self):
         f, g = Poly.x() + Poly.y(), Poly.x() ** 2
         assert leibniz("dq", f, g, 0, Q) == f * g
@@ -201,3 +231,9 @@ class TestOperatorSeries:
     def test_kind_validation(self):
         with pytest.raises(ValueError):
             OperatorSpec("X", ParamSet(q=Q))
+
+    def test_params_must_be_a_paramset(self):
+        # a mapping is refused when the spec is made, not when applied
+        for params in ({"q": 1}, {"q": Q}, None, Q):
+            with pytest.raises(TypeError, match="params"):
+                OperatorSpec("T", params)
