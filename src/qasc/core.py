@@ -2,12 +2,13 @@
 {x, y}, and truncated power series in a formal variable t.
 
 Both polynomial types share one exact layout, the integer row (``Row``,
-the layout of FLINT's ``fmpq_poly``): a ``Poly`` holds one canonical row,
-a ``TSeries`` one exact row per power of t, and all their arithmetic and
-comparison runs on those integers.  ``Poly.terms`` reads a row out as a
-read-only {(i, j): Fraction} mapping, built on first read.  No value here
-is changed after construction, so values are safe to share across
-threads.
+the layout of FLINT's ``fmpq_poly``): a ``Poly`` holds one exact row, a
+``TSeries`` one exact row per power of t, and all their arithmetic and
+comparison runs on those integers.  A ``Poly`` reduces its row to the
+canonical one on first use; ``Poly.terms`` reads that out as a read-only
+{(i, j): Fraction} mapping, built on first read.  No value here changes
+after construction (a reduced row holds the same value), so values are
+safe to share across threads.
 
 The value classes (``ParamSet`` here, the check, config and report classes
 elsewhere) are slotted records on ``_Record``, with the frozen-dataclass
@@ -41,13 +42,18 @@ def as_fraction(v) -> Fraction:
 class Poly:
     """Sparse polynomial in x and y with rational coefficients.
 
-    Held as one canonical row (see ``Row``): the coefficient of x^i y^j,
-    i the degree in x and j the degree in y, is row[0][(i, j)] / row[1].
-    Zero coefficients are never stored and the row is unique, so equality
-    is row equality.  ``terms`` gives the coefficients as Fractions.
+    Held as one exact row (see ``Row``), as each power of a ``TSeries``
+    is: the coefficient of x^i y^j, i the degree in x and j the degree in
+    y, is nums[(i, j)] / den.  ``==`` compares two rows with ``_same`` and
+    reduces neither.  ``row`` is the canonical row, unique to the value:
+    it, ``terms``, the hash, ``str`` and pickling reduce the row once, on
+    first use, and keep the result.  The arithmetic reads the canonical
+    rows of its operands and leaves its result exact; ``==`` and the
+    kernels that map a row term by term (``qops``, the basis synthesis)
+    read the row as held (``_held``), exact or already reduced.
     """
 
-    __slots__ = ("row", "_terms", "_hash")
+    __slots__ = ("_held", "_reduced", "_terms", "_hash")
 
     def __init__(self, terms: Mapping[tuple[int, int], Fraction] | None = None):
         cs = {}
@@ -59,8 +65,16 @@ class Poly:
         # each prime power of den divides some denominator exactly, whose
         # numerator it does not divide, so the row is canonical
         den = lcm(*(c.denominator for c in cs.values()))
-        self.row = {e: c.numerator * (den // c.denominator) for e, c in cs.items()}, den
-        self._terms = self._hash = None
+        self._held = {e: c.numerator * (den // c.denominator) for e, c in cs.items()}, den
+        self._reduced, self._terms, self._hash = True, None, None
+
+    @property
+    def row(self) -> Row:
+        # two threads may both reduce the row; either result is the same
+        if not self._reduced:
+            self._held = _canon(*self._held)
+            self._reduced = True
+        return self._held
 
     @property
     def terms(self) -> Mapping[tuple[int, int], Fraction]:
@@ -72,15 +86,15 @@ class Poly:
 
     @staticmethod
     def zero() -> "Poly":
-        return _raw(_ZROW)
+        return Poly()
 
     @staticmethod
     def one() -> "Poly":
-        return _raw(_UNIT)
+        return Poly({(0, 0): ONE})
 
     @staticmethod
     def const(c) -> "Poly":
-        return _raw(_row(as_fraction(c)))
+        return Poly({(0, 0): c})
 
     @staticmethod
     def monomial(i: int, j: int, c=ONE) -> "Poly":
@@ -88,31 +102,31 @@ class Poly:
 
     @staticmethod
     def x() -> "Poly":
-        return _raw(({(1, 0): 1}, 1))
+        return Poly({(1, 0): ONE})
 
     @staticmethod
     def y() -> "Poly":
-        return _raw(({(0, 1): 1}, 1))
+        return Poly({(0, 1): ONE})
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "Poly":
-        return _raw(_canon(*_dot(((self.row, _UNIT), (_row(other), _UNIT)))))
+        return _poly(_dot(((self.row, _UNIT), (_row(other), _UNIT))))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        nums, den = self.row
-        return _raw(({e: -c for e, c in nums.items()}, den))
+        nums, den = self._held
+        return _poly(({e: -c for e, c in nums.items()}, den))
 
     def __sub__(self, other) -> "Poly":
-        return _raw(_canon(*_dot(((self.row, _UNIT), (_row(other), _MINUS)))))
+        return _poly(_dot(((self.row, _UNIT), (_row(other), _MINUS))))
 
     def __rsub__(self, other) -> "Poly":
-        return _raw(_canon(*_dot(((self.row, _MINUS), (_row(other), _UNIT)))))
+        return _poly(_dot(((self.row, _MINUS), (_row(other), _UNIT))))
 
     def __mul__(self, other) -> "Poly":
-        return _raw(_canon(*_dot([(self.row, _row(other))])))
+        return _poly(_dot([(self.row, _row(other))]))
 
     __rmul__ = __mul__
 
@@ -122,7 +136,7 @@ class Poly:
         nums, den = self.row
         if len(nums) == 1:  # a monomial: gcd(c, den) = 1 gives gcd(c^n, den^n) = 1
             ((i, j), c), = nums.items()
-            return _raw(({(n * i, n * j): c**n}, den**n))
+            return _poly(({(n * i, n * j): c**n}, den**n))
         out = Poly.one()
         base = self
         while n:
@@ -133,9 +147,11 @@ class Poly:
         return out
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (Poly, int, Fraction)):
+        if isinstance(other, Poly):
+            return _same(self._held, other._held)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self.row == _row(other)
+        return _same(self._held, _row(other))
 
     def __hash__(self):
         # filled on first use, like terms; a constant hashes as its Fraction
@@ -146,21 +162,21 @@ class Poly:
         return self._hash
 
     def __bool__(self) -> bool:
-        return bool(self.row[0])
+        return bool(self._held[0])
 
     def __reduce__(self):
-        return (_raw, (self.row,))  # the terms view does not pickle
+        return (_poly, (self.row,))  # the terms view does not pickle
 
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.row[0]
+        return not self._held[0]
 
     def is_constant(self) -> bool:
-        return self.row[0].keys() <= {(0, 0)}
+        return self._held[0].keys() <= {(0, 0)}
 
     def coeff(self, i: int, j: int) -> Fraction:
-        nums, den = self.row
+        nums, den = self._held
         return Fraction(nums.get((i, j), 0), den)
 
     def constant(self) -> Fraction:
@@ -168,24 +184,24 @@ class Poly:
 
     def x_degree(self) -> int:
         """Largest x-exponent present; -1 for the zero polynomial."""
-        return max((i for (i, _) in self.row[0]), default=-1)
+        return max((i for (i, _) in self._held[0]), default=-1)
 
     def shift(self, sx: Fraction, sy: Fraction) -> "Poly":
         """Substitute x -> sx*x and y -> sy*y.
 
         The coefficient of x^i y^j is multiplied by sx^i sy^j.
         """
-        return _raw(_canon(*_substitute(self.row, sx, sy)))
+        return _poly(_substitute(self.row, sx, sy))
 
     def eval(self, xv, yv) -> Fraction:
         """Evaluate at exact rational points."""
-        nums, den = _substitute(self.row, xv, yv)
+        nums, den = _substitute(self._held, xv, yv)
         return Fraction(sum(nums.values()), den)
 
     def xcoeff_as_y_poly(self, i: int) -> "Poly":
         """Collect the coefficient of x^i as a polynomial in y alone."""
         nums, den = self.row
-        return _raw(_canon({(0, j): c for (ii, j), c in nums.items() if ii == i}, den))
+        return _poly(({(0, j): c for (ii, j), c in nums.items() if ii == i}, den))
 
     # -- rendering ----------------------------------------------------------
 
@@ -231,13 +247,6 @@ _UNIT: Row = ({(0, 0): 1}, 1)
 _MINUS: Row = ({(0, 0): -1}, 1)
 
 
-def _raw(row: Row) -> Poly:
-    """The Poly on a canonical row, sharing it."""
-    p = Poly.__new__(Poly)
-    p.row, p._terms, p._hash = row, None, None
-    return p
-
-
 def _row(v) -> Row:
     """The canonical row of a Poly or of a rational scalar."""
     if isinstance(v, Poly):
@@ -248,10 +257,14 @@ def _row(v) -> Row:
 
 
 def _poly(row: Row) -> Poly:
-    """The Poly on any row with a positive denominator, made canonical, with
-    numerators of its own (a memoized row may come in)."""
-    nums, den = _canon(*row)
-    return _raw((dict(nums) if nums is row[0] else nums, den))
+    """The Poly on any row, sharing its numerators unless it drops a zero
+    or turns a negative denominator positive; reduced on first use."""
+    nums, den = row
+    if den < 0:
+        nums, den = {e: -c for e, c in nums.items()}, -den
+    p = Poly.__new__(Poly)
+    p._held, p._reduced, p._terms, p._hash = _exact(nums, den), False, None, None
+    return p
 
 
 def _substitute(row: Row, sx, sy) -> Row:
@@ -351,7 +364,7 @@ class TSeries:
 
     Each t^n coefficient is an exact row (see ``Row``), which ``==`` and
     ``first_mismatch`` compare unreduced; arithmetic writes canonical rows.
-    ``coeffs`` reduces them to Poly values t^0 .. t^N, on first read.
+    ``coeffs`` wraps them as Poly values t^0 .. t^N, on first read.
     Arithmetic never reads or writes beyond the truncation order, and
     mixing different orders is an error rather than a silent re-truncation.
     """
@@ -372,7 +385,7 @@ class TSeries:
     def coeffs(self) -> tuple[Poly, ...]:
         # two threads may both build the tuple; either result is the same
         if self._coeffs is None:
-            self._coeffs = tuple(_raw(_canon(*r)) for r in self.rows)
+            self._coeffs = tuple(map(_poly, self.rows))
         return self._coeffs
 
     @staticmethod
@@ -525,15 +538,18 @@ class ParamSet(_Record):
     """One verification trial's rational parameter assignment.
 
     Holds the base q and the five family parameters a, b, c, d, e, plus
-    identity-specific extras by name in a read-only mapping.  Requires
-    0 < q < 1.  Hashable; the hash leaves the extras out, which equal
-    ParamSets still share.
+    identity-specific extras by name in a read-only mapping; an extra may
+    not take a base name.  Requires 0 < q < 1.  Hashable; the hash leaves
+    the extras out, which equal ParamSets still share.
     """
 
     __slots__ = ("q", "a", "b", "c", "d", "e", "extras")
     _defaults = {"a": ZERO, "b": ZERO, "c": ZERO, "d": ZERO, "e": ZERO, "extras": {}}
 
     def _post_init(self):
+        for name in self.extras:
+            if name in ("q", "a", "b", "c", "d", "e"):
+                raise ValueError(f"extra {name!r} has the name of a base parameter")
         object.__setattr__(self, "q", as_fraction(self.q))
         for name in ("a", "b", "c", "d", "e"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))

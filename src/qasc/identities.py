@@ -15,7 +15,9 @@ the numeric module instead; two entries here (ID-5 and ID-12) regain
 finite coefficients by scaling a parameter pair with the formal variable.
 The builders and the basis expansion read the family rows p_0..p_N as one
 prefix (``polys._family_rows``).  A series expansion reads its basis rows
-once; each back-substitution step and synthesis is one reduced ``_dot``.
+once; each back-substitution step and synthesis is one ``_dot``, left
+exact: the next step reduces a remainder as it reads it, and a synthesis,
+which is compared, is never reduced.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .core import (ONE, ParamSet, Poly, Row, TSeries, X, Y, _UNIT, _canon, _dot, _exact,
-                   _raw, _Record, _series, random_paramset)
+                   _poly, _Record, _series, random_paramset)
 from .qkernel import (
     PoleError,
     _chain_product,
@@ -612,7 +614,7 @@ def _expand_rows(p: Poly, rows: Sequence[Row]) -> list[Poly]:
         if cn.is_zero():
             continue
         mu[n] = cn
-        rem = _raw(_canon(*_dot(((rem.row, _UNIT), ((-cn).row, rows[n])))))
+        rem = _poly(_dot(((rem.row, _UNIT), ((-cn).row, rows[n]))))
         if rem.is_zero():
             break
     return mu
@@ -632,4 +634,4 @@ def synthesize_from_basis(mu: Sequence[Poly], basis: str, ps: ParamSet) -> Poly:
     _basis_family(basis)
     used = [n for n, m in enumerate(mu) if not m.is_zero()]
     rows = _asc5_rows(basis, ps, used[-1]) if used else []
-    return _raw(_canon(*_dot((mu[n].row, rows[n]) for n in used)))
+    return _poly(_dot((mu[n]._held, rows[n]) for n in used))

@@ -24,42 +24,34 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import Sequence
 
-from .core import (ONE, ZERO, ParamSet, Poly, Row, X, Y, _UNIT, _canon, _dot, _poly, _powers,
-                   _Record, _row, as_fraction)
-from .qkernel import (_POCH_ROWS, _poch_key, _poch_pole, _poch_steps, _poch_walk, _qbinom_rows,
-                      _ratio, _remember)
+from .core import (ONE, ZERO, ParamSet, Poly, Row, X, Y, _UNIT, _dot, _poly, _powers, _Record,
+                   _row, as_fraction)
+from .qkernel import _poch_row, _qbinom_rows, _ratio, _remember
 
-# (family, q, a..e, x, y) -> ((row_0, ..., row_m), the state that extends them)
+# (family, q, a..e, x, y) -> ((row_0, ..., row_m), (ws, wd) after row m)
 _FAMILY_ROWS: dict = {}
 
 
-def _asc_sum(lo: int, N: int, grow: tuple) -> tuple[list[Row], tuple]:
-    """Rows lo..N (lo >= 1) of sum_k [n;k] w_k x^(n-k) y^k, unreduced, for
-    a monomial or scalar x and y, and the state that extends them past N;
-    under psi each term also carries q^(k(k-n)).
+def _asc_sum(lo: int, q: Fraction, w: Sequence[tuple[int, int]], x, y, psi: bool,
+             grow: tuple) -> tuple[list[Row], tuple]:
+    """Rows lo.. of sum_k [n;k] w_k x^(n-k) y^k, unreduced, one per weight
+    w_lo, w_(lo+1), ... in w, for a monomial or scalar x and y, and the
+    state that extends them; under psi each term also carries q^(k(k-n)).
 
     Its traffic is one parameter set with n rising, one row per call, so
-    grow is the state after row lo - 1 and a row costs its own terms: the
-    weight walk takes one step, the weight numerators one step factor and
-    the q-binomial triangle one row; no earlier term is divided again.
-    grow = (q, x, y, psi, walk, ws, wd) holds the ``qkernel._poch_walk``
-    after weight lo - 1 and the weight numerators ws of k < lo over
-    wd = wd_(lo-1).  [n;k] = b(n,k)/qd^(k(n-k)) (``_qbinom_rows``), which
-    q^(k(k-n)) turns into b(n,k)/qn^(k(n-k)), so row n lies over
-    wd_n qd^E xd^n yd^n (qn^E under psi), E the largest k(n-k).  Along the
-    weight chain each wd_(n-1) divides wd_n, so the small step factor
-    wd_n/wd_(n-1) takes ws over wd_n, and each term is one large product:
-    its weight numerator times the small factors [n;k], the q power and
-    the x, y powers.  A pole raises before any row is kept.
+    grow = (ws, wd) is the state after row lo - 1, the weight numerators
+    ws of k < lo over wd = wd_(lo-1), and a row costs its own terms: the
+    weight numerators take one step factor and the q-binomial triangle one
+    row; no earlier term is divided again.  [n;k] = b(n,k)/qd^(k(n-k))
+    (``_qbinom_rows``), which q^(k(k-n)) turns into b(n,k)/qn^(k(n-k)), so
+    row n lies over wd_n qd^E xd^n yd^n (qn^E under psi), E the largest
+    k(n-k).  Along the weight chain each wd_(n-1) divides wd_n, so the
+    small step factor wd_n/wd_(n-1) takes ws over wd_n, and each term is
+    one large product: its weight numerator times the small factors
+    [n;k], the q power and the x, y powers.
     """
-    q, x, y, psi, walk, ws, wd = grow
-    new, walk, pole = _poch_steps(walk, N)
-    if pole:
-        raise _poch_pole(walk, pole)
-    if lo == 1 and len(_POCH_ROWS.get(walk[0], ())) <= N:
-        # a first build walked the whole weight row: leave it in the rows
-        # memo for the builders that read the same row (ID-8's A_k)
-        _remember(_POCH_ROWS, walk[0], ((1, 1), *new))
+    ws, wd = grow
+    N = lo + len(w) - 1
     (xn, xd), (yn, yd) = _row(x), _row(y)
     # a monomial's one term; the zero polynomial reads as 0 * x^0 y^0
     ((ix, jx), cx), = xn.items() or [((0, 0), 0)]
@@ -73,7 +65,7 @@ def _asc_sum(lo: int, N: int, grow: tuple) -> tuple[list[Row], tuple]:
     xs = list(accumulate(repeat(cx * yd, N), mul, initial=1))
     ys = list(accumulate(repeat(xd * cy, N), mul, initial=1))
     out = []
-    for n, (wn, d) in enumerate(new, lo):
+    for n, (wn, d) in enumerate(w, lo):
         step, wd = d // wd, d
         # a new list each row: the list a state holds is never changed
         ws = [c * step for c in ws] if step > 1 else ws[:]
@@ -87,46 +79,39 @@ def _asc_sum(lo: int, N: int, grow: tuple) -> tuple[list[Row], tuple]:
                 s = nums.get(e)
                 nums[e] = c if s is None else s + c
         out.append((nums, wd * qp[top] * (xd * yd) ** n))
-    return out, (q, x, y, psi, walk, ws, wd)
+    return out, (ws, wd)
 
 
-def _family_start(family: str, q: Fraction, a, b, c, d, e, x, y) -> tuple:
-    """The ``_asc_sum`` state of a family after row 0, p_0 = 1: its weight
-    walk after w_0 = 1 and the x, y of its sum."""
-    def walk(nums, dens, base=q, z=ONE, r=ONE):
-        return _poch_walk(_poch_key(nums, dens, base, z, r), dens)
-
+def _weights(family: str, lo: int, N: int, q: Fraction, a, b, c, d, e, x, y) -> tuple:
+    """(w_lo..w_N, x, y) of a family's sum: its ``_poch_row`` weights and
+    the x, y it sums over."""
     if family == "cauchy":
-        w = walk((), {}, z=-ONE, r=q)
+        w = _poch_row((), {}, q, N, z=-ONE, r=q)
     elif family == "rogers_szego":
-        w, x, y = walk((), {}), y, x
+        w, x, y = _poch_row((), {}, q, N), y, x
     elif family == "asc_classical_phi":
-        w, x, y = walk((a,), {}), ONE, x
+        w, x, y = _poch_row((a,), {}, q, N), ONE, x
     elif family == "asc_classical_psi":
         # (a q^(1-k);q)_k = (a;1/q)_k
-        w, x, y = walk((a,), {}, 1 / q), ONE, x
+        w, x, y = _poch_row((a,), {}, 1 / q, N), ONE, x
     elif family == "asc_gen3_phi":
-        w, x, y = walk((a, b), {"c": c}), y, x
+        w, x, y = _poch_row((a, b), {"c": c}, q, N), y, x
     elif family == "asc_gen3_psi":
         # (-1)^k q^(C(k+1,2) - nk) = (-1)^k q^(-C(k,2)) q^(k(k-n))
-        w, x, y = walk((a, b), {"c": c}, z=-ONE, r=1 / q), y, x
+        w, x, y = _poch_row((a, b), {"c": c}, q, N, z=-ONE, r=1 / q), y, x
     elif family == "asc_new_phi":
-        w = walk((a, b, c), {"d": d, "e": e})
+        w = _poch_row((a, b, c), {"d": d, "e": e}, q, N)
     else:
-        w = walk((a, b, c), {"d": d, "e": e}, z=-ONE)
-    return q, x, y, family.endswith("_psi"), w, [1], 1
+        w = _poch_row((a, b, c), {"d": d, "e": e}, q, N, z=-ONE)
+    return w[lo:], x, y
 
 
 def _substituted(rows: Sequence[Row], x: Poly | Fraction, y: Poly | Fraction) -> list[Row]:
     """Rows over the symbols X, Y with the polynomials x, y put in their
     place: nums/den over X^i Y^j goes to sum nums[i, j]/den x^i y^j, not
     reduced."""
-    xr, yr = _row(x), _row(y)
     top = max((max(e) for nums, _ in rows for e in nums), default=0)
-    xp, yp = [_UNIT], [_UNIT]
-    for _ in range(top):
-        xp.append(_canon(*_dot([(xp[-1], xr)])))
-        yp.append(_canon(*_dot([(yp[-1], yr)])))
+    xp, yp = ([_row(p) for p in accumulate(repeat(v, top), mul, initial=1)] for v in (x, y))
     return [_dot((({e: c * k for e, k in xp[i][0].items()}, xp[i][1] * den), yp[j])
                  for (i, j), c in nums.items()) for nums, den in rows]
 
@@ -145,23 +130,26 @@ def _family_rows(family: str, N: int, q, a=ZERO, b=ZERO, c=ZERO, d=ZERO, e=ZERO,
     and substitutes them."""
     x, y = (v if isinstance(v, Poly) else as_fraction(v) for v in (x, y))
     key = (family, *map(_ratio, (q, a, b, c, d, e)), x, y)
-    rows, grow = _FAMILY_ROWS.get(key, ((_UNIT,), None))  # p_0 = 1
+    rows, grow = _FAMILY_ROWS.get(key, ((_UNIT,), ([1], 1)))  # p_0 = 1, w_0 = 1
     if N < len(rows):
         return rows if N + 1 == len(rows) else rows[: N + 1]
     if len(_row(x)[0]) > 1 or len(_row(y)[0]) > 1:
         new = _substituted(_family_rows(family, N, q, a, b, c, d, e)[len(rows):], x, y)
     else:
-        new, grow = _asc_sum(len(rows), N, grow or _family_start(
-            family, as_fraction(q), a, b, c, d, e, x, y))
+        q = as_fraction(q)
+        w, sx, sy = _weights(family, len(rows), N, q, a, b, c, d, e, x, y)
+        new, grow = _asc_sum(len(rows), q, w, sx, sy, family.endswith("_psi"), grow)
     return _remember(_FAMILY_ROWS, key, (rows + tuple(new), grow))[0]
 
 
 def _family_poly(family: str, n: int, q, a=ZERO, b=ZERO, c=ZERO, d=ZERO, e=ZERO,
                  x=X, y=Y) -> Poly:
-    """p_n(x, y) of one family, read from its prefix."""
+    """p_n(x, y) of one family, read from its prefix, with numerators of
+    its own."""
     if n < 0:
         raise ValueError("polynomial degree n must be >= 0")
-    return _poly(_family_rows(family, n, q, a, b, c, d, e, x, y)[n])
+    nums, den = _family_rows(family, n, q, a, b, c, d, e, x, y)[n]
+    return _poly((dict(nums), den))
 
 
 def cauchy_pn(n: int, x=X, y=Y, q=Fraction(1, 2)):
@@ -244,9 +232,10 @@ class PolyFamily(_Record):
                 )
 
     def sequence(self, N: int, x=X, y=Y) -> list[Poly]:
-        """[p_n(x, y) for n = 0..N], a slice of the family's prefix."""
+        """[p_n(x, y) for n = 0..N], a slice of the family's prefix, each
+        with numerators of its own."""
         ps = self.params
-        return [_poly(r) for r in
+        return [_poly((dict(nums), den)) for nums, den in
                 _family_rows(self.family, N, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)]
 
     def evaluate(self, n: int, x=X, y=Y):

@@ -14,9 +14,8 @@ Conventions:
 Every series and weight row here is a q-hypergeometric term sequence
 with the ratio prod(1 - a q^k) / prod(1 - b q^k) * z r^k.  It is written
 twice: ``term_stream`` runs it on any field and is the loop of the
-mpmath side; ``_poch_steps`` runs it on integers as (num, den) pairs,
-one small gcd per step, from a loop state (``_poch_walk``) that a caller
-may keep, and ``_poch_row`` keeps its exact rows, tested against
+mpmath side; ``_poch_row`` runs it on integers as (num, den) pairs, one
+small gcd per step, keeps its exact rows and is tested against
 ``term_stream`` on Fractions.  Its rows feed the integer
 rows of TSeries (see ``core.Row``) directly: ``_euler`` places one exact
 term per power of t, and
@@ -158,29 +157,12 @@ def _ratio(v) -> tuple[int, int]:
     return (v, 1) if type(v) is int else as_fraction(v).as_integer_ratio()
 
 
-def _poch_key(nums: Sequence, dens: Mapping, q, z=ONE, r=ONE) -> tuple:
-    """A ``_poch_row`` row's parameters as integer pairs: its memo key."""
-    return (tuple(map(_ratio, nums)), tuple(map(_ratio, dens.values())), *_ratio(q), *_ratio(z),
-            *_ratio(r))
-
-
-def _poch_walk(key: tuple, dens: Mapping, m: int = 0, term: tuple[int, int] = (1, 1)) -> tuple:
-    """The loop state of the row of ``_poch_key`` key after its term
-    m = (tn, td), which ``_poch_steps`` resumes from: z r^m with the ad, bd
-    constants, qn^m, qd^m and qd^(m |excess|), as an immutable tuple.  The
-    names of dens name the denominator parameters in a PoleError."""
-    top, bottom, qn, qd, zn, zd, rn, rd = key
-    excess = len(bottom) - len(top)
-    qd_step = qd ** abs(excess)
-    sn = zn * prod(d for _, d in bottom) * rn**m
-    sd = zd * prod(d for _, d in top) * rd**m
-    return key, tuple(dens), excess > 0, qd_step, m, *term, sn, sd, qn**m, qd**m, qd_step**m
-
-
-def _poch_steps(walk: tuple, n: int) -> tuple[list[tuple[int, int]], tuple, int]:
-    """(terms m+1..n, the state after the last, 0) from the state
-    ``_poch_walk`` gives after term m; at a pole k, the terms before it,
-    the state after term k-1 and k.
+def _poch_row(
+    nums: Sequence, dens: Mapping[str, Fraction], q, n: int, z=ONE, r=ONE
+) -> tuple[tuple[int, int], ...]:
+    """((num, den) for k = 0..n) with num/den = (nums;q)_k / (dens;q)_k *
+    z^k * r^C(k,2): the first n + 1 terms of term_stream on Fractions,
+    on integers.  Every weight row is read from here.
 
     With q = qn/qd and a = an/ad the factor 1 - a q^k is
     (ad qd^k - an qn^k) / (ad qd^k); the ad and bd constants go into the
@@ -188,62 +170,50 @@ def _poch_steps(walk: tuple, n: int) -> tuple[list[tuple[int, int]], tuple, int]
     Each step divides the small integers of its ratio by their gcd and
     multiplies them into the running numerator and denominator, so den > 0,
     each den divides the next (see ``_common_den``) and the two quotients
-    of a step are coprime; no gcd ever meets the running term."""
-    key, dens, up, qd_step, m, tn, td, sn, sd, qnk, qdk, ek = walk
-    top, bottom, qn, qd, _, _, rn, rd = key
-    new, pole = [], 0
-    for k in range(m + 1, n + 1):
-        fn, fd = sn, sd
-        for an, ad in top:
-            fn *= ad * qdk - an * qnk
-        for bn, bd in bottom:
-            fd *= bd * qdk - bn * qnk
-        if not fd:
-            pole = k
-            break
-        if up:
-            fn *= ek
-        else:
-            fd *= ek
-        g = gcd(fn, fd)
-        if fd < 0:
-            g = -g
-        tn *= fn // g
-        td *= fd // g
-        new.append((tn, td))
-        sn *= rn
-        sd *= rd
-        qnk *= qn
-        qdk *= qd
-        ek *= qd_step
-    return new, (key, dens, up, qd_step, m + len(new), tn, td, sn, sd, qnk, qdk, ek), pole
+    of a step are coprime; no gcd ever meets the running term.
 
-
-def _poch_pole(walk: tuple, k: int) -> PoleError:
-    """The PoleError of a walk whose denominators vanish at term k."""
-    return _pole({name: Fraction(*b) for name, b in zip(walk[1], walk[0][1])}, k)
-
-
-def _poch_row(
-    nums: Sequence, dens: Mapping[str, Fraction], q, n: int, z=ONE, r=ONE
-) -> tuple[tuple[int, int], ...]:
-    """((num, den) for k = 0..n) with num/den = (nums;q)_k / (dens;q)_k *
-    z^k * r^C(k,2): the first n + 1 terms of term_stream on Fractions,
-    on integers (``_poch_steps``).
-
-    Memoized as the row alone: a shorter request is a slice, and a longer
-    one re-derives the loop state from the last term (``_poch_walk``) and
-    resumes, so a pole is found again, not kept.  A
-    caller that extends one row many times, one term at a time, keeps the
-    state itself (the family prefixes of ``polys``).
+    Memoized as the row alone, keyed on its parameters as integer pairs: a
+    shorter request is a slice, and a longer one derives the loop state
+    from the last term and resumes, so a pole is found again, not kept.
     """
-    key = _poch_key(nums, dens, q, z, r)
+    top, bottom = tuple(map(_ratio, nums)), tuple(map(_ratio, dens.values()))
+    (qn, qd), (zn, zd), (rn, rd) = _ratio(q), _ratio(z), _ratio(r)
+    key = (top, bottom, qn, qd, zn, zd, rn, rd)
     row = _POCH_ROWS.get(key, ((1, 1),))
     if n >= len(row):
-        new, walk, pole = _poch_steps(_poch_walk(key, dens, len(row) - 1, row[-1]), n)
+        # the loop state after term m: z r^m with the ad, bd constants,
+        # q^m and qd^(m |#dens - #nums|)
+        m, (tn, td), new = len(row) - 1, row[-1], []
+        excess = len(bottom) - len(top)
+        qd_step = qd ** abs(excess)
+        sn = zn * prod(d for _, d in bottom) * rn**m
+        sd = zd * prod(d for _, d in top) * rd**m
+        qnk, qdk, ek = qn**m, qd**m, qd_step**m
+        for k in range(m + 1, n + 1):
+            fn, fd = sn, sd
+            for an, ad in top:
+                fn *= ad * qdk - an * qnk
+            for bn, bd in bottom:
+                fd *= bd * qdk - bn * qnk
+            if not fd:
+                _remember(_POCH_ROWS, key, row + tuple(new))
+                raise _pole({name: Fraction(*b) for name, b in zip(dens, bottom)}, k)
+            if excess > 0:
+                fn *= ek
+            else:
+                fd *= ek
+            g = gcd(fn, fd)
+            if fd < 0:
+                g = -g
+            tn *= fn // g
+            td *= fd // g
+            new.append((tn, td))
+            sn *= rn
+            sd *= rd
+            qnk *= qn
+            qdk *= qd
+            ek *= qd_step
         row = _remember(_POCH_ROWS, key, row + tuple(new))
-        if pole:
-            raise _poch_pole(walk, pole)
     return row if n + 1 == len(row) else row[: n + 1]
 
 

@@ -20,8 +20,9 @@ The operator series
 
 terminate on polynomials because the n-th power annihilates x-degrees
 below n; no truncation cap is involved.  Everything here runs on the
-integer row of a Poly (``core.Row``), so no Fraction is built per term,
-and each result is reduced once.
+exact integer row a Poly holds (``core.Row``), so no Fraction is built
+per term, and no row is reduced: a result compared with another Poly
+never is, and one read further is reduced by the Poly, once.
 
 Their traffic is the library path: ``apply_operator`` on x^n for one
 parameter set with n rising (phi_n = T{x^n}, psi_n = E{x^n}), and
@@ -34,7 +35,7 @@ from itertools import accumulate, repeat
 from math import prod
 from operator import mul
 
-from .core import ParamSet, Poly, _canon, _dot, _raw, _Record, as_fraction
+from .core import ParamSet, Poly, _dot, _poly, _Record, as_fraction
 from .qkernel import _poch_row, _qbinom_rows
 
 
@@ -61,11 +62,11 @@ def _lower(op: str, p: Poly, k: int, q) -> Poly:
     u^k v^(ki - C(k,2)), and the row over den u^k v^(kI - C(k,2)), I the
     top x-degree (at least k)."""
     s, u, v = _symbols(op, q, p.x_degree())
-    nums, den = p.row
+    nums, den = p._held
     top = max(p.x_degree(), k)
-    return _raw(_canon({(i - k, j): prod(s[i - k + 1 : i + 1], start=c) * v ** (k * (top - i))
-                        for (i, j), c in nums.items() if i >= k},
-                       den * u**k * v ** (k * top - k * (k - 1) // 2)))
+    return _poly(({(i - k, j): prod(s[i - k + 1 : i + 1], start=c) * v ** (k * (top - i))
+                   for (i, j), c in nums.items() if i >= k},
+                  den * u**k * v ** (k * top - k * (k - 1) // 2)))
 
 
 def dq_apply(p: Poly, q) -> Poly:
@@ -107,7 +108,7 @@ def leibniz(op: str, f: Poly, g: Poly, n: int, q) -> Poly:
         is b_k / qn^(k(n-k)), both b_k / v^(k(n-k)); the weighted,
         shifted op^(l) g, l = n - k, then lies over gden u^l v^(nJ - C(l,2)),
         its term from x^i y^j carrying b_k S(i, l) w^(k(i-l)) v^(n(J - i)).
-    The n + 1 products are summed as one row (``_dot``), reduced once.
+    The n + 1 products are summed as one row (``_dot``).
     """
     if n < 0:
         raise ValueError("leibniz needs n >= 0")
@@ -118,14 +119,14 @@ def leibniz(op: str, f: Poly, g: Poly, n: int, q) -> Poly:
     wp = list(accumulate(repeat(q.numerator if op == "dq" else q.denominator, n * J), mul,
                          initial=1))
     binom = _qbinom_rows(q, n)[n]
-    (fk, den), F = f.row, []
+    (fk, den), F = f._held, []
     for k in range(n + 1):
         if not fk:
             break
         F.append((fk, den))
         fk = {(e - 1, j): c * s[e] * vp[I - e - k] for (e, j), c in fk.items() if e}
         den *= u * vp[I - k]
-    gnums, gden = g.row
+    gnums, gden = g._held
     terms = [(i, j, c * vp[n * (J - i)]) for (i, j), c in gnums.items()]
     pairs = []
     for l in range(n + 1):
@@ -134,7 +135,7 @@ def leibniz(op: str, f: Poly, g: Poly, n: int, q) -> Poly:
             pairs.append((F[k], ({(i - l, j): binom[k] * c * wp[k * (i - l)] for i, j, c in terms},
                                  gden * u**l * v ** (n * J - l * (l - 1) // 2))))
         terms = [(i, j, c * s[i - l]) for i, j, c in terms if i > l]
-    return _raw(_canon(*_dot(pairs)))
+    return _poly(_dot(pairs))
 
 
 class OperatorSpec(_Record):
@@ -180,7 +181,7 @@ def apply_operator(spec: OperatorSpec, p: Poly) -> Poly:
     deg = max(p.x_degree(), 0)
     w = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, deg,
                   z=1 if dq else -1, r=1 if dq else q)
-    nums, den = p.row
+    nums, den = p._held
     top = w[deg][1] * u**deg * v ** (deg * (deg + 1) // 2)
     # (i - n, j + n, numerator, qd^(i-n), qn^(i-n)) of each monomial still alive
     live = [(i, j, c * top, qd**i, qn**i) for (i, j), c in nums.items()]
@@ -195,4 +196,4 @@ def apply_operator(spec: OperatorSpec, p: Poly) -> Poly:
         fn, fd = wn1 // wn * t, wd1 // wd * u
         live = [(i - 1, j + 1, c * fn * (a - b) // (fd * (a if dq else b)), a // qd, b // qn)
                 for i, j, c, a, b in live if i]
-    return _raw(_canon(acc, den * top))
+    return _poly((acc, den * top))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -12,13 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qasc.core import (ParamSet, Poly, TSeries, _powers, _row, _series, random_paramset,
-                       random_rational)
-from qasc.identities import CATALOG, CATALOG_ORDER, IdentityCheck, Report, trial_paramset
+from qasc import core
+from qasc.core import (ParamSet, Poly, TSeries, X, Y, _poly, _powers, _row, _series,
+                       random_paramset, random_rational)
+from qasc.identities import (CATALOG, CATALOG_ORDER, IdentityCheck, Report, build_id3_rhs,
+                             expand_series_in_basis, synthesize_from_basis, trial_paramset)
 from qasc.numeric import (NUMERIC_CATALOG, NumericCheck, NumericConfig, NumericReport,
                           QuadConfig)
-from qasc.polys import PolyFamily
-from qasc.qops import OperatorSpec
+from qasc.polys import PolyFamily, asc5_phi
+from qasc.qops import OperatorSpec, apply_operator
 
 Q = F(1, 2)
 
@@ -567,6 +570,49 @@ class TestExactRows:
         assert [p.row for p in s.coeffs] == [rows[0], ({(0, 0): 3}, 2)]
 
 
+class TestPolyHoldsExactRow:
+    """A Poly holds an exact row: a comparison reduces neither side, and
+    the canonical row is made once, on first use."""
+
+    def test_comparisons_reduce_neither_side(self, monkeypatch):
+        ps = random_paramset(random.Random("exact-compare"))
+        f = build_id3_rhs(ps, 8) * TSeries(8, [Poly.one(), (X - Y * F(2, 7)) ** 3] + [0] * 7)
+        mus = expand_series_in_basis(f, "phi", ps)
+        assert sum(not mu.is_zero() for mu in mus[8]) > 4
+        calls = []
+
+        def counted(nums, den):
+            calls.append(len(nums))
+            return canon(nums, den)
+
+        canon = core._canon
+        for module in [m for name, m in sys.modules.items() if name.startswith("qasc")]:
+            if getattr(module, "_canon", None) is canon:
+                monkeypatch.setattr(module, "_canon", counted)
+        assert apply_operator(OperatorSpec("T", ps), X**12) == asc5_phi(12, ps)
+        assert apply_operator(OperatorSpec("T", ps), X**12) != asc5_phi(12, ps.with_values(b=0))
+        assert synthesize_from_basis(mus[8], "phi", ps) == f.coeffs[8]
+        assert calls == []
+        assert core._canon is counted  # the count was live
+
+    def test_row_is_reduced_once_on_first_use(self):
+        # content 2, a negative denominator and a zero numerator
+        row = ({(2, 1): -6, (0, 0): 4, (1, 1): 0}, -10)
+        want = Poly({(2, 1): F(3, 5), (0, 0): F(-2, 5)})
+        reads = {"hash": hash, "str": str, "repr": repr, "terms": lambda p: dict(p.terms),
+                 "row": lambda p: p.row, "pickle": lambda p: pickle.loads(pickle.dumps(p)).row,
+                 "copy": lambda p: copy.deepcopy(p).row}
+        for name, read in reads.items():
+            p = _poly(row)
+            assert p == want and want == p and p != want + 1, name
+            assert read(p) == read(want), name
+            assert p.row is p.row and p.row == want.row == ({(2, 1): 3, (0, 0): -2}, 5), name
+        assert row == ({(2, 1): -6, (0, 0): 4, (1, 1): 0}, -10)
+        c = _poly(({(0, 0): -6}, -4))
+        assert c == F(3, 2) and hash(c) == hash(F(3, 2)) and c.row == ({(0, 0): 3}, 2)
+        assert _poly(({(1, 0): 0}, -3)) == 0 and _poly(({(1, 0): 0}, -3)).row == ({}, 1)
+
+
 def test_builders_write_exact_rows():
     # both sides of every catalog check: order + 1 rows, each with den > 0
     # and no zero numerator, so that the rational compare is exact
@@ -643,6 +689,16 @@ class TestParamSet:
 
         ps = ParamSet(q=F(1, 2), a=F(-2, 7), extras={"z": F(3, 11)})
         assert pickle.loads(pickle.dumps(ps)) == ps
+
+    @pytest.mark.parametrize("name", ["q", "a", "b", "c", "d", "e"])
+    def test_extras_cannot_take_a_base_name(self, name):
+        # such an extra was never read, yet a report rendered it over the
+        # base value: ID-5 ran at q = 1/2 and reported q = 1/9
+        with pytest.raises(ValueError, match=f"extra '{name}'"):
+            ParamSet(q=F(1, 2), extras={"sig": F(1, 3), name: F(1, 9)})
+        ps = ParamSet(q=F(1, 2), extras={"sig": F(1, 3)})
+        assert ps.with_values(**{name: F(1, 9)}).get(name) == F(1, 9)
+        assert ps.with_values(**{name: F(1, 9)}).render()[name] == "1/9"
 
 
 def _ps():

@@ -479,6 +479,31 @@ class TestFamilyMemo:
                 else:
                     assert build() == _textbook("asc5_phi", n, ps, *xy)
 
+    @pytest.mark.parametrize("family", list(_FAMILIES))
+    def test_rises_survive_weight_row_eviction(self, family):
+        # a family reads its weights from the weight-row memo at each
+        # extension, so an eviction between rising calls re-derives them
+        ps = _memo_paramset(family, 0)
+        _clear_memos()
+        for n in range(11):
+            _POCH_ROWS.clear()
+            assert _FAMILIES[family](n, ps, X, Y) == _memo_want(family, 0, n), (family, n)
+        if family in _OPERATOR:
+            # (e;q)_k, e = q^-2, vanishes first at k = 3: cold, warm and
+            # after each eviction, the same index and text
+            pole = ps.with_values(e=ps.q**-2)
+            _clear_memos()
+            outcomes = []
+            for n in (1, 4, 2, 6, 6, 3):
+                outcomes.append(_outcome(lambda: _FAMILIES[family](n, pole, X, Y)))
+                if n == 6:
+                    _POCH_ROWS.clear()
+            poles = [o for o in outcomes if o[0] == "pole"]
+            assert len(poles) == 4 and len(set(poles)) == 1, outcomes
+            assert poles[0][1] == 3 and poles[0][2].startswith("(d,e;q)_k vanished at k=3 for ")
+            assert outcomes[0][1] == _textbook(family, 1, pole, X, Y)
+            assert outcomes[2][1] == _textbook(family, 2, pole, X, Y)
+
     def test_returned_polys_do_not_share_rows(self):
         ps = _memo_paramset("asc5_phi", 0)
         _clear_memos()
