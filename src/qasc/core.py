@@ -48,9 +48,10 @@ class Poly:
     reduces neither.  ``row`` is the canonical row, unique to the value:
     it, ``terms``, the hash, ``str`` and pickling reduce the row once, on
     first use, and keep the result.  The arithmetic reads the canonical
-    rows of its operands and leaves its result exact; ``==`` and the
-    kernels that map a row term by term (``qops``, the basis synthesis)
-    read the row as held (``_held``), exact or already reduced.
+    rows of its operands and leaves its result exact; ``==``, ``coeff``,
+    ``eval``, ``xcoeff_as_y_poly`` and the kernels that map a row term by
+    term (``qops``, the basis expansion and synthesis) read the row as
+    held (``_held``), exact or already reduced.
     """
 
     __slots__ = ("_held", "_reduced", "_terms", "_hash")
@@ -200,7 +201,7 @@ class Poly:
 
     def xcoeff_as_y_poly(self, i: int) -> "Poly":
         """Collect the coefficient of x^i as a polynomial in y alone."""
-        nums, den = self.row
+        nums, den = self._held
         return _poly(({(0, j): c for (ii, j), c in nums.items() if ii == i}, den))
 
     # -- rendering ----------------------------------------------------------
@@ -351,11 +352,14 @@ def _dot(pairs: Iterable[tuple[Row, Row]]) -> Row:
 
 
 def _series(order: int, rows: Iterable[Row]) -> "TSeries":
-    """A TSeries from order + 1 exact rows."""
+    """A TSeries from order + 1 exact rows; any other count is refused."""
     if order < 0:
         raise ValueError("order must be >= 0")
+    rows = tuple(rows)
+    if len(rows) != order + 1:
+        raise ValueError(f"need {order + 1} coefficients, got {len(rows)}")
     s = TSeries.__new__(TSeries)
-    s.order, s.rows, s._coeffs = order, tuple(rows), None
+    s.order, s.rows, s._coeffs = order, rows, None
     return s
 
 

@@ -15,9 +15,11 @@ the numeric module instead; two entries here (ID-5 and ID-12) regain
 finite coefficients by scaling a parameter pair with the formal variable.
 The builders and the basis expansion read the family rows p_0..p_N as one
 prefix (``polys._family_rows``).  A series expansion reads its basis rows
-once; each back-substitution step and synthesis is one ``_dot``, left
-exact: the next step reduces a remainder as it reads it, and a synthesis,
-which is compared, is never reduced.
+once, and its coefficients as held; each back-substitution step and
+synthesis is one ``_dot``, left exact.  A step reduces only the top
+coefficient c_n it subtracts, so mu_n is canonical; a remainder is reduced
+only when a further step subtracts from it, and a synthesis, which is
+compared, is never reduced.
 """
 
 from __future__ import annotations
@@ -588,12 +590,12 @@ def expand_poly_in_basis(p: Poly, basis: str, ps: ParamSet) -> list[Poly]:
     back-substitution on the x-degree, which is triangular because
     basis_n = x^n + (y-tail).
 
-    The mu_n come back as polynomials in y alone; inputs lying in the
-    rational span (like the generating-function coefficients) produce
-    constant mu_n.  Each step rem - mu_n * basis_n is one _dot.
+    The mu_n come back canonical, as polynomials in y alone; inputs lying
+    in the rational span (like the generating-function coefficients)
+    produce constant mu_n.  p is read as held and never reduced.
     """
     _basis_family(basis)
-    return _expand_rows(p, _basis_rows(basis, ps, [p.row]))
+    return _expand_rows(p, _basis_rows(basis, ps, [p._held]))
 
 
 def _basis_rows(basis: str, ps: ParamSet, rows: Iterable[Row]) -> list[Row]:
@@ -604,8 +606,14 @@ def _basis_rows(basis: str, ps: ParamSet, rows: Iterable[Row]) -> list[Row]:
 
 
 def _expand_rows(p: Poly, rows: Sequence[Row]) -> list[Poly]:
-    """expand_poly_in_basis of p over the basis rows rows (``_basis_rows``);
-    basis_0 = 1 takes the last remainder whole."""
+    """expand_poly_in_basis of p over the basis rows rows (``_basis_rows``).
+
+    Step n reduces only the top coefficient c_n that it subtracts, in
+    place, and subtracts c_n * basis_n from the remainder in one ``_dot``.
+    p is read as held; a later remainder is reduced as a step n > 0 reads
+    it, so that its content does not compound, and basis_0 = 1 takes the
+    last remainder whole as c_0.
+    """
     deg = max(p.x_degree(), 0)
     mu = [Poly.zero()] * (deg + 1)
     rem = p
@@ -614,7 +622,11 @@ def _expand_rows(p: Poly, rows: Sequence[Row]) -> list[Poly]:
         if cn.is_zero():
             continue
         mu[n] = cn
-        rem = _poly(_dot(((rem.row, _UNIT), ((-cn).row, rows[n]))))
+        nums, den = cn.row  # reduced in place, so mu_n is canonical
+        if n == 0:
+            break
+        held = rem._held if rem is p else rem.row
+        rem = _poly(_dot(((held, _UNIT), (({e: -c for e, c in nums.items()}, den), rows[n]))))
         if rem.is_zero():
             break
     return mu

@@ -17,7 +17,8 @@ from qasc import core
 from qasc.core import (ParamSet, Poly, TSeries, X, Y, _poly, _powers, _row, _series,
                        random_paramset, random_rational)
 from qasc.identities import (CATALOG, CATALOG_ORDER, IdentityCheck, Report, build_id3_rhs,
-                             expand_series_in_basis, synthesize_from_basis, trial_paramset)
+                             expand_series_in_basis, synthesize_from_basis, trial_paramset,
+                             verify)
 from qasc.numeric import (NUMERIC_CATALOG, NumericCheck, NumericConfig, NumericReport,
                           QuadConfig)
 from qasc.polys import PolyFamily, asc5_phi
@@ -624,6 +625,27 @@ def test_builders_write_exact_rows():
                     assert len(side.rows) == 9, (cid, sub)
                     for nums, den in side.rows:
                         assert den > 0 and all(nums.values()), (cid, trial, sub)
+
+
+@pytest.mark.parametrize("count", [3, 12, 14])
+def test_side_with_wrong_row_count_is_an_error(count):
+    # first_mismatch zips the two sides' rows, so a side with fewer or more
+    # than order + 1 rows must be refused where it is built, not compared
+    check = CATALOG["ID-3"]
+    ps = trial_paramset(check, 42, 0)
+    (sub, lhs, rhs), = check.build(ps, 12)
+    rows = (rhs.rows + rhs.rows)[:count]
+    with pytest.raises(ValueError, match=f"need 13 coefficients, got {count}"):
+        _series(12, rows)
+
+    def build(ps, order):
+        return [(sub, lhs, _series(order, rows))]
+
+    rep = verify(IdentityCheck("ID-3-cut", "ID-3 with a side of the wrong length", (), build),
+                 ps, 12)
+    assert rep.status == "error"
+    assert rep.first_mismatch["lhs"] == f"ValueError: need 13 coefficients, got {count}"
+    assert verify(check, ps, 12).status == "pass"
 
 
 class TestParamSet:

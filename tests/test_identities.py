@@ -6,11 +6,14 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
+from qasc import core
 from qasc.core import ParamSet, Poly, TSeries, random_paramset
 from qasc.identities import (
     CATALOG,
@@ -650,6 +653,69 @@ class TestBasisExpansion:
         assert calls == {"_asc_sum": 1}
         assert [synthesize_from_basis(mu, "phi", ps) for mu in mus] == list(f.coeffs)
         assert calls == {"_asc_sum": 1}
+
+    def test_expansion_reduces_only_top_coefficients(self, monkeypatch):
+        # the expansion reads each coefficient as held and reduces only the
+        # top coefficients it subtracts; the syntheses and compares reduce
+        # nothing, and no coefficient of the series changes
+        ps = random_paramset(random.Random(3112))
+        sides = [(basis, build(ps, 12), [str(c) for c in build(ps, 12).coeffs])
+                 for basis, build in (("phi", build_id3_rhs), ("psi", build_id4_rhs))]
+        reads = _count_canon(monkeypatch)
+        for basis, f, want in sides:
+            cols = [[i for i, _ in nums] for nums, _ in f.rows]
+            top = max(c.count(max(c)) for c in cols if c)  # terms of one top coefficient
+            mus = expand_series_in_basis(f, basis, ps)
+            assert [synthesize_from_basis(mu, basis, ps) for mu in mus] == list(f.coeffs)
+            assert len(reads) == 13 and max(map(len, reads)) <= top, basis
+            assert [str(c) for c in f.coeffs] == want
+            reads.clear()
+
+    @pytest.mark.parametrize("draw", range(3))
+    def test_inverse_round_trips(self, draw, monkeypatch):
+        # mu -> p -> mu: the expansion in the basis is unique, which the
+        # method of q-difference equations rests on; mu_n comes back
+        # canonical, and a d-step expansion reduces a remainder (a row with
+        # an x-column left) at most d - 1 times
+        rng = random.Random(f"inverse-round-trip:{draw}")
+        ps = random_paramset(rng)
+        if draw == 2:
+            ps = ps.with_values(q=F(3, 7))
+        reads = _count_canon(monkeypatch)
+        for basis in ("phi", "psi"):
+            for d in range(7):
+                mu = [_random_y_poly(rng, nonzero=n == d) for n in range(d + 1)]
+                p = synthesize_from_basis(mu, basis, ps)
+                reads.clear()
+                got = expand_poly_in_basis(p, basis, ps)
+                assert sum(any(i for i, _ in keys) for keys in reads) <= max(d - 1, 0)
+                assert all(gcd(den, *nums.values()) == 1 for nums, den in (m._held for m in got))
+                assert [m.terms for m in got] == [m.terms for m in mu], (basis, d)
+
+
+def _count_canon(monkeypatch) -> list[list[tuple[int, int]]]:
+    """Wrap core._canon wherever a qasc module binds it; the list gets the
+    exponents of every row it reads."""
+    reads = []
+    canon = core._canon
+
+    def counted(nums, den):
+        reads.append(list(nums))
+        return canon(nums, den)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("qasc")]:
+        if getattr(module, "_canon", None) is canon:
+            monkeypatch.setattr(module, "_canon", counted)
+    assert core._canon is counted
+    return reads
+
+
+def _random_y_poly(rng: random.Random, nonzero: bool) -> Poly:
+    """Up to three terms c y^j, j <= 3; at least one when nonzero."""
+    terms = {(0, rng.randrange(4)): F(rng.randint(-9, 9), rng.randint(1, 9))
+             for _ in range(rng.randint(1 if nonzero else 0, 3))}
+    p = Poly(terms)
+    return p if p or not nonzero else Poly.y() * F(2, 5) - 1
 
 
 @pytest.mark.parametrize("M", [1, 2, 3])
