@@ -216,10 +216,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return code
 
 
+# the eval flags each target does not read; a family refuses those of a..e
+# beyond its arity, and a classical one --y, itself
+_UNREAD = {"qbinom": "abcdexy", "qpoch": "kbcdexy"}
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
+    fam = args.family
+    for name in _UNREAD.get(fam, "k"):
+        if getattr(args, name) is not None:
+            raise SystemExit(f"error: {fam} does not read --{name}")
     q = _frac(args.q, "q")
     n = args.n
-    fam = args.family
     try:
         if fam == "qbinom":
             if args.k is None:

@@ -8,7 +8,9 @@ comparison runs on those integers.  A ``Poly`` reduces its row to the
 canonical one on first use; ``Poly.terms`` reads that out as a read-only
 {(i, j): Fraction} mapping, built on first read.  No value here changes
 after construction (a reduced row holds the same value), so values are
-safe to share across threads.
+safe to share across threads.  A substitution of x and y into rows is
+written once, ``_substituted``: ``Poly.shift`` and ``Poly.eval`` call it,
+and so do the families of ``polys`` for a polynomial x or y.
 
 The value classes (``ParamSet`` here, the check, config and report classes
 elsewhere) are slotted records on ``_Record``, with the frozen-dataclass
@@ -20,9 +22,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd, lcm
+from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -49,9 +53,10 @@ class Poly:
     it, ``terms``, the hash, ``str`` and pickling reduce the row once, on
     first use, and keep the result.  The arithmetic reads the canonical
     rows of its operands and leaves its result exact; ``==``, ``coeff``,
-    ``eval``, ``xcoeff_as_y_poly`` and the kernels that map a row term by
-    term (``qops``, the basis expansion and synthesis) read the row as
-    held (``_held``), exact or already reduced.
+    ``shift``, ``eval``, ``xcoeff_as_y_poly`` and the kernels that map a
+    row term by term (``qops``, the basis expansion and synthesis) read
+    the row as held (``_held``), exact or already reduced.  Exponents are
+    non-negative ints, coefficients exact rationals.
     """
 
     __slots__ = ("_held", "_reduced", "_terms", "_hash")
@@ -60,6 +65,8 @@ class Poly:
         cs = {}
         for (i, j), c in (terms or {}).items():
             if c := as_fraction(c):
+                if not (isinstance(i, int) and isinstance(j, int)):
+                    raise TypeError(f"non-integer exponent in term ({i},{j})")
                 if i < 0 or j < 0:
                     raise ValueError(f"negative exponent in term ({i},{j})")
                 cs[(i, j)] = c
@@ -192,12 +199,13 @@ class Poly:
 
         The coefficient of x^i y^j is multiplied by sx^i sy^j.
         """
-        return _poly(_substitute(self.row, sx, sy))
+        (row,) = _substituted([self._held], as_fraction(sx) * X, as_fraction(sy) * Y)
+        return _poly(row)
 
     def eval(self, xv, yv) -> Fraction:
         """Evaluate at exact rational points."""
-        nums, den = _substitute(self._held, xv, yv)
-        return Fraction(sum(nums.values()), den)
+        ((nums, den),) = _substituted([self._held], as_fraction(xv), as_fraction(yv))
+        return Fraction(nums.get((0, 0), 0), den)
 
     def xcoeff_as_y_poly(self, i: int) -> "Poly":
         """Collect the coefficient of x^i as a polynomial in y alone."""
@@ -266,18 +274,6 @@ def _poly(row: Row) -> Poly:
     p = Poly.__new__(Poly)
     p._held, p._reduced, p._terms, p._hash = _exact(nums, den), False, None, None
     return p
-
-
-def _substitute(row: Row, sx, sy) -> Row:
-    """row under x -> sx*x, y -> sy*y, not reduced: with sx = sn/sd,
-    sy = tn/td and I, J the largest exponents, over den sd^I td^J the
-    term c x^i y^j has numerator c sn^i sd^(I-i) tn^j td^(J-j)."""
-    (sn, sd), (tn, td) = (as_fraction(v).as_integer_ratio() for v in (sx, sy))
-    nums, den = row
-    I, J = map(max, zip(*nums)) if nums else (0, 0)
-    xs = [sn**m * sd ** (I - m) for m in range(I + 1)]
-    ys = [tn**m * td ** (J - m) for m in range(J + 1)]
-    return {(i, j): c * xs[i] * ys[j] for (i, j), c in nums.items()}, den * xs[0] * ys[0]
 
 
 X = Poly.x()
@@ -351,14 +347,26 @@ def _dot(pairs: Iterable[tuple[Row, Row]]) -> Row:
     return _exact(acc, den)
 
 
-def _series(order: int, rows: Iterable[Row]) -> "TSeries":
-    """A TSeries from order + 1 exact rows; any other count is refused."""
+def _substituted(rows: Sequence[Row], x, y) -> list[Row]:
+    """Rows over the symbols X, Y with x, y (each a Poly or a rational) put
+    in their place: nums/den over X^i Y^j goes to sum nums[i, j]/den x^i y^j,
+    not reduced."""
+    top = max((max(e) for nums, _ in rows for e in nums), default=0)
+    xp, yp = ([_row(p) for p in accumulate(repeat(v, top), mul, initial=1)] for v in (x, y))
+    return [_dot((({e: c * k for e, k in xp[i][0].items()}, xp[i][1] * den), yp[j])
+                 for (i, j), c in nums.items()) for nums, den in rows]
+
+
+def _series(order: int, rows: Iterable[Row], s: "TSeries | None" = None) -> "TSeries":
+    """The TSeries s (a new one by default) filled with order + 1 exact
+    rows; any other count is refused."""
     if order < 0:
         raise ValueError("order must be >= 0")
     rows = tuple(rows)
     if len(rows) != order + 1:
         raise ValueError(f"need {order + 1} coefficients, got {len(rows)}")
-    s = TSeries.__new__(TSeries)
+    if s is None:
+        s = TSeries.__new__(TSeries)
     s.order, s.rows, s._coeffs = order, rows, None
     return s
 
@@ -371,19 +379,15 @@ class TSeries:
     ``coeffs`` wraps them as Poly values t^0 .. t^N, on first read.
     Arithmetic never reads or writes beyond the truncation order, and
     mixing different orders is an error rather than a silent re-truncation.
+    ``+``, ``-`` and ``*`` give ``NotImplemented`` for an operand that is
+    not a series (a ``TypeError``), but ``*`` scales by an int, a Fraction
+    or a Poly.
     """
 
     __slots__ = ("order", "rows", "_coeffs")
 
     def __init__(self, order: int, coeffs: Iterable[Poly] | None = None):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        rows = [_ZROW] * (order + 1)
-        if coeffs is not None:
-            rows = [_row(c) for c in coeffs]
-            if len(rows) != order + 1:
-                raise ValueError(f"need {order + 1} coefficients, got {len(rows)}")
-        self.order, self.rows, self._coeffs = order, tuple(rows), None
+        _series(order, [_ZROW] * (order + 1) if coeffs is None else map(_row, coeffs), self)
 
     @property
     def coeffs(self) -> tuple[Poly, ...]:
@@ -409,20 +413,25 @@ class TSeries:
             raise IndexError(f"t^{n} is beyond truncation order {self.order}")
         return self.coeffs[n]
 
-    def _check(self, other: "TSeries") -> None:
+    def _check(self, other) -> bool:
+        """Whether other is a TSeries; one of another order is refused."""
+        if not isinstance(other, TSeries):
+            return False
         if self.order != other.order:
             raise ValueError(
                 f"order mismatch: {self.order} vs {other.order}; "
                 "construct both series at the same truncation order"
             )
+        return True
 
     def __add__(self, other: "TSeries") -> "TSeries":
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         return _series(self.order, [_canon(*_dot(((a, _UNIT), (b, _UNIT))))
                                     for a, b in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "TSeries") -> "TSeries":
-        return self + (-other)
+        return self + (-other) if self._check(other) else NotImplemented
 
     def __neg__(self) -> "TSeries":
         return _series(self.order, [({e: -c for e, c in nums.items()}, den)
@@ -431,7 +440,8 @@ class TSeries:
     def __mul__(self, other) -> "TSeries":
         if isinstance(other, (int, Fraction, Poly)):
             return self.scale(other)
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         a, b = self.rows, other.rows
         return _series(self.order, [_canon(*_dot(zip(a[: n + 1], b[n::-1])))
                                     for n in range(self.order + 1)])
@@ -472,7 +482,8 @@ class TSeries:
 
     def first_mismatch(self, other: "TSeries") -> int | None:
         """Lowest t-power where the two series differ, or None if equal."""
-        self._check(other)
+        if not self._check(other):
+            raise TypeError(f"cannot compare a TSeries with {other!r}")
         return next((n for n, (a, b) in enumerate(zip(self.rows, other.rows))
                      if not _same(a, b)), None)
 

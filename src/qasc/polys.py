@@ -13,8 +13,11 @@ one integer q-binomial triangle, and each polynomial is one integer row
 (``core.Row``), one large integer product per term.  The rows p_0, p_1,
 ... of a family are kept per parameters and x, y as one grow-only prefix
 (``_family_rows``); the per-n functions and ``PolyFamily`` index or slice
-it.  The triangle has no division, so q = 1 gives the classical limits,
-e.g. cauchy_pn at q = 1 is (x - y)^n.
+it.  A monomial or scalar x, y goes into each term as it is summed
+(``qkernel._mono`` reads it); a polynomial one is put into the rows over
+the symbols by the one substitution, ``core._substituted``.  The triangle
+has no division, so q = 1 gives the classical limits, e.g. cauchy_pn at
+q = 1 is (x - y)^n.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import Sequence
 
-from .core import (ONE, ZERO, ParamSet, Poly, Row, X, Y, _UNIT, _dot, _poly, _powers, _Record,
-                   _row, as_fraction)
-from .qkernel import _poch_row, _qbinom_rows, _ratio, _remember
+from .core import (ONE, ZERO, ParamSet, Poly, Row, X, Y, _UNIT, _poly, _powers, _Record, _row,
+                   _substituted, as_fraction)
+from .qkernel import _mono, _poch_row, _qbinom_rows, _ratio, _remember
 
 # (family, q, a..e, x, y) -> ((row_0, ..., row_m), (ws, wd) after row m)
 _FAMILY_ROWS: dict = {}
@@ -52,10 +55,7 @@ def _asc_sum(lo: int, q: Fraction, w: Sequence[tuple[int, int]], x, y, psi: bool
     """
     ws, wd = grow
     N = lo + len(w) - 1
-    (xn, xd), (yn, yd) = _row(x), _row(y)
-    # a monomial's one term; the zero polynomial reads as 0 * x^0 y^0
-    ((ix, jx), cx), = xn.items() or [((0, 0), 0)]
-    ((iy, jy), cy), = yn.items() or [((0, 0), 0)]
+    ((ix, jx), cx, xd), ((iy, jy), cy, yd) = _mono(x), _mono(y)
     binom = _qbinom_rows(q, N)
     # only the q powers these rows read: qb^(E - k(n-k)), E the largest k(n-k)
     qp = _powers(q.numerator if psi else q.denominator,
@@ -104,16 +104,6 @@ def _weights(family: str, lo: int, N: int, q: Fraction, a, b, c, d, e, x, y) -> 
     else:
         w = _poch_row((a, b, c), {"d": d, "e": e}, q, N, z=-ONE)
     return w[lo:], x, y
-
-
-def _substituted(rows: Sequence[Row], x: Poly | Fraction, y: Poly | Fraction) -> list[Row]:
-    """Rows over the symbols X, Y with the polynomials x, y put in their
-    place: nums/den over X^i Y^j goes to sum nums[i, j]/den x^i y^j, not
-    reduced."""
-    top = max((max(e) for nums, _ in rows for e in nums), default=0)
-    xp, yp = ([_row(p) for p in accumulate(repeat(v, top), mul, initial=1)] for v in (x, y))
-    return [_dot((({e: c * k for e, k in xp[i][0].items()}, xp[i][1] * den), yp[j])
-                 for (i, j), c in nums.items()) for nums, den in rows]
 
 
 def _family_rows(family: str, N: int, q, a=ZERO, b=ZERO, c=ZERO, d=ZERO, e=ZERO,
@@ -216,7 +206,8 @@ class PolyFamily(_Record):
     """A named polynomial family bound to one parameter assignment.
 
     Validates that the parameters beyond the family's arity are zero, so a
-    mistaken draw cannot silently evaluate the wrong family.
+    mistaken draw cannot silently evaluate the wrong family; ``evaluate``
+    likewise refuses a y for the classical families, which read x only.
     """
 
     __slots__ = ("family", "params")
@@ -239,5 +230,7 @@ class PolyFamily(_Record):
                 _family_rows(self.family, N, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)]
 
     def evaluate(self, n: int, x=X, y=Y):
+        if self.family.startswith("asc_classical") and y != Y:
+            raise ValueError(f"{self.family} reads x only; y must be the symbol y")
         ps = self.params
         return _family_poly(self.family, n, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)

@@ -10,8 +10,9 @@ scalar, its symbol, times one monomial:
     D x^n     = (1 - q^n) x^(n-1)
     theta x^n = (q^(1-n) - q) x^(n-1)
 
-so D^k and theta^k are one pass over the terms: x^n goes to the product
-of the symbols for m = n-k+1..n times x^(n-k), and to 0 when n < k.
+so D^k and theta^k are one pass over the terms (``op_power``, of which
+``dq_apply`` and ``theta_apply`` are k = 1): x^n goes to the product of
+the symbols for m = n-k+1..n times x^(n-k), and to 0 when n < k.
 
 The operator series
 
@@ -55,35 +56,31 @@ def _symbols(op: str, q, deg: int) -> tuple[list[int], int, int]:
     raise ValueError(f"unknown operator {op!r}: use 'dq' or 'theta'")
 
 
-def _lower(op: str, p: Poly, k: int, q) -> Poly:
-    """op^k on p: x^i y^j with i >= k goes to prod_(m=i-k+1..i) sym(m)
-    x^(i-k) y^j, lower x-degrees vanish.  The map is one-to-one on
-    monomials, so no two terms meet; the symbol product lies over
-    u^k v^(ki - C(k,2)), and the row over den u^k v^(kI - C(k,2)), I the
-    top x-degree (at least k)."""
+def dq_apply(p: Poly, q) -> Poly:
+    """Forward q-derivative in x; constants vanish, x-degree drops by 1."""
+    return op_power("dq", p, 1, q)
+
+
+def theta_apply(p: Poly, q) -> Poly:
+    """Backward q-derivative in x: theta x^n = (q^(1-n) - q) x^(n-1)."""
+    return op_power("theta", p, 1, q)
+
+
+def op_power(op: str, p: Poly, k: int, q) -> Poly:
+    """k-fold application of D or theta, in one pass over the terms.
+
+    x^i y^j with i >= k goes to prod_(m=i-k+1..i) sym(m) x^(i-k) y^j, lower
+    x-degrees vanish.  The map is one-to-one on monomials, so no two terms
+    meet; the symbol product lies over u^k v^(ki - C(k,2)), and the row
+    over den u^k v^(kI - C(k,2)), I the top x-degree (at least k)."""
+    if k < 0:
+        raise ValueError("op_power needs k >= 0")
     s, u, v = _symbols(op, q, p.x_degree())
     nums, den = p._held
     top = max(p.x_degree(), k)
     return _poly(({(i - k, j): prod(s[i - k + 1 : i + 1], start=c) * v ** (k * (top - i))
                    for (i, j), c in nums.items() if i >= k},
                   den * u**k * v ** (k * top - k * (k - 1) // 2)))
-
-
-def dq_apply(p: Poly, q) -> Poly:
-    """Forward q-derivative in x; constants vanish, x-degree drops by 1."""
-    return _lower("dq", p, 1, q)
-
-
-def theta_apply(p: Poly, q) -> Poly:
-    """Backward q-derivative in x: theta x^n = (q^(1-n) - q) x^(n-1)."""
-    return _lower("theta", p, 1, q)
-
-
-def op_power(op: str, p: Poly, k: int, q) -> Poly:
-    """k-fold application of D or theta, in one pass over the terms."""
-    if k < 0:
-        raise ValueError("op_power needs k >= 0")
-    return _lower(op, p, k, q)
 
 
 def leibniz(op: str, f: Poly, g: Poly, n: int, q) -> Poly:

@@ -355,6 +355,24 @@ class TestEvalCommand:
         assert captured.out == ""
         assert captured.err.strip() == f"error: --{name} expects an exact rational like 1/2, got ''"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["asc-classical-phi", "--a", "1/3", "--y", "1/5"],
+         "asc_classical_phi reads x only; y must be the symbol y"),
+        (["asc-classical-psi", "--a", "1/3", "--y", "0"],
+         "asc_classical_psi reads x only; y must be the symbol y"),
+        (["qbinom", "--k", "1", "--x", "5"], "qbinom does not read --x"),
+        (["qbinom", "--k", "1", "--a", "1/3"], "qbinom does not read --a"),
+        (["qpoch", "--a", "1/3", "--k", "9"], "qpoch does not read --k"),
+        (["qpoch", "--a", "1/3", "--e", "1/5"], "qpoch does not read --e"),
+        (["cauchy", "--k", "1"], "cauchy does not read --k"),
+        (["asc-new-phi", "--a", "1/3", "--k", "0"], "asc-new-phi does not read --k"),
+    ])
+    def test_unread_flag_refused(self, capsys, argv, message):
+        # a flag its target does not read is refused, not ignored
+        assert cli.main(["eval", argv[0], "--n", "2", "--q", "1/2"] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.strip() == f"error: {message}"
+
     @pytest.mark.parametrize("family", list(_FAMILY_ARITY))
     def test_every_family_evaluates(self, capsys, family):
         values = dict(a=Fraction(1, 3), b=Fraction(1, 5), c=Fraction(1, 7),

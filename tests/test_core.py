@@ -84,6 +84,11 @@ class TestPoly:
         p = Poly({(2, 1): F(3), (0, 0): F(5)})
         assert p.shift(F(1), F(1)) == p
         assert Poly.one().shift(Q, Q) == Poly.one()
+        # ints, strings and Fractions alike; x, y -> 0 keeps the constant term
+        assert p.shift(2, "2/3") == p.shift(F(2), F(2, 3)) == Poly({(2, 1): 8, (0, 0): 5})
+        assert p.shift(0, 0) == Poly.const(5) and Poly.zero().shift(0, 0).is_zero()
+        with pytest.raises(TypeError):
+            p.shift(0.5, 1)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(polys(), fracs(), fracs(), fracs(), fracs())
@@ -102,6 +107,10 @@ class TestPoly:
     def test_eval(self):
         p = Poly.x() ** 2 * Poly.y() + Poly.one() * 2
         assert p.eval(F(1, 2), F(1, 3)) == F(1, 4) * F(1, 3) + 2
+        assert p.eval(2, "1/3") == p.eval(F(2), F(1, 3)) == F(10, 3)
+        assert Poly.zero().eval(F(1, 2), 3) == 0 and p.eval(0, 0) == 2
+        with pytest.raises(TypeError):
+            p.eval(F(1, 2), 0.5)
 
     def test_str_ordering(self):
         p = Poly.y() * F(2, 3) + Poly.x()
@@ -112,6 +121,11 @@ class TestPoly:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             Poly({(-1, 0): F(1)})
+
+    @pytest.mark.parametrize("i, j", [(1.5, 0), (F(1, 2), 0), (0, 2.0), (F(2), 1)])
+    def test_non_integer_exponent_rejected(self, i, j):
+        with pytest.raises(TypeError, match=rf"non-integer exponent in term \({i},{j}\)"):
+            Poly({(i, j): F(1)})
 
     def test_coefficients_must_be_rational(self):
         for make in (lambda: Poly({(0, 0): 0.5}), lambda: Poly.const(0.5),
@@ -194,6 +208,19 @@ class TestTSeries:
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError, match="order mismatch"):
             TSeries.one(3) + TSeries.one(4)
+
+    def test_foreign_operand_is_type_error(self):
+        # a Poly scales a series, and adds to none
+        f = TSeries.one(3)
+        for other in (0.5, "1/2", [1, 0, 0, 0], Poly.x()):
+            ops = [lambda: f + other, lambda: other + f, lambda: f - other,
+                   lambda: other - f, lambda: f.first_mismatch(other)]
+            if not isinstance(other, Poly):
+                ops += [lambda: f * other, lambda: other * f]
+            for op in ops:
+                with pytest.raises(TypeError):
+                    op()
+        assert f * 2 == f * F(2) == f * Poly.const(2) == 2 * f == TSeries.from_poly(Poly.const(2), 3)
 
     def test_coeff_bounds(self):
         f = TSeries.one(3)
