@@ -56,7 +56,10 @@ class Poly:
     ``shift``, ``eval``, ``xcoeff_as_y_poly`` and the kernels that map a
     row term by term (``qops``, the basis expansion and synthesis) read
     the row as held (``_held``), exact or already reduced.  Exponents are
-    non-negative ints, coefficients exact rationals.
+    non-negative ints, coefficients exact rationals.  ``+``, ``-`` and
+    ``*`` take a Poly, an int or a Fraction and give ``NotImplemented``
+    for any other operand, so a ``TSeries`` scales by a Poly from either
+    side and a float is a ``TypeError``.
     """
 
     __slots__ = ("_held", "_reduced", "_terms", "_hash")
@@ -119,6 +122,8 @@ class Poly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "Poly":
+        if not isinstance(other, (Poly, int, Fraction)):
+            return NotImplemented
         return _poly(_dot(((self.row, _UNIT), (_row(other), _UNIT))))
 
     __radd__ = __add__
@@ -128,12 +133,18 @@ class Poly:
         return _poly(({e: -c for e, c in nums.items()}, den))
 
     def __sub__(self, other) -> "Poly":
+        if not isinstance(other, (Poly, int, Fraction)):
+            return NotImplemented
         return _poly(_dot(((self.row, _UNIT), (_row(other), _MINUS))))
 
     def __rsub__(self, other) -> "Poly":
+        if not isinstance(other, (Poly, int, Fraction)):
+            return NotImplemented
         return _poly(_dot(((self.row, _MINUS), (_row(other), _UNIT))))
 
     def __mul__(self, other) -> "Poly":
+        if not isinstance(other, (Poly, int, Fraction)):
+            return NotImplemented
         return _poly(_dot([(self.row, _row(other))]))
 
     __rmul__ = __mul__
@@ -287,16 +298,6 @@ def _lcm(dens: Iterable[int]) -> int:
     for d in dens:
         if out % d:
             out = d if d % out == 0 else lcm(out, d)
-    return out
-
-
-def _powers(b: int, exps: Iterable[int]) -> dict[int, int]:
-    """{e: b**e} for the exponents e, each power from the one below it by
-    one power of b to their (small) difference."""
-    out, p, last = {}, 1, 0
-    for e in sorted(set(exps)):
-        p *= b ** (e - last)
-        out[e], last = p, e
     return out
 
 

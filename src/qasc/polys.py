@@ -23,113 +23,130 @@ q = 1 is (x - y)^n.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import mul
-from typing import Sequence
 
-from .core import (ONE, ZERO, ParamSet, Poly, Row, X, Y, _UNIT, _poly, _powers, _Record, _row,
+from .core import (ONE, ZERO, ParamSet, Poly, Row, X, Y, _UNIT, _poly, _Record, _row,
                    _substituted, as_fraction)
-from .qkernel import _mono, _poch_row, _qbinom_rows, _ratio, _remember
+from .qkernel import _mono, _poch_key, _poch_row, _qbinom_rows, _ratio, _remember
 
-# (family, q, a..e, x, y) -> ((row_0, ..., row_m), (ws, wd) after row m)
+# (family, q, a..e, x, y) -> ((row_0, ..., row_m), state after row m), the
+# state None for rows substituted from those over the symbols
 _FAMILY_ROWS: dict = {}
 
 
-def _asc_sum(lo: int, q: Fraction, w: Sequence[tuple[int, int]], x, y, psi: bool,
-             grow: tuple) -> tuple[list[Row], tuple]:
-    """Rows lo.. of sum_k [n;k] w_k x^(n-k) y^k, unreduced, one per weight
-    w_lo, w_(lo+1), ... in w, for a monomial or scalar x and y, and the
-    state that extends them; under psi each term also carries q^(k(k-n)).
+def _weights(family: str, q: Fraction, a, b, c, d, e, x, y) -> tuple:
+    """((nums, dens, q, z, r), x, y) of a family's sum: the ``_poch_row``
+    request of its weights, and the x, y it sums over."""
+    if family == "cauchy":
+        return ((), {}, q, -ONE, q), x, y
+    if family == "rogers_szego":
+        return ((), {}, q, ONE, ONE), y, x
+    if family == "asc_classical_phi":
+        return ((a,), {}, q, ONE, ONE), ONE, x
+    if family == "asc_classical_psi":
+        # (a q^(1-k);q)_k = (a;1/q)_k
+        return ((a,), {}, 1 / q, ONE, ONE), ONE, x
+    if family == "asc_gen3_phi":
+        return ((a, b), {"c": c}, q, ONE, ONE), y, x
+    if family == "asc_gen3_psi":
+        # (-1)^k q^(C(k+1,2) - nk) = (-1)^k q^(-C(k,2)) q^(k(k-n))
+        return ((a, b), {"c": c}, q, -ONE, 1 / q), y, x
+    if family == "asc_new_phi":
+        return ((a, b, c), {"d": d, "e": e}, q, ONE, ONE), x, y
+    return ((a, b, c), {"d": d, "e": e}, q, -ONE, ONE), x, y
+
+
+def _asc_start(family: str, q, a, b, c, d, e, x, y) -> tuple:
+    """The state of a family's ``_asc_sum`` after row 0 (p_0 = 1, w_0 = 1),
+    for a monomial or scalar x, y: the weight request (``_weights``) with
+    its ``_poch_row`` key, and the constants read off q, x and y
+    (``qkernel._mono``), read once."""
+    q = as_fraction(q)
+    (nums, dens, wq, z, r), x, y = _weights(family, q, a, b, c, d, e, x, y)
+    weights = (nums, dens, wq, z, r, _poch_key(nums, dens, wq, z, r))
+    ((ix, jx), cx, xd), ((iy, jy), cy, yd) = _mono(x), _mono(y)
+    qb = q.numerator if family.endswith("_psi") else q.denominator
+    # x^(n-k) y^k over (xd yd)^n: (cx yd)^(n-k) (xd cy)^k
+    return [1], 1, [1], [1], [1], (q, weights, qb, cx * yd, xd * cy, ix, jx, iy, jy, xd * yd)
+
+
+def _asc_sum(lo: int, N: int, state: tuple) -> tuple[list[Row], tuple]:
+    """Rows lo..N of sum_k [n;k] w_k x^(n-k) y^k, unreduced, and the state
+    that extends them; under psi each term also carries q^(k(k-n)).
 
     Its traffic is one parameter set with n rising, one row per call, so
-    grow = (ws, wd) is the state after row lo - 1, the weight numerators
-    ws of k < lo over wd = wd_(lo-1), and a row costs its own terms: the
-    weight numerators take one step factor and the q-binomial triangle one
-    row; no earlier term is divided again.  [n;k] = b(n,k)/qd^(k(n-k))
-    (``_qbinom_rows``), which q^(k(k-n)) turns into b(n,k)/qn^(k(n-k)), so
-    row n lies over wd_n qd^E xd^n yd^n (qn^E under psi), E the largest
-    k(n-k).  Along the weight chain each wd_(n-1) divides wd_n, so the
-    small step factor wd_n/wd_(n-1) takes ws over wd_n, and each term is
-    one large product: its weight numerator times the small factors
-    [n;k], the q power and the x, y powers.
+    state, from ``_asc_start`` or the last call, holds all a row needs but
+    its weight and its triangle row: the weight numerators ws of k < lo
+    over wd = wd_(lo-1), the powers x^m, y^m and qb^(floor(m^2/4)) for
+    m < lo, and the constants.  A row costs its own terms: its weight is
+    one step of the ``_poch_row`` row, the weight numerators take one
+    step factor, each power list one product and the q-binomial triangle
+    one row; no earlier term is divided again.
+    [n;k] = b(n,k)/qd^(k(n-k)) (``_qbinom_rows``), which q^(k(k-n)) turns
+    into b(n,k)/qn^(k(n-k)), so row n lies over wd_n qb^E xd^n yd^n, qb
+    the qd (qn under psi) and E = floor(n^2/4) the largest k(n-k); term k
+    then carries qb^(E - k(n-k)) = qb^(floor((n-2k)^2/4)).  Along the
+    weight chain each wd_(n-1) divides wd_n, so the small step factor
+    wd_n/wd_(n-1) takes ws over wd_n, and each term is one large product:
+    its weight numerator times the small factors [n;k], the q power and
+    the x, y powers.
     """
-    ws, wd = grow
-    N = lo + len(w) - 1
-    ((ix, jx), cx, xd), ((iy, jy), cy, yd) = _mono(x), _mono(y)
+    ws, wd, xs, ys, qs, consts = state
+    q, (nums, dens, wq, z, r, key), qb, fx, fy, ix, jx, iy, jy, dxy = consts
+    w = _poch_row(nums, dens, wq, N, z, r, key=key)
     binom = _qbinom_rows(q, N)
-    # only the q powers these rows read: qb^(E - k(n-k)), E the largest k(n-k)
-    qp = _powers(q.numerator if psi else q.denominator,
-                 [(n // 2) * (n - n // 2) - k * (n - k) for n in range(lo, N + 1)
-                  for k in range(n // 2 + 1)])
-    # x^(n-k) y^k over (xd yd)^n: (xn yd)^(n-k) (xd yn)^k
-    xs = list(accumulate(repeat(cx * yd, N), mul, initial=1))
-    ys = list(accumulate(repeat(xd * cy, N), mul, initial=1))
     out = []
-    for n, (wn, d) in enumerate(w, lo):
+    # new lists: those a state holds are never changed
+    ws, xs, ys, qs = ws[:], xs[:], ys[:], qs[:]
+    for n in range(lo, N + 1):
+        wn, d = w[n]
         step, wd = d // wd, d
-        # a new list each row: the list a state holds is never changed
-        ws = [c * step for c in ws] if step > 1 else ws[:]
+        if step > 1:
+            ws = [c * step for c in ws]
         ws.append(wn)
-        top = (n // 2) * (n - n // 2)
-        nums: dict[tuple[int, int], int] = {}
+        xs.append(xs[-1] * fx)
+        ys.append(ys[-1] * fy)
+        qs.append(qs[-1] * qb ** (n // 2))
+        terms: dict[tuple[int, int], int] = {}
         for k, b in enumerate(binom[n]):
             if ws[k]:
-                c = ws[k] * (b * qp[top - k * (n - k)] * xs[n - k] * ys[k])
+                c = ws[k] * (b * qs[abs(n - 2 * k)] * xs[n - k] * ys[k])
                 e = (ix * (n - k) + iy * k, jx * (n - k) + jy * k)
-                s = nums.get(e)
-                nums[e] = c if s is None else s + c
-        out.append((nums, wd * qp[top] * (xd * yd) ** n))
-    return out, (ws, wd)
-
-
-def _weights(family: str, lo: int, N: int, q: Fraction, a, b, c, d, e, x, y) -> tuple:
-    """(w_lo..w_N, x, y) of a family's sum: its ``_poch_row`` weights and
-    the x, y it sums over."""
-    if family == "cauchy":
-        w = _poch_row((), {}, q, N, z=-ONE, r=q)
-    elif family == "rogers_szego":
-        w, x, y = _poch_row((), {}, q, N), y, x
-    elif family == "asc_classical_phi":
-        w, x, y = _poch_row((a,), {}, q, N), ONE, x
-    elif family == "asc_classical_psi":
-        # (a q^(1-k);q)_k = (a;1/q)_k
-        w, x, y = _poch_row((a,), {}, 1 / q, N), ONE, x
-    elif family == "asc_gen3_phi":
-        w, x, y = _poch_row((a, b), {"c": c}, q, N), y, x
-    elif family == "asc_gen3_psi":
-        # (-1)^k q^(C(k+1,2) - nk) = (-1)^k q^(-C(k,2)) q^(k(k-n))
-        w, x, y = _poch_row((a, b), {"c": c}, q, N, z=-ONE, r=1 / q), y, x
-    elif family == "asc_new_phi":
-        w = _poch_row((a, b, c), {"d": d, "e": e}, q, N)
-    else:
-        w = _poch_row((a, b, c), {"d": d, "e": e}, q, N, z=-ONE)
-    return w[lo:], x, y
+                s = terms.get(e)
+                terms[e] = c if s is None else s + c
+        out.append((terms, wd * qs[n] * dxy**n))
+    return out, (ws, wd, xs, ys, qs, consts)
 
 
 def _family_rows(family: str, N: int, q, a=ZERO, b=ZERO, c=ZERO, d=ZERO, e=ZERO,
                  x=X, y=Y) -> tuple[Row, ...]:
     """(p_n(x, y) for n = 0..N) of one family as shared, unreduced rows.
 
-    They are kept per family, parameters and x, y as one grow-only prefix
-    entry, (rows, state), replaced whole: a shorter request is a slice,
-    and a longer one extends the rows from the state (``_asc_sum``), which
-    the entry alone owns.  The traffic it serves is one parameter set with
-    n rising (the per-n functions, the operator checks against T and E)
-    and whole sequences (the generating functions and basis expansions).
-    A polynomial x or y (not a monomial) reads the rows over the symbols
-    and substitutes them."""
-    x, y = (v if isinstance(v, Poly) else as_fraction(v) for v in (x, y))
-    key = (family, *map(_ratio, (q, a, b, c, d, e)), x, y)
-    rows, grow = _FAMILY_ROWS.get(key, ((_UNIT,), ([1], 1)))  # p_0 = 1, w_0 = 1
+    They are kept per family, parameters and x, y (y as the symbol for the
+    classical families, which read x only) as one grow-only prefix entry,
+    (rows, state), replaced whole: a shorter request is a slice, and a
+    longer one extends the rows from the state (``_asc_sum``), so an
+    extension by one row reads one weight step (``_poch_row``) and one
+    triangle row (``_qbinom_rows``) and sets up nothing else.  The traffic
+    it serves is one parameter set with n rising (the per-n functions, the
+    operator checks against T and E) and whole sequences (the generating
+    functions and basis expansions).  A polynomial x or y (not a monomial)
+    reads the rows over the symbols and substitutes them; its entry holds
+    no state."""
+    if not isinstance(x, Poly):
+        x = as_fraction(x)
+    if not isinstance(y, Poly):
+        y = as_fraction(y)
+    if family.startswith("asc_classical"):
+        y = Y
+    key = (family, _ratio(q), _ratio(a), _ratio(b), _ratio(c), _ratio(d), _ratio(e), x, y)
+    rows, state = _FAMILY_ROWS.get(key) or ((_UNIT,), None)  # p_0 = 1
     if N < len(rows):
         return rows if N + 1 == len(rows) else rows[: N + 1]
-    if len(_row(x)[0]) > 1 or len(_row(y)[0]) > 1:
+    if state is None and (len(_row(x)[0]) > 1 or len(_row(y)[0]) > 1):
         new = _substituted(_family_rows(family, N, q, a, b, c, d, e)[len(rows):], x, y)
     else:
-        q = as_fraction(q)
-        w, sx, sy = _weights(family, len(rows), N, q, a, b, c, d, e, x, y)
-        new, grow = _asc_sum(len(rows), q, w, sx, sy, family.endswith("_psi"), grow)
-    return _remember(_FAMILY_ROWS, key, (rows + tuple(new), grow))[0]
+        new, state = _asc_sum(len(rows), N, state or _asc_start(family, q, a, b, c, d, e, x, y))
+    return _remember(_FAMILY_ROWS, key, (rows + tuple(new), state))[0]
 
 
 def _family_poly(family: str, n: int, q, a=ZERO, b=ZERO, c=ZERO, d=ZERO, e=ZERO,

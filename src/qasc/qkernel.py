@@ -25,8 +25,9 @@ of an earlier product) row by row, as exact rows.  ``_hyper_row`` is
 the rPhis row of plain parameter tuples, which the identity builders call
 directly; ``PhiSpec`` and ``hyper_series`` wrap it for library callers.
 It, ``PhiSpec`` and ``numeric.hyper_num`` take their shape from ``_phi_shape``.
-``_qbinom_rows`` builds the q-binomial triangle on integers; it and
-``_poch_row`` memoize rows alone.  ``qpoch``,
+``_qbinom_rows`` builds the q-binomial triangle on integers.  It and
+``_poch_row`` memoize each prefix of rows with the loop state after its
+last row, so a longer request costs only its new rows.  ``qpoch``,
 ``qpoch_multi`` and ``qbinom`` stay as direct products, the reference of
 the tests.
 
@@ -38,9 +39,7 @@ PoleError naming the offending term.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
 from math import gcd, lcm, prod
-from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from .core import ONE, Poly, TSeries, _ZROW, _exact, _lcm, _row, _series, as_fraction
@@ -137,7 +136,8 @@ def _pole(dens: Mapping, k: int) -> PoleError:
 
 
 # Row memos, cleared when full, keyed on ints (a Fraction hashes slowly).
-# Entries are immutable tuples, replaced whole: a thread race only recomputes.
+# Entries are (rows, state) tuples, replaced whole and never changed in
+# place: a thread race only recomputes.
 _MEMO_SIZE = 16
 _POCH_ROWS: dict = {}
 _QBINOM_ROWS: dict = {}
@@ -157,12 +157,20 @@ def _ratio(v) -> tuple[int, int]:
     return (v, 1) if type(v) is int else as_fraction(v).as_integer_ratio()
 
 
+def _poch_key(nums: Sequence, dens: Mapping[str, Fraction], q, z=ONE, r=ONE) -> tuple:
+    """The ``_poch_row`` memo key of a weight row: its parameters as integer
+    pairs, (nums, dens, qn, qd, zn, zd, rn, rd)."""
+    return (tuple(map(_ratio, nums)), tuple(map(_ratio, dens.values())),
+            *_ratio(q), *_ratio(z), *_ratio(r))
+
+
 def _poch_row(
-    nums: Sequence, dens: Mapping[str, Fraction], q, n: int, z=ONE, r=ONE
+    nums: Sequence, dens: Mapping[str, Fraction], q, n: int, z=ONE, r=ONE, *, key=None
 ) -> tuple[tuple[int, int], ...]:
     """((num, den) for k = 0..n) with num/den = (nums;q)_k / (dens;q)_k *
     z^k * r^C(k,2): the first n + 1 terms of term_stream on Fractions,
-    on integers.  Every weight row is read from here.
+    on integers.  Every weight row is read from here, and nothing else
+    steps a weight ratio.
 
     With q = qn/qd and a = an/ad the factor 1 - a q^k is
     (ad qd^k - an qn^k) / (ad qd^k); the ad and bd constants go into the
@@ -172,31 +180,33 @@ def _poch_row(
     each den divides the next (see ``_common_den``) and the two quotients
     of a step are coprime; no gcd ever meets the running term.
 
-    Memoized as the row alone, keyed on its parameters as integer pairs: a
-    shorter request is a slice, and a longer one derives the loop state
-    from the last term and resumes, so a pole is found again, not kept.
+    Memoized per parameters as integer pairs, as (row, state): the loop
+    state after the last term, (z r^m with the ad, bd constants, qn^m,
+    qd^m, qd^(m |#dens - #nums|)).  A shorter request is a slice, and a
+    longer one resumes from the state, so an extension costs its new
+    steps.  A pole is not kept: the entry stops short of it, and the
+    resumed step finds it again.  A caller that extends one row again and
+    again (a family prefix) passes the key of its request (``_poch_key``),
+    made once.
     """
-    top, bottom = tuple(map(_ratio, nums)), tuple(map(_ratio, dens.values()))
-    (qn, qd), (zn, zd), (rn, rd) = _ratio(q), _ratio(z), _ratio(r)
-    key = (top, bottom, qn, qd, zn, zd, rn, rd)
-    row = _POCH_ROWS.get(key, ((1, 1),))
+    if key is None:
+        key = _poch_key(nums, dens, q, z, r)
+    top, bottom, qn, qd, zn, zd, rn, rd = key
+    row, state = _POCH_ROWS.get(key) or (
+        ((1, 1),), (zn * prod(d for _, d in bottom), zd * prod(d for _, d in top), 1, 1, 1))
     if n >= len(row):
-        # the loop state after term m: z r^m with the ad, bd constants,
-        # q^m and qd^(m |#dens - #nums|)
-        m, (tn, td), new = len(row) - 1, row[-1], []
+        (tn, td), new = row[-1], []
+        sn, sd, qnk, qdk, ek = state
         excess = len(bottom) - len(top)
         qd_step = qd ** abs(excess)
-        sn = zn * prod(d for _, d in bottom) * rn**m
-        sd = zd * prod(d for _, d in top) * rd**m
-        qnk, qdk, ek = qn**m, qd**m, qd_step**m
-        for k in range(m + 1, n + 1):
+        for k in range(len(row), n + 1):
             fn, fd = sn, sd
             for an, ad in top:
                 fn *= ad * qdk - an * qnk
             for bn, bd in bottom:
                 fd *= bd * qdk - bn * qnk
             if not fd:
-                _remember(_POCH_ROWS, key, row + tuple(new))
+                _remember(_POCH_ROWS, key, (row + tuple(new), (sn, sd, qnk, qdk, ek)))
                 raise _pole({name: Fraction(*b) for name, b in zip(dens, bottom)}, k)
             if excess > 0:
                 fn *= ek
@@ -213,7 +223,7 @@ def _poch_row(
             qnk *= qn
             qdk *= qd
             ek *= qd_step
-        row = _remember(_POCH_ROWS, key, row + tuple(new))
+        row = _remember(_POCH_ROWS, key, (row + tuple(new), (sn, sd, qnk, qdk, ek)))[0]
     return row if n + 1 == len(row) else row[: n + 1]
 
 
@@ -226,24 +236,28 @@ def _common_den(row: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
 
 def _qbinom_rows(q, N: int) -> tuple[tuple[int, ...], ...]:
     """The q-binomial triangle on integers: with q = qn/qd in lowest terms,
-    [n;k]_q = rows[n][k] / qd^(k(n-k)) for 0 <= k <= n <= N.
+    [n;k]_q = rows[n][k] / qd^(k(n-k)) for 0 <= k <= n <= N.  Nothing else
+    builds triangle rows.
 
     Pascal's rule [n;k] = q^k [n-1;k] + [n-1;k-1], scaled by qd^(k(n-k)):
     b(n,k) = qn^k b(n-1,k) + qd^(n-k) b(n-1,k-1), with no division and no
     gcd.  It holds for every rational q, q = 1 and q = -1 included.
-    Memoized per q and grown by the rows a request lacks; the rows handed
-    out are the memo's own tuples, so no caller can change them.
+    Memoized per q as (rows, state), the state the powers qn^m and qd^m,
+    m <= n, of the last row n, so a longer request computes only the rows
+    it lacks; the rows handed out are the memo's own tuples, so no caller
+    can change them.
     """
     qn, qd = _ratio(q)
-    rows = _QBINOM_ROWS.get((qn, qd), ((1,),))
+    rows, (qnp, qdp) = _QBINOM_ROWS.get((qn, qd)) or (((1,),), ([1], [1]))
     if N >= len(rows):
-        qnp = list(accumulate(repeat(qn, N), mul, initial=1))
-        qdp = list(accumulate(repeat(qd, N), mul, initial=1))
-        grown, prev = [], rows[-1]
+        # new lists: those a state holds are never changed
+        grown, prev, qnp, qdp = [], rows[-1], qnp[:], qdp[:]
         for n in range(len(rows), N + 1):
             prev = (1, *[qnp[k] * prev[k] + qdp[n - k] * prev[k - 1] for k in range(1, n)], 1)
             grown.append(prev)
-        rows = _remember(_QBINOM_ROWS, (qn, qd), rows + tuple(grown))
+            qnp.append(qnp[-1] * qn)
+            qdp.append(qdp[-1] * qd)
+        rows = _remember(_QBINOM_ROWS, (qn, qd), (rows + tuple(grown), (qnp, qdp)))[0]
     return rows if N + 1 == len(rows) else rows[: N + 1]
 
 

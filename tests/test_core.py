@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qasc import core
-from qasc.core import (ParamSet, Poly, TSeries, X, Y, _poly, _powers, _row, _series,
+from qasc.core import (ParamSet, Poly, TSeries, X, Y, _poly, _row, _series,
                        random_paramset, random_rational)
 from qasc.identities import (CATALOG, CATALOG_ORDER, IdentityCheck, Report, build_id3_rhs,
                              expand_series_in_basis, synthesize_from_basis, trial_paramset,
@@ -159,6 +159,28 @@ class TestPoly:
         nums, den = p.row
         assert hash(p) == hash((frozenset(nums.items()), den)) == hash(p)
         assert hash(pickle.loads(pickle.dumps(p))) == hash(p) == hash(p * 1)
+
+    def test_foreign_operand_is_not_implemented(self):
+        # Poly arithmetic declines any operand but a Poly, an int or a
+        # Fraction, so the other side decides: a series scales by a Poly
+        # from either side, and a float or a string is a TypeError
+        p = Poly({(1, 0): F(2, 3), (0, 2): -1})
+        for s in (TSeries.one(2), TSeries(3, [Poly.x(), Poly.const(F(1, 2)), Poly.y(), p])):
+            assert p.__mul__(s) is NotImplemented and p.__rmul__(s) is NotImplemented
+            assert p * s == s * p == s.scale(p)
+            assert Poly.x() * s == s * Poly.x()
+            for op in (lambda: p + s, lambda: s + p, lambda: p - s, lambda: s - p):
+                with pytest.raises(TypeError):
+                    op()
+        for other in (0.5, "1/2", None, [1]):
+            for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+                assert getattr(p, name)(other) is NotImplemented, (name, other)
+            for op in (lambda: p + other, lambda: other + p, lambda: p - other,
+                       lambda: other - p, lambda: p * other, lambda: other * p):
+                with pytest.raises(TypeError):
+                    op()
+        # the operands it takes are unchanged
+        assert p + 1 == 1 + p and p - F(1, 2) == -(F(1, 2) - p) and 2 * p == p * Poly.const(2)
 
 
 class TestTSeries:
@@ -476,12 +498,6 @@ def layout_series():
 
 class TestRowLayout:
     """Integer-row TSeries against the Fraction-dict reference."""
-
-    @pytest.mark.parametrize("b", [0, 1, -3, 7, 2**70 + 1])
-    def test_powers_reads_only_its_exponents(self, b):
-        exps = [9, 0, 4, 9, 31, 5]
-        assert _powers(b, exps) == {e: b**e for e in exps}
-        assert _powers(b, []) == {}
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(layout_series(), layout_series(), layout_polys())

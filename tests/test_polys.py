@@ -31,6 +31,8 @@ from qasc.qkernel import (
     PoleError,
     _POCH_ROWS,
     _QBINOM_ROWS,
+    _poch_row,
+    _qbinom_rows,
     binom2,
     euler_inverse_series,
     euler_product_series,
@@ -550,3 +552,111 @@ class TestFamilyMemo:
         assert not any(th.is_alive() for th in threads)
         assert all(len(got) == 20 * len(serial) for got in seen)
         assert all(p == serial[key] for got in seen for key, p in got)
+
+
+def _rise_draws(family: str) -> list[tuple[ParamSet, list]]:
+    """Three draws of (parameters, [(x, y), ...]) for the rising-row tests:
+    the symbols; integral parameters with scalar x, y, whose terms all
+    meet on one monomial; and a twisted draw, q = 5/7 so that the psi
+    families' q^(k(k-n)) brings in powers of its numerator, with monomial
+    x, y carrying coefficients and a binomial x on the substitution path."""
+    twisted = _memo_paramset(family, 0).with_values(q=F(5, 7))
+    return [(_memo_paramset(family, 0), [(X, Y)]),
+            (_memo_paramset(family, 1), [(F(2, 3), -5)]),
+            (twisted, [(Poly.monomial(2, 1, F(3, 5)), Poly.monomial(0, 3, F(-2, 7))),
+                       (X + Y * F(1, 3), Y)])]
+
+
+# the T and E weight rows of apply_operator: (a,b,c;q)_n / (q,d,e;q)_n,
+# E's twisted by (-1)^n q^C(n,2)
+def _operator_weights(kind: str, ps: ParamSet, n: int):
+    z, r = (1, 1) if kind == "T" else (-1, ps.q)
+    return _poch_row((ps.a, ps.b, ps.c), {"q": ps.q, "d": ps.d, "e": ps.e}, ps.q, n, z, r)
+
+
+class TestRisingRows:
+    """Rows built one n at a time, resuming each memo entry from its state,
+    are the integers a one-shot build holds, whichever weight rows and
+    triangles were evicted between the extensions."""
+
+    RISE = 20
+
+    @staticmethod
+    def _rise(build, seed: str) -> list:
+        """[outcome of build(n) for n = 0..RISE] on empty memos, evicting
+        the weight-row and triangle memos at seeded points in between."""
+        rng = random.Random(seed)
+        _clear_memos()
+        out = []
+        for n in range(TestRisingRows.RISE + 1):
+            if rng.random() < 0.25:
+                _POCH_ROWS.clear()
+            if rng.random() < 0.25:
+                _QBINOM_ROWS.clear()
+            out.append(_outcome(lambda: build(n)))
+        return out
+
+    @staticmethod
+    def _one_shot(build) -> list:
+        """[outcome for n = 0..RISE], each n built alone on empty memos."""
+        return [_cold(lambda: _outcome(lambda: build(n))) for n in range(TestRisingRows.RISE + 1)]
+
+    @pytest.mark.parametrize("family", list(_AS_FAMILY))
+    def test_family_rows_match_one_shot(self, family):
+        name = _AS_FAMILY[family][0]
+        for draw, (ps, slots) in enumerate(_rise_draws(family)):
+            values = (ps.q, ps.a, ps.b, ps.c, ps.d, ps.e)
+            for xv, yv in slots:
+                whole = _cold(lambda: _family_rows(name, self.RISE, *values, xv, yv))
+                rising = self._rise(lambda n: _family_rows(name, n, *values, xv, yv),
+                                    f"rise:{family}:{draw}")
+                for n, got in enumerate(rising):
+                    # the held integers, not only equal values
+                    assert got == ("value", whole[: n + 1]), (family, draw, n, xv, yv)
+                per_n = self._rise(lambda n: _FAMILIES[family](n, ps, xv, yv)._held,
+                                   f"per-n:{family}:{draw}")
+                assert per_n == [("value", row) for row in whole], (family, draw, xv, yv)
+
+    @pytest.mark.parametrize("kind", ["T", "E"])
+    def test_operator_weights_and_triangle_match_one_shot(self, kind):
+        for draw, (ps, _) in enumerate(_rise_draws("asc5_phi")):
+            whole = _cold(lambda: _operator_weights(kind, ps, self.RISE))
+            rising = self._rise(lambda n: _operator_weights(kind, ps, n), f"weights:{kind}:{draw}")
+            assert rising == [("value", whole[: n + 1]) for n in range(self.RISE + 1)]
+            whole = _cold(lambda: _qbinom_rows(ps.q, self.RISE))
+            rising = self._rise(lambda n: _qbinom_rows(ps.q, n), f"triangle:{kind}:{draw}")
+            assert rising == [("value", whole[: n + 1]) for n in range(self.RISE + 1)]
+
+    @pytest.mark.parametrize("family", ["asc3_phi", "asc3_psi", "asc5_phi", "asc5_psi", "T", "E"])
+    def test_pole_on_a_resumed_walk_raises_as_cold(self, family):
+        # the last denominator parameter set to q^-4, so (..;q)_k vanishes
+        # first at k = 5: the rising walk resumes into the pole from the
+        # state its entry kept, and raises the index and text a cold one does
+        last = "c" if family.startswith("asc3") else "e"
+        ps = _memo_paramset("asc5_phi" if len(family) == 1 else family, 0)
+        ps = ps.with_values(**{last: ps.q**-4})
+        if len(family) == 1:
+            def build(n):
+                return _operator_weights(family, ps, n)
+        else:
+            def build(n):
+                return _FAMILIES[family](n, ps, X, Y)._held
+        rising = self._rise(build, f"pole:{family}")
+        assert rising == self._one_shot(build)
+        poles = rising[5:]
+        assert all(o[0] == "value" for o in rising[:5])
+        assert set(poles) == {("pole", 5, poles[0][2])} and f"{last}={ps.q**-4}" in poles[0][2]
+
+    @pytest.mark.parametrize("name, family", [("asc_classical_phi", "asc_phi"),
+                                              ("asc_classical_psi", "asc_psi")])
+    def test_classical_families_share_one_entry_for_any_y(self, name, family):
+        # the classical families read x only, so y is not part of their key
+        ps = _memo_paramset(family, 0)
+        fam = PolyFamily(name, ps)
+        _clear_memos()
+        rows = [fam.sequence(3, X, y) for y in (5, Y, F(1, 3), X + Y)]
+        assert all(r == rows[0] for r in rows) and len(_FAMILY_ROWS) == 1
+        assert fam.sequence(5, X, 7) == [_textbook(family, n, ps, X, Y) for n in range(6)]
+        assert len(_FAMILY_ROWS) == 1
+        with pytest.raises(TypeError):  # a float y is refused all the same
+            fam.sequence(3, X, 0.5)
