@@ -27,8 +27,10 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from operator import mul
+from typing import Iterable, Sequence
 
 from .core import (ONE, ParamSet, Poly, Row, TSeries, X, Y, _UNIT, _canon, _dot, _exact,
                    _poly, _Record, _series, random_paramset)
@@ -94,24 +96,40 @@ def build_id4_lhs(ps: ParamSet, N: int) -> TSeries:
     return _gf(N, _asc5_rows("psi", ps, N), _euler_row(ps.q, N, product=True))
 
 
-def _y_sum(w: Sequence[tuple[int, int]], factor: Callable[[int], list[Row]], N: int) -> TSeries:
-    """sum_k w_k y^k t^k P_k truncated at t^N, for the (num, den) pairs w
-    (den > 0, as they come, not reduced) and the rows factor(k) of the
-    series P_k to order N - k, built only where w_k is not 0: each power of
-    t is one ``_dot``."""
-    terms = [(k, ({(0, k): c}, d), factor(k)) for k, (c, d) in enumerate(w[: N + 1]) if c]
-    return _series(N, [_dot((wk, rows[n - k]) for k, wk, rows in terms if k <= n)
-                       for n in range(N + 1)])
-
-
 def build_id6_rhs(ps: ParamSet, N: int) -> TSeries:
     """(x*t;q)_inf * 3phi3(a,b,c; d,e,x*t; q, y*t), summed as
     sum_k w_k y^k t^k (x*q^k*t;q)_inf: the x-dependent denominator
-    parameter folded into the Euler product of term k."""
+    parameter folded into the Euler product of term k, each expanded from
+    the one Euler-product row f, so that t^n holds
+    sum_k w_k f_(n-k) q^(k(n-k)) x^(n-k) y^k.
+
+    One pass writes row n over wd_n fd_n qd^floor(n^2/4): the numerators of
+    w and f reach row n by their step factors wd_n/wd_(n-1) and
+    fd_n/fd_(n-1), as in ``_chain_product``, and term k carries
+    qn^(k(n-k)) qd^floor((n-2k)^2/4), floor(n^2/4) being the largest k(n-k)
+    (the q powers of ``polys._asc_sum``).
+    """
     q = ps.q
     w = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N, z=-1, r=q)
     f = _euler_row(q, N, product=True)
-    return _y_sum(w, lambda k: _euler(X * q**k, N - k, f).rows, N)
+    qnp = list(accumulate(repeat(q.numerator, N * N // 4), mul, initial=1))
+    qs = list(accumulate((q.denominator ** (n // 2) for n in range(1, N + 1)), mul, initial=1))
+    W: list[int] = []  # w_k, k <= n, over wd_n
+    F: list[int] = []  # f_j, j <= n, over fd_n
+    rows, wp, fp = [], 1, 1
+    for n, ((wn, wd), (fn, fd)) in enumerate(zip(w, f)):
+        sw, sf = wd // wp, fd // fp
+        if sw > 1:
+            W = [c * sw for c in W]
+        if sf > 1:
+            F = [c * sf for c in F]
+        W.append(wn)
+        F.append(fn)
+        terms = {(n - k, k): W[k] * F[n - k] * (qnp[k * (n - k)] * qs[abs(n - 2 * k)])
+                 for k in range(n + 1) if W[k]}
+        rows.append(_exact(terms, wd * fd * qs[n]))
+        wp, fp = wd, fd
+    return _series(N, rows)
 
 
 def build_id6_lhs(ps: ParamSet, N: int) -> TSeries:
@@ -123,9 +141,17 @@ def build_id5_pair(ps: ParamSet, N: int) -> Side:
     substitution (s, t) = (sig*u, tau*u), sig and tau read from ps.
 
     LHS: sum_n phi_n(x,y) p_n(tau,sig) u^n / (q;q)_n
-    RHS: sum_k W_k y^k u^k (x*sig*q^k*u;q)_inf / (x*tau*u;q)_inf
-         with W_k = (a,b,c;q)_k p_k(tau,sig) / ((d,e;q)_k (q;q)_k),
-    each quotient one ``_chain_product`` of both rows, reduced for the sums.
+    RHS: sum_k W_k y^k u^k P_k,  P_k = (x*sig*q^k*u;q)_inf / (x*tau*u;q)_inf
+         with W_k = (a,b,c;q)_k p_k(tau,sig) / ((d,e;q)_k (q;q)_k).
+
+    P_0 is the one ``_chain_product`` of both Euler rows, its row m over
+    L_m = ed_m fd_m (taud sigd)^m.  The rows of every P_k are c x^m, so
+    P_(k+1) = P_k / (1 - sig q^k x u) is the scalar recurrence
+    c'_m = c_m + sig q^k c'_(m-1), one geometric-division pass per k, and
+    only as far as the last nonzero W_k.  Row m of P_k lies over
+    L_(m+k) qd^(km), so a pass multiplies by small step factors alone, and
+    t^n of the sum takes term k over wd_n L_n qd^floor(n^2/4) with one
+    factor qd^floor((n-2k)^2/4).
     """
     q, sig, tau = ps.q, ps.get("sig"), ps.get("tau")
     # p_n(tau, sig) = prod_(m<n) (tau - sig q^m) = tau^n (sig/tau;q)_n
@@ -133,9 +159,37 @@ def build_id5_pair(ps: ParamSet, N: int) -> Side:
     lhs = _gf(N, _asc5_rows("phi", ps, N), _poch_row(top, {"q": q}, q, N, z=z, r=r))
     w = _poch_row((ps.a, ps.b, ps.c, *top), {"d": ps.d, "e": ps.e, "q": q}, q, N, z=z, r=r)
     e, f = _euler_row(q, N), _euler_row(q, N, product=True)
-    rhs = _y_sum(w, lambda k: [_canon(*row) for row in
-                               _chain_product(e, X * tau, f, X * (sig * q**k), N - k).rows], N)
-    return ("u-scaled", lhs, rhs)
+    p0 = _chain_product(e, X * tau, f, X * sig, N).rows
+    K = max(k for k, (c, _) in enumerate(w) if c)  # P_k is needed for k <= K
+    qn, qd, sn, sd = q.numerator, q.denominator, sig.numerator, sig.denominator
+    # steps[m] = L_m / (L_(m-1) sigd), small; a zero row of P_0 has den 1
+    steps = [0] + [ed // ep * (fd // fp) * tau.denominator
+                   for (_, ep), (_, ed), (_, fp), (_, fd) in zip(e, e[1:], f, f[1:])]
+    L = list(accumulate((s * sd for s in steps[1:]), mul, initial=1))
+    qdp = list(accumulate(repeat(qd, N), mul, initial=1))
+    P = [[nums.get((m, 0), 0) * (L[m] // den) for m, (nums, den) in enumerate(p0)]]
+    s = sn * qd  # sig q^k = s / (sigd qd^(k+1))
+    for k in range(K):
+        # row m of P_(k+1) over L_(m+k+1) qd^((k+1)m) from P_k's over
+        # L_(m+k) qd^(km) and its own row m - 1
+        prev, row = P[-1], [L[k + 1]]
+        for m in range(1, N - k):
+            row.append(steps[m + k + 1] * (sd * qdp[m] * prev[m] + s * row[-1]))
+        P.append(row)
+        s *= qn
+    qs = list(accumulate((qd ** (n // 2) for n in range(1, N + 1)), mul, initial=1))
+    Wk: list[int] = []  # W_k, k <= min(n, K), over wd_n
+    rows, wp = [], 1
+    for n, (wn, wd) in enumerate(w):
+        step = wd // wp
+        if step > 1:
+            Wk = [c * step for c in Wk]
+        if n <= K:
+            Wk.append(wn)
+        rows.append(_exact({(n - k, k): c * P[k][n - k] * qs[abs(n - 2 * k)]
+                            for k, c in enumerate(Wk) if c}, wd * L[n] * qs[n]))
+        wp = wd
+    return ("u-scaled", lhs, _series(N, rows))
 
 
 def _id7_sums(ps: ParamSet, N: int, top: int) -> list[tuple[Row, ...]]:
@@ -322,18 +376,23 @@ def _quotient_sum(w: Sequence[tuple[int, int]], a: Fraction, b: Fraction, q: Fra
     over one denominator: h_(n-1) = w[n-1] + u h_n (1 - a q^(n-1) u) /
     (1 - b q^(n-1) u), each step one linear factor and one geometric
     division, whose series makes k_m = g_m + b q^(n-1) k_(m-1).  h_n is
-    needed only through u^(N-n), and one gcd per step keeps the row
-    reduced.
+    needed only through u^(N-n).  Every step is on integers: a q^(n-1) and
+    b q^(n-1) are reduced int pairs read off tables of qn^m and qd^m, the
+    powers of their bd are grown by one product each, and one gcd per step
+    keeps the row reduced.
     """
     nums, den = _common_den(w[: N + 1])
     top = len(nums) - 1
     h, hd = nums[top:] + [0] * (N - top), 1  # h_top = w[top]; h_0 is the sum
+    qnp, qdp = (list(accumulate(repeat(p, top), mul, initial=1))
+                for p in (q.numerator, q.denominator))
+    (an0, ad0), (bn0, bd0) = a.as_integer_ratio(), b.as_integer_ratio()
     for n in range(top, 0, -1):
-        qn = q ** (n - 1)
-        al, be = a * qn, b * qn
-        an, ad, bn, bd = al.numerator, al.denominator, be.numerator, be.denominator
+        an, ad, bn, bd = an0 * qnp[n - 1], ad0 * qdp[n - 1], bn0 * qnp[n - 1], bd0 * qdp[n - 1]
+        ga, gb = gcd(an, ad), gcd(bn, bd)
+        an, ad, bn, bd = an // ga, ad // ga, bn // gb, bd // gb
         # g = (1 - al u) h_n over hd ad; k_m = K_m / bd^m, brought to bd^(N-n)
-        bdp = [bd**m for m in range(len(h))]
+        bdp = list(accumulate(repeat(bd, len(h) - 1), mul, initial=1))
         K, prev = [], 0
         for p, hm, hp in zip(bdp, h, [0] + h):
             prev = p * (ad * hm - an * hp) + bn * prev

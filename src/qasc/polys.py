@@ -65,8 +65,13 @@ def _asc_start(family: str, q, a, b, c, d, e, x, y) -> tuple:
     weights = (nums, dens, wq, z, r, _poch_key(nums, dens, wq, z, r))
     ((ix, jx), cx, xd), ((iy, jy), cy, yd) = _mono(x), _mono(y)
     qb = q.numerator if family.endswith("_psi") else q.denominator
+    # the symbols X, Y ("xy") or Y, X ("yx") put term k at its key alone
+    symbols = None
+    if (cx, xd, cy, yd) == (1, 1, 1, 1) and {(ix, jx), (iy, jy)} == {(1, 0), (0, 1)}:
+        symbols = "xy" if ix else "yx"
     # x^(n-k) y^k over (xd yd)^n: (cx yd)^(n-k) (xd cy)^k
-    return [1], 1, [1], [1], [1], (q, weights, qb, cx * yd, xd * cy, ix, jx, iy, jy, xd * yd)
+    return [1], 1, [1], [1], [1], (q, weights, qb, cx * yd, xd * cy, ix, jx, iy, jy, xd * yd,
+                                   symbols)
 
 
 def _asc_sum(lo: int, N: int, state: tuple) -> tuple[list[Row], tuple]:
@@ -88,10 +93,12 @@ def _asc_sum(lo: int, N: int, state: tuple) -> tuple[list[Row], tuple]:
     weight chain each wd_(n-1) divides wd_n, so the small step factor
     wd_n/wd_(n-1) takes ws over wd_n, and each term is one large product:
     its weight numerator times the small factors [n;k], the q power and
-    the x, y powers.
+    the x, y powers.  For the symbols themselves (x, y = X, Y, or Y, X as
+    the swapped families sum them) a term has no x, y powers and is
+    written straight to its key.
     """
     ws, wd, xs, ys, qs, consts = state
-    q, (nums, dens, wq, z, r, key), qb, fx, fy, ix, jx, iy, jy, dxy = consts
+    q, (nums, dens, wq, z, r, key), qb, fx, fy, ix, jx, iy, jy, dxy, symbols = consts
     w = _poch_row(nums, dens, wq, N, z, r, key=key)
     binom = _qbinom_rows(q, N)
     out = []
@@ -106,6 +113,14 @@ def _asc_sum(lo: int, N: int, state: tuple) -> tuple[list[Row], tuple]:
         xs.append(xs[-1] * fx)
         ys.append(ys[-1] * fy)
         qs.append(qs[-1] * qb ** (n // 2))
+        if symbols == "xy":  # term k is x^(n-k) y^k
+            out.append(({(n - k, k): ws[k] * (b * qs[abs(n - 2 * k)])
+                         for k, b in enumerate(binom[n]) if ws[k]}, wd * qs[n]))
+            continue
+        if symbols == "yx":  # term k is x^k y^(n-k)
+            out.append(({(k, n - k): ws[k] * (b * qs[abs(n - 2 * k)])
+                         for k, b in enumerate(binom[n]) if ws[k]}, wd * qs[n]))
+            continue
         terms: dict[tuple[int, int], int] = {}
         for k, b in enumerate(binom[n]):
             if ws[k]:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from .core import ONE, Poly, TSeries, _ZROW, _exact, _lcm, _row, _series, as_fraction
@@ -342,6 +343,7 @@ def _chain_product(e: Sequence[tuple[int, int]], u: Poly | Fraction | int,
     ed_(n-1) ud^(n-1) by one product with the small step factor
     ed_n/ed_(n-1) ud, and likewise for h, whose lcm then costs a remainder;
     no earlier term needs a division, and no row is reduced (``core.Row``).
+    When u and v are one monomial, row n is one integer sum at u^n.
     """
     (ui, uj), un, ud = _mono(u)
     (vi, vj), vn, vd = _mono(v)
@@ -360,12 +362,11 @@ def _chain_product(e: Sequence[tuple[int, int]], u: Poly | Fraction | int,
         H = [c * fh for c in H]
         E.append(en * unn)
         H.append(hn * (hl // hd) * vnn)
-        pairs = zip(E, reversed(H))
         if (ui, uj) == (vi, vj):  # every term of row n meets at u^n
-            acc = {(ui * n, uj * n): sum(c * d for c, d in pairs)}
+            acc = {(ui * n, uj * n): sum(map(mul, E, reversed(H)))}
         else:  # term m alone lands at u^m v^(n-m)
             acc = {(ui * m + vi * (n - m), uj * m + vj * (n - m)): c * d
-                   for m, (c, d) in enumerate(pairs)}
+                   for m, (c, d) in enumerate(zip(E, reversed(H)))}
         rows.append(_exact(acc, ed * hl * dn))
         ep, hp = ed, hl
         unn, vnn, dn = unn * un, vnn * vn, dn * ud * vd

@@ -13,7 +13,7 @@ from math import gcd
 
 import pytest
 
-from qasc import core
+from qasc import core, identities
 from qasc.core import ParamSet, Poly, TSeries, random_paramset
 from qasc.identities import (
     CATALOG,
@@ -61,6 +61,14 @@ def _fracs(row):
 def _t_scaled(series: TSeries, s: F) -> TSeries:
     """series with t replaced by s*t: row n times s^n."""
     return TSeries(series.order, [c * s**n for n, c in enumerate(series.coeffs)])
+
+
+def _counted(calls: Counter, name: str, fn):
+    """fn, adding each call to calls[name]."""
+    def call(*args, **kw):
+        calls[name] += 1
+        return fn(*args, **kw)
+    return call
 
 
 class TestCatalog:
@@ -640,15 +648,8 @@ class TestBasisExpansion:
         polys._FAMILY_ROWS.clear()
         f = build_id3_rhs(ps, 12)  # the build itself multiplies Polys
         calls = Counter()
-
-        def counted(name, fn):
-            def call(*args):
-                calls[name] += 1
-                return fn(*args)
-            return call
-
-        monkeypatch.setattr(polys, "_asc_sum", counted("_asc_sum", polys._asc_sum))
-        monkeypatch.setattr(Poly, "__mul__", counted("Poly.__mul__", Poly.__mul__))
+        monkeypatch.setattr(polys, "_asc_sum", _counted(calls, "_asc_sum", polys._asc_sum))
+        monkeypatch.setattr(Poly, "__mul__", _counted(calls, "Poly.__mul__", Poly.__mul__))
         mus = expand_series_in_basis(f, "phi", ps)
         assert calls == {"_asc_sum": 1}
         assert [synthesize_from_basis(mu, "phi", ps) for mu in mus] == list(f.coeffs)
@@ -774,7 +775,7 @@ def test_quotient_sum_matches_fraction_loop():
     def draw():
         return F(rng.randint(-9, 9), rng.randint(1, 30))
 
-    for N in range(13):
+    for N in [*range(13), 40]:
         for case in range(8):
             q = F(rng.randint(1, 9), rng.randint(10, 31))
             w = [draw() for _ in range(rng.randint(1, N + 3))]
@@ -870,11 +871,12 @@ def _id7_rhs_by_rows(ps: ParamSet, N: int, K: int) -> TSeries:
     return euler_inverse_series(Poly.x(), q, N) * TSeries(N, acc)
 
 
-@pytest.mark.parametrize("N", range(13))
+@pytest.mark.parametrize("N", [*range(13), 20])
 def test_euler_sums_match_per_term_rows(N):
     # the closed-form Euler sums of ID-5/6/7 against one shifted Euler
     # series (ID-5/6) or one expansion row (ID-7) per summand; sig, tau or
-    # t_scale 0 leave one Euler row, a = q^-2 makes the 3phi2 terminate
+    # t_scale 0 leave one Euler row, a = q^-2 makes the 3phi2 terminate;
+    # order 20 reaches the step factors of long rows
     rng = random.Random(f"euler-sums-{N}")
     ps = random_paramset(rng, extras=("sig", "tau"))
     draw = ps.get("sig"), ps.get("tau")
@@ -887,3 +889,17 @@ def test_euler_sums_match_per_term_rows(N):
         for K in range(4):
             _, _, rhs = build_id7_pair(case, N, K, _id7_sums(case, N, K))
             assert rhs == _id7_rhs_by_rows(case, N, K), (N, K)
+
+
+@pytest.mark.parametrize("build, want", [(build_id6_rhs, {}), (build_id5_pair, {"_chain_product": 1})],
+                         ids=["ID-6", "ID-5"])
+def test_euler_sum_work_counts(build, want, monkeypatch):
+    # ID-6's right side fuses its Euler-product expansions into one pass,
+    # with no Euler series per term and no _dot; ID-5's right side
+    # convolves the two Euler rows once and reaches every other P_k from
+    # P_0 by a division pass
+    calls = Counter()
+    for name in ("_euler", "_dot", "_chain_product"):
+        monkeypatch.setattr(identities, name, _counted(calls, name, getattr(identities, name)))
+    build(trial_paramset(CATALOG["ID-5"], 42, 0), 12)
+    assert calls == want
