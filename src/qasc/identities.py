@@ -32,7 +32,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .core import (ONE, ParamSet, Poly, Row, TSeries, X, Y, _UNIT, _canon, _dot, _exact,
+from .core import (ONE, ParamSet, Poly, Row, TSeries, X, Y, _UNIT, _ZROW, _canon, _dot, _exact,
                    _poly, _Record, _series, random_paramset)
 from .qkernel import (
     PoleError,
@@ -279,56 +279,90 @@ def _build_id7(ps: ParamSet, N: int) -> list[Side]:
 
 
 def _build_id8(ps: ParamSet, N: int) -> list[Side]:
+    """Product of two five-parameter families, as a double sum.
+
+    LHS: sum_n phi_n(x1,y1) phi'_n(x2,y2) t^n/(q;q)_n, phi' the family of
+         a2..e2; x1..y2 are scalars, so each product is one integer
+         product over the product of the two row denominators.
+    RHS: 1/(x1 x2 t;q)_inf sum_n s_n t^n sum_(j<=n) [n;j] v_j (x1 x2 t;q)_j
+         3phi2(a q^j, b q^j, c q^j; d q^j, e q^j; q, x2 y1 t), with
+         s_n = (a2,b2,c2;q)_n/((q,d2,e2;q)_n) (x1 y2)^n and
+         v_j = (a,b,c;q)_j/((d,e;q)_j) (y1/x1)^j.
+
+    v_j times t^i of the j-th 3phi2 is A_(j+i) (y1/x1)^j (x2 y1)^i/(q;q)_i,
+    A_k = (a,b,c;q)_k/(d,e;q)_k: one A row and one (x2 y1)^i/(q;q)_i row,
+    over their last denominators Ad and wd, with (y1/x1)^j = rn^j/rd^j
+    left to the j-sum.  inner_j, that row convolved with the q-binomial
+    row f_(j,k) = [j;k] (-1)^k q^C(k,2) P^k of (P t;q)_j, P = x1 x2 =
+    pn/pd, is needed only through t^(N-j), so k <= min(j, N-j) and f lies
+    over qd^M_j pd^floor(N/2), M_j the largest k(j-k) + C(k,2) there.
+    X_n = sum_(j<=n) [n;j] (y1/x1)^j inner_j lies over qd^E_n rd^n, E_n
+    the largest M_j + j(n-j).  t^m of the double sum, sum_(n<=m) s_n
+    X_n[m-n], lies over sd_m rd^m qd^E_m pd^floor(N/2) Ad wd: the
+    numerators of the ``_poch_row`` row s reach sd_m by its step factors
+    times rd qd^(E_m - E_(m-1)), as ``_chain_product`` moves its rows, so
+    the denominators of that row divide one another along m, and it is
+    multiplied by 1/(P t;q)_inf in one ``_chain_product``.  Every power
+    is read off a table.
+    """
     q = ps.q
     ps2 = ParamSet(q, *(ps.get(k) for k in ("a2", "b2", "c2", "d2", "e2")))
     x1, y1, x2, y2 = (ps.get(k) for k in ("x1", "y1", "x2", "y2"))
 
     phi1, phi2 = _asc5_rows("phi", ps, N, x1, y1), _asc5_rows("phi", ps2, N, x2, y2)
-    lhs = _gf(N, [_dot([(u, v)]) for u, v in zip(phi1, phi2)], _euler_row(q, N))
+    lhs = _gf(N, [({(0, 0): u[0, 0] * v[0, 0]}, ud * vd) if u and v else _ZROW
+                  for (u, ud), (v, vd) in zip(phi1, phi2)], _euler_row(q, N))
 
-    # v_j times t^m of the j-th 3phi2(a q^j, b q^j, c q^j; d q^j, e q^j; q, x2 y1 t)
-    # is A_(j+m) (y1/x1)^j (x2 y1)^m/(q;q)_m with A_k = (a,b,c;q)_k/(d,e;q)_k:
-    # one A row and one (x2 y1)^m/(q;q)_m row, on integers over Ad and wd
     A, Ad = _common_den(_poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e}, q, N))
     w, wd = _common_den(_poch_row((), {"q": q}, q, N, z=x2 * y1))
-    s, sd = _common_den(_poch_row(
-        (ps2.a, ps2.b, ps2.c), {"q": q, "d": ps2.d, "e": ps2.e}, q, N, z=x1 * y2
-    ))
-    # inner[j]: t^m of v_j (x1 x2 t;q)_j * 3phi2 for m <= N - j, all that the
-    # terms n >= j reach: the q-binomial row of (x1 x2 t;q)_j, [j;k] (-1)^k
-    # q^C(k,2) (x1 x2)^k over L = qd^C(N,2) pd^N with x1 x2 = pn/pd,
-    # convolved with v_j times the 3phi2 row over Ad wd rd^N, y1/x1 = rn/rd
+    s = _poch_row((ps2.a, ps2.b, ps2.c), {"q": q, "d": ps2.d, "e": ps2.e}, q, N, z=x1 * y2)
     binom, qn, qd = _qbinom_rows(q, N), q.numerator, q.denominator
-    P, r = x1 * x2, y1 / x1
-    pn, pd, rn, rd = P.numerator, P.denominator, r.numerator, r.denominator
-    top = N * (N - 1) // 2
+    P, (rn, rd) = x1 * x2, (y1 / x1).as_integer_ratio()
+    h = N // 2
+    M = [max(k * (j - k) + k * (k - 1) // 2 for k in range(min(j, N - j) + 1))
+         for j in range(N + 1)]
+    E = [max(mj + j * (n - j) for j, mj in enumerate(M[: n + 1])) for n in range(N + 1)]
+    qnp, qdp = (list(accumulate(repeat(p, n), mul, initial=1))
+                for p, n in ((qn, h * (h - 1) // 2), (qd, E[N])))
+    pnp, pdp = (list(accumulate(repeat(p, h), mul, initial=1)) for p in P.as_integer_ratio())
+    rnp, rdp = (list(accumulate(repeat(p, N), mul, initial=1)) for p in (rn, rd))
+    # inner[j]: t^i of v_j (P t;q)_j * 3phi2 / (y1/x1)^j, i <= N - j
     inner = []
-    for j in range(N + 1):
-        f = [(-1) ** k * b * qn ** (k * (k - 1) // 2) * pn**k * pd ** (N - k)
-             * qd ** (top - k * (j - k) - k * (k - 1) // 2) for k, b in enumerate(binom[j])]
-        g = [rn**j * rd ** (N - j) * a * b for a, b in zip(A[j:], w)]
+    for j, mj in enumerate(M):
+        f = [(-1) ** k * b * qnp[k * (k - 1) // 2] * pnp[k] * pdp[h - k]
+             * qdp[mj - k * (j - k) - k * (k - 1) // 2]
+             for k, b in enumerate(binom[j][: min(j, N - j) + 1])]
+        g = [a * b for a, b in zip(A[j:], w)]
         row = [0] * (N + 1 - j)
-        for k, fk in enumerate(f[: N + 1 - j]):
-            for m, x in enumerate(g[: N + 1 - j - k], k):
-                row[m] += fk * x
+        for k, fk in enumerate(f):
+            for i, x in enumerate(g[: N + 1 - j - k], k):
+                row[i] += fk * x
         inner.append(row)
-    # sum_n s_n t^n sum_j [n;j] inner[j] on integers over one denominator,
-    # [n;j] = binom[n][j] / qd^(j(n-j)) over qd^E with E the largest
-    # j(n-j); term n reaches only the t-powers m >= n
-    E = (N // 2) * (N - N // 2)
-    acc = [0] * (N + 1)
-    for n in range(N + 1):
-        if s[n]:
-            row = [0] * (N + 1 - n)
-            for j in range(n + 1):
-                c = binom[n][j] * qd ** (E - j * (n - j))
-                for m, x in enumerate(inner[j][: N + 1 - n]):
-                    row[m] += c * x
-            for m, x in enumerate(row, n):
-                acc[m] += s[n] * x
+    # X_n, needed through t^(N-n); s is 0 from its first zero on
+    X = []
+    for n, (sn, _) in enumerate(s):
+        if not sn:
+            break
+        row = [0] * (N + 1 - n)
+        for j in range(n + 1):
+            c = binom[n][j] * qdp[E[n] - j * (n - j) - M[j]] * rnp[j] * rdp[n - j]
+            for i, x in enumerate(inner[j][: N + 1 - n]):
+                row[i] += c * x
+        X.append(row)
+    D = pdp[h] * Ad * wd
+    S: list[int] = []  # s_n rd^(m-n) qd^(E_m - E_n), n <= m, over sd_m
+    acc, sp = [], 1
+    for m, (sn, sd) in enumerate(s):
+        if S:
+            step = sd // sp * rd * qdp[E[m] - E[m - 1]]
+            if step > 1:
+                S = [c * step for c in S]
+        if m < len(X):
+            S.append(sn)
+        acc.append((sum(c * X[n][m - n] for n, c in enumerate(S)), sd * rdp[m] * qdp[E[m]] * D))
+        sp = sd
     # times 1/(x1 x2 t;q)_inf
-    den = sd * Ad * wd * rd**N * pd**N * qd ** (top + E)
-    rhs = _chain_product(_euler_row(q, N), P, [(c, den) for c in acc], ONE, N)
+    rhs = _chain_product(_euler_row(q, N), P, acc, ONE, N)
     return [("", lhs, rhs)]
 
 

@@ -14,8 +14,9 @@ one integer q-binomial triangle, and each polynomial is one integer row
 ... of a family are kept per parameters and x, y as one grow-only prefix
 (``_family_rows``); the per-n functions and ``PolyFamily`` index or slice
 it.  A monomial or scalar x, y goes into each term as it is summed
-(``qkernel._mono`` reads it); a polynomial one is put into the rows over
-the symbols by the one substitution, ``core._substituted``.  The triangle
+(``qkernel._mono`` reads it), and scalar x, y make each row one integer
+sum; a polynomial one is put into the rows over the symbols by the one
+substitution, ``core._substituted``.  The triangle
 has no division, so q = 1 gives the classical limits, e.g. cauchy_pn at
 q = 1 is (x - y)^n.
 """
@@ -24,8 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import (ONE, ZERO, ParamSet, Poly, Row, X, Y, _UNIT, _poly, _Record, _row,
-                   _substituted, as_fraction)
+from .core import (ONE, ZERO, ParamSet, Poly, Row, X, Y, _UNIT, _ZROW, _exact, _poly, _Record,
+                   _row, _substituted, as_fraction)
 from .qkernel import _mono, _poch_key, _poch_row, _qbinom_rows, _ratio, _remember
 
 # (family, q, a..e, x, y) -> ((row_0, ..., row_m), state after row m), the
@@ -58,20 +59,23 @@ def _weights(family: str, q: Fraction, a, b, c, d, e, x, y) -> tuple:
 def _asc_start(family: str, q, a, b, c, d, e, x, y) -> tuple:
     """The state of a family's ``_asc_sum`` after row 0 (p_0 = 1, w_0 = 1),
     for a monomial or scalar x, y: the weight request (``_weights``) with
-    its ``_poch_row`` key, and the constants read off q, x and y
-    (``qkernel._mono``), read once."""
+    its ``_poch_row`` key, the constants read off q, x and y
+    (``qkernel._mono``), read once, and where a row's terms land."""
     q = as_fraction(q)
     (nums, dens, wq, z, r), x, y = _weights(family, q, a, b, c, d, e, x, y)
     weights = (nums, dens, wq, z, r, _poch_key(nums, dens, wq, z, r))
     ((ix, jx), cx, xd), ((iy, jy), cy, yd) = _mono(x), _mono(y)
     qb = q.numerator if family.endswith("_psi") else q.denominator
-    # the symbols X, Y ("xy") or Y, X ("yx") put term k at its key alone
-    symbols = None
+    # the symbols X, Y ("xy") or Y, X ("yx") put term k at its key alone;
+    # scalars ("scalar") put every term at x^0 y^0
+    layout = None
     if (cx, xd, cy, yd) == (1, 1, 1, 1) and {(ix, jx), (iy, jy)} == {(1, 0), (0, 1)}:
-        symbols = "xy" if ix else "yx"
+        layout = "xy" if ix else "yx"
+    elif ix == jx == iy == jy == 0:
+        layout = "scalar"
     # x^(n-k) y^k over (xd yd)^n: (cx yd)^(n-k) (xd cy)^k
     return [1], 1, [1], [1], [1], (q, weights, qb, cx * yd, xd * cy, ix, jx, iy, jy, xd * yd,
-                                   symbols)
+                                   layout)
 
 
 def _asc_sum(lo: int, N: int, state: tuple) -> tuple[list[Row], tuple]:
@@ -95,10 +99,12 @@ def _asc_sum(lo: int, N: int, state: tuple) -> tuple[list[Row], tuple]:
     its weight numerator times the small factors [n;k], the q power and
     the x, y powers.  For the symbols themselves (x, y = X, Y, or Y, X as
     the swapped families sum them) a term has no x, y powers and is
-    written straight to its key.
+    written straight to its key; for scalar x, y the row is one integer
+    sum at x^0 y^0.  A row whose terms cancel is the zero row, and no
+    cancelled key is kept.
     """
     ws, wd, xs, ys, qs, consts = state
-    q, (nums, dens, wq, z, r, key), qb, fx, fy, ix, jx, iy, jy, dxy, symbols = consts
+    q, (nums, dens, wq, z, r, key), qb, fx, fy, ix, jx, iy, jy, dxy, layout = consts
     w = _poch_row(nums, dens, wq, N, z, r, key=key)
     binom = _qbinom_rows(q, N)
     out = []
@@ -113,13 +119,18 @@ def _asc_sum(lo: int, N: int, state: tuple) -> tuple[list[Row], tuple]:
         xs.append(xs[-1] * fx)
         ys.append(ys[-1] * fy)
         qs.append(qs[-1] * qb ** (n // 2))
-        if symbols == "xy":  # term k is x^(n-k) y^k
+        if layout == "xy":  # term k is x^(n-k) y^k
             out.append(({(n - k, k): ws[k] * (b * qs[abs(n - 2 * k)])
                          for k, b in enumerate(binom[n]) if ws[k]}, wd * qs[n]))
             continue
-        if symbols == "yx":  # term k is x^k y^(n-k)
+        if layout == "yx":  # term k is x^k y^(n-k)
             out.append(({(k, n - k): ws[k] * (b * qs[abs(n - 2 * k)])
                          for k, b in enumerate(binom[n]) if ws[k]}, wd * qs[n]))
+            continue
+        if layout == "scalar":  # every term is at x^0 y^0
+            c = sum(wk * (b * qs[abs(n - 2 * k)] * xs[n - k] * ys[k])
+                    for k, (wk, b) in enumerate(zip(ws, binom[n])) if wk)
+            out.append(({(0, 0): c}, wd * qs[n] * dxy**n) if c else _ZROW)
             continue
         terms: dict[tuple[int, int], int] = {}
         for k, b in enumerate(binom[n]):
@@ -128,7 +139,7 @@ def _asc_sum(lo: int, N: int, state: tuple) -> tuple[list[Row], tuple]:
                 e = (ix * (n - k) + iy * k, jx * (n - k) + jy * k)
                 s = terms.get(e)
                 terms[e] = c if s is None else s + c
-        out.append((terms, wd * qs[n] * dxy**n))
+        out.append(_exact(terms, wd * qs[n] * dxy**n))
     return out, (ws, wd, xs, ys, qs, consts)
 
 

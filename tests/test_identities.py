@@ -41,6 +41,7 @@ from qasc.polys import asc5_phi, asc5_psi, cauchy_pn
 from qasc.qkernel import (
     PhiSpec,
     PoleError,
+    _chain_product,
     _poch_row,
     euler_inverse_series,
     euler_product_series,
@@ -820,10 +821,35 @@ def _id8_rhs_by_series(ps: ParamSet, N: int) -> TSeries:
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_id8_scalar_double_sum_matches_series_form(seed):
+    # an odd order moves floor(N/2), the largest k of (x1 x2 t;q)_j that
+    # any term reaches, and the largest qd power; order 13 reaches row 12
     check = CATALOG["ID-8"]
     ps = trial_paramset(check, seed, 0)
-    (_, _, rhs), = check.build(ps, ORDER)
-    assert rhs == _id8_rhs_by_series(ps, ORDER)
+    for N in (ORDER, 5, 13):
+        (_, _, rhs), = check.build(ps, N)
+        assert rhs == _id8_rhs_by_series(ps, N), N
+
+
+def test_id8_sums_its_double_sum_on_one_chain(monkeypatch):
+    # the double sum is handed to one _chain_product as a row whose
+    # denominators grow along t, each dividing the next, not as one
+    # common denominator; the left side multiplies its scalar rows with
+    # no _dot
+    calls, rows = Counter(), []
+
+    def chain_product(e, u, h, v, order):
+        rows.append(h)
+        return _chain_product(e, u, h, v, order)
+
+    monkeypatch.setattr(identities, "_dot", _counted(calls, "_dot", identities._dot))
+    monkeypatch.setattr(identities, "_chain_product",
+                        _counted(calls, "_chain_product", chain_product))
+    check = CATALOG["ID-8"]
+    (_, lhs, rhs), = check.build(trial_paramset(check, 42, 0), 12)
+    assert calls == {"_chain_product": 1} and lhs == rhs
+    dens = [d for _, d in rows[0]]
+    assert len(dens) == 13 and len(set(dens)) > 1
+    assert all(b % a == 0 for a, b in zip(dens, dens[1:]))
 
 
 def _id5_rhs_by_shifts(ps: ParamSet, N: int, sig: F, tau: F) -> TSeries:

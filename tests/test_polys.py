@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qasc import cli
-from qasc.core import ParamSet, Poly, TSeries, X, Y, _poly, random_paramset
+from qasc.core import ParamSet, Poly, TSeries, X, Y, _ZROW, _poly, _substituted, random_paramset
 from qasc.polys import (
     PolyFamily,
     _FAMILY_ROWS,
@@ -554,6 +554,20 @@ class TestFamilyMemo:
         assert all(p == serial[key] for got in seen for key, p in got)
 
 
+@pytest.mark.parametrize("family, x, y, zero", [
+    ("cauchy", F(2, 5), F(2, 5), range(1, 9)),  # p_n(x, x) = 0 for n >= 1
+    ("rogers_szego", F(2, 5), F(-2, 5), range(1, 9, 2)),  # h_n(-x, x) = 0 for odd n
+    ("cauchy", X * F(2, 5), X * F(2, 5), range(1, 9)),  # every term at x^n
+], ids=["cauchy-scalar", "rogers-szego-scalar", "cauchy-monomial"])
+def test_family_rows_hold_no_zero_numerator(family, x, y, zero):
+    # a row whose terms cancel is the zero row, and no row keeps a
+    # cancelled key
+    _clear_memos()
+    rows = _family_rows(family, 8, F(1, 3), x=x, y=y)
+    assert all(all(nums.values()) for nums, _ in rows)
+    assert [n for n, row in enumerate(rows) if row == _ZROW] == list(zero)
+
+
 def _rise_draws(family: str) -> list[tuple[ParamSet, list]]:
     """Three draws of (parameters, [(x, y), ...]) for the rising-row tests:
     the symbols; integral parameters with scalar x, y, whose terms all
@@ -616,6 +630,29 @@ class TestRisingRows:
                 per_n = self._rise(lambda n: _FAMILIES[family](n, ps, xv, yv)._held,
                                    f"per-n:{family}:{draw}")
                 assert per_n == [("value", row) for row in whole], (family, draw, xv, yv)
+
+    @pytest.mark.parametrize("family", ["asc5_phi", "asc5_psi", "cauchy", "rogers_szego"])
+    def test_scalar_rows_match_substituted_symbol_rows(self, family):
+        # scalar x, y make each row one integer at x^0 y^0: as Fractions,
+        # the rows over the symbols with x, y put in, for n rising one row
+        # at a time and the family memo evicted once on the way
+        name = _AS_FAMILY[family][0]
+        for draw in range(3):
+            ps = _memo_paramset(family, draw)
+            values = (ps.q, ps.a, ps.b, ps.c, ps.d, ps.e)
+            rng = random.Random(f"scalar:{family}:{draw}")
+            xv, yv = (F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(2))
+            symbols = _cold(lambda: _family_rows(name, self.RISE, *values))
+            want = [F(nums.get((0, 0), 0), den) for nums, den in _substituted(symbols, xv, yv)]
+            evict = rng.randint(1, self.RISE)
+            _clear_memos()
+            for n in range(self.RISE + 1):
+                if n == evict:
+                    _FAMILY_ROWS.clear()
+                rows = _family_rows(name, n, *values, xv, yv)
+                assert all(nums.keys() <= {(0, 0)} for nums, _ in rows), (family, draw, n)
+                got = [F(nums.get((0, 0), 0), den) for nums, den in rows]
+                assert got == want[: n + 1], (family, draw, n, xv, yv)
 
     @pytest.mark.parametrize("kind", ["T", "E"])
     def test_operator_weights_and_triangle_match_one_shot(self, kind):

@@ -708,7 +708,7 @@ class TestChainProduct:
     def test_h_off_a_chain(self, kind):
         # h need not be a _poch_row chain: the scalar rows of a previous
         # product (ID-11 and ID-12 fold through these), one unreduced
-        # constant denominator (ID-8), a t^2 row with (0, 1) gaps (ID-11),
+        # constant denominator, a t^2 row with (0, 1) gaps (ID-11),
         # and denominators with no order at all; the oracle is the product
         # of the two series that e and h make on their own
         rng = random.Random(kind)
