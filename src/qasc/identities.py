@@ -4,8 +4,10 @@ expansion in the five-parameter polynomial basis.
 
 Every catalog entry builds both sides of one generating-function or
 transformation identity as TSeries, writing their integer rows directly
-(each product one ``qkernel._chain_product``), and compares them exactly
-as exact rows (``core.Row``), reduced only where they feed more products.
+(each product of two series one ``qkernel._chain_product``; ID-5, ID-6
+and ID-8 write their own rows over running numerators from
+``qkernel._walk``), and compares them exactly as exact rows
+(``core.Row``), reduced only where they feed more products.
 A generating function sum_n p_n w_n t^n is one ``_gf`` over a single
 ``_poch_row`` weight row w that holds its 1/(q;q)_n, and every rPhis is one
 ``qkernel._hyper_row`` of plain parameter tuples; the builders take the
@@ -43,6 +45,7 @@ from .qkernel import (
     _hyper_row,
     _poch_row,
     _qbinom_rows,
+    _walk,
 )
 from .polys import _family_rows
 
@@ -103,9 +106,8 @@ def build_id6_rhs(ps: ParamSet, N: int) -> TSeries:
     the one Euler-product row f, so that t^n holds
     sum_k w_k f_(n-k) q^(k(n-k)) x^(n-k) y^k.
 
-    One pass writes row n over wd_n fd_n qd^floor(n^2/4): the numerators of
-    w and f reach row n by their step factors wd_n/wd_(n-1) and
-    fd_n/fd_(n-1), as in ``_chain_product``, and term k carries
+    One pass writes row n over wd_n fd_n qd^floor(n^2/4), the numerators of
+    w and f over wd_n and fd_n read from ``qkernel._walk``; term k carries
     qn^(k(n-k)) qd^floor((n-2k)^2/4), floor(n^2/4) being the largest k(n-k)
     (the q powers of ``polys._asc_sum``).
     """
@@ -114,22 +116,10 @@ def build_id6_rhs(ps: ParamSet, N: int) -> TSeries:
     f = _euler_row(q, N, product=True)
     qnp = list(accumulate(repeat(q.numerator, N * N // 4), mul, initial=1))
     qs = list(accumulate((q.denominator ** (n // 2) for n in range(1, N + 1)), mul, initial=1))
-    W: list[int] = []  # w_k, k <= n, over wd_n
-    F: list[int] = []  # f_j, j <= n, over fd_n
-    rows, wp, fp = [], 1, 1
-    for n, ((wn, wd), (fn, fd)) in enumerate(zip(w, f)):
-        sw, sf = wd // wp, fd // fp
-        if sw > 1:
-            W = [c * sw for c in W]
-        if sf > 1:
-            F = [c * sf for c in F]
-        W.append(wn)
-        F.append(fn)
-        terms = {(n - k, k): W[k] * F[n - k] * (qnp[k * (n - k)] * qs[abs(n - 2 * k)])
-                 for k in range(n + 1) if W[k]}
-        rows.append(_exact(terms, wd * fd * qs[n]))
-        wp, fp = wd, fd
-    return _series(N, rows)
+    return _series(N, [
+        _exact({(n - k, k): W[k] * F[n - k] * (qnp[k * (n - k)] * qs[abs(n - 2 * k)])
+                for k in range(n + 1) if W[k]}, wd * fd * qs[n])
+        for n, ((W, wd), (F, fd)) in enumerate(zip(_walk(w), _walk(f)))])
 
 
 def build_id6_lhs(ps: ParamSet, N: int) -> TSeries:
@@ -151,7 +141,8 @@ def build_id5_pair(ps: ParamSet, N: int) -> Side:
     only as far as the last nonzero W_k.  Row m of P_k lies over
     L_(m+k) qd^(km), so a pass multiplies by small step factors alone, and
     t^n of the sum takes term k over wd_n L_n qd^floor(n^2/4) with one
-    factor qd^floor((n-2k)^2/4).
+    factor qd^floor((n-2k)^2/4), the W_k over wd_n read from
+    ``qkernel._walk``.
     """
     q, sig, tau = ps.q, ps.get("sig"), ps.get("tau")
     # p_n(tau, sig) = prod_(m<n) (tau - sig q^m) = tau^n (sig/tau;q)_n
@@ -178,18 +169,11 @@ def build_id5_pair(ps: ParamSet, N: int) -> Side:
         P.append(row)
         s *= qn
     qs = list(accumulate((qd ** (n // 2) for n in range(1, N + 1)), mul, initial=1))
-    Wk: list[int] = []  # W_k, k <= min(n, K), over wd_n
-    rows, wp = [], 1
-    for n, (wn, wd) in enumerate(w):
-        step = wd // wp
-        if step > 1:
-            Wk = [c * step for c in Wk]
-        if n <= K:
-            Wk.append(wn)
-        rows.append(_exact({(n - k, k): c * P[k][n - k] * qs[abs(n - 2 * k)]
-                            for k, c in enumerate(Wk) if c}, wd * L[n] * qs[n]))
-        wp = wd
-    return ("u-scaled", lhs, _series(N, rows))
+    # W_k is 0 for k > K
+    return ("u-scaled", lhs, _series(N, [
+        _exact({(n - k, k): c * P[k][n - k] * qs[abs(n - 2 * k)] for k, c in enumerate(Wk) if c},
+               wd * L[n] * qs[n])
+        for n, (Wk, wd) in enumerate(_walk(w))]))
 
 
 def _id7_sums(ps: ParamSet, N: int, top: int) -> list[tuple[Row, ...]]:
@@ -298,12 +282,11 @@ def _build_id8(ps: ParamSet, N: int) -> list[Side]:
     over qd^M_j pd^floor(N/2), M_j the largest k(j-k) + C(k,2) there.
     X_n = sum_(j<=n) [n;j] (y1/x1)^j inner_j lies over qd^E_n rd^n, E_n
     the largest M_j + j(n-j).  t^m of the double sum, sum_(n<=m) s_n
-    X_n[m-n], lies over sd_m rd^m qd^E_m pd^floor(N/2) Ad wd: the
-    numerators of the ``_poch_row`` row s reach sd_m by its step factors
-    times rd qd^(E_m - E_(m-1)), as ``_chain_product`` moves its rows, so
-    the denominators of that row divide one another along m, and it is
-    multiplied by 1/(P t;q)_inf in one ``_chain_product``.  Every power
-    is read off a table.
+    X_n[m-n], lies over sd_m rd^m qd^E_m pd^floor(N/2) Ad wd: the s_n
+    numerators are ``qkernel._walk``'s over the row (s_n, sd_n rd^n
+    qd^E_n), whose denominators divide one another along n, so those of
+    the double sum do too, and it is multiplied by 1/(P t;q)_inf in one
+    ``_chain_product``.  Every power is read off a table.
     """
     q = ps.q
     ps2 = ParamSet(q, *(ps.get(k) for k in ("a2", "b2", "c2", "d2", "e2")))
@@ -350,17 +333,9 @@ def _build_id8(ps: ParamSet, N: int) -> list[Side]:
                 row[i] += c * x
         X.append(row)
     D = pdp[h] * Ad * wd
-    S: list[int] = []  # s_n rd^(m-n) qd^(E_m - E_n), n <= m, over sd_m
-    acc, sp = [], 1
-    for m, (sn, sd) in enumerate(s):
-        if S:
-            step = sd // sp * rd * qdp[E[m] - E[m - 1]]
-            if step > 1:
-                S = [c * step for c in S]
-        if m < len(X):
-            S.append(sn)
-        acc.append((sum(c * X[n][m - n] for n, c in enumerate(S)), sd * rdp[m] * qdp[E[m]] * D))
-        sp = sd
+    chain = [(sn, sd * rdp[n] * qdp[E[n]]) for n, (sn, sd) in enumerate(s)]
+    acc = [(sum(c * x[m - n] for n, (c, x) in enumerate(zip(S, X))), d * D)
+           for m, (S, d) in enumerate(_walk(chain))]
     # times 1/(x1 x2 t;q)_inf
     rhs = _chain_product(_euler_row(q, N), P, acc, ONE, N)
     return [("", lhs, rhs)]

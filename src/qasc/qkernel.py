@@ -18,12 +18,14 @@ mpmath side; ``_poch_row`` runs it on integers as (num, den) pairs, one
 small gcd per step, keeps its exact rows and is tested against
 ``term_stream`` on Fractions.  Its rows feed the integer
 rows of TSeries (see ``core.Row``) directly: ``_euler`` places one exact
-term per power of t, and
+term per power of t, ``_walk`` gives the running numerators that ID-5,
+ID-6 and ID-8 sum (``polys._asc_sum`` keeps its step inline), and
 ``_chain_product``, the builders' one product, writes such a series times
 the series of any (num, den) row (an rPhis, an Euler row, the scalar rows
-of an earlier product) row by row, as exact rows.  ``_hyper_row`` is
-the rPhis row of plain parameter tuples, which the identity builders call
-directly; ``PhiSpec`` and ``hyper_series`` wrap it for library callers.
+of an earlier product) row by row, as exact rows, on a walk of its own.
+``_hyper_row`` is the rPhis row of plain parameter tuples, which the
+identity builders call directly; ``PhiSpec`` and ``hyper_series`` wrap
+it for library callers.
 It, ``PhiSpec`` and ``numeric.hyper_num`` take their shape from ``_phi_shape``.
 ``_qbinom_rows`` builds the q-binomial triangle on integers.  It and
 ``_poch_row`` memoize each prefix of rows with the loop state after its
@@ -41,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import ONE, Poly, TSeries, _ZROW, _exact, _lcm, _row, _series, as_fraction
 
@@ -233,6 +235,22 @@ def _common_den(row: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     denominators, which along a _poch_row row is the last one."""
     den = _lcm(d for _, d in row)
     return [c * (den // d) for c, d in row], den
+
+
+def _walk(row: Iterable, nums: Sequence[int] = (), den: int = 1) -> Iterator:
+    """(nums, den_n) for each term of row: the numerators of the terms so
+    far over its denominator, for a row whose denominators each divide the
+    next (a ``_poch_row`` row), each step one product by the small factor
+    den_n/den_(n-1).  It resumes from a (nums, den) its caller holds and
+    leaves that list unchanged; the list it yields grows at the next step."""
+    nums = list(nums)
+    for c, d in row:
+        s = d // den
+        if s > 1:
+            nums = [v * s for v in nums]
+        nums.append(c)
+        den = d
+        yield nums, d
 
 
 def _qbinom_rows(q, N: int) -> tuple[tuple[int, ...], ...]:

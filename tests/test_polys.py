@@ -554,16 +554,21 @@ class TestFamilyMemo:
         assert all(p == serial[key] for got in seen for key, p in got)
 
 
-@pytest.mark.parametrize("family, x, y, zero", [
-    ("cauchy", F(2, 5), F(2, 5), range(1, 9)),  # p_n(x, x) = 0 for n >= 1
-    ("rogers_szego", F(2, 5), F(-2, 5), range(1, 9, 2)),  # h_n(-x, x) = 0 for odd n
-    ("cauchy", X * F(2, 5), X * F(2, 5), range(1, 9)),  # every term at x^n
-], ids=["cauchy-scalar", "rogers-szego-scalar", "cauchy-monomial"])
-def test_family_rows_hold_no_zero_numerator(family, x, y, zero):
+@pytest.mark.parametrize("family, q, x, y, zero", [
+    ("cauchy", F(1, 3), F(2, 5), F(2, 5), range(1, 9)),  # p_n(x, x) = 0 for n >= 1
+    ("rogers_szego", F(1, 3), F(2, 5), F(-2, 5), range(1, 9, 2)),  # h_n(-x, x) = 0 for odd n
+    ("cauchy", F(1, 3), X * F(2, 5), X * F(2, 5), range(1, 9)),  # every term at x^n
+    # [n;k] vanishes at q = -1 for even n and odd k
+    ("cauchy", F(-1), X, Y, ()),
+    ("rogers_szego", F(-1), X, Y, ()),
+    ("asc_new_psi", F(-1), X, Y, ()),
+], ids=["cauchy-scalar", "rogers-szego-scalar", "cauchy-monomial",
+        "cauchy-symbols-q-1", "rogers-szego-symbols-q-1", "asc-new-psi-symbols-q-1"])
+def test_family_rows_hold_no_zero_numerator(family, q, x, y, zero):
     # a row whose terms cancel is the zero row, and no row keeps a
     # cancelled key
     _clear_memos()
-    rows = _family_rows(family, 8, F(1, 3), x=x, y=y)
+    rows = _family_rows(family, 8, q, x=x, y=y)
     assert all(all(nums.values()) for nums, _ in rows)
     assert [n for n, row in enumerate(rows) if row == _ZROW] == list(zero)
 

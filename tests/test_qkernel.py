@@ -29,6 +29,7 @@ from qasc.qkernel import (
     _hyper_row,
     _poch_row,
     _qbinom_rows,
+    _walk,
     euler_inverse_series,
     euler_product_series,
     hyper_series,
@@ -387,6 +388,24 @@ class TestPochRow:
                     assert bn % an == 0 and gcd(bn // an, bd // ad) == 1
                     steps += 1
         assert steps > 300
+
+
+@pytest.mark.parametrize("row", [
+    _poch_row((F(1, 3), F(-2, 5), F(3, 4)), {"d": F(1, 6), "e": F(-3, 8), "q": Q}, Q, 14),
+    _poch_row((Q**-2, F(1, 5)), {"d": F(1, 4), "q": Q}, Q, 9),  # 0 from k = 3 on
+    _euler_row(Q, 40),
+], ids=["five-parameter", "vanishing", "euler-40"])
+def test_walk_holds_terms_over_each_denominator(row):
+    # yield n is terms 0..n over den_n; a walk resumed from any yield
+    # goes on as the unbroken one and leaves the list it is handed alone
+    walk = [(nums[:], den) for nums, den in _walk(row)]
+    for n, (nums, den) in enumerate(walk):
+        assert den == row[n][1]
+        assert [F(c, den) for c in nums] == [F(c, d) for c, d in row[: n + 1]]
+    for n, (nums, den) in enumerate(walk):
+        held = nums[:]
+        assert [(v[:], d) for v, d in _walk(row[n + 1:], held, den)] == walk[n + 1:]
+        assert held == nums
 
 
 class TestQBinomRows:
