@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .core import (ONE, ZERO, ParamSet, Poly, Row, X, Y, _UNIT, _ZROW, _exact, _poly, _Record,
                    _row, _substituted, as_fraction)
-from .qkernel import _mono, _poch_key, _poch_row, _qbinom_rows, _ratio, _remember
+from .qkernel import _mono, _poch_key, _poch_row, _qbinom_rows, _ratio, _remember, _step
 
 # (family, q, a..e, x, y) -> ((row_0, ..., row_m), state after row m), the
 # state None for rows substituted from those over the symbols
@@ -93,11 +93,9 @@ def _asc_sum(lo: int, N: int, state: tuple) -> tuple[list[Row], tuple]:
     the last call, holds all a row needs but its weight and its triangle
     row: the weight numerators ws of k < lo over wd = wd_(lo-1), the
     powers x^m, y^m and qb^(floor(m^2/4)) for m < lo, and the constants.
-    A row costs one ``_poch_row`` step, one step of ws along the weight
-    chain, one product per power list and one triangle row.  That step is
-    ``qkernel._walk``'s, kept inline as its second owner: on the walk,
-    whose generator each one-row call sets up anew, exact-structure
-    ``check_ms.p50`` read higher in 9 of 10 pairs (0.7595 -> 0.7704 ms).
+    A row costs one ``_poch_row`` step, one ``qkernel._step`` of ws
+    along the weight chain, one product per power list and one triangle
+    row.
     [n;k] = b(n,k)/qd^(k(n-k)) (``_qbinom_rows``), which q^(k(k-n)) turns
     into b(n,k)/qn^(k(n-k)), so row n lies over wd_n qb^E xd^n yd^n, qb
     the qd (qn under psi) and E = floor(n^2/4) the largest k(n-k); term k
@@ -115,13 +113,10 @@ def _asc_sum(lo: int, N: int, state: tuple) -> tuple[list[Row], tuple]:
     binom = _qbinom_rows(q, N)
     out = []
     # new lists: those a state holds are never changed
-    ws, xs, ys, qs = ws[:], xs[:], ys[:], qs[:]
+    xs, ys, qs = xs[:], ys[:], qs[:]
     for n in range(lo, N + 1):
         wn, d = w[n]
-        step, wd = d // wd, d
-        if step > 1:
-            ws = [c * step for c in ws]
-        ws.append(wn)
+        ws, wd = _step(ws, wd, wn, d), d
         xs.append(xs[-1] * fx)
         ys.append(ys[-1] * fy)
         qs.append(qs[-1] * qb ** (n // 2))

@@ -18,8 +18,9 @@ mpmath side; ``_poch_row`` runs it on integers as (num, den) pairs, one
 small gcd per step, keeps its exact rows and is tested against
 ``term_stream`` on Fractions.  Its rows feed the integer
 rows of TSeries (see ``core.Row``) directly: ``_euler`` places one exact
-term per power of t, ``_walk`` gives the running numerators that ID-5,
-ID-6 and ID-8 sum (``polys._asc_sum`` keeps its step inline), and
+term per power of t, ``_step`` moves the numerators of terms so far to
+the next denominator of such a row (``polys._asc_sum`` one row at a
+time, ``_walk`` along the row for ID-5, ID-6 and ID-8), and
 ``_chain_product``, the builders' one product, writes such a series times
 the series of any (num, den) row (an rPhis, an Euler row, the scalar rows
 of an earlier product) row by row, as exact rows, on a walk of its own.
@@ -237,19 +238,23 @@ def _common_den(row: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     return [c * (den // d) for c, d in row], den
 
 
-def _walk(row: Iterable, nums: Sequence[int] = (), den: int = 1) -> Iterator:
-    """(nums, den_n) for each term of row: the numerators of the terms so
-    far over its denominator, for a row whose denominators each divide the
-    next (a ``_poch_row`` row), each step one product by the small factor
-    den_n/den_(n-1).  It resumes from a (nums, den) its caller holds and
-    leaves that list unchanged; the list it yields grows at the next step."""
-    nums = list(nums)
+def _step(nums: list[int], den: int, c: int, d: int) -> list[int]:
+    """The numerators nums of terms over den, then c, as a new list over
+    d, the next denominator of a row whose denominators each divide the
+    next (a ``_poch_row`` row): one product by the small factor d/den."""
+    s = d // den
+    nums = [v * s for v in nums] if s > 1 else nums[:]
+    nums.append(c)
+    return nums
+
+
+def _walk(row: Iterable) -> Iterator:
+    """(nums, den_n) for each term n of a row whose denominators each
+    divide the next: the numerators of terms 0..n over den_n, one
+    ``_step`` each, every yield a list of its own."""
+    nums, den = [], 1
     for c, d in row:
-        s = d // den
-        if s > 1:
-            nums = [v * s for v in nums]
-        nums.append(c)
-        den = d
+        nums, den = _step(nums, den, c, d), d
         yield nums, d
 
 

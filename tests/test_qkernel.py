@@ -29,6 +29,7 @@ from qasc.qkernel import (
     _hyper_row,
     _poch_row,
     _qbinom_rows,
+    _step,
     _walk,
     euler_inverse_series,
     euler_product_series,
@@ -396,16 +397,18 @@ class TestPochRow:
     _euler_row(Q, 40),
 ], ids=["five-parameter", "vanishing", "euler-40"])
 def test_walk_holds_terms_over_each_denominator(row):
-    # yield n is terms 0..n over den_n; a walk resumed from any yield
-    # goes on as the unbroken one and leaves the list it is handed alone
-    walk = [(nums[:], den) for nums, den in _walk(row)]
+    # yield n is terms 0..n over den_n, and no later step changes it; a
+    # _step from a held (nums, den), as the family sums take, gives the
+    # next yield and leaves the held list alone
+    walk = list(_walk(row))
+    assert len(walk) == len(row)
     for n, (nums, den) in enumerate(walk):
         assert den == row[n][1]
         assert [F(c, den) for c in nums] == [F(c, d) for c, d in row[: n + 1]]
-    for n, (nums, den) in enumerate(walk):
-        held = nums[:]
-        assert [(v[:], d) for v, d in _walk(row[n + 1:], held, den)] == walk[n + 1:]
-        assert held == nums
+        if n + 1 < len(row):
+            held = nums[:]
+            assert _step(nums, den, *row[n + 1]) == walk[n + 1][0]
+            assert nums == held
 
 
 class TestQBinomRows:
