@@ -49,20 +49,21 @@ class Poly:
     Held as one exact row (see ``Row``), as each power of a ``TSeries``
     is: the coefficient of x^i y^j, i the degree in x and j the degree in
     y, is nums[(i, j)] / den.  ``==`` compares two rows with ``_same`` and
-    reduces neither.  ``row`` is the canonical row, unique to the value:
-    it, ``terms``, the hash, ``str`` and pickling reduce the row once, on
-    first use, and keep the result.  The arithmetic reads the canonical
-    rows of its operands and leaves its result exact; ``==``, ``coeff``,
-    ``shift``, ``eval``, ``xcoeff_as_y_poly`` and the kernels that map a
-    row term by term (``qops``, the basis expansion and synthesis) read
-    the row as held (``_held``), exact or already reduced.  Exponents are
-    non-negative ints, coefficients exact rationals.  ``+``, ``-`` and
-    ``*`` take a Poly, an int or a Fraction and give ``NotImplemented``
-    for any other operand, so a ``TSeries`` scales by a Poly from either
-    side and a float is a ``TypeError``.
+    reduces neither.  ``row`` is a read-only view of the canonical row,
+    unique to the value: it, ``terms``, the hash, ``str`` and pickling
+    reduce the row once, on first use, and keep the result, which the
+    kernels read without a view as ``_canonical``.  The arithmetic reads
+    the canonical rows of its operands and leaves its result exact;
+    ``==``, ``coeff``, ``shift``, ``eval``, ``xcoeff_as_y_poly`` and the
+    kernels that map a row term by term (``qops``, the basis expansion and
+    synthesis) read the row as held (``_held``), exact or already reduced.
+    Exponents are non-negative ints, coefficients exact rationals.  ``+``,
+    ``-`` and ``*`` take a Poly, an int or a Fraction and give
+    ``NotImplemented`` for any other operand, so a ``TSeries`` scales by a
+    Poly from either side and a float is a ``TypeError``.
     """
 
-    __slots__ = ("_held", "_reduced", "_terms", "_hash")
+    __slots__ = ("_held", "_reduced", "_view", "_terms", "_hash")
 
     def __init__(self, terms: Mapping[tuple[int, int], Fraction] | None = None):
         cs = {}
@@ -77,10 +78,10 @@ class Poly:
         # numerator it does not divide, so the row is canonical
         den = lcm(*(c.denominator for c in cs.values()))
         self._held = {e: c.numerator * (den // c.denominator) for e, c in cs.items()}, den
-        self._reduced, self._terms, self._hash = True, None, None
+        self._reduced, self._view, self._terms, self._hash = True, None, None, None
 
     @property
-    def row(self) -> Row:
+    def _canonical(self) -> Row:
         # two threads may both reduce the row; either result is the same
         if not self._reduced:
             self._held = _canon(*self._held)
@@ -88,10 +89,19 @@ class Poly:
         return self._held
 
     @property
+    def row(self) -> tuple[Mapping[tuple[int, int], int], int]:
+        # built on first read, like terms, so that writing through it
+        # raises TypeError instead of changing the value
+        if self._view is None:
+            nums, den = self._canonical
+            self._view = MappingProxyType(nums), den
+        return self._view
+
+    @property
     def terms(self) -> Mapping[tuple[int, int], Fraction]:
         # two threads may both build the mapping; either result is the same
         if self._terms is None:
-            nums, den = self.row
+            nums, den = self._canonical
             self._terms = MappingProxyType({e: Fraction(c, den) for e, c in nums.items()})
         return self._terms
 
@@ -124,7 +134,7 @@ class Poly:
     def __add__(self, other) -> "Poly":
         if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
-        return _poly(_dot(((self.row, _UNIT), (_row(other), _UNIT))))
+        return _poly(_dot(((self._canonical, _UNIT), (_row(other), _UNIT))))
 
     __radd__ = __add__
 
@@ -135,24 +145,24 @@ class Poly:
     def __sub__(self, other) -> "Poly":
         if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
-        return _poly(_dot(((self.row, _UNIT), (_row(other), _MINUS))))
+        return _poly(_dot(((self._canonical, _UNIT), (_row(other), _MINUS))))
 
     def __rsub__(self, other) -> "Poly":
         if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
-        return _poly(_dot(((self.row, _MINUS), (_row(other), _UNIT))))
+        return _poly(_dot(((self._canonical, _MINUS), (_row(other), _UNIT))))
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
-        return _poly(_dot([(self.row, _row(other))]))
+        return _poly(_dot([(self._canonical, _row(other))]))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        nums, den = self.row
+        nums, den = self._canonical
         if len(nums) == 1:  # a monomial: gcd(c, den) = 1 gives gcd(c^n, den^n) = 1
             ((i, j), c), = nums.items()
             return _poly(({(n * i, n * j): c**n}, den**n))
@@ -175,7 +185,7 @@ class Poly:
     def __hash__(self):
         # filled on first use, like terms; a constant hashes as its Fraction
         if self._hash is None:
-            nums, den = self.row
+            nums, den = self._canonical
             self._hash = hash(Fraction(nums.get((0, 0), 0), den) if self.is_constant()
                               else (frozenset(nums.items()), den))
         return self._hash
@@ -184,7 +194,7 @@ class Poly:
         return bool(self._held[0])
 
     def __reduce__(self):
-        return (_poly, (self.row,))  # the terms view does not pickle
+        return (_poly, (self._canonical,))  # the views do not pickle
 
     # -- structure ----------------------------------------------------------
 
@@ -270,7 +280,7 @@ _MINUS: Row = ({(0, 0): -1}, 1)
 def _row(v) -> Row:
     """The canonical row of a Poly or of a rational scalar."""
     if isinstance(v, Poly):
-        return v.row
+        return v._canonical
     if isinstance(v, (int, Fraction)):
         return ({(0, 0): v.numerator}, v.denominator) if v else _ZROW
     raise TypeError(f"cannot use {v!r} as a polynomial")
@@ -283,7 +293,7 @@ def _poly(row: Row) -> Poly:
     if den < 0:
         nums, den = {e: -c for e, c in nums.items()}, -den
     p = Poly.__new__(Poly)
-    p._held, p._reduced, p._terms, p._hash = _exact(nums, den), False, None, None
+    p._held, p._reduced, p._view, p._terms, p._hash = _exact(nums, den), False, None, None, None
     return p
 
 
@@ -320,9 +330,12 @@ def _exact(nums: dict, den: int) -> Row:
 
 
 def _same(a: Row, b: Row) -> bool:
-    """Whether exact rows a, b hold the same polynomial: the same terms, and
-    each c (bd/g) equal to its c' (ad/g), g = gcd(ad, bd); neither is reduced."""
+    """Whether exact rows a, b hold the same polynomial: over one
+    denominator, the same numerators; else the same terms, and each
+    c (bd/g) equal to its c' (ad/g), g = gcd(ad, bd); neither is reduced."""
     (an, ad), (bn, bd) = a, b
+    if ad == bd:
+        return an == bn
     g = gcd(ad, bd)
     fa, fb = bd // g, ad // g
     return an.keys() == bn.keys() and all(c * fa == bn[e] * fb for e, c in an.items())
@@ -368,7 +381,7 @@ def _series(order: int, rows: Iterable[Row], s: "TSeries | None" = None) -> "TSe
         raise ValueError(f"need {order + 1} coefficients, got {len(rows)}")
     if s is None:
         s = TSeries.__new__(TSeries)
-    s.order, s.rows, s._coeffs = order, rows, None
+    s.order, s._rows, s._coeffs = order, rows, None
     return s
 
 
@@ -377,7 +390,9 @@ class TSeries:
 
     Each t^n coefficient is an exact row (see ``Row``), which ``==`` and
     ``first_mismatch`` compare unreduced; arithmetic writes canonical rows.
-    ``coeffs`` wraps them as Poly values t^0 .. t^N, on first read.
+    ``rows`` hands them out as read-only views, which the kernels do not
+    build: they read the held rows, ``_rows``.  ``coeffs`` wraps them as
+    Poly values t^0 .. t^N, on first read.
     Arithmetic never reads or writes beyond the truncation order, and
     mixing different orders is an error rather than a silent re-truncation.
     ``+``, ``-`` and ``*`` give ``NotImplemented`` for an operand that is
@@ -385,16 +400,20 @@ class TSeries:
     or a Poly.
     """
 
-    __slots__ = ("order", "rows", "_coeffs")
+    __slots__ = ("order", "_rows", "_coeffs")
 
     def __init__(self, order: int, coeffs: Iterable[Poly] | None = None):
         _series(order, [_ZROW] * (order + 1) if coeffs is None else map(_row, coeffs), self)
 
     @property
+    def rows(self) -> tuple[tuple[Mapping[tuple[int, int], int], int], ...]:
+        return tuple((MappingProxyType(nums), den) for nums, den in self._rows)
+
+    @property
     def coeffs(self) -> tuple[Poly, ...]:
         # two threads may both build the tuple; either result is the same
         if self._coeffs is None:
-            self._coeffs = tuple(map(_poly, self.rows))
+            self._coeffs = tuple(map(_poly, self._rows))
         return self._coeffs
 
     @staticmethod
@@ -429,21 +448,21 @@ class TSeries:
         if not self._check(other):
             return NotImplemented
         return _series(self.order, [_canon(*_dot(((a, _UNIT), (b, _UNIT))))
-                                    for a, b in zip(self.rows, other.rows)])
+                                    for a, b in zip(self._rows, other._rows)])
 
     def __sub__(self, other: "TSeries") -> "TSeries":
         return self + (-other) if self._check(other) else NotImplemented
 
     def __neg__(self) -> "TSeries":
         return _series(self.order, [({e: -c for e, c in nums.items()}, den)
-                                    for nums, den in self.rows])
+                                    for nums, den in self._rows])
 
     def __mul__(self, other) -> "TSeries":
         if isinstance(other, (int, Fraction, Poly)):
             return self.scale(other)
         if not self._check(other):
             return NotImplemented
-        a, b = self.rows, other.rows
+        a, b = self._rows, other._rows
         return _series(self.order, [_canon(*_dot(zip(a[: n + 1], b[n::-1])))
                                     for n in range(self.order + 1)])
 
@@ -451,41 +470,41 @@ class TSeries:
 
     def scale(self, p) -> "TSeries":
         p = _row(p)
-        return _series(self.order, [_canon(*_dot([(r, p)])) for r in self.rows])
+        return _series(self.order, [_canon(*_dot([(r, p)])) for r in self._rows])
 
     def shift_t(self, k: int) -> "TSeries":
         """Multiply by t^k, dropping coefficients past the order."""
         if k < 0:
             raise ValueError("negative t-shift")
         n = self.order + 1
-        return _series(self.order, [_ZROW] * min(k, n) + list(self.rows[: max(n - k, 0)]))
+        return _series(self.order, [_ZROW] * min(k, n) + list(self._rows[: max(n - k, 0)]))
 
     def inverse(self) -> "TSeries":
         """Multiplicative inverse; the constant term must be a nonzero rational."""
-        nums, den = self.rows[0]
+        nums, den = self._rows[0]
         if set(nums) != {(0, 0)}:
             raise ValueError("series inverse needs a nonzero constant t^0 coefficient")
         c = nums[(0, 0)]
         out = [_canon({(0, 0): den}, c)]
         minus_inv = _canon({(0, 0): -den}, c)
         for n in range(1, self.order + 1):
-            acc = _dot((self.rows[k], out[n - k]) for k in range(1, n + 1))
+            acc = _dot((self._rows[k], out[n - k]) for k in range(1, n + 1))
             out.append(_canon(*_dot([(acc, minus_inv)])))
         return _series(self.order, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TSeries):
             return NotImplemented
-        return self.order == other.order and all(map(_same, self.rows, other.rows))
+        return self.order == other.order and all(map(_same, self._rows, other._rows))
 
     def is_zero(self) -> bool:
-        return not any(nums for nums, _ in self.rows)
+        return not any(nums for nums, _ in self._rows)
 
     def first_mismatch(self, other: "TSeries") -> int | None:
         """Lowest t-power where the two series differ, or None if equal."""
         if not self._check(other):
             raise TypeError(f"cannot compare a TSeries with {other!r}")
-        return next((n for n, (a, b) in enumerate(zip(self.rows, other.rows))
+        return next((n for n, (a, b) in enumerate(zip(self._rows, other._rows))
                      if not _same(a, b)), None)
 
     def __str__(self) -> str:

@@ -4,14 +4,15 @@ expansion in the five-parameter polynomial basis.
 
 Every catalog entry builds both sides of one generating-function or
 transformation identity as TSeries, writing their integer rows directly
-(each product of two series one ``qkernel._chain_product``; ID-5, ID-6
-and ID-8 write their own rows over running numerators from
-``qkernel._walk``), and compares them exactly as exact rows
-(``core.Row``), reduced only where they feed more products.
+(a product of two series one ``qkernel._chain_product``; ID-5, ID-6,
+ID-7 and ID-8 write their own rows over running numerators from
+``qkernel._walk``, ID-7 the right sides of its four shifts in one pass),
+and compares them exactly as exact rows (``core.Row``), reduced only
+where they feed more products.
 A generating function sum_n p_n w_n t^n is one ``_gf`` over a single
 ``_poch_row`` weight row w that holds its 1/(q;q)_n, and every rPhis is one
 ``qkernel._hyper_row`` of plain parameter tuples; the builders take the
-draw and the order (ps, N) alone, ID-7's pair also the rows it shares.
+draw and the order (ps, N) alone.
 Identities whose natural coefficients are infinite sums are handled by
 the numeric module instead; two entries here (ID-5 and ID-12) regain
 finite coefficients by scaling a parameter pair with the formal variable.
@@ -62,7 +63,9 @@ def _gf(N: int, seq: Sequence[Row], e: Sequence[tuple[int, int]]) -> TSeries:
     rows = []
     for (nums, den), (en, ed) in zip(seq, e):
         g = gcd(en, den)  # the powers of qd in en cancel against den
-        rows.append(_exact({k: c * (en // g) for k, c in nums.items()}, den // g * ed))
+        f = en // g
+        # an exact row times a nonzero f has no zero term to drop
+        rows.append(({k: c * f for k, c in nums.items()}, den // g * ed) if f and nums else _ZROW)
     return _series(N, rows)
 
 
@@ -150,7 +153,7 @@ def build_id5_pair(ps: ParamSet, N: int) -> Side:
     lhs = _gf(N, _asc5_rows("phi", ps, N), _poch_row(top, {"q": q}, q, N, z=z, r=r))
     w = _poch_row((ps.a, ps.b, ps.c, *top), {"d": ps.d, "e": ps.e, "q": q}, q, N, z=z, r=r)
     e, f = _euler_row(q, N), _euler_row(q, N, product=True)
-    p0 = _chain_product(e, X * tau, f, X * sig, N).rows
+    p0 = _chain_product(e, X * tau, f, X * sig, N)._rows
     K = max(k for k, (c, _) in enumerate(w) if c)  # P_k is needed for k <= K
     qn, qd, sn, sd = q.numerator, q.denominator, sig.numerator, sig.denominator
     # steps[m] = L_m / (L_(m-1) sigd), small; a zero row of P_0 has den 1
@@ -176,41 +179,55 @@ def build_id5_pair(ps: ParamSet, N: int) -> Side:
         for n, (Wk, wd) in enumerate(_walk(w))]))
 
 
-def _id7_sums(ps: ParamSet, N: int, top: int) -> list[tuple[Row, ...]]:
-    """The rows of H_j = sum_(m<=N) A_(m+j) [m+j;j] y^m t^m / (x q^j t;q)_inf
-    for j = 0..top, A_n = (a,b,c;q)_n/((q,d,e;q)_n), each one
-    ``_chain_product`` of the Euler row and the pairs A_(m+j) [m+j;j]."""
-    q = ps.q
-    binom, qd = _qbinom_rows(q, N + top), q.denominator
-    A = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, N + top)
-    e = _euler_row(q, N)
-    return [_chain_product(e, X * q**j, [(A[n][0] * binom[n][j], A[n][1] * qd ** (j * (n - j)))
-                                         for n in range(j, N + j + 1)], Y, N).rows
-            for j in range(top + 1)]
-
-
-def build_id7_pair(ps: ParamSet, N: int, K: int, H: Sequence[Sequence[Row]]) -> Side:
-    """Index-shifted generating function for shift K, over H = the rows
-    ``_id7_sums`` gives to at least K.
+def build_id7_pairs(ps: ParamSet, N: int) -> list[Side]:
+    """Index-shifted generating function, both sides of the shifts
+    K = 0..3 in one pass.
 
     LHS: sum_n phi_(n+K)(x,y) t^n/(q;q)_n
     RHS: x^K/(xt;q)_inf * sum_n A_n (yt)^n
          * sum_j [n;j] (-1)^j q^(Kj-C(j,2)) (q^-K, xt;q)_j / (xt)^j
-    with A_n = (a,b,c;q)_n/((q,d,e;q)_n).  Since (xt;q)_j/(xt;q)_inf =
-    1/(x q^j t;q)_inf, the right side is sum_j J_j x^(K-j) y^j H_j, every
-    x and t exponent nonnegative because (q^-K;q)_j kills j > K; each power
-    of t is one ``_dot`` of the H_j rows with the monomials J_j x^(K-j) y^j.
-    The q^(Kj) power makes the j-weight J_j equal to (q;q)_K/(q;q)_(K-j),
-    which is what the K-fold derivative of x^K/(xt;q)_inf produces.
+    with A_n = (a,b,c;q)_n/((q,d,e;q)_n).  The q^(Kj) power makes the
+    j-weight J_j equal to (q;q)_K/(q;q)_(K-j), which is what the K-fold
+    derivative of x^K/(xt;q)_inf produces, and (q^-K;q)_j kills j > K.
+    Since (xt;q)_j/(xt;q)_inf = 1/(x q^j t;q)_inf, the coefficient of
+    t^n x^(n+K-s) y^s is
+
+        A_s sum_j J_j [s;j] q^(j(n-s+j)) / (q;q)_(n-s+j),
+        max(0, s-n) <= j <= min(K, s).
+
+    [s;j] q^(j(n-s+j)) lies over exactly qd^(jn), so row n of shift K lies
+    over Ad_(n+K) JD_K qd^(Kn) ed_n: the numerators of A over Ad_(n+K) and
+    of 1/(q;q)_l over ed_n are ``qkernel._walk``'s, and the j-terms without
+    J_j, which every shift shares, are formed once per (n, s).  The right
+    side reads the A, Euler, q-binomial and J rows and no family row.
     """
-    q = ps.q
-    lhs = _gf(N, _asc5_rows("phi", ps, N + K)[K:], _euler_row(q, N))
-    # (-1)^j q^(Kj - C(j,2)) (q^-K;q)_j x^(K-j) y^j, j <= K, each one nonzero
-    J = [({(K - j, j): c}, d) for j, (c, d) in
-         enumerate(_poch_row((q**-K,), {}, q, K, z=-(q**K), r=1 / q))]
-    # shift 0 has J_0 x^0 = 1, so its right side is H_0 itself
-    rhs = _series(N, H[0] if K == 0 else [_dot(zip((h[n] for h in H), J)) for n in range(N + 1)])
-    return (f"k={K}", lhs, rhs)
+    q, top = ps.q, 3
+    qn, qd = q.numerator, q.denominator
+    # the phi prefix first, so that a (d,e;q)_k pole is named before the
+    # (q,d,e;q)_k pole of the A row
+    phi, e = _asc5_rows("phi", ps, N + top), _euler_row(q, N)
+    lhs = [_gf(N, phi[K:], e) for K in range(top + 1)]
+    A = list(_walk(_poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, N + top)))
+    binom = _qbinom_rows(q, N + top)
+    qnp, qdp = (list(accumulate(repeat(p, top * N), mul, initial=1)) for p in (qn, qd))
+    # (-1)^j q^(Kj - C(j,2)) (q^-K;q)_j over JD_K, j <= K, each one nonzero
+    J = [_common_den(_poch_row((q**-K,), {}, q, K, z=-(q**K), r=1 / q)) for K in range(top + 1)]
+    rhs: list[list[Row]] = [[] for _ in J]
+    for n, (E, ed) in enumerate(_walk(e)):
+        # cols[j][s - j] = [s;j] q^(j(n-s+j)) / (q;q)_(n-s+j) over qd^(jn) ed_n,
+        # s = j..n+j, which every shift shares
+        cols = [[binom[s][j] * qnp[j * (n + j - s)] * E[n + j - s] for s in range(j, n + j + 1)]
+                for j in range(top + 1)]
+        for K, (Jk, jd) in enumerate(J):
+            C = [0] * (n + K + 1)
+            for j, c in enumerate(Jk):
+                c *= qdp[(K - j) * n]
+                for s, b in enumerate(cols[j], j):
+                    C[s] += c * b
+            a, ad = A[n + K]
+            rhs[K].append(_exact({(n + K - s, s): x * y for s, (x, y) in enumerate(zip(a, C)) if x},
+                                 ad * jd * qdp[K * n] * ed))
+    return [(f"k={K}", l, _series(N, r)) for K, (l, r) in enumerate(zip(lhs, rhs))]
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +269,6 @@ def _build_id5(ps: ParamSet, N: int) -> list[Side]:
 
 def _build_id6(ps: ParamSet, N: int) -> list[Side]:
     return [("", build_id6_lhs(ps, N), build_id6_rhs(ps, N))]
-
-
-def _build_id7(ps: ParamSet, N: int) -> list[Side]:
-    # the phi prefix first, so that a (d,e;q)_k pole is named before the
-    # (q,d,e;q)_k pole of _id7_sums
-    _asc5_rows("phi", ps, N + 3)
-    H = _id7_sums(ps, N, 3)
-    return [build_id7_pair(ps, N, K, H) for K in range(4)]
 
 
 def _build_id8(ps: ParamSet, N: int) -> list[Side]:
@@ -373,7 +382,7 @@ def _build_id11(ps: ParamSet, N: int) -> list[Side]:
 
 def _scalars(s: TSeries) -> list[tuple[int, int]]:
     """The reduced (num, den) pairs of a series of scalars, for a further product."""
-    return [(nums.get((0, 0), 0), den) for nums, den in (_canon(*row) for row in s.rows)]
+    return [(nums.get((0, 0), 0), den) for nums, den in (_canon(*row) for row in s._rows)]
 
 
 def _quotient_sum(w: Sequence[tuple[int, int]], a: Fraction, b: Fraction, q: Fraction,
@@ -513,7 +522,7 @@ CATALOG: dict[str, IdentityCheck] = {
             "ID-7",
             "index-shifted generating function, shifts k = 0..3",
             (),
-            _build_id7,
+            build_id7_pairs,
         ),
         IdentityCheck(
             "ID-8",
@@ -627,15 +636,15 @@ def qdiff_residual(which: str, f: TSeries, ps: ParamSet) -> TSeries:
     # L lies over ld qd^(3j) and R over rd qd^(i+3j), u L over ld qd^(i+3j)
     # and v R over rd qd^(i+4j); each side takes the other's constant, so a
     # row lies over den ld rd qd^E, E its largest right-side exponent
-    tops = [max((i + (4 if psi else 3) * j for i, j in nums), default=0) for nums, _ in f.rows]
-    top = max((max(e) for nums, _ in f.rows for e in nums), default=0)
+    tops = [max((i + (4 if psi else 3) * j for i, j in nums), default=0) for nums, _ in f._rows]
+    top = max((max(e) for nums, _ in f._rows for e in nums), default=0)
     qnp, qdp = [qn**m for m in range(top + 1)], [qd**m for m in range(max(tops) + 1)]
     # 1 - p q^m = (pd qd^m - pn qn^m) / (pd qd^m), one table per constant p
     one, a, b, c, d, e = ([p.denominator * qdp[m] - p.numerator * qnp[m] for m in range(top + 1)]
                           for p in (ONE, ps.a, ps.b, ps.c, dq, eq))
     ld, rd = dq.denominator * eq.denominator, ps.a.denominator * ps.b.denominator * ps.c.denominator
     rows = []
-    for (nums, den), E in zip(f.rows, tops):
+    for (nums, den), E in zip(f._rows, tops):
         acc: dict[tuple[int, int], int] = {}
         for (i, j), k in nums.items():
             el, er = (i + 3 * j, i + 4 * j) if psi else (3 * j, i + 3 * j)
@@ -690,10 +699,10 @@ def _expand_rows(p: Poly, rows: Sequence[Row]) -> list[Poly]:
         if cn.is_zero():
             continue
         mu[n] = cn
-        nums, den = cn.row  # reduced in place, so mu_n is canonical
+        nums, den = cn._canonical  # reduced in place, so mu_n is canonical
         if n == 0:
             break
-        held = rem._held if rem is p else rem.row
+        held = rem._held if rem is p else rem._canonical
         rem = _poly(_dot(((held, _UNIT), (({e: -c for e, c in nums.items()}, den), rows[n]))))
         if rem.is_zero():
             break
@@ -705,7 +714,7 @@ def expand_series_in_basis(f: TSeries, basis: str, ps: ParamSet) -> list[list[Po
     the coefficient of t^m.  The basis rows are read once, as far as the
     expansion of any coefficient reads them, and shared by all of them."""
     _basis_family(basis)
-    rows = _basis_rows(basis, ps, f.rows)
+    rows = _basis_rows(basis, ps, f._rows)
     return [_expand_rows(p, rows) for p in f.coeffs]
 
 

@@ -20,7 +20,7 @@ small gcd per step, keeps its exact rows and is tested against
 rows of TSeries (see ``core.Row``) directly: ``_euler`` places one exact
 term per power of t, ``_step`` moves the numerators of terms so far to
 the next denominator of such a row (``polys._asc_sum`` one row at a
-time, ``_walk`` along the row for ID-5, ID-6 and ID-8), and
+time, ``_walk`` along the row for ID-5 to ID-8), and
 ``_chain_product``, the builders' one product, writes such a series times
 the series of any (num, den) row (an rPhis, an Euler row, the scalar rows
 of an earlier product) row by row, as exact rows, on a walk of its own.

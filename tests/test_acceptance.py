@@ -26,8 +26,7 @@ from qasc.identities import (
     build_id5_pair,
     build_id6_lhs,
     build_id6_rhs,
-    build_id7_pair,
-    _id7_sums,
+    build_id7_pairs,
     expand_poly_in_basis,
     expand_series_in_basis,
     qdiff_residual,
@@ -181,7 +180,7 @@ def test_reduction_remarks():
             ok = False
             detail.append("c=e=0")
         # k = 0 collapse of the shifted identity
-        _, l7, r7 = build_id7_pair(ps, ORDER, 0, _id7_sums(ps, ORDER, 0))
+        _, l7, r7 = build_id7_pairs(ps, ORDER)[0]
         if l7 != build_id3_lhs(ps, ORDER) or r7 != build_id3_rhs(ps, ORDER):
             ok = False
             detail.append("k=0")

@@ -8,6 +8,7 @@ import random
 import sys
 from fractions import Fraction as F
 from math import gcd, lcm
+from operator import delitem, setitem
 
 import pytest
 from hypothesis import given, settings
@@ -605,6 +606,11 @@ class TestExactRows:
         for r in rows[1:]:
             assert _series(0, [r]) == _series(0, [rows[0]])
         assert _series(0, [({(0, 0): 6}, 4)]) == TSeries(0, [Poly.const(F(3, 2))])
+        # over one denominator the numerators compare as they stand
+        assert _series(0, [({(2, 1): -5, (0, 0): 3}, 7)]) == _series(0, [rows[0]])
+        for other in (({(0, 0): 3, (2, 1): -4}, 7), ({(0, 0): 3}, 7),
+                      ({(0, 0): 3, (2, 1): -5, (1, 0): 1}, 7)):
+            assert _series(0, [other]) != _series(0, [rows[0]]) != _series(0, [other])
         assert _series(0, [({(0, 0): 6}, 4)]) != TSeries(0, [Poly.const(F(3, 2) + F(1, 10**6))])
         assert _series(1, [({}, 9), ({(0, 0): -2}, 6)]) == TSeries(1, [0, Poly.const(F(-1, 3))])
         assert _series(1, [({(1, 0): 2}, 4), _row(Poly.zero())]).first_mismatch(
@@ -655,6 +661,21 @@ class TestPolyHoldsExactRow:
         c = _poly(({(0, 0): -6}, -4))
         assert c == F(3, 2) and hash(c) == hash(F(3, 2)) and c.row == ({(0, 0): 3}, 2)
         assert _poly(({(1, 0): 0}, -3)) == 0 and _poly(({(1, 0): 0}, -3)).row == ({}, 1)
+
+
+def test_public_rows_are_read_only():
+    # a series built from Polys shares their numerators, so a write through
+    # Poly.row or TSeries.rows would change the symbols X and Y themselves
+    s = TSeries(2, [X, Y, X * Y])
+    p = X * Y + 1
+    for write, *args in ((setitem, s.rows[1][0], (3, 3), 7), (delitem, s.rows[2][0], (1, 1)),
+                         (setitem, p.row[0], (9, 9), 5), (setitem, X.row[0], (0, 0), 1)):
+        with pytest.raises(TypeError):
+            write(*args)
+    assert (str(X), str(Y), str(p)) == ("x", "y", "xy + 1")
+    assert X.row == ({(1, 0): 1}, 1) and Y.row == ({(0, 1): 1}, 1)
+    assert s.rows == (({(1, 0): 1}, 1), ({(0, 1): 1}, 1), ({(1, 1): 1}, 1))
+    assert s == TSeries(2, [Poly.x(), Poly.y(), Poly.monomial(1, 1)])
 
 
 def test_builders_write_exact_rows():

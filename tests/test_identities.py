@@ -19,7 +19,6 @@ from qasc.identities import (
     CATALOG,
     CATALOG_ORDER,
     IdentityCheck,
-    _id7_sums,
     _quotient_sum,
     build_id3_lhs,
     build_id3_rhs,
@@ -28,7 +27,7 @@ from qasc.identities import (
     build_id5_pair,
     build_id6_lhs,
     build_id6_rhs,
-    build_id7_pair,
+    build_id7_pairs,
     expand_poly_in_basis,
     expand_series_in_basis,
     qdiff_residual,
@@ -282,8 +281,8 @@ def test_builders_do_not_write_into_series():
     # every TSeries reads out a tuple of coefficients, built once, so an
     # in-place write raises and repeated reads give the same Polys
     ps = random_paramset(random.Random(41))
-    for K in range(4):
-        for side in build_id7_pair(ps, 6, K, _id7_sums(ps, 6, K))[1:]:
+    for _, *sides in build_id7_pairs(ps, 6):
+        for side in sides:
             coeffs = side.coeffs
             assert isinstance(coeffs, tuple) and side.coeffs is coeffs
             assert all(a is b for a, b in zip(coeffs, side.coeffs))
@@ -330,6 +329,22 @@ def test_mismatch_rendering_pinned():
         "ed61ecb075ec6ec2b889e5c3f31f481ea8e32729d8f83a4e4ff5fb522eebb3c9")
 
 
+@pytest.mark.parametrize("K, m", [(0, 4), (1, 0), (2, 7), (3, 12)])
+def test_id7_control_per_shift(K, m):
+    # one pass writes the right sides of all four shifts; a coefficient
+    # moved on shift K's right side at t^m fails as shift K at power m
+    def moved(ps, order):
+        sides = CATALOG["ID-7"].build(ps, order)
+        sub, lhs, rhs = sides[K]
+        sides[K] = (sub, lhs, _moved(rhs, m, Poly.monomial(K, m, F(1, 3))))
+        return sides
+
+    check = IdentityCheck(f"ID-7-k{K}", f"ID-7 with shift {K} moved at t^{m}", (), moved)
+    rep = verify(check, trial_paramset(CATALOG["ID-7"], 42, 1), 12)
+    assert rep.status == "fail"
+    assert (rep.first_mismatch["power"], rep.first_mismatch["sub"]) == (m, f"k={K}")
+
+
 class TestParallelVerification:
     def test_thread_pool_matches_serial(self):
         # verify calls are pure; a thread pool must reproduce the serial
@@ -358,7 +373,7 @@ class TestReductions:
         rng = random.Random(21)
         for _ in range(3):
             ps = random_paramset(rng)
-            sub, lhs, rhs = build_id7_pair(ps, 10, 0, _id7_sums(ps, 10, 0))
+            sub, lhs, rhs = build_id7_pairs(ps, 10)[0]
             assert rhs == build_id3_rhs(ps, 10)
             assert lhs == build_id3_lhs(ps, 10)
 
@@ -912,9 +927,8 @@ def test_euler_sums_match_per_term_rows(N):
             assert rhs == _id5_rhs_by_shifts(case, N, sig, tau), (N, sig, tau)
         for t_scale in (draw[0], F(0), F(1)):
             assert _t_scaled(build_id6_rhs(case, N), t_scale) == _id6_rhs_by_shifts(case, N, t_scale)
-        for K in range(4):
-            _, _, rhs = build_id7_pair(case, N, K, _id7_sums(case, N, K))
-            assert rhs == _id7_rhs_by_rows(case, N, K), (N, K)
+        for K, (sub, _, rhs) in enumerate(build_id7_pairs(case, N)):
+            assert sub == f"k={K}" and rhs == _id7_rhs_by_rows(case, N, K), (N, K)
 
 
 @pytest.mark.parametrize("build, want", [(build_id6_rhs, {}), (build_id5_pair, {"_chain_product": 1})],

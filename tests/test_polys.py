@@ -513,8 +513,11 @@ class TestFamilyMemo:
         family = PolyFamily("asc_new_phi", ps)
         written = [asc5_phi(4, ps), family.evaluate(5), *family.sequence(6)]
         for p in written:
-            p.row[0][(0, 0)] = 12345
-            p.row[0].clear()
+            with pytest.raises(TypeError):
+                p.row[0][(0, 0)] = 12345
+            # the held numerators, which the view reads, are the Poly's own
+            p._canonical[0][(0, 0)] = 12345
+            p._canonical[0].clear()
         seq = family.sequence(6)
         seq[0] = seq.pop()
         assert asc5_phi(4, ps) == want[4] and family.evaluate(5) == want[5]
