@@ -19,7 +19,7 @@ from .qkernel import (
     qpoch_multi,
     qpoch_t_poly,
 )
-from .qops import OperatorSpec, apply_operator, dq_apply, leibniz, op_power, theta_apply
+from .qops import OperatorSpec, apply_operator, leibniz, op_power
 from .polys import (
     PolyFamily,
     asc3_phi,
@@ -64,10 +64,8 @@ __all__ = [
     "qpoch_t_poly",
     "OperatorSpec",
     "apply_operator",
-    "dq_apply",
     "leibniz",
     "op_power",
-    "theta_apply",
     "PolyFamily",
     "asc3_phi",
     "asc3_psi",

@@ -381,7 +381,7 @@ def _series(order: int, rows: Iterable[Row], s: "TSeries | None" = None) -> "TSe
         raise ValueError(f"need {order + 1} coefficients, got {len(rows)}")
     if s is None:
         s = TSeries.__new__(TSeries)
-    s.order, s._rows, s._coeffs = order, rows, None
+    s._order, s._rows, s._coeffs = order, rows, None
     return s
 
 
@@ -392,7 +392,8 @@ class TSeries:
     ``first_mismatch`` compare unreduced; arithmetic writes canonical rows.
     ``rows`` hands them out as read-only views, which the kernels do not
     build: they read the held rows, ``_rows``.  ``coeffs`` wraps them as
-    Poly values t^0 .. t^N, on first read.
+    Poly values t^0 .. t^N, on first read.  ``order`` is read-only too, so
+    it always counts the rows that ``_series`` checked.
     Arithmetic never reads or writes beyond the truncation order, and
     mixing different orders is an error rather than a silent re-truncation.
     ``+``, ``-`` and ``*`` give ``NotImplemented`` for an operand that is
@@ -400,10 +401,14 @@ class TSeries:
     or a Poly.
     """
 
-    __slots__ = ("order", "_rows", "_coeffs")
+    __slots__ = ("_order", "_rows", "_coeffs")
 
     def __init__(self, order: int, coeffs: Iterable[Poly] | None = None):
         _series(order, [_ZROW] * (order + 1) if coeffs is None else map(_row, coeffs), self)
+
+    @property
+    def order(self) -> int:
+        return self._order
 
     @property
     def rows(self) -> tuple[tuple[Mapping[tuple[int, int], int], int], ...]:

@@ -178,12 +178,11 @@ def _family_rows(family: str, N: int, q, a=ZERO, b=ZERO, c=ZERO, d=ZERO, e=ZERO,
 
 def _family_poly(family: str, n: int, q, a=ZERO, b=ZERO, c=ZERO, d=ZERO, e=ZERO,
                  x=X, y=Y) -> Poly:
-    """p_n(x, y) of one family, read from its prefix, with numerators of
-    its own."""
+    """p_n(x, y) of one family, on the row its prefix holds: no Poly
+    writes to a held row, and its public views are read-only."""
     if n < 0:
         raise ValueError("polynomial degree n must be >= 0")
-    nums, den = _family_rows(family, n, q, a, b, c, d, e, x, y)[n]
-    return _poly((dict(nums), den))
+    return _poly(_family_rows(family, n, q, a, b, c, d, e, x, y)[n])
 
 
 def cauchy_pn(n: int, x=X, y=Y, q=Fraction(1, 2)):
@@ -267,11 +266,10 @@ class PolyFamily(_Record):
                 )
 
     def sequence(self, N: int, x=X, y=Y) -> list[Poly]:
-        """[p_n(x, y) for n = 0..N], a slice of the family's prefix, each
-        with numerators of its own."""
+        """[p_n(x, y) for n = 0..N], on the rows of the family's prefix."""
         ps = self.params
-        return [_poly((dict(nums), den)) for nums, den in
-                _family_rows(self.family, N, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)]
+        return list(map(_poly, _family_rows(self.family, N, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e,
+                                            x, y)))
 
     def evaluate(self, n: int, x=X, y=Y):
         if self.family.startswith("asc_classical") and y != Y:

@@ -20,10 +20,12 @@ small gcd per step, keeps its exact rows and is tested against
 rows of TSeries (see ``core.Row``) directly: ``_euler`` places one exact
 term per power of t, ``_step`` moves the numerators of terms so far to
 the next denominator of such a row (``polys._asc_sum`` one row at a
-time, ``_walk`` along the row for ID-5 to ID-8), and
-``_chain_product``, the builders' one product, writes such a series times
-the series of any (num, den) row (an rPhis, an Euler row, the scalar rows
-of an earlier product) row by row, as exact rows, on a walk of its own.
+time), and ``_walk`` takes those steps along any (num, den) row, moving
+to the lcm where a denominator is no multiple of the last.  ID-5 to ID-8
+read ``_walk``, and so does ``_chain_product``, the builders' one
+product: it writes the product of the series of two such rows (an rPhis,
+an Euler row, the scalar rows of an earlier product) times powers of two
+monomials, row by row, as exact rows, from one walk per factor.
 ``_hyper_row`` is the rPhis row of plain parameter tuples, which the
 identity builders call directly; ``PhiSpec`` and ``hyper_series`` wrap
 it for library callers.
@@ -240,8 +242,8 @@ def _common_den(row: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
 
 def _step(nums: list[int], den: int, c: int, d: int) -> list[int]:
     """The numerators nums of terms over den, then c, as a new list over
-    d, the next denominator of a row whose denominators each divide the
-    next (a ``_poch_row`` row): one product by the small factor d/den."""
+    d, a multiple of den (the next denominator of a ``_poch_row`` row, or
+    the lcm ``_walk`` moves to): one product by the small factor d/den."""
     s = d // den
     nums = [v * s for v in nums] if s > 1 else nums[:]
     nums.append(c)
@@ -249,11 +251,17 @@ def _step(nums: list[int], den: int, c: int, d: int) -> list[int]:
 
 
 def _walk(row: Iterable) -> Iterator:
-    """(nums, den_n) for each term n of a row whose denominators each
-    divide the next: the numerators of terms 0..n over den_n, one
-    ``_step`` each, every yield a list of its own."""
+    """(nums, den_n) for each term n of any row of (num, den) pairs, den > 0:
+    the numerators of terms 0..n over den_n, the lcm of the denominators so
+    far, every yield a list of its own.  Along a ``_poch_row`` row, where
+    each denominator divides the next, den_n is term n's own and a step is
+    one remainder test and one ``_step``; a term whose denominator is no
+    multiple of the running one moves the row to their lcm."""
     nums, den = [], 1
     for c, d in row:
+        if d % den:
+            m = lcm(den, d)
+            c, d = c * (m // d), m
         nums, den = _step(nums, den, c, d), d
         yield nums, d
 
@@ -357,42 +365,35 @@ def _chain_product(e: Sequence[tuple[int, int]], u: Poly | Fraction | int,
                    h: Sequence[tuple[int, int]], v: Poly | Fraction | int,
                    order: int) -> TSeries:
     """sum_n t^n sum_(m+k=n) e_m u^m h_k v^k for n <= order: the product of
-    the series sum e_m u^m t^m and sum h_k v^k t^k for a ``_poch_row`` row
-    e, any row h of (num, den) pairs (order + 1 terms each) and monomials u, v.
+    the series sum e_m u^m t^m and sum h_k v^k t^k for any rows e, h of
+    (num, den) pairs (order + 1 terms each) and monomials u, v.
 
-    Row n lies over ed_n ud^n hd_n vd^n, hd_n the running lcm of h's
-    denominators.  Along a ``_poch_row`` row each denominator divides the
-    next, so the numerators of e_m u^m over ed_n ud^n come from those over
-    ed_(n-1) ud^(n-1) by one product with the small step factor
-    ed_n/ed_(n-1) ud, and likewise for h, whose lcm then costs a remainder;
-    no earlier term needs a division, and no row is reduced (``core.Row``).
-    When u and v are one monomial, row n is one integer sum at u^n.
+    Both factors are read from ``_walk``s over their rows scaled by powers
+    of each monomial's coefficient, e_m (un/ud)^m and h_k (vn/vd)^k, so row
+    n lies over the product of the two walks' denominators at n, which is
+    ed_n ud^n hd_n vd^n for ``_poch_row`` rows; no earlier term needs a
+    division, and no row is reduced (``core.Row``).  When u and v are one
+    monomial, row n is one integer sum at u^n.
     """
     (ui, uj), un, ud = _mono(u)
     (vi, vj), vn, vd = _mono(v)
-    for name, row in (("e", e), ("h", h)):
+    walks = []
+    for name, row, cn, cd in (("e", e, un, ud), ("h", h, vn, vd)):
         if len(row) <= order:
             raise ValueError(f"factor {name} has {len(row)} terms; order {order} needs {order + 1}")
-    E: list[int] = []  # e_m u^m, m <= n, over ed_n ud^n
-    H: list[int] = []  # h_k v^k, k <= n, over hd_n vd^n
+        scaled, pn, pd = [], 1, 1  # term m times (cn/cd)^m
+        for c, d in row[: order + 1]:
+            scaled.append((c * pn, d * pd))
+            pn, pd = pn * cn, pd * cd
+        walks.append(_walk(scaled))
     rows = []
-    ep = hp = 1  # ed_(n-1), hd_(n-1)
-    unn, vnn, dn = 1, 1, 1  # un^n, vn^n, (ud vd)^n
-    for n, ((en, ed), (hn, hd)) in enumerate(zip(e[: order + 1], h[: order + 1])):
-        hl = hd if hd % hp == 0 else lcm(hp, hd)  # hd_n
-        fe, fh = ed // ep * ud, hl // hp * vd
-        E = [c * fe for c in E]
-        H = [c * fh for c in H]
-        E.append(en * unn)
-        H.append(hn * (hl // hd) * vnn)
+    for n, ((E, ed), (H, hd)) in enumerate(zip(*walks)):
         if (ui, uj) == (vi, vj):  # every term of row n meets at u^n
             acc = {(ui * n, uj * n): sum(map(mul, E, reversed(H)))}
         else:  # term m alone lands at u^m v^(n-m)
             acc = {(ui * m + vi * (n - m), uj * m + vj * (n - m)): c * d
                    for m, (c, d) in enumerate(zip(E, reversed(H)))}
-        rows.append(_exact(acc, ed * hl * dn))
-        ep, hp = ed, hl
-        unn, vnn, dn = unn * un, vnn * vn, dn * ud * vd
+        rows.append(_exact(acc, ed * hd))
     return _series(order, rows)
 
 

@@ -10,9 +10,10 @@ scalar, its symbol, times one monomial:
     D x^n     = (1 - q^n) x^(n-1)
     theta x^n = (q^(1-n) - q) x^(n-1)
 
-so D^k and theta^k are one pass over the terms (``op_power``, of which
-``dq_apply`` and ``theta_apply`` are k = 1): x^n goes to the product of
-the symbols for m = n-k+1..n times x^(n-k), and to 0 when n < k.
+so D^k and theta^k are one pass over the terms (``op_power``): x^n goes
+to the product of the symbols for m = n-k+1..n times x^(n-k), and to 0
+when n < k.  The symbols are written once, on integers, by ``_symbols``,
+which ``op_power``, ``leibniz`` and ``apply_operator`` all read.
 
 The operator series
 
@@ -54,16 +55,6 @@ def _symbols(op: str, q, deg: int) -> tuple[list[int], int, int]:
             raise ZeroDivisionError("theta needs q != 0")
         return [qn * c for c in s], qd, qn
     raise ValueError(f"unknown operator {op!r}: use 'dq' or 'theta'")
-
-
-def dq_apply(p: Poly, q) -> Poly:
-    """Forward q-derivative in x; constants vanish, x-degree drops by 1."""
-    return op_power("dq", p, 1, q)
-
-
-def theta_apply(p: Poly, q) -> Poly:
-    """Backward q-derivative in x: theta x^n = (q^(1-n) - q) x^(n-1)."""
-    return op_power("theta", p, 1, q)
 
 
 def op_power(op: str, p: Poly, k: int, q) -> Poly:
@@ -157,8 +148,9 @@ def apply_operator(spec: OperatorSpec, p: Poly) -> Poly:
     with the E-series carrying the extra (-1)^n q^C(n,2).
 
     Its traffic is one parameter set with x^n, n rising, so the weight row
-    (``_poch_row``) grows by one term a call and the call builds no table:
-    one pass over n carries each monomial's running term.  The row lies
+    (``_poch_row``) grows by one term a call, and the call builds only the
+    symbols s_0..s_d and the powers of v: one pass over n carries each
+    monomial's running term.  The row lies
     over den u^d v^C(d+1,2) wd_d (op x^m = s_m / (u v^m) x^(m-1),
     ``_symbols``; d the x-degree, wd_d the last weight denominator, which
     each weight denominator divides).  Over it the term n of x^i y^j has
@@ -171,26 +163,22 @@ def apply_operator(spec: OperatorSpec, p: Poly) -> Poly:
     """
     ps = spec.params
     q, dq = ps.q, spec.kind == "T"
-    qn, qd = q.numerator, q.denominator
-    # op x^m = t (qd^m - qn^m) / (u v^m) x^(m-1) (``_symbols``)
-    t, u = (1, 1) if dq else (qn, qd)
-    v = qd if dq else qn
     deg = max(p.x_degree(), 0)
+    s, u, v = _symbols("dq" if dq else "theta", q, deg)
+    vp = list(accumulate(repeat(v, deg), mul, initial=1))
     w = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, deg,
                   z=1 if dq else -1, r=1 if dq else q)
     nums, den = p._held
     top = w[deg][1] * u**deg * v ** (deg * (deg + 1) // 2)
-    # (i - n, j + n, numerator, qd^(i-n), qn^(i-n)) of each monomial still alive
-    live = [(i, j, c * top, qd**i, qn**i) for (i, j), c in nums.items()]
+    live = [(i, j, c * top) for (i, j), c in nums.items()]  # (i - n, j + n, numerator)
     acc: dict[tuple[int, int], int] = {}
     # a zero weight after the last one ends the pass
     for (wn, wd), (wn1, wd1) in zip(w, w[1:] + ((0, 1),)):
-        for i, j, c, _, _ in live:
-            s = acc.get((i, j))
-            acc[i, j] = c if s is None else s + c
+        for i, j, c in live:
+            t = acc.get((i, j))
+            acc[i, j] = c if t is None else t + c
         if not wn1:
             break
-        fn, fd = wn1 // wn * t, wd1 // wd * u
-        live = [(i - 1, j + 1, c * fn * (a - b) // (fd * (a if dq else b)), a // qd, b // qn)
-                for i, j, c, a, b in live if i]
+        fn, fd = wn1 // wn, wd1 // wd * u
+        live = [(i - 1, j + 1, c * fn * s[i] // (fd * vp[i])) for i, j, c in live if i]
     return _poly((acc, den * top))

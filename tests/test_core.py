@@ -678,6 +678,21 @@ def test_public_rows_are_read_only():
     assert s == TSeries(2, [Poly.x(), Poly.y(), Poly.monomial(1, 1)])
 
 
+def test_series_order_is_read_only():
+    # a written order would leave three rows under order 5: coeff(4) would
+    # raise IndexError, and == would zip the rows and pass a longer series
+    s = TSeries(2, [X, Y, X * Y])
+    with pytest.raises(AttributeError):
+        s.order = 5
+    with pytest.raises(AttributeError):
+        del s.order
+    assert s.order == 2 and len(s.rows) == 3 and str(s) == "(x)*t^0 + (y)*t^1 + (xy)*t^2"
+    with pytest.raises(ValueError, match="order mismatch"):
+        s.first_mismatch(TSeries(5, [X, Y, X * Y, X, X, X]))
+    assert s != TSeries(2, [X, Y, X])
+    assert pickle.loads(pickle.dumps(s)).order == 2 and copy.copy(s).order == 2
+
+
 def test_builders_write_exact_rows():
     # both sides of every catalog check: order + 1 rows, each with den > 0
     # and no zero numerator, so that the rational compare is exact

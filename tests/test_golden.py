@@ -1,9 +1,12 @@
 """Printed exact outputs pinned by sha256: the operator series T/E, the
 Leibniz rules, a nonzero q-difference residual and two basis expansions
-(spanned series coefficients, and random polynomials with y-dependent mu_n).
+(spanned series coefficients, and random polynomials with y-dependent mu_n),
+and the canonical rows of every catalog side.
 
-The digests were taken from the Fraction-dict Poly, before Poly moved onto
-integer rows; any change of value, term order or rendering shows here.
+The first five digests were taken from the Fraction-dict Poly, before Poly
+moved onto integer rows; any change of value, term order or rendering shows
+here.  The catalog digest was taken before ``_chain_product`` moved onto
+``qkernel._walk``, so a builder rewrite that changes any side's value shows.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ import hashlib
 import random
 from fractions import Fraction as F
 
-from qasc.core import Poly, TSeries, Y, random_paramset
-from qasc.identities import (build_id3_rhs, build_id4_rhs, expand_poly_in_basis,
-                             expand_series_in_basis, qdiff_residual)
+from qasc.core import Poly, TSeries, Y, _canon, random_paramset
+from qasc.identities import (CATALOG, build_id3_rhs, build_id4_rhs, expand_poly_in_basis,
+                             expand_series_in_basis, qdiff_residual, trial_paramset)
 from qasc.qops import OperatorSpec, apply_operator, leibniz
 
 ORDER = 8
@@ -72,6 +75,20 @@ def _random_expansion_lines():
             yield f"{len(mu)}: " + " | ".join(map(str, mu))
 
 
+def _catalog_lines():
+    """Each side's canonical rows, sorted terms over their denominator, for
+    every catalog check at order 12 (seeds 42 and 101, trials 0 and 1) and
+    at order 20 (seed 42, trial 0); none of these draws meets a pole."""
+    for order, seed, trial in ((12, 42, 0), (12, 42, 1), (12, 101, 0), (12, 101, 1),
+                               (20, 42, 0)):
+        for cid, check in CATALOG.items():
+            for sub, lhs, rhs in check.build(trial_paramset(check, seed, trial), order):
+                for name, s in (("lhs", lhs), ("rhs", rhs)):
+                    rows = (_canon(*row) for row in s._rows)
+                    yield f"{cid}:{order}:{seed}:{trial}:{sub}:{name} " + "; ".join(
+                        f"{sorted(nums.items())}/{den}" for nums, den in rows)
+
+
 def test_operator_series_digest():
     assert _digest(_operator_lines()) == (
         "0c0d43d19df1d9f3259d60a87c8c686065075050836f6d2361f91d1ed72fa546")
@@ -101,3 +118,8 @@ def test_random_expansion_digest():
     assert any("y" in line for line in lines)  # some mu_n depend on y
     assert _digest(lines) == (
         "ec3c71f23cb211a0aabd6d9de250e04f9d5cf942a8e2528d98b6ea77c9681e94")
+
+
+def test_catalog_rows_digest():
+    assert _digest(_catalog_lines()) == (
+        "6b6ff2e9e8f9a216e16619b3571e99c11f5deb1ac67833ec9e01aa631ec826e5")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from qasc.core import Poly, TSeries, _ZROW, _canon, _poly, _row, _series
+from qasc.identities import CATALOG, _scalars, trial_paramset
 from qasc.qkernel import (
     PhiSpec,
     PoleError,
@@ -409,6 +410,70 @@ def test_walk_holds_terms_over_each_denominator(row):
             held = nums[:]
             assert _step(nums, den, *row[n + 1]) == walk[n + 1][0]
             assert nums == held
+
+
+def _off_chain_rows(seed, N):
+    """Two rows whose denominators do not each divide the next, as ID-11
+    builds them at its draw for seed: its top row (ra rb rc rd t^2;q)_inf
+    interleaved with (0, 1), and the scalar rows of its first product."""
+    ps = trial_paramset(CATALOG["ID-11"], seed, 0)
+    q, (ra, rb, rc, rd) = ps.q, (ps.get(k) for k in ("ra", "rb", "rc", "rd"))
+    top = _poch_row((), {"q": q}, q, N // 2, z=-(ra * rb * rc * rd), r=q)
+    gaps = [c for t in top for c in (t, (0, 1))][: N + 1]
+    return gaps, _scalars(_chain_product(_euler_row(q, N), ra * rc, gaps, 1, N))
+
+
+@pytest.mark.parametrize("seed", [42, 101, 1042])
+def test_walk_off_a_chain_matches_fraction_prefix_sums(seed):
+    # a term whose denominator is no multiple of the running one moves the
+    # row to their lcm; every yield still holds terms 0..n, whose sum is
+    # the Fraction prefix sum
+    moved = 0
+    for row in _off_chain_rows(seed, 16):
+        den, total = 1, F(0)
+        for n, (nums, d) in enumerate(_walk(row)):
+            moved += d != row[n][1]
+            den, total = lcm(den, row[n][1]), total + F(*row[n])
+            assert d == den
+            assert [F(c, d) for c in nums] == [F(c, e) for c, e in row[: n + 1]]
+            assert F(sum(nums), d) == total
+    assert moved > 0
+
+
+def _fraction_product(e, u, h, v, N):
+    """{(i, j): Fraction} per t^n of sum_(m+k=n) e_m u^m h_k v^k for
+    monomials u, v, summed term by term over Fractions."""
+    ((ui, uj), uc), = u.terms.items()
+    ((vi, vj), vc), = v.terms.items()
+    rows = []
+    for n in range(N + 1):
+        acc = {}
+        for m in range(n + 1):
+            key = (ui * m + vi * (n - m), uj * m + vj * (n - m))
+            acc[key] = acc.get(key, 0) + F(*e[m]) * uc**m * F(*h[n - m]) * vc ** (n - m)
+        rows.append({key: c for key, c in acc.items() if c})
+    return rows
+
+
+@pytest.mark.parametrize("seed", [42, 101, 1042])
+def test_chain_product_off_a_chain_against_fractions(seed):
+    # h off a chain and a v whose denominator shares a factor with h's:
+    # row n lies over ed_n ud^n times the lcm of hd_k vd^k, k <= n
+    N = 12
+    for h in _off_chain_rows(seed, N):
+        hd = next(d for _, d in h if d > 1)
+        for u, v in ((Poly.monomial(1, 0, F(2, 3)), Poly.monomial(0, 1, F(-5, 3 * hd))),
+                     (Poly.const(F(-4, 7)), Poly.const(F(7, 2 * hd)))):
+            vd = v.row[1]
+            for product in (False, True):
+                e = _euler_row(Q, N, product)
+                got = _chain_product(e, u, h, v, N)
+                assert [{key: F(c, d) for key, c in nums.items()} for nums, d in got.rows] \
+                    == _fraction_product(e, u, h, v, N)
+                for n, (_, d) in enumerate(got.rows):
+                    want = e[n][1] * u.row[1] ** n * lcm(*(hk * vd**k for k, (_, hk) in
+                                                          enumerate(h[: n + 1])))
+                    assert d == want or got.rows[n] == _ZROW
 
 
 class TestQBinomRows:

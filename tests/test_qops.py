@@ -10,7 +10,7 @@ import pytest
 from qasc.core import ParamSet, Poly, random_paramset
 from qasc.polys import asc5_phi, asc5_psi, rogers_szego_hn
 from qasc.qkernel import PoleError, _poch_row, qbinom, qpoch
-from qasc.qops import OperatorSpec, apply_operator, dq_apply, leibniz, op_power, theta_apply
+from qasc.qops import OperatorSpec, apply_operator, leibniz, op_power
 
 Q = F(1, 2)
 
@@ -32,13 +32,13 @@ def random_poly(rng, max_deg=4):
 class TestBasicOperators:
     def test_dq_monomial_law(self):
         for n in range(1, 7):
-            assert dq_apply(Poly.x() ** n, Q) == Poly.x() ** (n - 1) * (1 - Q**n)
+            assert op_power("dq", Poly.x() ** n, 1, Q) == Poly.x() ** (n - 1) * (1 - Q**n)
 
     def test_dq_matches_divided_difference(self):
         rng = random.Random(1)
         for _ in range(10):
             p = random_poly(rng)
-            direct = dq_apply(p, Q)
+            direct = op_power("dq", p, 1, Q)
             diff = p - p.shift(Q, F(1))
             # (p - p(qx))/x: every term of diff has x-degree >= 1
             quotient = Poly({(i - 1, j): c for (i, j), c in diff.terms.items()})
@@ -48,28 +48,28 @@ class TestBasicOperators:
         rng = random.Random(2)
         for _ in range(10):
             p = random_poly(rng)
-            direct = theta_apply(p, Q)
+            direct = op_power("theta", p, 1, Q)
             diff = p.shift(1 / Q, F(1)) - p
             quotient = Poly({(i - 1, j): c * Q for (i, j), c in diff.terms.items()})
             assert direct == quotient
 
     def test_constants_vanish(self):
-        assert dq_apply(Poly.one(), Q).is_zero()
-        assert theta_apply(Poly.const(F(5, 7)), Q).is_zero()
+        assert op_power("dq", Poly.one(), 1, Q).is_zero()
+        assert op_power("theta", Poly.const(F(5, 7)), 1, Q).is_zero()
 
     def test_theta_frozen(self):
-        assert theta_apply(Poly.x(), Q) == Poly.const(1 - Q)
-        assert theta_apply(Poly.x() ** 2, Q) == Poly.x() * (Q**-1 - Q)
+        assert op_power("theta", Poly.x(), 1, Q) == Poly.const(1 - Q)
+        assert op_power("theta", Poly.x() ** 2, 1, Q) == Poly.x() * (Q**-1 - Q)
         # q^(1-n) has no value at q = 0: no row over a zero denominator
         with pytest.raises(ZeroDivisionError):
-            theta_apply(Poly.x() ** 2, 0)
+            op_power("theta", Poly.x() ** 2, 1, 0)
 
     def test_dq_examples(self):
-        assert dq_apply(Poly.monomial(2, 1), Q) == Poly.monomial(1, 1, F(3, 4))
+        assert op_power("dq", Poly.monomial(2, 1), 1, Q) == Poly.monomial(1, 1, F(3, 4))
 
     def test_y_is_inert(self):
-        assert dq_apply(Poly.y() ** 3, Q).is_zero()
-        assert theta_apply(Poly.y() ** 3, Q).is_zero()
+        assert op_power("dq", Poly.y() ** 3, 1, Q).is_zero()
+        assert op_power("theta", Poly.y() ** 3, 1, Q).is_zero()
 
 
 class TestOpPower:
@@ -110,7 +110,7 @@ class TestOpPower:
             p = random_poly(rng)
             if p.x_degree() < 1:
                 continue
-            assert dq_apply(p, Q).x_degree() == p.x_degree() - 1
+            assert op_power("dq", p, 1, Q).x_degree() == p.x_degree() - 1
 
 
 def _leibniz_oracle(op, f, g, n, q):
@@ -149,7 +149,7 @@ class TestLeibniz:
         assert leibniz("dq", f, g, 0, Q) == f * g
 
     def test_single_steps(self):
-        assert leibniz("dq", Poly.x(), Poly.x(), 1, Q) == dq_apply(Poly.x() ** 2, Q)
+        assert leibniz("dq", Poly.x(), Poly.x(), 1, Q) == op_power("dq", Poly.x() ** 2, 1, Q)
         assert leibniz("theta", Poly.x() ** 2, Poly.x(), 2, Q) == op_power(
             "theta", Poly.x() ** 3, 2, Q
         )
@@ -183,24 +183,38 @@ class TestOperatorSeries:
                 assert apply_operator(OperatorSpec("T", ps), Poly.x() ** n) == asc5_phi(n, ps)
                 assert apply_operator(OperatorSpec("E", ps), Poly.x() ** n) == asc5_psi(n, ps)
 
+    @staticmethod
+    def _check_weighted_powers(ps, p):
+        # sum_n w_n y^n op^n p with the weight row and Poly arithmetic
+        q, deg = ps.q, p.x_degree()
+        for kind, op, z, r in (("T", "dq", 1, 1), ("E", "theta", -1, q)):
+            w = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, deg, z=z, r=r)
+            want = sum((Poly.y() ** n * op_power(op, p, n, q) * F(wn, wd)
+                        for n, (wn, wd) in enumerate(w)), Poly.zero())
+            assert apply_operator(OperatorSpec(kind, ps), p) == want, (kind, p)
+
     @pytest.mark.parametrize("seed", [2, 11, 29, 64])
     def test_matches_weighted_powers_on_mixed_polynomials(self, seed):
-        # sum_n w_n y^n op^n p with the weight row and Poly arithmetic, on
         # polynomials whose monomials reach different x-degrees, carry
         # powers of y and a constant term
         rng = random.Random(f"mixed-{seed}")
         ps = random_paramset(rng)
-        q = ps.q
         for _ in range(3):
             p = random_poly(rng, max_deg=6) + F(1, 3) + Poly.monomial(0, rng.randint(1, 3), F(2, 7))
             p = p + Poly.monomial(rng.randint(2, 7), rng.randint(1, 3), F(-2, 5))
             assert p.constant()
-            deg = p.x_degree()
-            for kind, op, z, r in (("T", "dq", 1, 1), ("E", "theta", -1, q)):
-                w = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, deg, z=z, r=r)
-                want = sum((Poly.y() ** n * op_power(op, p, n, q) * F(wn, wd)
-                            for n, (wn, wd) in enumerate(w)), Poly.zero())
-                assert apply_operator(OperatorSpec(kind, ps), p) == want, (kind, p)
+            self._check_weighted_powers(ps, p)
+
+    def test_terminating_weights_on_mixed_polynomials(self):
+        # a = q^-2 on every other draw: w_n vanishes from n = 3 on, so the
+        # pass ends early on polynomials of x-degree up to 8
+        rng = random.Random("terminating")
+        for i in range(12):
+            ps = random_paramset(rng)
+            if i % 2 == 0:
+                ps = ps.with_values(a=ps.q**-2)
+            p = random_poly(rng, max_deg=8) + Poly.monomial(rng.randint(3, 8), 1, F(-3, 4))
+            self._check_weighted_powers(ps, p)
 
     def test_degenerate_weights_give_rogers_szego(self):
         # all five parameters zero: T{x^n} collapses to sum_k [n;k] x^(n-k) y^k
