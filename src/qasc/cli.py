@@ -30,7 +30,7 @@ from fractions import Fraction
 from .core import ParamSet, Poly
 from .identities import CATALOG, CATALOG_ORDER, trial_paramset, verify
 from .numeric import NUMERIC_CATALOG, NUMERIC_ORDER, NumericConfig
-from .polys import _FAMILY_ARITY, PolyFamily
+from .polys import _FAMILIES, PolyFamily
 from .qkernel import PoleError, qbinom, qpoch
 
 EXIT_PASS = 0
@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--config", help="JSON config file mirroring the flags; flags win")
 
     e = sub.add_parser("eval", help="evaluate one polynomial family exactly")
-    families = [f.replace("_", "-") for f in _FAMILY_ARITY]
+    families = [f.replace("_", "-") for f in _FAMILIES]
     e.add_argument("family", choices=families + ["qbinom", "qpoch"])
     e.add_argument("--n", type=int, default=0)
     e.add_argument("--k", type=int)
@@ -228,6 +228,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise SystemExit(f"error: {fam} does not read --{name}")
     q = _frac(args.q, "q")
     n = args.n
+    if n < 0:  # p_n, [n;k] and (a;q)_n alike
+        raise SystemExit("error: polynomial degree n must be >= 0")
     try:
         if fam == "qbinom":
             if args.k is None:

@@ -48,7 +48,7 @@ from .qkernel import (
     _qbinom_rows,
     _walk,
 )
-from .polys import _family_rows
+from .polys import _FAMILIES, _family_rows
 
 Side = tuple[str, TSeries, TSeries]
 
@@ -70,10 +70,11 @@ def _gf(N: int, seq: Sequence[Row], e: Sequence[tuple[int, int]]) -> TSeries:
 
 
 def _basis_family(which: str) -> str:
-    """The family of the basis 'phi' or 'psi'; any other name is refused."""
-    if which not in ("phi", "psi"):
+    """The ``polys._FAMILIES`` name of the basis 'phi' or 'psi'; any other is refused."""
+    family = f"asc_new_{which}"
+    if family not in _FAMILIES:
         raise ValueError("basis must be 'phi' or 'psi'")
-    return f"asc_new_{which}"
+    return family
 
 
 def _asc5_rows(which: str, ps: ParamSet, N: int, x=X, y=Y) -> list[Row]:

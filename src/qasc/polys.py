@@ -6,8 +6,9 @@ All functions accept exact rationals or Poly values for the variable slots
 (the symbols x, y by default) and return a Poly.
 
 Every family is one sum  sum_k [n;k] w_k x^(n-k) y^k  whose weight w_k is
-q-hypergeometric in k: (nums;q)_k / (dens;q)_k times a twist z^k r^C(k,2);
-the psi families' n-dependent factor q^(k(k-n)) is folded into [n;k].
+q-hypergeometric in k: (nums;q)_k / (dens;q)_k times a twist z^k r^C(k,2),
+as its row of ``_FAMILIES`` says, which every family decision reads; the
+psi families' n-dependent factor q^(k(k-n)) is folded into [n;k].
 So one weight row serves the whole sequence p_0..p_N, the [n;k] come from
 one integer q-binomial triangle, and each polynomial is one integer row
 (``core.Row``), one large integer product per term.  The rows p_0, p_1,
@@ -16,9 +17,8 @@ one integer q-binomial triangle, and each polynomial is one integer row
 it.  A monomial or scalar x, y goes into each term as it is summed
 (``qkernel._mono`` reads it), and scalar x, y make each row one integer
 sum; a polynomial one is put into the rows over the symbols by the one
-substitution, ``core._substituted``.  The triangle
-has no division, so q = 1 gives the classical limits, e.g. cauchy_pn at
-q = 1 is (x - y)^n.
+substitution, ``core._substituted``.  The triangle has no division, so
+q = 1 gives the classical limits, e.g. cauchy_pn at q = 1 is (x - y)^n.
 """
 
 from __future__ import annotations
@@ -34,38 +34,43 @@ from .qkernel import _mono, _poch_key, _poch_row, _qbinom_rows, _ratio, _remembe
 _FAMILY_ROWS: dict = {}
 
 
-def _weights(family: str, q: Fraction, a, b, c, d, e, x, y) -> tuple:
-    """((nums, dens, q, z, r), x, y) of a family's sum: the ``_poch_row``
-    request of its weights, and the x, y it sums over."""
-    if family == "cauchy":
-        return ((), {}, q, -ONE, q), x, y
-    if family == "rogers_szego":
-        return ((), {}, q, ONE, ONE), y, x
-    if family == "asc_classical_phi":
-        return ((a,), {}, q, ONE, ONE), ONE, x
-    if family == "asc_classical_psi":
-        # (a q^(1-k);q)_k = (a;1/q)_k
-        return ((a,), {}, 1 / q, ONE, ONE), ONE, x
-    if family == "asc_gen3_phi":
-        return ((a, b), {"c": c}, q, ONE, ONE), y, x
-    if family == "asc_gen3_psi":
-        # (-1)^k q^(C(k+1,2) - nk) = (-1)^k q^(-C(k,2)) q^(k(k-n))
-        return ((a, b), {"c": c}, q, -ONE, 1 / q), y, x
-    if family == "asc_new_phi":
-        return ((a, b, c), {"d": d, "e": e}, q, ONE, ONE), x, y
-    return ((a, b, c), {"d": d, "e": e}, q, -ONE, ONE), x, y
+# each family's sum_k [n;k] w_k x^(n-k) y^k as one row: its weight
+# (nums;q)_k / (dens;q)_k z^k r^C(k,2) over the base q^base (nums, dens the
+# letters of the a..e it reads, so a pole names c, d or e; r and the base
+# as powers of q), whether the psi twist q^(k(k-n)) applies, and the slots
+# it sums as x^(n-k) y^k: "xy", "yx" or "x" (x alone, the classical families)
+class _Family(_Record):
+    __slots__ = ("nums", "dens", "z", "r", "base", "psi", "sums")
+
+
+_FAMILIES = {
+    "cauchy": _Family("", "", -1, 1, 1, False, "xy"),
+    "rogers_szego": _Family("", "", 1, 0, 1, False, "yx"),
+    "asc_classical_phi": _Family("a", "", 1, 0, 1, False, "x"),
+    # (a q^(1-k);q)_k = (a;1/q)_k
+    "asc_classical_psi": _Family("a", "", 1, 0, -1, True, "x"),
+    "asc_gen3_phi": _Family("ab", "c", 1, 0, 1, False, "yx"),
+    # (-1)^k q^(C(k+1,2) - nk) = (-1)^k q^(-C(k,2)) q^(k(k-n))
+    "asc_gen3_psi": _Family("ab", "c", -1, -1, 1, True, "yx"),
+    "asc_new_phi": _Family("abc", "de", 1, 0, 1, False, "xy"),
+    "asc_new_psi": _Family("abc", "de", -1, 0, 1, True, "xy"),
+}
 
 
 def _asc_start(family: str, q, a, b, c, d, e, x, y) -> tuple:
     """The state of a family's ``_asc_sum`` after row 0 (p_0 = 1, w_0 = 1),
-    for a monomial or scalar x, y: the weight request (``_weights``) with
-    its ``_poch_row`` key, the constants read off q, x and y
+    for a monomial or scalar x, y: the ``_poch_row`` request of its weight
+    (its ``_FAMILIES`` row) with its key, the constants read off q, x and y
     (``qkernel._mono``), read once, and where a row's terms land."""
     q = as_fraction(q)
-    (nums, dens, wq, z, r), x, y = _weights(family, q, a, b, c, d, e, x, y)
-    weights = (nums, dens, wq, z, r, _poch_key(nums, dens, wq, z, r))
+    f = _FAMILIES[family]
+    given = {"a": a, "b": b, "c": c, "d": d, "e": e}
+    nums, dens = tuple(map(given.get, f.nums)), {p: given[p] for p in f.dens}
+    wq, r = (q if m == 1 else ONE if m == 0 else 1 / q for m in (f.base, f.r))
+    weights = (nums, dens, wq, f.z, r, _poch_key(nums, dens, wq, f.z, r))
+    x, y = {"xy": (x, y), "yx": (y, x), "x": (ONE, x)}[f.sums]
     ((ix, jx), cx, xd), ((iy, jy), cy, yd) = _mono(x), _mono(y)
-    qb = q.numerator if family.endswith("_psi") else q.denominator
+    qb = q.numerator if f.psi else q.denominator
     # the symbols X, Y ("xy") or Y, X ("yx") put term k at its key alone,
     # but for q = -1, where [n;k] can vanish, they take the general path,
     # which drops zero terms; scalars ("scalar") put every term at x^0 y^0
@@ -163,7 +168,7 @@ def _family_rows(family: str, N: int, q, a=ZERO, b=ZERO, c=ZERO, d=ZERO, e=ZERO,
         x = as_fraction(x)
     if not isinstance(y, Poly):
         y = as_fraction(y)
-    if family.startswith("asc_classical"):
+    if _FAMILIES[family].sums == "x":
         y = Y
     key = (family, _ratio(q), _ratio(a), _ratio(b), _ratio(c), _ratio(d), _ratio(e), x, y)
     rows, state = _FAMILY_ROWS.get(key) or ((_UNIT,), None)  # p_0 = 1
@@ -232,38 +237,29 @@ def asc5_psi(n: int, ps: ParamSet, x=X, y=Y):
     return _family_poly("asc_new_psi", n, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)
 
 
-# which of a..e each family consumes; anything else must be zero
-_FAMILY_ARITY = {
-    "cauchy": (),
-    "rogers_szego": (),
-    "asc_classical_phi": ("a",),
-    "asc_classical_psi": ("a",),
-    "asc_gen3_phi": ("a", "b", "c"),
-    "asc_gen3_psi": ("a", "b", "c"),
-    "asc_new_phi": ("a", "b", "c", "d", "e"),
-    "asc_new_psi": ("a", "b", "c", "d", "e"),
-}
-
-
 class PolyFamily(_Record):
     """A named polynomial family bound to one parameter assignment.
 
-    Validates that the parameters beyond the family's arity are zero, so a
-    mistaken draw cannot silently evaluate the wrong family; ``evaluate``
-    likewise refuses a y for the classical families, which read x only.
+    Validates that params is a ``ParamSet`` whose parameters beyond those
+    the family's ``_FAMILIES`` row reads are zero, so a mistaken draw
+    cannot silently evaluate the wrong family; ``evaluate`` likewise
+    refuses a y for the classical families, which read x only.
     """
 
     __slots__ = ("family", "params")
 
     def _post_init(self):
-        if self.family not in _FAMILY_ARITY:
+        if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        used = _FAMILY_ARITY[self.family]
+        if not isinstance(self.params, ParamSet):
+            raise TypeError("PolyFamily params must be a ParamSet, got "
+                            f"{type(self.params).__name__}")
+        f = _FAMILIES[self.family]
+        used = tuple(f.nums + f.dens)
         for name in ("a", "b", "c", "d", "e"):
             if name not in used and self.params.get(name) != 0:
-                raise ValueError(
-                    f"{self.family} takes parameters {used or '()'}; {name} must be 0"
-                )
+                raise ValueError(f"{self.family} takes parameters {used or '()'}; "
+                                 f"{name} must be 0")
 
     def sequence(self, N: int, x=X, y=Y) -> list[Poly]:
         """[p_n(x, y) for n = 0..N], on the rows of the family's prefix."""
@@ -272,7 +268,7 @@ class PolyFamily(_Record):
                                             x, y)))
 
     def evaluate(self, n: int, x=X, y=Y):
-        if self.family.startswith("asc_classical") and y != Y:
+        if _FAMILIES[self.family].sums == "x" and y != Y:
             raise ValueError(f"{self.family} reads x only; y must be the symbol y")
         ps = self.params
         return _family_poly(self.family, n, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)

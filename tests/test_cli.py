@@ -15,7 +15,7 @@ import pytest
 from qasc import cli
 from qasc.core import ParamSet, TSeries
 from qasc.identities import CATALOG, IdentityCheck
-from qasc.polys import _FAMILY_ARITY, PolyFamily
+from qasc.polys import _FAMILIES, PolyFamily
 
 
 def run_verify(tmp_path, name, args):
@@ -335,6 +335,17 @@ class TestEvalCommand:
         assert cli.main(["eval", "qpoch", "--a", "1/2", "--q", "1/2", "--n", "2"]) == 0
         assert capsys.readouterr().out.strip() == "3/8"
 
+    @pytest.mark.parametrize("argv", [["qbinom", "--k", "0"], ["qbinom", "--k", "2"],
+                                      ["qpoch", "--a", "1/3"], ["cauchy"],
+                                      ["asc-classical-psi", "--a", "1/3"]])
+    def test_negative_n_refused(self, capsys, argv):
+        # every target refuses --n < 0 with one message, [n;k] included,
+        # whose library function reads it as 0
+        assert cli.main(["eval", argv[0], "--n", "-1", "--q", "1/2"] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == "error: polynomial degree n must be >= 0"
+
     def test_pole_surfaces_as_usage_error(self, capsys):
         code = cli.main(["eval", "asc-new-phi", "--n", "3", "--q", "1/2", "--d", "2"])
         assert code == 2
@@ -373,11 +384,11 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.strip() == f"error: {message}"
 
-    @pytest.mark.parametrize("family", list(_FAMILY_ARITY))
+    @pytest.mark.parametrize("family", list(_FAMILIES))
     def test_every_family_evaluates(self, capsys, family):
         values = dict(a=Fraction(1, 3), b=Fraction(1, 5), c=Fraction(1, 7),
                       d=Fraction(1, 4), e=Fraction(1, 6))
-        used = {k: values[k] for k in _FAMILY_ARITY[family]}
+        used = {k: values[k] for k in _FAMILIES[family].nums + _FAMILIES[family].dens}
         flags = [arg for k, v in used.items() for arg in (f"--{k}", str(v))]
         name = family.replace("_", "-")
         assert cli.main(["eval", name, "--n", "2", "--q", "1/2"] + flags) == 0

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from qasc import cli
 from qasc.core import ParamSet, Poly, TSeries, X, Y, _ZROW, _poly, _substituted, random_paramset
+from qasc.polys import _FAMILIES as _TABLE
 from qasc.polys import (
     PolyFamily,
     _FAMILY_ROWS,
@@ -209,6 +210,13 @@ class TestPolyFamily:
         with pytest.raises(ValueError, match="unknown family"):
             PolyFamily("hermite", ParamSet(q=Q))
 
+    @pytest.mark.parametrize("params, kind", [({"q": Q}, "dict"), (None, "NoneType")])
+    def test_params_must_be_a_paramset(self, params, kind):
+        # as OperatorSpec: no arity message about a mapping, no AttributeError
+        with pytest.raises(TypeError) as err:
+            PolyFamily("cauchy", params)
+        assert str(err.value) == f"PolyFamily params must be a ParamSet, got {kind}"
+
 
 def _textbook(family: str, n: int, ps: ParamSet, x, y) -> Poly:
     """Each family summed term by term from qbinom/qpoch, as in its docstring."""
@@ -336,6 +344,25 @@ def test_sequence_matches_per_n(family):
                 assert p == _FAMILIES[family](n, ps, xv, yv), (family, n, ps, xv, yv)
         for n in range(7):
             assert seq[n] == _textbook(family, n, ps, xv, yv), (family, n, ps)
+
+
+@pytest.mark.parametrize("name", list(_TABLE))
+def test_family_reads_its_declared_parameters(name):
+    # a family's table row declares the a..e it reads, as many as its own
+    # count: moving each by one part in 10^6 moves p_3 over the symbols,
+    # and PolyFamily refuses each of the others, so a mistyped row shows
+    declared = _TABLE[name].nums + _TABLE[name].dens
+    assert declared == "abcde"[:dict(_AS_FAMILY.values())[name]]
+    values = dict(a=F(1, 3), b=F(1, 5), c=F(1, 7), d=F(1, 4), e=F(1, 6))
+    used = {p: values[p] for p in declared}
+    p3 = PolyFamily(name, ParamSet(q=Q, **used)).evaluate(3)
+    for p in declared:
+        moved = {**used, p: used[p] * (1 + F(1, 10**6))}
+        assert PolyFamily(name, ParamSet(q=Q, **moved)).evaluate(3) != p3, (name, p)
+    for p in "abcde":
+        if p not in declared:
+            with pytest.raises(ValueError, match=f"; {p} must be 0$"):
+                PolyFamily(name, ParamSet(q=Q, **{**used, p: values[p]}))
 
 
 def test_negative_degree_refused(capsys):
