@@ -10,9 +10,9 @@ ID-7 and ID-8 write their own rows over running numerators from
 and compares them exactly as exact rows (``core.Row``), reduced only
 where they feed more products.
 A generating function sum_n p_n w_n t^n is one ``_gf`` over a single
-``_poch_row`` weight row w that holds its 1/(q;q)_n, and every rPhis is one
-``qkernel._hyper_row`` of plain parameter tuples; the builders take the
-draw and the order (ps, N) alone.
+``_poch_row`` weight row w that holds its 1/(q;q)_n; ID-1 to ID-4, ID-9
+and the ID-13 swap read both sides off a family's table row (``_gf_lhs``,
+``_gf_rhs``).  The builders take the draw and the order (ps, N) alone.
 Identities whose natural coefficients are infinite sums are handled by
 the numeric module instead; two entries here (ID-5 and ID-12) regain
 finite coefficients by scaling a parameter pair with the formal variable.
@@ -48,7 +48,7 @@ from .qkernel import (
     _qbinom_rows,
     _walk,
 )
-from .polys import _FAMILIES, _family_rows
+from .polys import _FAMILIES, _gf_row, _rows, _slots
 
 Side = tuple[str, TSeries, TSeries]
 
@@ -77,30 +77,45 @@ def _basis_family(which: str) -> str:
     return family
 
 
-def _asc5_rows(which: str, ps: ParamSet, N: int, x=X, y=Y) -> list[Row]:
-    """The five-parameter phi_0(x,y) .. phi_N(x,y), or psi_0 .. psi_N, as
-    rows: one read of the family's prefix."""
-    return _family_rows(_basis_family(which), N, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)
+def _gf_lhs(family: str, ps: ParamSet, N: int, x=X, y=Y) -> TSeries:
+    """sum_n p_n(x, y) t^n/(q;q)_n, times (-1)^n q^C(n,2) under psi."""
+    psi = _FAMILIES[family].psi
+    return _gf(N, _rows(family, ps, N, x, y), _euler_row(ps.q, N, product=psi))
+
+
+def _gf_rhs(family: str, ps: ParamSet, N: int, x=X, y=Y) -> TSeries:
+    """The closed form of ``_gf_lhs``: 1/(Xt;q)_inf times the series of ``polys._gf_row`` at
+    Yt, or (Xt;q)_inf times it at -Yt under psi, X and Y the family's ``polys._slots``."""
+    psi, (u, v) = _FAMILIES[family].psi, _slots(family, x, y)
+    return _chain_product(_euler_row(ps.q, N, product=psi), u, _gf_row(family, ps, N),
+                          -v if psi else v, N)
+
+
+class _GfCheck(_Record):
+    """A family's generating function as a catalog builder."""
+
+    __slots__ = ("family",)
+
+    def __call__(self, ps: ParamSet, N: int) -> list[Side]:
+        return [("", _gf_lhs(self.family, ps, N), _gf_rhs(self.family, ps, N))]
 
 
 def build_id3_rhs(ps: ParamSet, N: int) -> TSeries:
     """1/(x*t;q)_inf * 3phi2(a,b,c; d,e; q, y*t)."""
-    h = _hyper_row((ps.a, ps.b, ps.c), (ps.d, ps.e), ps.q, N)
-    return _chain_product(_euler_row(ps.q, N), X, h, Y, N)
+    return _gf_rhs("asc_new_phi", ps, N)
 
 
 def build_id3_lhs(ps: ParamSet, N: int) -> TSeries:
-    return _gf(N, _asc5_rows("phi", ps, N), _euler_row(ps.q, N))
+    return _gf_lhs("asc_new_phi", ps, N)
 
 
 def build_id4_rhs(ps: ParamSet, N: int) -> TSeries:
     """(x*t;q)_inf * 3phi3(a,b,c; 0,d,e; q, -y*t)."""
-    h = _hyper_row((ps.a, ps.b, ps.c), (0, ps.d, ps.e), ps.q, N)
-    return _chain_product(_euler_row(ps.q, N, product=True), X, h, -Y, N)
+    return _gf_rhs("asc_new_psi", ps, N)
 
 
 def build_id4_lhs(ps: ParamSet, N: int) -> TSeries:
-    return _gf(N, _asc5_rows("psi", ps, N), _euler_row(ps.q, N, product=True))
+    return _gf_lhs("asc_new_psi", ps, N)
 
 
 def build_id6_rhs(ps: ParamSet, N: int) -> TSeries:
@@ -116,7 +131,7 @@ def build_id6_rhs(ps: ParamSet, N: int) -> TSeries:
     (the q powers of ``polys._asc_sum``).
     """
     q = ps.q
-    w = _poch_row((ps.a, ps.b, ps.c), {"d": ps.d, "e": ps.e, "q": q}, q, N, z=-1, r=q)
+    w = _gf_row("asc_new_psi", ps, N)
     f = _euler_row(q, N, product=True)
     qnp = list(accumulate(repeat(q.numerator, N * N // 4), mul, initial=1))
     qs = list(accumulate((q.denominator ** (n // 2) for n in range(1, N + 1)), mul, initial=1))
@@ -127,7 +142,7 @@ def build_id6_rhs(ps: ParamSet, N: int) -> TSeries:
 
 
 def build_id6_lhs(ps: ParamSet, N: int) -> TSeries:
-    return _gf(N, _asc5_rows("phi", ps, N), _euler_row(ps.q, N, product=True))
+    return _gf(N, _rows("asc_new_phi", ps, N), _euler_row(ps.q, N, product=True))
 
 
 def build_id5_pair(ps: ParamSet, N: int) -> Side:
@@ -151,7 +166,7 @@ def build_id5_pair(ps: ParamSet, N: int) -> Side:
     q, sig, tau = ps.q, ps.get("sig"), ps.get("tau")
     # p_n(tau, sig) = prod_(m<n) (tau - sig q^m) = tau^n (sig/tau;q)_n
     top, z, r = ((sig / tau,), tau, 1) if tau else ((), -sig, q)
-    lhs = _gf(N, _asc5_rows("phi", ps, N), _poch_row(top, {"q": q}, q, N, z=z, r=r))
+    lhs = _gf(N, _rows("asc_new_phi", ps, N), _poch_row(top, {"q": q}, q, N, z=z, r=r))
     w = _poch_row((ps.a, ps.b, ps.c, *top), {"d": ps.d, "e": ps.e, "q": q}, q, N, z=z, r=r)
     e, f = _euler_row(q, N), _euler_row(q, N, product=True)
     p0 = _chain_product(e, X * tau, f, X * sig, N)._rows
@@ -206,9 +221,9 @@ def build_id7_pairs(ps: ParamSet, N: int) -> list[Side]:
     qn, qd = q.numerator, q.denominator
     # the phi prefix first, so that a (d,e;q)_k pole is named before the
     # (q,d,e;q)_k pole of the A row
-    phi, e = _asc5_rows("phi", ps, N + top), _euler_row(q, N)
+    phi, e = _rows("asc_new_phi", ps, N + top), _euler_row(q, N)
     lhs = [_gf(N, phi[K:], e) for K in range(top + 1)]
-    A = list(_walk(_poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, N + top)))
+    A = list(_walk(_gf_row("asc_new_phi", ps, N + top)))
     binom = _qbinom_rows(q, N + top)
     qnp, qdp = (list(accumulate(repeat(p, top * N), mul, initial=1)) for p in (qn, qd))
     # (-1)^j q^(Kj - C(j,2)) (q^-K;q)_j over JD_K, j <= K, each one nonzero
@@ -240,28 +255,6 @@ class IdentityCheck(_Record):
     extra parameter names its trials draw."""
 
     __slots__ = ("id", "title", "extras", "build")
-
-
-def _build_id1(ps: ParamSet, N: int) -> list[Side]:
-    e = _euler_row(ps.q, N)
-    lhs = _gf(N, _family_rows("asc_gen3_phi", N, ps.q, ps.a, ps.b, ps.c), e)
-    rhs = _chain_product(e, Y, _hyper_row((ps.a, ps.b), (ps.c,), ps.q, N), X, N)
-    return [("", lhs, rhs)]
-
-
-def _build_id2(ps: ParamSet, N: int) -> list[Side]:
-    e = _euler_row(ps.q, N, product=True)
-    lhs = _gf(N, _family_rows("asc_gen3_psi", N, ps.q, ps.a, ps.b, ps.c), e)
-    rhs = _chain_product(e, Y, _hyper_row((ps.a, ps.b), (ps.c,), ps.q, N), X, N)
-    return [("", lhs, rhs)]
-
-
-def _build_id3(ps: ParamSet, N: int) -> list[Side]:
-    return [("", build_id3_lhs(ps, N), build_id3_rhs(ps, N))]
-
-
-def _build_id4(ps: ParamSet, N: int) -> list[Side]:
-    return [("", build_id4_lhs(ps, N), build_id4_rhs(ps, N))]
 
 
 def _build_id5(ps: ParamSet, N: int) -> list[Side]:
@@ -302,7 +295,7 @@ def _build_id8(ps: ParamSet, N: int) -> list[Side]:
     ps2 = ParamSet(q, *(ps.get(k) for k in ("a2", "b2", "c2", "d2", "e2")))
     x1, y1, x2, y2 = (ps.get(k) for k in ("x1", "y1", "x2", "y2"))
 
-    phi1, phi2 = _asc5_rows("phi", ps, N, x1, y1), _asc5_rows("phi", ps2, N, x2, y2)
+    phi1, phi2 = _rows("asc_new_phi", ps, N, x1, y1), _rows("asc_new_phi", ps2, N, x2, y2)
     lhs = _gf(N, [({(0, 0): u[0, 0] * v[0, 0]}, ud * vd) if u and v else _ZROW
                   for (u, ud), (v, vd) in zip(phi1, phi2)], _euler_row(q, N))
 
@@ -351,17 +344,10 @@ def _build_id8(ps: ParamSet, N: int) -> list[Side]:
     return [("", lhs, rhs)]
 
 
-def _build_id9(ps: ParamSet, N: int) -> list[Side]:
-    q = ps.q
-    lhs = _gf(N, _family_rows("cauchy", N, q), _euler_row(q, N))
-    rhs = _chain_product(_euler_row(q, N, product=True), Y, _euler_row(q, N), X, N)
-    return [("", lhs, rhs)]
-
-
 def _build_id10(ps: ParamSet, N: int) -> list[Side]:
     q = ps.q
     lam, x0, y0 = ps.get("lam"), ps.get("x0"), ps.get("y0")
-    lhs = _gf(N, _family_rows("cauchy", N, q, x=x0, y=y0), _poch_row((lam,), {"q": q}, q, N))
+    lhs = _gf(N, _rows("cauchy", ps, N, x0, y0), _poch_row((lam,), {"q": q}, q, N))
     rhs = _euler(x0, N, _hyper_row((lam, y0 / x0), (0,), q, N))
     return [("", lhs, rhs)]
 
@@ -369,8 +355,7 @@ def _build_id10(ps: ParamSet, N: int) -> list[Side]:
 def _build_id11(ps: ParamSet, N: int) -> list[Side]:
     q = ps.q
     ra, rb, rc, rd = (ps.get(k) for k in ("ra", "rb", "rc", "rd"))
-    h1 = _family_rows("rogers_szego", N, q, x=ra, y=rb)
-    h2 = _family_rows("rogers_szego", N, q, x=rc, y=rd)
+    h1, h2 = _rows("rogers_szego", ps, N, ra, rb), _rows("rogers_szego", ps, N, rc, rd)
     lhs = _gf(N, [_dot([(u, v)]) for u, v in zip(h1, h2)], _euler_row(q, N))
     # (ra rb rc rd t^2;q)_inf / (ra rc t, ra rd t, rb rc t, rb rd t;q)_inf, one fold per factor
     top = _poch_row((), {"q": q}, q, N // 2, z=-(ra * rb * rc * rd), r=q)
@@ -461,13 +446,11 @@ def _build_id13(ps: ParamSet, N: int) -> list[Side]:
     differs termwise by a q^C(k,2) twist, checked at the polynomial level
     in the test suite).
     """
-    q = ps.q
-    ps0 = ps.with_values(c=0, e=0)
-
+    q, ps0, swap = ps.q, ps.with_values(c=0, e=0), ps.with_values(c=ps.d)
     s1 = build_id3_lhs(ps0, N)
-    s2 = _gf(N, _family_rows("asc_gen3_phi", N, q, ps.a, ps.b, ps.d, x=Y, y=X), _euler_row(q, N))
+    s2 = _gf_lhs("asc_gen3_phi", swap, N, x=Y, y=X)
     r1 = build_id3_rhs(ps0, N)
-    r2 = _chain_product(_euler_row(q, N), X, _hyper_row((ps.a, ps.b), (ps.d,), q, N), Y, N)
+    r2 = _gf_rhs("asc_gen3_phi", swap, N, x=Y, y=X)
     l4 = build_id4_lhs(ps0, N)
     r4 = _chain_product(_euler_row(q, N, product=True), X,
                         _hyper_row((ps.a, ps.b), (0, ps.d), q, N), -Y, N)
@@ -486,26 +469,26 @@ CATALOG: dict[str, IdentityCheck] = {
             "ID-1",
             "three-parameter phi generating function",
             (),
-            _build_id1,
+            _GfCheck("asc_gen3_phi"),
         ),
         IdentityCheck(
             "ID-2",
             "three-parameter psi generating function (alternating weight)",
             (),
-            _build_id2,
+            _GfCheck("asc_gen3_psi"),
         ),
         IdentityCheck(
             "ID-3",
             "five-parameter phi generating function: 1/(xt)_inf * 3phi2",
             (),
-            _build_id3,
+            _GfCheck("asc_new_phi"),
         ),
         IdentityCheck(
             "ID-4",
             "five-parameter psi generating function: (xt)_inf * 3phi3, "
             "alternating weight",
             (),
-            _build_id4,
+            _GfCheck("asc_new_psi"),
         ),
         IdentityCheck(
             "ID-5",
@@ -535,7 +518,7 @@ CATALOG: dict[str, IdentityCheck] = {
             "ID-9",
             "Cauchy identity: sum p_n t^n/(q;q)_n = (yt)_inf/(xt)_inf",
             (),
-            _build_id9,
+            _GfCheck("cauchy"),
         ),
         IdentityCheck(
             "ID-10",
@@ -672,15 +655,14 @@ def expand_poly_in_basis(p: Poly, basis: str, ps: ParamSet) -> list[Poly]:
     in the rational span (like the generating-function coefficients)
     produce constant mu_n.  p is read as held and never reduced.
     """
-    _basis_family(basis)
     return _expand_rows(p, _basis_rows(basis, ps, [p._held]))
 
 
 def _basis_rows(basis: str, ps: ParamSet, rows: Iterable[Row]) -> list[Row]:
     """The basis rows as far as an expansion of the rows reads them: to
     their highest x-power, so a pole past it is never reached."""
-    cols = [i for nums, _ in rows for i, _ in nums]
-    return _asc5_rows(basis, ps, max(cols)) if cols else []
+    family, cols = _basis_family(basis), [i for nums, _ in rows for i, _ in nums]
+    return _rows(family, ps, max(cols)) if cols else []
 
 
 def _expand_rows(p: Poly, rows: Sequence[Row]) -> list[Poly]:
@@ -714,14 +696,12 @@ def expand_series_in_basis(f: TSeries, basis: str, ps: ParamSet) -> list[list[Po
     """Per-t-power basis expansion of a TSeries; element [m][n] is mu_n for
     the coefficient of t^m.  The basis rows are read once, as far as the
     expansion of any coefficient reads them, and shared by all of them."""
-    _basis_family(basis)
     rows = _basis_rows(basis, ps, f._rows)
     return [_expand_rows(p, rows) for p in f.coeffs]
 
 
 def synthesize_from_basis(mu: Sequence[Poly], basis: str, ps: ParamSet) -> Poly:
     """Inverse of expand_poly_in_basis: sum_n mu_n * basis_n as one _dot."""
-    _basis_family(basis)
-    used = [n for n, m in enumerate(mu) if not m.is_zero()]
-    rows = _asc5_rows(basis, ps, used[-1]) if used else []
+    family, used = _basis_family(basis), [n for n, m in enumerate(mu) if not m.is_zero()]
+    rows = _rows(family, ps, used[-1]) if used else []
     return _poly(_dot((mu[n]._held, rows[n]) for n in used))

@@ -7,12 +7,13 @@ All functions accept exact rationals or Poly values for the variable slots
 
 Every family is one sum  sum_k [n;k] w_k x^(n-k) y^k  whose weight w_k is
 q-hypergeometric in k: (nums;q)_k / (dens;q)_k times a twist z^k r^C(k,2),
-as its row of ``_FAMILIES`` says, which every family decision reads; the
-psi families' n-dependent factor q^(k(k-n)) is folded into [n;k].
-So one weight row serves the whole sequence p_0..p_N, the [n;k] come from
-one integer q-binomial triangle, and each polynomial is one integer row
-(``core.Row``), one large integer product per term.  The rows p_0, p_1,
-... of a family are kept per parameters and x, y as one grow-only prefix
+as its row of ``_FAMILIES`` says, which every family decision reads (its
+generating function's weight ``_gf_row`` too); the psi families'
+n-dependent factor q^(k(k-n)) is folded into [n;k].  So one weight row
+serves the whole sequence p_0..p_N, the [n;k] come from one integer
+q-binomial triangle, and each polynomial is one integer row (``core.Row``),
+one large integer product per term.  The rows p_0, p_1, ... of a family
+are kept per parameters and x, y as one grow-only prefix
 (``_family_rows``); the per-n functions and ``PolyFamily`` index or slice
 it.  A monomial or scalar x, y goes into each term as it is summed
 (``qkernel._mono`` reads it), and scalar x, y make each row one integer
@@ -57,6 +58,29 @@ _FAMILIES = {
 }
 
 
+def _slots(family: str, x, y) -> tuple:
+    """The family's x, y as the X, Y of its sum_k [n;k] w_k X^(n-k) Y^k."""
+    return {"xy": (x, y), "yx": (y, x), "x": (ONE, x)}[_FAMILIES[family].sums]
+
+
+def _gf_row(family: str, ps: ParamSet, N: int) -> tuple[tuple[int, int], ...]:
+    """w_k/(q;q)_k, times q^C(k,2) under psi, for k <= N at the letters of
+    ps: the weight of the family's generating function (a pole names q
+    first) and of the operator series, phi_n = T{x^n} and psi_n = E{x^n}."""
+    f = _FAMILIES[family]
+    if f.base != 1:
+        raise ValueError(f"{family} sums over the base 1/q; its generating function has no row")
+    q, m = ps.q, f.r + f.psi
+    return _poch_row([getattr(ps, p) for p in f.nums], {p: getattr(ps, p) for p in "q" + f.dens},
+                     q, N, z=f.z, r=q if m == 1 else q**m if m else ONE)
+
+
+def _rows(family: str, ps: ParamSet, N: int, x=X, y=Y) -> tuple[Row, ...]:
+    """``_family_rows`` of the family at the letters its row declares, read from ps."""
+    f = _FAMILIES[family]
+    return _family_rows(family, N, ps.q, **{p: getattr(ps, p) for p in f.nums + f.dens}, x=x, y=y)
+
+
 def _asc_start(family: str, q, a, b, c, d, e, x, y) -> tuple:
     """The state of a family's ``_asc_sum`` after row 0 (p_0 = 1, w_0 = 1),
     for a monomial or scalar x, y: the ``_poch_row`` request of its weight
@@ -68,7 +92,7 @@ def _asc_start(family: str, q, a, b, c, d, e, x, y) -> tuple:
     nums, dens = tuple(map(given.get, f.nums)), {p: given[p] for p in f.dens}
     wq, r = (q if m == 1 else ONE if m == 0 else 1 / q for m in (f.base, f.r))
     weights = (nums, dens, wq, f.z, r, _poch_key(nums, dens, wq, f.z, r))
-    x, y = {"xy": (x, y), "yx": (y, x), "x": (ONE, x)}[f.sums]
+    x, y = _slots(family, x, y)
     ((ix, jx), cx, xd), ((iy, jy), cy, yd) = _mono(x), _mono(y)
     qb = q.numerator if f.psi else q.denominator
     # the symbols X, Y ("xy") or Y, X ("yx") put term k at its key alone,
@@ -153,9 +177,9 @@ def _family_rows(family: str, N: int, q, a=ZERO, b=ZERO, c=ZERO, d=ZERO, e=ZERO,
                  x=X, y=Y) -> tuple[Row, ...]:
     """(p_n(x, y) for n = 0..N) of one family as shared, unreduced rows.
 
-    They are kept per family, parameters and x, y (y as the symbol for the
-    classical families, which read x only) as one grow-only prefix entry,
-    (rows, state), replaced whole: a shorter request is a slice, and a
+    They are kept per family, parameters and x, y (the classical families
+    read x only and refuse any y but the symbol) as one grow-only prefix
+    entry, (rows, state), replaced whole: a shorter request is a slice, and a
     longer one extends the rows from the state (``_asc_sum``), so an
     extension by one row reads one weight step (``_poch_row``) and one
     triangle row (``_qbinom_rows``) and sets up nothing else.  The traffic
@@ -168,8 +192,8 @@ def _family_rows(family: str, N: int, q, a=ZERO, b=ZERO, c=ZERO, d=ZERO, e=ZERO,
         x = as_fraction(x)
     if not isinstance(y, Poly):
         y = as_fraction(y)
-    if _FAMILIES[family].sums == "x":
-        y = Y
+    if _FAMILIES[family].sums == "x" and y != Y:
+        raise ValueError(f"{family} reads x only; y must be the symbol y")
     key = (family, _ratio(q), _ratio(a), _ratio(b), _ratio(c), _ratio(d), _ratio(e), x, y)
     rows, state = _FAMILY_ROWS.get(key) or ((_UNIT,), None)  # p_0 = 1
     if N < len(rows):
@@ -242,8 +266,8 @@ class PolyFamily(_Record):
 
     Validates that params is a ``ParamSet`` whose parameters beyond those
     the family's ``_FAMILIES`` row reads are zero, so a mistaken draw
-    cannot silently evaluate the wrong family; ``evaluate`` likewise
-    refuses a y for the classical families, which read x only.
+    cannot silently evaluate the wrong family; the classical families,
+    which read x only, refuse a y other than the symbol (``_family_rows``).
     """
 
     __slots__ = ("family", "params")
@@ -263,12 +287,8 @@ class PolyFamily(_Record):
 
     def sequence(self, N: int, x=X, y=Y) -> list[Poly]:
         """[p_n(x, y) for n = 0..N], on the rows of the family's prefix."""
-        ps = self.params
-        return list(map(_poly, _family_rows(self.family, N, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e,
-                                            x, y)))
+        return list(map(_poly, _rows(self.family, self.params, N, x, y)))
 
     def evaluate(self, n: int, x=X, y=Y):
-        if _FAMILIES[self.family].sums == "x" and y != Y:
-            raise ValueError(f"{self.family} reads x only; y must be the symbol y")
         ps = self.params
         return _family_poly(self.family, n, ps.q, ps.a, ps.b, ps.c, ps.d, ps.e, x, y)

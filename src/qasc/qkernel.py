@@ -26,9 +26,9 @@ read ``_walk``, and so does ``_chain_product``, the builders' one
 product: it writes the product of the series of two such rows (an rPhis,
 an Euler row, the scalar rows of an earlier product) times powers of two
 monomials, row by row, as exact rows, from one walk per factor.
-``_hyper_row`` is the rPhis row of plain parameter tuples, which the
-identity builders call directly; ``PhiSpec`` and ``hyper_series`` wrap
-it for library callers.
+``_hyper_row`` is the rPhis row of plain parameter tuples, which ID-10,
+ID-12 and ID-13's psi side read directly; ``PhiSpec`` and
+``hyper_series`` wrap it for library callers.
 It, ``PhiSpec`` and ``numeric.hyper_num`` take their shape from ``_phi_shape``.
 ``_qbinom_rows`` builds the q-binomial triangle on integers.  It and
 ``_poch_row`` memoize each prefix of rows with the loop state after its

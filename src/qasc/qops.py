@@ -21,7 +21,8 @@ The operator series
     E(a,b,c,d,e, y*theta) = sum_n (-1)^n q^C(n,2) (a,b,c;q)_n / ((q,d,e;q)_n) (y theta)^n
 
 terminate on polynomials because the n-th power annihilates x-degrees
-below n; no truncation cap is involved.  Everything here runs on the
+below n; no truncation cap is involved.  Their weights are those of the
+asc_new_phi and asc_new_psi generating functions (``polys._gf_row``).  Everything here runs on the
 exact integer row a Poly holds (``core.Row``), so no Fraction is built
 per term, and no row is reduced: a result compared with another Poly
 never is, and one read further is reduced by the Poly, once.
@@ -38,7 +39,8 @@ from math import prod
 from operator import mul
 
 from .core import ParamSet, Poly, _dot, _poly, _Record, as_fraction
-from .qkernel import _poch_row, _qbinom_rows
+from .polys import _gf_row
+from .qkernel import _qbinom_rows
 
 
 def _symbols(op: str, q, deg: int) -> tuple[list[int], int, int]:
@@ -145,10 +147,10 @@ def apply_operator(spec: OperatorSpec, p: Poly) -> Poly:
     The sum runs until the operator power annihilates the input, which
     happens after its x-degree, so the result is exact.  The n-th term
     multiplies in y^n and the scalar weight w_n = (a,b,c;q)_n / ((q,d,e;q)_n),
-    with the E-series carrying the extra (-1)^n q^C(n,2).
+    with the E-series carrying the extra (-1)^n q^C(n,2) (``polys._gf_row``).
 
     Its traffic is one parameter set with x^n, n rising, so the weight row
-    (``_poch_row``) grows by one term a call, and the call builds only the
+    grows by one term a call, and the call builds only the
     symbols s_0..s_d and the powers of v: one pass over n carries each
     monomial's running term.  The row lies
     over den u^d v^C(d+1,2) wd_d (op x^m = s_m / (u v^m) x^(m-1),
@@ -161,13 +163,11 @@ def apply_operator(spec: OperatorSpec, p: Poly) -> Poly:
     by two small-quotient divisions.  Once a weight numerator vanishes,
     every later term does.
     """
-    ps = spec.params
-    q, dq = ps.q, spec.kind == "T"
+    dq = spec.kind == "T"
     deg = max(p.x_degree(), 0)
-    s, u, v = _symbols("dq" if dq else "theta", q, deg)
+    s, u, v = _symbols("dq" if dq else "theta", spec.params.q, deg)
     vp = list(accumulate(repeat(v, deg), mul, initial=1))
-    w = _poch_row((ps.a, ps.b, ps.c), {"q": q, "d": ps.d, "e": ps.e}, q, deg,
-                  z=1 if dq else -1, r=1 if dq else q)
+    w = _gf_row("asc_new_phi" if dq else "asc_new_psi", spec.params, deg)
     nums, den = p._held
     top = w[deg][1] * u**deg * v ** (deg * (deg + 1) // 2)
     live = [(i, j, c * top) for (i, j), c in nums.items()]  # (i - n, j + n, numerator)

@@ -14,7 +14,7 @@ from math import gcd
 import pytest
 
 from qasc import core, identities
-from qasc.core import ParamSet, Poly, TSeries, random_paramset
+from qasc.core import ParamSet, Poly, TSeries, X, Y, random_paramset
 from qasc.identities import (
     CATALOG,
     CATALOG_ORDER,
@@ -246,6 +246,47 @@ def test_special_value_sweep_pinned():
     assert Counter(e["status"] for e in entries) == {"pass": 382, "pole": 60}
     assert hashlib.sha256(json.dumps(entries).encode()).hexdigest() == (
         "07f6452207efee3324673edaeb44abeb045c9eee5e770c778db88fcc0574923f")
+
+
+# the rows of the family table over the base q, and letters for them
+_BASE_Q = [name for name, row in polys._FAMILIES.items() if row.base == 1]
+_LETTERS = dict(a=F(1, 3), b=F(1, 5), c=F(1, 7), d=F(1, 4), e=F(1, 6))
+
+
+@pytest.mark.parametrize("N", [0, 1, 8])
+@pytest.mark.parametrize("q", [F(1, 2), F(3, 7), F(1, 31)])
+@pytest.mark.parametrize("family", _BASE_Q)
+def test_family_generating_function(family, q, N):
+    # sum_n p_n t^n/(q;q)_n, times (-1)^n q^C(n,2) under psi, summed from
+    # the family rows equals the closed form read off the same table row,
+    # and for two variables with x and y swapped too; a right side with
+    # one declared letter moved by one part in 10^6 differs past t^0
+    row = polys._FAMILIES[family]
+    declared = row.nums + row.dens
+    ps = ParamSet(q=q, **{p: _LETTERS[p] for p in declared})
+    for x, y in [(X, Y)] if row.sums == "x" else [(X, Y), (Y, X)]:
+        assert identities._gf_lhs(family, ps, N, x, y) == identities._gf_rhs(family, ps, N, x, y)
+    lhs = identities._gf_lhs(family, ps, N)
+    for p in declared:
+        moved = ps.with_values(**{p: ps.get(p) * (1 + F(1, 10**6))})
+        assert (identities._gf_rhs(family, moved, N) == lhs) == (N == 0), (family, p)
+
+
+def test_gf_row_refuses_the_base_one_over_q():
+    # seven rows sum over q; asc_classical_psi's weight runs over 1/q
+    assert len(_BASE_Q) == 7 and "asc_classical_psi" not in _BASE_Q
+    with pytest.raises(ValueError, match="^asc_classical_psi sums over the base 1/q"):
+        polys._gf_row("asc_classical_psi", ParamSet(q=F(1, 2), a=F(1, 3)), 4)
+
+
+@pytest.mark.parametrize("build", [build_id3_rhs, build_id4_rhs])
+def test_gf_rhs_pole_names_the_row_letters(build):
+    # d = 4 = q^-2 at q = 1/2: the right side's weight row names q, then
+    # the denominator letters of its family row
+    with pytest.raises(PoleError) as err:
+        build(ParamSet(q=F(1, 2), d=F(4)), 6)
+    assert err.value.index == 3
+    assert str(err.value) == "(q,d,e;q)_k vanished at k=3 for q=1/2, d=4, e=0"
 
 
 def test_no_builder_multiplies_series(monkeypatch):

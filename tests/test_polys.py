@@ -336,8 +336,9 @@ def test_sequence_matches_per_n(family):
         ps = ps.with_values(**{k: 0 for k in "abcde"[arity:]})
         s = F(rng.randint(-9, 9) or 1, rng.randint(1, 9))
         for xv, yv in ((X, Y), (Y, X), (X, 0), (s, s), (X + Y * s, Y)):
-            # PolyFamily passes (x, y) to rogers_szego_hn as (a, b)
-            slots = (yv, xv) if family == "rogers_szego" else (xv, yv)
+            # PolyFamily passes (x, y) to rogers_szego_hn as (a, b); the
+            # classical families read x only and refuse any y but the symbol
+            slots = (yv, xv) if family == "rogers_szego" else (xv, Y) if arity == 1 else (xv, yv)
             seq = PolyFamily(name, ps).sequence(14, *slots)
             assert len(seq) == 15
             for n, p in enumerate(seq):
@@ -609,12 +610,16 @@ def _rise_draws(family: str) -> list[tuple[ParamSet, list]]:
     the symbols; integral parameters with scalar x, y, whose terms all
     meet on one monomial; and a twisted draw, q = 5/7 so that the psi
     families' q^(k(k-n)) brings in powers of its numerator, with monomial
-    x, y carrying coefficients and a binomial x on the substitution path."""
+    x, y carrying coefficients and a binomial x on the substitution path;
+    the classical families, which read x only, take the symbol y."""
     twisted = _memo_paramset(family, 0).with_values(q=F(5, 7))
-    return [(_memo_paramset(family, 0), [(X, Y)]),
-            (_memo_paramset(family, 1), [(F(2, 3), -5)]),
-            (twisted, [(Poly.monomial(2, 1, F(3, 5)), Poly.monomial(0, 3, F(-2, 7))),
-                       (X + Y * F(1, 3), Y)])]
+    draws = [(_memo_paramset(family, 0), [(X, Y)]),
+             (_memo_paramset(family, 1), [(F(2, 3), -5)]),
+             (twisted, [(Poly.monomial(2, 1, F(3, 5)), Poly.monomial(0, 3, F(-2, 7))),
+                        (X + Y * F(1, 3), Y)])]
+    if _AS_FAMILY[family][1] == 1:
+        return [(ps, [(x, Y) for x, _ in slots]) for ps, slots in draws]
+    return draws
 
 
 # the T and E weight rows of apply_operator: (a,b,c;q)_n / (q,d,e;q)_n,
@@ -721,15 +726,25 @@ class TestRisingRows:
         assert set(poles) == {("pole", 5, poles[0][2])} and f"{last}={ps.q**-4}" in poles[0][2]
 
     @pytest.mark.parametrize("name, family", [("asc_classical_phi", "asc_phi"),
-                                              ("asc_classical_psi", "asc_psi")])
-    def test_classical_families_share_one_entry_for_any_y(self, name, family):
-        # the classical families read x only, so y is not part of their key
+                                              ("asc_classical_psi", "asc_psi")],
+                             ids=["classical_phi", "classical_psi"])
+    def test_classical_families_refuse_any_y_but_the_symbol(self, name, family):
+        # the classical families read x only: sequence and evaluate refuse
+        # a y other than the symbol alike (sequence once summed p_n(x) and
+        # dropped it), and the symbol, however built, reads one entry
         ps = _memo_paramset(family, 0)
         fam = PolyFamily(name, ps)
         _clear_memos()
-        rows = [fam.sequence(3, X, y) for y in (5, Y, F(1, 3), X + Y)]
+        for y in (5, 0, F(1, 3), X, X + Y):
+            for read in (fam.sequence, fam.evaluate):
+                with pytest.raises(ValueError, match=f"^{name} reads x only; y must be the symbol y$"):
+                    read(2, X, y)
+            with pytest.raises(ValueError, match="reads x only"):
+                _family_rows(name, 2, ps.q, ps.a, x=X, y=y)
+        rows = [fam.sequence(3, X, y) for y in (Y, Poly.monomial(0, 1, 1), Poly({(0, 1): 1}))]
         assert all(r == rows[0] for r in rows) and len(_FAMILY_ROWS) == 1
-        assert fam.sequence(5, X, 7) == [_textbook(family, n, ps, X, Y) for n in range(6)]
+        assert fam.sequence(5, X) == [_textbook(family, n, ps, X, Y) for n in range(6)]
+        assert [fam.evaluate(n) for n in range(6)] == fam.sequence(5)
         assert len(_FAMILY_ROWS) == 1
-        with pytest.raises(TypeError):  # a float y is refused all the same
+        with pytest.raises(TypeError):  # a float y is refused as a float
             fam.sequence(3, X, 0.5)
