@@ -63,16 +63,24 @@ def _slots(family: str, x, y) -> tuple:
     return {"xy": (x, y), "yx": (y, x), "x": (ONE, x)}[_FAMILIES[family].sums]
 
 
-def _gf_row(family: str, ps: ParamSet, N: int) -> tuple[tuple[int, int], ...]:
-    """w_k/(q;q)_k, times q^C(k,2) under psi, for k <= N at the letters of
-    ps: the weight of the family's generating function (a pole names q
-    first) and of the operator series, phi_n = T{x^n} and psi_n = E{x^n}."""
+def _gf_request(family: str, ps: ParamSet) -> tuple:
+    """The ``_poch_row`` request (nums, dens, q, z, r, key) of ``_gf_row``,
+    held by a caller that extends the row again and again."""
     f = _FAMILIES[family]
     if f.base != 1:
         raise ValueError(f"{family} sums over the base 1/q; its generating function has no row")
     q, m = ps.q, f.r + f.psi
-    return _poch_row([getattr(ps, p) for p in f.nums], {p: getattr(ps, p) for p in "q" + f.dens},
-                     q, N, z=f.z, r=q if m == 1 else q**m if m else ONE)
+    nums, dens = [getattr(ps, p) for p in f.nums], {p: getattr(ps, p) for p in "q" + f.dens}
+    r = q if m == 1 else q**m if m else ONE
+    return nums, dens, q, f.z, r, _poch_key(nums, dens, q, f.z, r)
+
+
+def _gf_row(family: str, ps: ParamSet, N: int) -> tuple[tuple[int, int], ...]:
+    """w_k/(q;q)_k, times q^C(k,2) under psi, for k <= N at the letters of
+    ps: the weight of the family's generating function (a pole names q
+    first) and of the operator series, phi_n = T{x^n} and psi_n = E{x^n}."""
+    nums, dens, q, z, r, key = _gf_request(family, ps)
+    return _poch_row(nums, dens, q, N, z, r, key=key)
 
 
 def _rows(family: str, ps: ParamSet, N: int, x=X, y=Y) -> tuple[Row, ...]:

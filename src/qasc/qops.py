@@ -22,10 +22,15 @@ The operator series
 
 terminate on polynomials because the n-th power annihilates x-degrees
 below n; no truncation cap is involved.  Their weights are those of the
-asc_new_phi and asc_new_psi generating functions (``polys._gf_row``).  Everything here runs on the
-exact integer row a Poly holds (``core.Row``), so no Fraction is built
-per term, and no row is reduced: a result compared with another Poly
-never is, and one read further is reduced by the Poly, once.
+asc_new_phi and asc_new_psi generating functions (``polys._gf_row``).
+They are linear, so a polynomial's image is a sum of the images of its
+monomials x^m, which are kept per parameter set as a fourth row prefix
+beside the weight rows, the q-binomial triangles and the family rows
+(``_op_rows``, ``_OP_ROWS``); ``_clear_row_memos`` empties all four.
+Everything here runs on the exact integer row a Poly holds
+(``core.Row``), so no Fraction is built per term, and no row is reduced:
+a result compared with another Poly never is, and one read further is
+reduced by the Poly, once.
 
 Their traffic is the library path: ``apply_operator`` on x^n for one
 parameter set with n rising (phi_n = T{x^n}, psi_n = E{x^n}), and
@@ -38,9 +43,21 @@ from itertools import accumulate, repeat
 from math import prod
 from operator import mul
 
-from .core import ParamSet, Poly, _dot, _poly, _Record, as_fraction
-from .polys import _gf_row
-from .qkernel import _qbinom_rows
+from .core import ParamSet, Poly, Row, _UNIT, _dot, _poly, _Record, as_fraction
+from .polys import _FAMILY_ROWS, _gf_request
+from .qkernel import _POCH_ROWS, _QBINOM_ROWS, _poch_row, _qbinom_rows, _ratio, _remember
+
+# (kind, q, a..e) -> ((T{x^0}, ..., T{x^m}) or E's, state after row m)
+_OP_ROWS: dict = {}
+# every row memo: the weight rows, the q-binomial triangles, the family
+# prefixes and the operator's monomial images
+_ROW_MEMOS = (_POCH_ROWS, _QBINOM_ROWS, _FAMILY_ROWS, _OP_ROWS)
+
+
+def _clear_row_memos() -> None:
+    """Empty every row memo, so that the next request of each builds cold."""
+    for memo in _ROW_MEMOS:
+        memo.clear()
 
 
 def _symbols(op: str, q, deg: int) -> tuple[list[int], int, int]:
@@ -141,6 +158,55 @@ class OperatorSpec(_Record):
                             f"{type(self.params).__name__}")
 
 
+def _op_rows(kind: str, ps: ParamSet, N: int) -> tuple[Row, ...]:
+    """(T{x^m} for m = 0..N), or E's, as shared, unreduced rows, kept per
+    kind and q, a..e as one grow-only prefix entry, (rows, state), replaced
+    whole, by the rule of every row memo.
+
+    With op x^m = s_m / (u v^m) x^(m-1) (``_symbols``) and wn_m/wd_m the
+    weights (``polys._gf_row``), row m lies over D_m = wd_m u^m v^C(m+1,2),
+    and its term x^(m-k) y^k carries wn_k and s_(m-k+1) .. s_m.  So row m
+    is row m - 1 with x^i y^k moved to x^(i+1) y^k, times r_m u v^(i+1) s_m
+    and divided exactly by s_(i+1) (r_m = wd_m/wd_(m-1)), plus its new term
+    x^0 y^m, wn_m s_1 .. s_m, skipped once the weight numerator vanishes.
+    The state holds the weight's request with its ``_poch_row`` key, made
+    once, the product s_1 .. s_m and one symbol table with the powers of
+    v, built to twice the degree asked for whenever it is short; a pole
+    raises before any row is kept.  Only the weight row and the symbols
+    are read, never a q-binomial or family row, so comparing T{x^n} with
+    phi_n compares two routes.
+
+    Its traffic, at seed 42: one exact-structure pass makes 102
+    ``apply_operator`` calls, each on x^n one degree above the last call
+    on its parameters (96 extend the prefix by one row, 6 read row 0);
+    exact-o12 makes none."""
+    key = (kind, *map(_ratio, (ps.q, ps.a, ps.b, ps.c, ps.d, ps.e)))
+    rows, state = _OP_ROWS.get(key) or ((_UNIT,), None)
+    if N < len(rows):
+        return rows
+    if state is None:
+        state = (_gf_request("asc_new_phi" if kind == "T" else "asc_new_psi", ps),
+                 1, [0], 1, 1, [1])
+    weights, S, s, u, v, vp = state
+    if N >= len(s):
+        s, u, v = _symbols("dq" if kind == "T" else "theta", ps.q, 2 * N)
+        vp = list(accumulate(repeat(v, 2 * N), mul, initial=1))
+    nums, dens, q, z, r, wkey = weights
+    w = _poch_row(nums, dens, q, N, z, r, key=wkey)
+    (prev, den), new = rows[-1], []
+    for m in range(len(rows), N + 1):
+        step = w[m][1] // w[m - 1][1] * u
+        f, S = step * s[m], S * s[m]
+        prev = {(i + 1, k): c * (f * vp[i + 1]) // s[i + 1] for (i, k), c in prev.items()}
+        if w[m][0]:
+            prev[0, m] = w[m][0] * S
+        den *= step * vp[m]
+        new.append((prev, den))
+    rows += tuple(new)
+    _remember(_OP_ROWS, key, (rows, (weights, S, s, u, v, vp)))
+    return rows
+
+
 def apply_operator(spec: OperatorSpec, p: Poly) -> Poly:
     """Apply T(a,b,c,d,e, y D) or E(a,b,c,d,e, y theta) to a polynomial.
 
@@ -149,36 +215,19 @@ def apply_operator(spec: OperatorSpec, p: Poly) -> Poly:
     multiplies in y^n and the scalar weight w_n = (a,b,c;q)_n / ((q,d,e;q)_n),
     with the E-series carrying the extra (-1)^n q^C(n,2) (``polys._gf_row``).
 
-    Its traffic is one parameter set with x^n, n rising, so the weight row
-    grows by one term a call, and the call builds only the
-    symbols s_0..s_d and the powers of v: one pass over n carries each
-    monomial's running term.  The row lies
-    over den u^d v^C(d+1,2) wd_d (op x^m = s_m / (u v^m) x^(m-1),
-    ``_symbols``; d the x-degree, wd_d the last weight denominator, which
-    each weight denominator divides).  Over it the term n of x^i y^j has
-    the numerator c wn_n (wd_d/wd_n) u^(d-n) v^(C(d+1,2) - ni + C(n,2))
-    times s_i .. s_(i-n+1), so term n + 1 is term n times the small
-    factors fn s_(i-n), divided exactly by fd u v^(i-n), where
-    fn/fd = w_(n+1)/w_n is a step of the weight chain, read off the row
-    by two small-quotient divisions.  Once a weight numerator vanishes,
-    every later term does.
+    T and E are linear, so T{sum c_ij x^i y^j} = sum c_ij y^j T{x^i}: the
+    images of the monomials x^0..x^d (d the x-degree) are read off one
+    prefix (``_op_rows``), each row i over D_i scaled by c_ij (D_d/D_i),
+    exact as D_i divides D_d, and summed over den D_d (den the input's)
+    by one ``_dot``.  The traffic is one parameter set with x^n, n rising
+    (phi_n = T{x^n}, psi_n = E{x^n}), so a call extends the prefix by at
+    most one row, and on x^n the result is the prefix's own row, shared as
+    the family functions share theirs: no Poly writes to a held row, and
+    its public views are read-only.
     """
-    dq = spec.kind == "T"
-    deg = max(p.x_degree(), 0)
-    s, u, v = _symbols("dq" if dq else "theta", spec.params.q, deg)
-    vp = list(accumulate(repeat(v, deg), mul, initial=1))
-    w = _gf_row("asc_new_phi" if dq else "asc_new_psi", spec.params, deg)
     nums, den = p._held
-    top = w[deg][1] * u**deg * v ** (deg * (deg + 1) // 2)
-    live = [(i, j, c * top) for (i, j), c in nums.items()]  # (i - n, j + n, numerator)
-    acc: dict[tuple[int, int], int] = {}
-    # a zero weight after the last one ends the pass
-    for (wn, wd), (wn1, wd1) in zip(w, w[1:] + ((0, 1),)):
-        for i, j, c in live:
-            t = acc.get((i, j))
-            acc[i, j] = c if t is None else t + c
-        if not wn1:
-            break
-        fn, fd = wn1 // wn, wd1 // wd * u
-        live = [(i - 1, j + 1, c * fn * s[i] // (fd * vp[i])) for i, j, c in live if i]
-    return _poly((acc, den * top))
+    deg = max(p.x_degree(), 0)
+    rows = _op_rows(spec.kind, spec.params, deg)
+    if nums == {(deg, 0): den}:  # x^n
+        return _poly(rows[deg])
+    return _poly(_dot((rows[i], ({(0, j): c}, den)) for (i, j), c in nums.items()))

@@ -40,7 +40,7 @@ from qasc.qkernel import (
     qbinom,
     qpoch,
 )
-from qasc.qops import OperatorSpec, apply_operator
+from qasc.qops import _OP_ROWS, _ROW_MEMOS, OperatorSpec, _clear_row_memos, _op_rows, apply_operator
 
 Q = F(1, 2)
 
@@ -408,9 +408,7 @@ def _memo_want(family: str, i: int, n: int, x=X, y=Y) -> Poly:
 
 
 def _clear_memos():
-    _FAMILY_ROWS.clear()
-    _POCH_ROWS.clear()
-    _QBINOM_ROWS.clear()
+    _clear_row_memos()
 
 
 # the operator series whose action on x^n is each five-parameter family
@@ -419,13 +417,12 @@ _OPERATOR = {"asc5_phi": "T", "asc5_psi": "E"}
 
 def _cold(compute):
     """compute() on empty memos, which are then put back as they were."""
-    memos = (_FAMILY_ROWS, _POCH_ROWS, _QBINOM_ROWS)
-    saved = [dict(memo) for memo in memos]
+    saved = [dict(memo) for memo in _ROW_MEMOS]
     _clear_memos()
     try:
         return compute()
     finally:
-        for memo, entries in zip(memos, saved):
+        for memo, entries in zip(_ROW_MEMOS, saved):
             memo.clear()
             memo.update(entries)
 
@@ -637,17 +634,17 @@ class TestRisingRows:
     RISE = 20
 
     @staticmethod
-    def _rise(build, seed: str) -> list:
+    def _rise(build, seed: str, memos=(_POCH_ROWS, _QBINOM_ROWS)) -> list:
         """[outcome of build(n) for n = 0..RISE] on empty memos, evicting
-        the weight-row and triangle memos at seeded points in between."""
+        each of memos (by default the weight-row and triangle memos) at
+        seeded points in between."""
         rng = random.Random(seed)
         _clear_memos()
         out = []
         for n in range(TestRisingRows.RISE + 1):
-            if rng.random() < 0.25:
-                _POCH_ROWS.clear()
-            if rng.random() < 0.25:
-                _QBINOM_ROWS.clear()
+            for memo in memos:
+                if rng.random() < 0.25:
+                    memo.clear()
             out.append(_outcome(lambda: build(n)))
         return out
 
@@ -705,25 +702,87 @@ class TestRisingRows:
             rising = self._rise(lambda n: _qbinom_rows(ps.q, n), f"triangle:{kind}:{draw}")
             assert rising == [("value", whole[: n + 1]) for n in range(self.RISE + 1)]
 
-    @pytest.mark.parametrize("family", ["asc3_phi", "asc3_psi", "asc5_phi", "asc5_psi", "T", "E"])
+    @pytest.mark.parametrize("family", ["asc3_phi", "asc3_psi", "asc5_phi", "asc5_psi", "T", "E",
+                                        "apply_T", "apply_E"])
     def test_pole_on_a_resumed_walk_raises_as_cold(self, family):
         # the last denominator parameter set to q^-4, so (..;q)_k vanishes
         # first at k = 5: the rising walk resumes into the pole from the
-        # state its entry kept, and raises the index and text a cold one does
+        # state its entry kept, and raises the index and text a cold one
+        # does; apply_T and apply_E rise through apply_operator itself
         last = "c" if family.startswith("asc3") else "e"
-        ps = _memo_paramset("asc5_phi" if len(family) == 1 else family, 0)
+        ps = _memo_paramset(family if family.startswith("asc") else "asc5_phi", 0)
         ps = ps.with_values(**{last: ps.q**-4})
-        if len(family) == 1:
+        memos = (_POCH_ROWS, _QBINOM_ROWS)
+        if family in ("T", "E"):
             def build(n):
                 return _operator_weights(family, ps, n)
+        elif family.startswith("apply"):
+            spec, memos = OperatorSpec(family[-1], ps), (*memos, _OP_ROWS)
+
+            def build(n):
+                return apply_operator(spec, X**n)._held
         else:
             def build(n):
                 return _FAMILIES[family](n, ps, X, Y)._held
-        rising = self._rise(build, f"pole:{family}")
+        rising = self._rise(build, f"pole:{family}", memos)
         assert rising == self._one_shot(build)
         poles = rising[5:]
         assert all(o[0] == "value" for o in rising[:5])
         assert set(poles) == {("pole", 5, poles[0][2])} and f"{last}={ps.q**-4}" in poles[0][2]
+
+    @pytest.mark.parametrize("kind", ["T", "E"])
+    def test_operator_rows_match_one_shot(self, kind):
+        # T/E on x^n, n rising, with the weight, triangle and operator
+        # memos evicted at seeded points: the held rows are those of one
+        # cold build to RISE, as the prefix and as the results themselves
+        memos = (_POCH_ROWS, _QBINOM_ROWS, _OP_ROWS)
+        for draw, (ps, _) in enumerate(_rise_draws("asc5_phi")):
+            spec = OperatorSpec(kind, ps)
+            whole = _cold(lambda: _op_rows(kind, ps, self.RISE))
+            assert len(whole) == self.RISE + 1
+            rising = self._rise(lambda n: _op_rows(kind, ps, n)[: n + 1],
+                                f"op-rows:{kind}:{draw}", memos)
+            assert rising == [("value", whole[: n + 1]) for n in range(self.RISE + 1)]
+            rising = self._rise(lambda n: apply_operator(spec, X**n)._held,
+                                f"op:{kind}:{draw}", memos)
+            assert rising == [("value", row) for row in whole], (kind, draw)
+            family = asc5_phi if kind == "T" else asc5_psi
+            assert all(_poly(row) == family(n, ps) for n, row in enumerate(whole)), (kind, draw)
+
+    @pytest.mark.parametrize("letter", "qabcde")
+    def test_operator_rows_keyed_on_every_letter(self, letter):
+        # negative control of the operator memo's key: two parameter sets
+        # that differ in one letter, moved by one part in 10^6, asked for T
+        # and E on x^n in turn with n rising, each read its own rows; they
+        # differ from x^1 on, or from x^2 for q, as T{x} = x + y w_1 (1 - q)
+        # and E{x} do not read q
+        ps = ParamSet(q=Q, a=F(1, 3), b=F(1, 5), c=F(1, 7), d=F(1, 4), e=F(1, 6))
+        moved = ps.with_values(**{letter: ps.get(letter) * (1 + F(1, 10**6))})
+        specs = [OperatorSpec(kind, p) for kind in "TE" for p in (ps, moved)]
+        _clear_memos()
+        got = [[apply_operator(spec, X**n) for spec in specs] for n in range(12)]
+        for n, row in enumerate(got):
+            for spec, p in zip(specs, row):
+                assert p._held == _cold(lambda: apply_operator(spec, X**n)._held), (spec, n)
+            if n > (letter == "q"):
+                assert row[0] != row[1] and row[2] != row[3], (letter, n)
+
+    def test_operator_results_are_read_only_views(self):
+        # T{x^n} is the operator prefix's own row, so no public write may
+        # reach it: row and terms are read-only views
+        ps = _memo_paramset("asc5_phi", 0)
+        _clear_memos()
+        for kind, family in (("T", asc5_phi), ("E", asc5_psi)):
+            spec = OperatorSpec(kind, ps)
+            got = [apply_operator(spec, X**n) for n in range(7)]
+            for p in got:
+                with pytest.raises(TypeError):
+                    p.row[0][(0, 0)] = 12345
+                with pytest.raises(TypeError):
+                    p.terms[(0, 0)] = 12345
+            assert [apply_operator(spec, X**n) for n in range(7)] == got
+            assert got == [family(n, ps) for n in range(7)]
+            assert got == _cold(lambda: [apply_operator(spec, X**n) for n in range(7)])
 
     @pytest.mark.parametrize("name, family", [("asc_classical_phi", "asc_phi"),
                                               ("asc_classical_psi", "asc_psi")],

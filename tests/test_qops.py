@@ -10,7 +10,7 @@ import pytest
 from qasc.core import ParamSet, Poly, random_paramset
 from qasc.polys import asc5_phi, asc5_psi, rogers_szego_hn
 from qasc.qkernel import PoleError, _poch_row, qbinom, qpoch
-from qasc.qops import OperatorSpec, apply_operator, leibniz, op_power
+from qasc.qops import OperatorSpec, _clear_row_memos, apply_operator, leibniz, op_power
 
 Q = F(1, 2)
 
@@ -215,6 +215,26 @@ class TestOperatorSeries:
                 ps = ps.with_values(a=ps.q**-2)
             p = random_poly(rng, max_deg=8) + Poly.monomial(rng.randint(3, 8), 1, F(-3, 4))
             self._check_weighted_powers(ps, p)
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_mixed_polynomials_after_a_warm_prefix(self, seed):
+        # T and E on x^0..x^top leave a prefix of monomial images, which a
+        # mixed polynomial then reads, within it and past its end; a = q^-2
+        # on every other draw, so w_n vanishes from n = 3 on
+        rng = random.Random(f"warm-{seed}")
+        for i in range(6):
+            ps = random_paramset(rng)
+            if i % 2 == 0:
+                ps = ps.with_values(a=ps.q**-2)
+            _clear_row_memos()
+            top = rng.randint(1, 6)
+            for n in range(top + 1):
+                for kind in ("T", "E"):
+                    apply_operator(OperatorSpec(kind, ps), Poly.x() ** n)
+            inside = random_poly(rng, max_deg=top) + Poly.monomial(top, 2, F(5, 3))
+            past = random_poly(rng, max_deg=9) + Poly.monomial(rng.randint(top + 1, 9), 1, F(-3, 4))
+            for p in (inside, past + F(1, 3)):
+                self._check_weighted_powers(ps, p)
 
     def test_degenerate_weights_give_rogers_szego(self):
         # all five parameters zero: T{x^n} collapses to sum_k [n;k] x^(n-k) y^k
